@@ -1,6 +1,6 @@
 # Convenience targets; everything below is plain dune.
 
-.PHONY: all build test smoke batch-smoke bench-farm regir-smoke explore-smoke bench lint clean
+.PHONY: all build test smoke batch-smoke bench-farm regir-smoke explore-smoke perfbench-smoke bench lint clean
 
 all: build
 
@@ -41,6 +41,20 @@ regir-smoke:
 explore-smoke:
 	rm -rf _explore && dune exec bin/dvrun.exe -- explore atomicity \
 	  --out _explore --expect-failure
+
+# End-to-end benchmark gate: one short run of each perfbench workload
+# (record, replay and the farm, every operation checked against its own
+# reference) and fail unless each result reports "correct": true and no
+# failed operation. A correctness gate, not a timing one.
+PERFBENCH_CHECK = import json, sys; r = json.loads(sys.stdin.read().strip().splitlines()[-1]); \
+  print("perfbench-smoke %s: correct=%s attempted=%s failed=%s" % (sys.argv[1], r["correct"], r["attempted"], r["failed"])); \
+  sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+
+perfbench-smoke:
+	for w in compute-long event-dense farm-mixed; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 \
+	    | python3 -c '$(PERFBENCH_CHECK)' $$w || exit 1; \
+	done
 
 bench:
 	dune exec bench/main.exe

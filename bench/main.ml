@@ -1054,11 +1054,11 @@ let json () =
         in
         Fmt.pr
           "regir %-20s on %.2f off %.2f Mi/s (%.2fx, %.0f%% covered, %.0f%% \
-           mon-in-region, %d inline)@."
+           mon-in-region)@."
           name (on /. 1e6) (off /. 1e6)
           (if on > 0. then on /. off else 0.)
-          (frac *. 100.) (mon_frac *. 100.) s.Vm.Rt.n_regir_inline;
-        (name, on, off, frac, mon_frac, s.Vm.Rt.n_regir_inline))
+          (frac *. 100.) (mon_frac *. 100.);
+        (name, on, off, frac, mon_frac))
       overhead_workloads
   in
   let geo f =
@@ -1093,21 +1093,20 @@ let json () =
   Buffer.add_string buf
     (Fmt.str "    \"clock_ns_per_instr\": %.3f,\n" clock_ns);
   List.iter
-    (fun (name, on, off, frac, mon_frac, inl) ->
+    (fun (name, on, off, frac, mon_frac) ->
       Buffer.add_string buf
         (Fmt.str
            "    %S: { \"live_ips_off\": %.0f, \"speedup\": %.3f, \
-            \"coverage\": %.3f, \"mon_region_frac\": %.3f, \
-            \"inline_splices\": %d },\n"
+            \"coverage\": %.3f, \"mon_region_frac\": %.3f },\n"
            name off
            (if off > 0. then on /. off else 0.)
-           frac mon_frac inl))
+           frac mon_frac))
     regir_rows;
   Buffer.add_string buf
     (Fmt.str
        "    \"geomean_speedup\": %.3f,\n    \"geomean_coverage\": %.3f\n  },\n"
-       (geo (fun (_, on, off, _, _, _) -> if off > 0. then on /. off else 1.))
-       (geo (fun (_, _, _, frac, _, _) -> Float.max frac 1e-9)));
+       (geo (fun (_, on, off, _, _) -> if off > 0. then on /. off else 1.))
+       (geo (fun (_, _, _, frac, _) -> Float.max frac 1e-9)));
   (* schedule-exploration trajectory: throughput and DPOR efficiency of
      the bounded DFS on the seeded atomicity bug (pb 2, db 1) *)
   let ex_on, ex_t_on, ex_off, _, ex_t_first =

@@ -52,12 +52,11 @@ let pp_stats ppf (s : Vm.Rt.stats) =
     "instr=%d yields=%d switches=%d preempts=%d gcs=%d allocs=%d(%dw)@\n\
      compiled=%d classes=%d stack-grows=%d clock-reads=%d inputs=%d natives=%d \
      monitor-ops=%d exceptions=%d@\n\
-     regir=%d mon-in-region=%d inline-splices=%d"
+     regir=%d mon-in-region=%d"
     s.n_instr s.n_yield s.n_switch s.n_preempt_req s.n_gc s.n_alloc_objects
     s.n_alloc_words s.n_compiled_methods s.n_classes_initialized
     s.n_stack_grows s.n_clock_reads s.n_input_reads s.n_native_calls
     s.n_monitor_ops s.n_exceptions s.n_regir_instr s.n_regir_mon
-    s.n_regir_inline
 
 (* The config a subcommand's flags select; only --no-regir so far. *)
 let config_of_flags no_regir =
@@ -113,10 +112,10 @@ let run_cmd =
     Term.(const run_live $ name_arg $ seed_arg $ no_regir_arg $ verbose_arg)
 
 (* With --compiled, every method is force-compiled (charging the same
-   virtual-clock cost a run's first visit would) and its post-fusion kinstr
-   stream prints next to the source bytecode: fused superinstruction heads
-   marked [*] with shadowed originals behind them, inline-cache sites
-   marked [ic], injected yield points marked [; yp]. *)
+   virtual-clock cost a run's first visit would) and its canonical kinstr
+   stream prints next to the source bytecode — inline-cache sites marked
+   [ic], injected yield points marked [; yp] — followed by the register
+   regions the fast loop runs in its place. *)
 let disasm name compiled =
   let e = find_workload name in
   if not compiled then Fmt.pr "%a@." Bytecode.Disasm.pp_program e.program
@@ -136,7 +135,9 @@ let compiled_arg =
   Arg.(
     value & flag
     & info [ "compiled" ]
-        ~doc:"show the post-fusion compiled kinstr stream for each method")
+        ~doc:
+          "show the canonical compiled kinstr stream and its register \
+           regions for each method")
 
 let disasm_cmd =
   let doc = "disassemble a workload" in

@@ -267,169 +267,6 @@ let resolve_catch vm = function
   | None -> -1
   | Some cname -> Rt.class_id vm cname
 
-(* Pass 5: superinstruction fusion over the verified stream.
-
-   The hot pairs/triples the workload catalogue actually executes are
-   rewritten in place: the superinstruction takes the first constituent's
-   slot of a COPY of the code array and the shadow slots behind it keep the
-   originals, so pc numbering, branch targets, handler ranges, per-pc
-   reference maps, and the source-pc table all stay valid, and a branch
-   into the middle of a fused region simply executes the originals one at a
-   time. Only the fast dispatch loop fetches from the fused stream; the
-   observed loop and the single-stepper keep executing [k_code], which is
-   why fused and unfused runs produce identical event streams by
-   construction.
-
-   A region never extends across a barrier: a branch target, an
-   exception-handler boundary or entry, or an injected yield point (yield
-   points cannot match a constituent pattern anyway). This keeps logical-
-   clock yield-point deltas and safe-point placement untouched, exactly as
-   the record/replay symmetry argument requires. Matching is greedy,
-   longest pattern first, and a fused region is consumed whole so regions
-   never overlap. *)
-let fuse_barriers (code : Rt.cinstr array) (handlers : Rt.rhandler array) =
-  let n = Array.length code in
-  let barrier = Array.make (n + 1) false in
-  let mark t = if t >= 0 && t <= n then barrier.(t) <- true in
-  Array.iter
-    (fun ins -> match Rt.target_of_cinstr ins with Some t -> mark t | None -> ())
-    code;
-  Array.iter
-    (fun (h : Rt.rhandler) ->
-      mark h.k_from;
-      mark h.k_upto;
-      mark h.k_target)
-    handlers;
-  barrier
-
-let fuse_code (code : Rt.cinstr array) (handlers : Rt.rhandler array) :
-    Rt.cinstr array =
-  let n = Array.length code in
-  let barrier = fuse_barriers code handlers in
-  let fused = Array.copy code in
-  (* no constituent after the head may sit on a barrier *)
-  let clear pc w =
-    pc + w <= n
-    &&
-    let ok = ref true in
-    for k = pc + 1 to pc + w - 1 do
-      if barrier.(k) then ok := false
-    done;
-    !ok
-  in
-  let pc = ref 0 in
-  while !pc < n do
-    let p = !pc in
-    let at k = code.(p + k) in
-    let w =
-      if clear p 4 then
-        match (at 0, at 1, at 2, at 3) with
-        | Rt.KLoad i, Rt.KLoad j, Rt.KBin op, Rt.KIf (c, t) ->
-          fused.(p) <- Rt.KLdLdBinIf (i, j, op, c, t);
-          4
-        | Rt.KLoad i, Rt.KLoad j, Rt.KBin op, Rt.KIfz (c, t) ->
-          fused.(p) <- Rt.KLdLdBinIfz (i, j, op, c, t);
-          4
-        | Rt.KLoad i, Rt.KConst c, Rt.KBin op, Rt.KStore j ->
-          fused.(p) <- Rt.KLdConstBinSt (i, c, op, j);
-          4
-        | _ -> 0
-      else 0
-    in
-    let w =
-      if w > 0 then w
-      else if clear p 3 then
-        match (at 0, at 1, at 2) with
-        | Rt.KLoad i, Rt.KLoad j, Rt.KBin op ->
-          fused.(p) <- Rt.KLdLdBin (i, j, op);
-          3
-        | Rt.KLoad i, Rt.KConst c, Rt.KBin op ->
-          fused.(p) <- Rt.KLdConstBin (i, c, op);
-          3
-        | Rt.KLoad i, Rt.KLoad j, Rt.KIf (c, t) ->
-          fused.(p) <- Rt.KLdLdIf (i, j, c, t);
-          3
-        | Rt.KLoad i, Rt.KConst c, Rt.KIf (cmp, t) ->
-          fused.(p) <- Rt.KLdConstIf (i, c, cmp, t);
-          3
-        | _ -> 0
-      else 0
-    in
-    let w =
-      if w > 0 then w
-      else if clear p 2 then
-        match (at 0, at 1) with
-        | Rt.KBin op, Rt.KIf (c, t) ->
-          fused.(p) <- Rt.KBinIf (op, c, t);
-          2
-        | Rt.KBin op, Rt.KIfz (c, t) ->
-          fused.(p) <- Rt.KBinIfz (op, c, t);
-          2
-        | Rt.KBin op, Rt.KStore j ->
-          fused.(p) <- Rt.KBinSt (op, j);
-          2
-        | Rt.KLoad i, Rt.KGetfield (slot, ty) ->
-          fused.(p) <- Rt.KLdGetfield (i, slot, ty);
-          2
-        | Rt.KLoad i, Rt.KStore j ->
-          fused.(p) <- Rt.KLdStore (i, j);
-          2
-        | Rt.KLoad i, Rt.KIf (c, t) ->
-          fused.(p) <- Rt.KLdIf (i, c, t);
-          2
-        | Rt.KLoad i, Rt.KIfz (c, t) ->
-          fused.(p) <- Rt.KLdIfz (i, c, t);
-          2
-        | _ -> 1
-      else 1
-    in
-    pc := p + w
-  done;
-  fused
-
-(* --- tiny-callee inlining (register tier) ----------------------------- *)
-
-(* Source-instruction budget for a callee the register tier may splice
-   mid-region. Judged on the declaration, never the compiled body: forcing
-   the callee through [compile] here would charge the virtual clock at
-   caller-compile time instead of first call, a timeline the stack tier
-   does not have. *)
-let inline_limit = 12
-
-let tiny (m : Rt.rmethod) =
-  let d = m.Rt.rm_decl in
-  (not d.D.m_sync)
-  && d.D.m_handlers = []
-  && Array.length d.D.m_code <= inline_limit
-
-(* The lowering's splice predicate. Static calls inline on size alone;
-   virtual calls need a CHA-unique implementation across the declaring
-   class and every subclass — vtables are fixed at boot, so the prediction
-   is deterministic program structure, not execution state. It is only a
-   prediction: the spliced site still dispatches through the shared inline
-   cache, so an unforeseen receiver stays correct and merely bails the
-   region. *)
-let inline_target (vm : Rt.t) (ins : Rt.cinstr) : Rt.rmethod option =
-  match ins with
-  | Rt.KInvokestatic callee -> if tiny callee then Some callee else None
-  | Rt.KInvokevirtual (cid, vslot, _, _) ->
-    let target = ref (-1) and unique = ref true in
-    Array.iter
-      (fun (c : Rt.rclass) ->
-        if
-          Rt.is_subclass vm ~sub:c.Rt.cid ~sup:cid
-          && vslot < Array.length c.Rt.rc_vtable
-        then begin
-          let uid = c.Rt.rc_vtable.(vslot) in
-          if !target = -1 then target := uid
-          else if !target <> uid then unique := false
-        end)
-      vm.Rt.classes;
-    if !unique && !target >= 0 && tiny vm.Rt.methods.(!target) then
-      Some vm.Rt.methods.(!target)
-    else None
-  | _ -> None
-
 (* Compile a method: returns the compiled body and charges the clock. *)
 let compile (vm : Rt.t) (m : Rt.rmethod) : Rt.compiled =
   match m.rm_compiled with
@@ -453,26 +290,14 @@ let compile (vm : Rt.t) (m : Rt.rmethod) : Rt.compiled =
            src.m_handlers)
     in
     let { Verify.maps; max_stack } = Verify.verify vm m code handlers in
-    (* fusion runs after verification so the maps describe every pc of the
-       canonical stream; with fusion off the fused stream IS the canonical
-       one (physical equality), which the identity tests rely on *)
-    let fused =
-      if vm.cfg.fuse then begin
-        let f = fuse_code code handlers in
-        if vm.cfg.audit then Verify.check_fusion m code f handlers;
-        f
-      end
-      else code
-    in
-    (* register-IR lowering also runs on the verified canonical stream;
+    (* register-IR lowering runs on the verified canonical stream;
        the region table is a sidecar indexed by entry pc, so with regir
        off every pc simply stays on the stack tier *)
     let regions =
       if vm.cfg.regir then begin
         try
           let r =
-            Regir.lower ~inline:(inline_target vm) ~nlocals:m.rm_nlocals
-              ~max_stack code handlers maps
+            Regir.lower ~nlocals:m.rm_nlocals ~max_stack code handlers maps
           in
           if vm.cfg.audit then
             Regir.check m code handlers maps ~nlocals:m.rm_nlocals ~max_stack
@@ -485,7 +310,6 @@ let compile (vm : Rt.t) (m : Rt.rmethod) : Rt.compiled =
     let compiled =
       {
         Rt.k_code = code;
-        k_fused = fused;
         k_regions = regions;
         k_handlers = handlers;
         k_maps = maps;

@@ -11,14 +11,12 @@
     [Rt.rmethod] itself, string loads carry the owning [Rt.rclass], and
     virtual call/spawn sites carry a monomorphic inline cache.
 
-    After verification a fusion pass builds [Rt.compiled.k_fused] — the
-    canonical stream with common 2–4 instruction shapes rewritten as
-    superinstructions in their head slots (shadow slots keep the
-    originals; pc numbering is unchanged). A fused region never spans a
-    branch target, an exception-handler boundary, or a yield point, and
-    [Verify.check_fusion] audits the result. With [cfg.fuse = false],
-    [k_fused == k_code]. See DESIGN.md section 7 for the parity
-    contract. *)
+    After verification the register-IR lowering ([Regir.lower]) adds
+    [Rt.compiled.k_regions], a sidecar of register regions indexed by
+    entry pc; the canonical [k_code] stays the one stack-tier stream that
+    every loop, observer and the debugger execute. With [cfg.regir =
+    false] the table is all [None]. See DESIGN.md sections 7 and 10 for
+    the parity contract. *)
 
 exception Error of string
 

@@ -632,13 +632,6 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
     vm.stats.n_yield <- vm.stats.n_yield + 1;
     t.t_pc <- pc + 1;
     vm.hooks.h_yieldpoint vm
-  | KLdLdBin _ | KLdConstBin _ | KBinIf _ | KBinIfz _ | KLdGetfield _
-  | KLdStore _ | KLdIf _ | KLdIfz _ | KLdLdIf _ | KLdConstIf _
-  | KLdLdBinIf _ | KLdLdBinIfz _ | KLdConstBinSt _ | KBinSt _ ->
-    (* superinstructions live only in k_fused and are executed inline by
-       the fast loop in [exec_batch]; every other fetch path (single-step,
-       observed loop, fuel fallback) reads the canonical k_code *)
-    fatal "superinstruction reached the generic dispatcher at pc %d" pc
 
 (* Advance the environment clock for one executed instruction and latch a
    timer fire into the preemption bit. The [cfg.clock] guard exists for
@@ -661,7 +654,7 @@ let clock_instr (vm : Rt.t) =
     end
   end
 
-(* [clock_instr] for [n] instructions of a fused region at once: one stub
+(* [clock_instr] for [n] instructions of a region segment at once: one stub
    call, same draws, every fire latched and counted as n ticks would. *)
 let clock_batch (vm : Rt.t) n =
   if vm.cfg.clock then begin
@@ -717,7 +710,7 @@ let clock_batch (vm : Rt.t) n =
    collection even without switching (a same-thread re-pick still runs
    the instrumentation's eager stack growth), so the heap/base caches are
    recomputed unconditionally. *)
-let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
+let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
     (regions : Rt.region option array) ~fuel executed =
   let rec run_region (r : Rt.region) =
     let ops = r.Rt.r_ops in
@@ -932,56 +925,6 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         Sched.monitor_exit vm obj;
         t.t_pc <- npc;
         go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
-      | Rt.RInlineStatic (callee, pc, ss) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + ss;
-        if ensure_initialized vm callee.Rt.rm_cid then begin
-          let caller = t.t_meth in
-          push_frame vm callee ~resume_pc:(pc + 1) ();
-          let kc = Rt.compiled callee in
-          (match kc.Rt.k_regions.(0) with
-          | Some rc
-            when rc.Rt.r_n = Array.length kc.Rt.k_code
-                 && fuel - !executed >= rc.Rt.r_n ->
-            vm.stats.n_regir_inline <- vm.stats.n_regir_inline + 1;
-            exec_region vm t rc kc.Rt.k_regions ~fuel executed
-          | _ -> ());
-          (* continue the caller's region only when the callee fully
-             returned into exactly the frame this region runs in; any
-             other outcome (bail into the callee, a switch, an unwind in
-             flight) left canonical frames for the outer loop *)
-          if
-            vm.status = Rt.Running_
-            && vm.current = t.tid
-            && t.t_meth == caller
-            && t.t_pc = pc + 1
-            && t.t_fp + Rt.frame_header_words = fbase
-          then go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
-        end
-      | Rt.RInlineVirtual (vslot, nargs, ic, pc, ss) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + ss;
-        let receiver = Array.unsafe_get heap (base + ss - nargs) in
-        check_null receiver;
-        let rcid = Layout.class_of vm receiver in
-        let callee = ic_lookup vm ic vslot rcid in
-        let caller = t.t_meth in
-        push_frame vm callee ~resume_pc:(pc + 1) ();
-        let kc = Rt.compiled callee in
-        (match kc.Rt.k_regions.(0) with
-        | Some rc
-          when rc.Rt.r_n = Array.length kc.Rt.k_code
-               && fuel - !executed >= rc.Rt.r_n ->
-          vm.stats.n_regir_inline <- vm.stats.n_regir_inline + 1;
-          exec_region vm t rc kc.Rt.k_regions ~fuel executed
-        | _ -> ());
-        if
-          vm.status = Rt.Running_
-          && vm.current = t.tid
-          && t.t_meth == caller
-          && t.t_pc = pc + 1
-          && t.t_fp + Rt.frame_header_words = fbase
-        then go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
       | Rt.RIf (cmp, target, fall, a) ->
         let b = Array.unsafe_get heap (base + a + 1) in
         let x = Array.unsafe_get heap (base + a) in
@@ -1085,37 +1028,15 @@ let exec_batch (vm : Rt.t) ~fuel =
       let code = comp.k_code in
       match (vm.hooks.h_instr, vm.hooks.h_observe) with
       | None, None ->
-        (* fast loop: fetch, clock, dispatch — nothing else. It executes
-           the fused stream; superinstructions are handled inline, paying
-           one env tick and one [executed] increment per constituent (so
-           the PRNG draw sequence, the preemption-request count, and the
-           instruction count match unfused execution exactly, including
-           when a constituent faults mid-region). The tick prefix of a
-           region — every constituent up to and including the first one
-           that can fault — is paid in a single [clock_batch] stub call,
-           which draws the same stream as that many successive ticks;
-           constituents after a fault point (only [KBin] and the
-           [KGetfield] null check can fault) tick one at a time, after the
-           fault point succeeds, so a mid-region exception leaves the
-           clock exactly where unfused execution would. The handlers also
-           replicate the unfused operand-stack WRITES — the state digest
-           hashes every heap word up to the bump pointer, dead stack slots
-           included, so skipping a push that unfused execution performs
-           would leak into the digest. What fusion saves is the
-           per-constituent fetch/decode/dispatch, the per-tick stub
-           transitions, the segment-death checks, and the re-reads of
-           just-written slots.
-
-           Near the fuel limit a region that no longer fits falls back to
-           dispatching the head constituent from the canonical stream —
-           the shadow slots behind it are the originals, so execution
-           degrades to one-at-a-time without overshooting the limit.
-
-           Register regions are checked first: they subsume fusion over
-           straight-line runs (the fused stream still covers pcs the
-           lowering skipped, and mid-region pcs — reachable only through
-           the fuel fallback — execute canonically or fused). *)
-        let fused = comp.k_fused in
+        (* fast loop: a register region when one starts at the pc and
+           fits in the remaining fuel, otherwise the canonical
+           instruction — fetch, clock, dispatch, nothing else. Regions
+           pay the same ticks, PRNG draws and instruction counts as the
+           instructions they cover (DESIGN.md section 10). Pcs without
+           a region — excluded instructions, and region interiors reached
+           when a region no longer fits the fuel or left off part-way (a
+           switch at a yield or monitor, a class-init re-execution) — run
+           one instruction at a time. *)
         let regions = comp.k_regions in
         let live = ref true in
         while !live do
@@ -1127,294 +1048,9 @@ let exec_batch (vm : Rt.t) ~fuel =
             vm.stats.n_regir_instr <-
               vm.stats.n_regir_instr + (!executed - before)
           | _ ->
-            match fused.(pc) with
-          | Rt.KLdLdBin (i, j, op) ->
-            if fuel - !executed >= 3 then begin
-              executed := !executed + 3;
-              clock_batch vm 3;
-              let base = t.t_fp + Rt.frame_header_words in
-              let sp = t.t_sp in
-              let x = Layout.stack_get_u vm t (base + i) in
-              Layout.stack_set_u vm t sp x;
-              let y = Layout.stack_get_u vm t (base + j) in
-              Layout.stack_set_u vm t (sp + 1) y;
-              t.t_pc <- pc + 2;
-              Layout.stack_set_u vm t sp (binop op x y);
-              t.t_sp <- sp + 1;
-              t.t_pc <- pc + 3
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdConstBin (i, n, op) ->
-            if fuel - !executed >= 3 then begin
-              executed := !executed + 3;
-              clock_batch vm 3;
-              let sp = t.t_sp in
-              let x =
-                Layout.stack_get_u vm t (t.t_fp + Rt.frame_header_words + i)
-              in
-              Layout.stack_set_u vm t sp x;
-              Layout.stack_set_u vm t (sp + 1) n;
-              t.t_pc <- pc + 2;
-              Layout.stack_set_u vm t sp (binop op x n);
-              t.t_sp <- sp + 1;
-              t.t_pc <- pc + 3
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KBinIf (op, cmp, target) ->
-            if fuel - !executed >= 2 then begin
-              incr executed;
-              clock_instr vm;
-              let sp = t.t_sp in
-              let y = Layout.stack_get_u vm t (sp - 1) in
-              let x = Layout.stack_get_u vm t (sp - 2) in
-              t.t_sp <- sp - 2;
-              let r = binop op x y in
-              incr executed;
-              clock_instr vm;
-              Layout.stack_set_u vm t (sp - 2) r;
-              let a = Layout.stack_get_u vm t (sp - 3) in
-              t.t_sp <- sp - 3;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp a r then target else pc + 2)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KBinIfz (op, cmp, target) ->
-            if fuel - !executed >= 2 then begin
-              incr executed;
-              clock_instr vm;
-              let sp = t.t_sp in
-              let y = Layout.stack_get_u vm t (sp - 1) in
-              let x = Layout.stack_get_u vm t (sp - 2) in
-              t.t_sp <- sp - 2;
-              let r = binop op x y in
-              incr executed;
-              clock_instr vm;
-              Layout.stack_set_u vm t (sp - 2) r;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp r 0 then target else pc + 2)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdGetfield (i, slot, _) ->
-            if fuel - !executed >= 2 then begin
-              executed := !executed + 2;
-              clock_batch vm 2;
-              let sp = t.t_sp in
-              let obj =
-                Layout.stack_get_u vm t (t.t_fp + Rt.frame_header_words + i)
-              in
-              Layout.stack_set_u vm t sp obj;
-              t.t_pc <- pc + 1;
-              check_null obj;
-              (match vm.hooks.h_heap_read with
-              | Some f -> f vm obj slot
-              | None -> ());
-              Layout.stack_set_u vm t sp vm.heap.(obj + slot);
-              t.t_sp <- sp + 1;
-              t.t_pc <- pc + 2
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdStore (i, j) ->
-            if fuel - !executed >= 2 then begin
-              executed := !executed + 2;
-              clock_batch vm 2;
-              let base = t.t_fp + Rt.frame_header_words in
-              let v = Layout.stack_get_u vm t (base + i) in
-              Layout.stack_set_u vm t t.t_sp v;
-              Layout.stack_set_u vm t (base + j) v;
-              t.t_pc <- pc + 2
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdIf (i, cmp, target) ->
-            if fuel - !executed >= 2 then begin
-              executed := !executed + 2;
-              clock_batch vm 2;
-              let sp = t.t_sp in
-              let x =
-                Layout.stack_get_u vm t (t.t_fp + Rt.frame_header_words + i)
-              in
-              Layout.stack_set_u vm t sp x;
-              let a = Layout.stack_get_u vm t (sp - 1) in
-              t.t_sp <- sp - 1;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp a x then target else pc + 2)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdIfz (i, cmp, target) ->
-            if fuel - !executed >= 2 then begin
-              executed := !executed + 2;
-              clock_batch vm 2;
-              let x =
-                Layout.stack_get_u vm t (t.t_fp + Rt.frame_header_words + i)
-              in
-              Layout.stack_set_u vm t t.t_sp x;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp x 0 then target else pc + 2)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdLdIf (i, j, cmp, target) ->
-            if fuel - !executed >= 3 then begin
-              executed := !executed + 3;
-              clock_batch vm 3;
-              let base = t.t_fp + Rt.frame_header_words in
-              let sp = t.t_sp in
-              let x = Layout.stack_get_u vm t (base + i) in
-              Layout.stack_set_u vm t sp x;
-              let y = Layout.stack_get_u vm t (base + j) in
-              Layout.stack_set_u vm t (sp + 1) y;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp x y then target else pc + 3)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdConstIf (i, n, cmp, target) ->
-            if fuel - !executed >= 3 then begin
-              executed := !executed + 3;
-              clock_batch vm 3;
-              let sp = t.t_sp in
-              let x =
-                Layout.stack_get_u vm t (t.t_fp + Rt.frame_header_words + i)
-              in
-              Layout.stack_set_u vm t sp x;
-              Layout.stack_set_u vm t (sp + 1) n;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp x n then target else pc + 3)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdLdBinIf (i, j, op, cmp, target) ->
-            if fuel - !executed >= 4 then begin
-              executed := !executed + 3;
-              clock_batch vm 3;
-              let base = t.t_fp + Rt.frame_header_words in
-              let sp = t.t_sp in
-              let x = Layout.stack_get_u vm t (base + i) in
-              Layout.stack_set_u vm t sp x;
-              let y = Layout.stack_get_u vm t (base + j) in
-              Layout.stack_set_u vm t (sp + 1) y;
-              t.t_pc <- pc + 2;
-              let r = binop op x y in
-              incr executed;
-              clock_instr vm;
-              Layout.stack_set_u vm t sp r;
-              let a = Layout.stack_get_u vm t (sp - 1) in
-              t.t_sp <- sp - 1;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp a r then target else pc + 4)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdLdBinIfz (i, j, op, cmp, target) ->
-            if fuel - !executed >= 4 then begin
-              executed := !executed + 3;
-              clock_batch vm 3;
-              let base = t.t_fp + Rt.frame_header_words in
-              let sp = t.t_sp in
-              let x = Layout.stack_get_u vm t (base + i) in
-              Layout.stack_set_u vm t sp x;
-              let y = Layout.stack_get_u vm t (base + j) in
-              Layout.stack_set_u vm t (sp + 1) y;
-              t.t_pc <- pc + 2;
-              let r = binop op x y in
-              incr executed;
-              clock_instr vm;
-              Layout.stack_set_u vm t sp r;
-              t.t_pc <-
-                (if Bytecode.Instr.eval_cmp cmp r 0 then target else pc + 4)
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KLdConstBinSt (i, n, op, j) ->
-            if fuel - !executed >= 4 then begin
-              executed := !executed + 3;
-              clock_batch vm 3;
-              let base = t.t_fp + Rt.frame_header_words in
-              let sp = t.t_sp in
-              let x = Layout.stack_get_u vm t (base + i) in
-              Layout.stack_set_u vm t sp x;
-              Layout.stack_set_u vm t (sp + 1) n;
-              t.t_pc <- pc + 2;
-              let r = binop op x n in
-              incr executed;
-              clock_instr vm;
-              Layout.stack_set_u vm t sp r;
-              Layout.stack_set_u vm t (base + j) r;
-              t.t_pc <- pc + 4
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | Rt.KBinSt (op, j) ->
-            if fuel - !executed >= 2 then begin
-              incr executed;
-              clock_instr vm;
-              let sp = t.t_sp in
-              let y = Layout.stack_get_u vm t (sp - 1) in
-              let x = Layout.stack_get_u vm t (sp - 2) in
-              t.t_sp <- sp - 2;
-              let r = binop op x y in
-              incr executed;
-              clock_instr vm;
-              Layout.stack_set_u vm t (sp - 2) r;
-              Layout.stack_set_u vm t
-                (t.t_fp + Rt.frame_header_words + j)
-                r;
-              t.t_pc <- pc + 2
-            end
-            else begin
-              incr executed;
-              clock_instr vm;
-              dispatch vm t pc code.(pc)
-            end
-          | ins ->
             incr executed;
             clock_instr vm;
-            dispatch vm t pc ins);
+            dispatch vm t pc code.(pc));
           if
             vm.current <> tid || t.t_meth != meth
             || vm.status <> Rt.Running_ || !executed >= fuel

@@ -3,13 +3,13 @@
     unwinding, and the yield-point hook through which all thread switching
     happens. See the implementation header for the GC invariants.
 
-    The hook-free fast loop executes the fused stream ([Rt.compiled
-    .k_fused]) — superinstruction handlers that batch their clock ticks
-    through [Env.tick_batch] while preserving instruction counts, PRNG
-    draws, stack writes, and fault points bit-for-bit ({e the parity
-    contract}, DESIGN.md section 7). The observed loop and the single-step
-    [step] path execute the canonical [k_code], which never contains a
-    superinstruction. *)
+    The hook-free fast loop runs a register region ([Rt.compiled
+    .k_regions]) wherever one starts at the current pc, and otherwise the
+    canonical [k_code]; regions batch their clock ticks through
+    [Env.tick_batch] while preserving instruction counts, PRNG draws,
+    stack writes, and fault points bit-for-bit ({e the parity contract},
+    DESIGN.md sections 7 and 10). The observed loop and the single-step
+    [step] path execute [k_code] one instruction at a time. *)
 
 exception Fatal of string
 

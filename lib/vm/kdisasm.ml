@@ -3,12 +3,11 @@
    of source bytecode. The compiled stream differs from the source in ways
    that matter when debugging the dispatch pipeline: monitorenter/exit
    wrapping from sync expansion, injected yield points, pre-resolved
-   callees, and (in the fused stream) superinstructions. The listing shows
-   the post-fusion stream: a fused region prints its superinstruction head
-   marked [*] with the shadowed originals indented behind it, virtual
-   call/spawn sites are marked [ic] (each carries a monomorphic inline
-   cache), and injected yield points are marked so safe-point placement can
-   be read off the listing. *)
+   callees. The listing shows the canonical stream the stack tier runs,
+   followed by the register regions the fast loop runs where they start;
+   virtual call/spawn sites are marked [ic] (each carries an inline
+   cache), and injected yield points are marked so safe-point placement
+   can be read off the listing. *)
 
 let string_of_bin : Rt.bin -> string = function
   | Badd -> "add"
@@ -91,32 +90,6 @@ let pp_cinstr (vm : Rt.t) ppf (ins : Rt.cinstr) =
   | KHalt -> Fmt.string ppf "halt"
   | KNop -> Fmt.string ppf "nop"
   | KYield -> Fmt.string ppf "yield"
-  | KLdLdBin (i, j, op) ->
-    Fmt.pf ppf "ld.ld.bin l%d l%d %s" i j (string_of_bin op)
-  | KLdConstBin (i, n, op) ->
-    Fmt.pf ppf "ld.const.bin l%d %d %s" i n (string_of_bin op)
-  | KBinIf (op, c, t) ->
-    Fmt.pf ppf "bin.if %s %s -> %d" (string_of_bin op) (cmp c) t
-  | KBinIfz (op, c, t) ->
-    Fmt.pf ppf "bin.ifz %s %s -> %d" (string_of_bin op) (cmp c) t
-  | KLdGetfield (i, slot, fty) ->
-    Fmt.pf ppf "ld.getfield l%d +%d :%s" i slot (ty fty)
-  | KLdStore (i, j) -> Fmt.pf ppf "ld.store l%d l%d" i j
-  | KLdIf (i, c, t) -> Fmt.pf ppf "ld.if l%d %s -> %d" i (cmp c) t
-  | KLdIfz (i, c, t) -> Fmt.pf ppf "ld.ifz l%d %s -> %d" i (cmp c) t
-  | KLdLdIf (i, j, c, t) ->
-    Fmt.pf ppf "ld.ld.if l%d l%d %s -> %d" i j (cmp c) t
-  | KLdConstIf (i, n, c, t) ->
-    Fmt.pf ppf "ld.const.if l%d %d %s -> %d" i n (cmp c) t
-  | KLdLdBinIf (i, j, op, c, t) ->
-    Fmt.pf ppf "ld.ld.bin.if l%d l%d %s %s -> %d" i j (string_of_bin op)
-      (cmp c) t
-  | KLdLdBinIfz (i, j, op, c, t) ->
-    Fmt.pf ppf "ld.ld.bin.ifz l%d l%d %s %s -> %d" i j (string_of_bin op)
-      (cmp c) t
-  | KLdConstBinSt (i, n, op, j) ->
-    Fmt.pf ppf "ld.const.bin.st l%d %d %s l%d" i n (string_of_bin op) j
-  | KBinSt (op, j) -> Fmt.pf ppf "bin.st %s l%d" (string_of_bin op) j
 
 (* Inline-cache state, readable off the listing: cold (never executed),
    mono <class>, poly(n){classes}, or mega. The cache is runtime state, so
@@ -185,16 +158,6 @@ let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
     Fmt.pf ppf "monenter r%d -> %d  @%d" os npc (npc - 1)
   | Rt.RMonExit (npc, os) ->
     Fmt.pf ppf "monexit r%d -> %d  @%d" os npc (npc - 1)
-  | Rt.RInlineStatic (callee, pc, ss) ->
-    Fmt.pf ppf "inline %s sp=r%d  @%d" (qual callee) ss pc
-  | Rt.RInlineVirtual (vslot, nargs, ic, pc, ss) ->
-    let decl =
-      match ic.Rt.ic_cid with
-      | cid when cid >= 0 -> qual (vmeth cid vslot)
-      | _ -> Fmt.str "vslot %d" vslot
-    in
-    Fmt.pf ppf "inlinev %s/%d [ic %s] sp=r%d  @%d" decl nargs
-      (string_of_ic vm ic) ss pc
   | Rt.RIf (c, target, fall, a) ->
     Fmt.pf ppf "if r%d %s r%d -> %d else %d" a (cmp c) (a + 1) target fall
   | Rt.RIfz (c, target, fall, a) ->
@@ -214,48 +177,35 @@ let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
       (string_of_ic vm ic) ss pc
   | Rt.REnd (next_pc, ss) -> Fmt.pf ppf "end -> %d sp=r%d" next_pc ss
 
-(* One compiled method: the post-fusion stream, pc by pc. A fused region's
-   head line is marked [*] and its shadow slots print the canonical
-   originals behind a [|]; [; yp] tags injected yield points; the src
-   column maps each compiled pc back to the source-bytecode pc. Register
-   regions follow the instruction stream: each prints its entry pc, the
-   canonical instruction count it covers, and its register ops. *)
+(* One compiled method: the canonical stream, pc by pc, with [; yp]
+   tagging injected yield points and the src column mapping each compiled
+   pc back to the source-bytecode pc. Register regions follow the
+   instruction stream: each prints its entry pc, the canonical instruction
+   count it covers, and its register ops. *)
 let pp_compiled (vm : Rt.t) ppf (m : Rt.rmethod) =
   let c = Rt.compiled m in
   let n = Array.length c.k_code in
-  let n_fused = ref 0 and n_ic = ref 0 and n_yp = ref 0 in
-  Array.iteri
-    (fun pc ins ->
-      if ins != c.k_code.(pc) then incr n_fused;
-      match c.k_code.(pc) with
+  let n_ic = ref 0 and n_yp = ref 0 in
+  Array.iter
+    (function
       | Rt.KInvokevirtual _ | Rt.KSpawnvirtual _ -> incr n_ic
       | Rt.KYield -> incr n_yp
       | _ -> ())
-    c.k_fused;
+    c.k_code;
   let n_regions =
     Array.fold_left
       (fun acc r -> match r with Some _ -> acc + 1 | None -> acc)
       0 c.k_regions
   in
   Fmt.pf ppf
-    "@[<v 2>compiled %s.%s (uid %d): %d instrs, %d fused, %d ic, %d yp, %d \
-     regions@,"
+    "@[<v 2>compiled %s.%s (uid %d): %d instrs, %d ic, %d yp, %d regions@,"
     (Rt.the_class vm m.rm_cid).rc_name
-    m.rm_name m.uid n !n_fused !n_ic !n_yp n_regions;
-  let shadow_until = ref 0 in
-  for pc = 0 to n - 1 do
-    let ins = c.k_fused.(pc) in
-    let src = c.k_src_pc.(pc) in
-    if pc < !shadow_until then
-      Fmt.pf ppf "%4d      |   %a@," pc (pp_cinstr vm) c.k_code.(pc)
-    else if ins != c.k_code.(pc) then begin
-      shadow_until := pc + Rt.width_of_cinstr ins;
-      Fmt.pf ppf "%4d %4d * %a@," pc src (pp_cinstr vm) ins
-    end
-    else
-      Fmt.pf ppf "%4d %4d   %a%s@," pc src (pp_cinstr vm) ins
-        (match ins with Rt.KYield -> "  ; yp" | _ -> "")
-  done;
+    m.rm_name m.uid n !n_ic !n_yp n_regions;
+  Array.iteri
+    (fun pc ins ->
+      Fmt.pf ppf "%4d %4d  %a%s@," pc c.k_src_pc.(pc) (pp_cinstr vm) ins
+        (match ins with Rt.KYield -> "  ; yp" | _ -> ""))
+    c.k_code;
   Array.iter
     (fun (h : Rt.rhandler) ->
       Fmt.pf ppf "  catch%s [%d,%d) -> %d@,"

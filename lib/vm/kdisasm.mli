@@ -1,10 +1,9 @@
 (** Listings of compiled kinstr code — what the interpreter actually
-    executes, after sync expansion, yield-point injection, lowering, and
-    superinstruction fusion. Complements [Bytecode.Disasm] (which prints
-    source bytecode): fused regions show the superinstruction head marked
-    [*] with the shadowed canonical originals behind it, virtual call/spawn
-    sites are tagged [ic] (monomorphic inline cache), and injected yield
-    points are tagged [; yp]. *)
+    executes, after sync expansion, yield-point injection, and lowering.
+    Complements [Bytecode.Disasm] (which prints source bytecode): virtual
+    call/spawn sites are tagged [ic] (inline cache), injected yield points
+    are tagged [; yp], and the register regions follow the canonical
+    stream. *)
 
 val string_of_bin : Rt.bin -> string
 
@@ -21,8 +20,8 @@ val pp_cinstr : Rt.t -> Format.formatter -> Rt.cinstr -> unit
     fault pcs as [@<pc>], call sites with their inline-cache state. *)
 val pp_rop : Rt.t -> Format.formatter -> Rt.rop -> unit
 
-(** Print a method's post-fusion compiled stream, one line per pc, with a
-    source-pc column and fusion/ic/yield-point markers, followed by the
+(** Print a method's canonical compiled stream, one line per pc, with a
+    source-pc column and ic/yield-point markers, followed by the
     register-IR regions (entry pc, covered instruction count, ops). The
     method must already be compiled (raises [Invalid_argument]
     otherwise). *)

@@ -7,8 +7,8 @@
    instruction, or terminal (branch / call / return); it is executed by
    [Interp.exec_region] from the fast dispatch loop.
 
-   Parity with the stack tier (DESIGN.md section 7) is preserved the same
-   way the fusion pass preserves it, just at a larger granularity:
+   Parity with the stack tier (DESIGN.md section 7) rests on four
+   invariants:
 
    - canonical pc numbering, branch targets, handler ranges, reference
      maps, and yield-point placement are untouched ([k_code] stays the
@@ -42,7 +42,7 @@ type klass = Pure | Risky | Terminal | Excluded
 (* Pure: cannot fault, allocate, or run hooks — freely reorderable within
    a segment. Risky: segment-final, observable mid-instruction. Terminal:
    region-final control transfer. Everything else (waits, spawns, natives,
-   halts, superinstructions) is excluded and dispatched canonically. *)
+   halts) is excluded and dispatched canonically. *)
 let classify (ins : Rt.cinstr) : klass =
   match ins with
   | KConst _ | KStr _ | KNull | KLoad _ | KStore _ | KDup | KPop | KSwap
@@ -71,8 +71,7 @@ let classify (ins : Rt.cinstr) : klass =
     Terminal
   | _ -> Excluded
 
-(* Same barrier set as the fusion pass: branch targets and exception-
-   handler boundaries. *)
+(* Region barriers: branch targets and exception-handler boundaries. *)
 let barriers (code : Rt.cinstr array) (handlers : Rt.rhandler array) =
   let n = Array.length code in
   let barrier = Array.make (n + 1) false in
@@ -117,7 +116,7 @@ exception Abort
    any internal inconsistency (e.g. unreachable code whose reference maps
    do not match the simulated depth): the pcs then simply stay on the
    stack tier. *)
-let lower_region ~nlocals ~nslots ~inline (code : Rt.cinstr array)
+let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
     (maps : Rt.refmap array) ~start ~last : Rt.rop array option =
   let avail = Array.init nslots (fun i -> Slot i) in
   let resolve s = avail.(s) in
@@ -403,39 +402,12 @@ let lower_region ~nlocals ~nslots ~inline (code : Rt.cinstr array)
       | Rt.KRetv ->
         flush (Some (Rt.RRetv (p, sl 1)));
         decr depth
-      | Rt.KInvokestatic callee when p = last ->
-        flush (Some (Rt.RCallStatic (callee, p, spv 0)))
       | Rt.KInvokestatic callee ->
-        (* mid-region: only reachable when the greedy scan extended past
-           this call because [inline] predicted a tiny callee *)
-        (match inline code.(p) with
-        | None -> raise Abort
-        | Some m ->
-          let ss = spv 0 in
-          let nargs = callee.Rt.rm_nargs in
-          if ss - nargs < 0 then raise Abort;
-          flush (Some (Rt.RInlineStatic (callee, p, ss)));
-          (* the callee frame lands on the arg slots and everything above;
-             the return value (if any) comes back in the first of them *)
-          for s = ss - nargs to nslots - 1 do
-            clobber s
-          done;
-          depth := !depth - nargs + (if Rt.returns m then 1 else 0))
-      | Rt.KInvokevirtual (_, vslot, nargs, ic) when p = last ->
+        flush (Some (Rt.RCallStatic (callee, p, spv 0)))
+      | Rt.KInvokevirtual (_, vslot, nargs, ic) ->
         let ss = spv 0 in
         if ss - nargs < 0 || ss - nargs >= nslots then raise Abort;
         flush (Some (Rt.RCallVirtual (vslot, nargs, ic, p, ss)))
-      | Rt.KInvokevirtual (_, vslot, nargs, ic) -> (
-        match inline code.(p) with
-        | None -> raise Abort
-        | Some m ->
-          let ss = spv 0 in
-          if ss - nargs < 0 || ss - nargs >= nslots then raise Abort;
-          flush (Some (Rt.RInlineVirtual (vslot, nargs, ic, p, ss)));
-          for s = ss - nargs to nslots - 1 do
-            clobber s
-          done;
-          depth := !depth - nargs + (if Rt.returns m then 1 else 0))
       | _ -> raise Abort)
     done;
     (* fall-through exit unless a terminal already stored pc/sp *)
@@ -448,16 +420,14 @@ let lower_region ~nlocals ~nslots ~inline (code : Rt.cinstr array)
     Some (Array.of_list (List.rev !ops))
   with Abort -> None
 
-(* Greedy region construction, mirroring the fusion pass: walk the code,
-   open a region at every includable pc, extend to the next barrier /
-   excluded instruction / terminal, and keep it when it covers at least
-   two instructions. [inline] is the compiler's tiny-callee predicate: a
-   call it accepts is treated as region-continuing (spliced at run time
-   behind the usual frame push and IC guard) instead of region-final, so
-   hot loops with small helper calls chain region-to-region. *)
-let lower ?(inline = fun (_ : Rt.cinstr) -> None) ~nlocals ~max_stack
-    (code : Rt.cinstr array) (handlers : Rt.rhandler array)
-    (maps : Rt.refmap array) : Rt.region option array =
+(* Greedy region construction: walk the code, open a region at every
+   includable pc, extend to the next barrier / excluded instruction /
+   terminal, and keep it when it covers at least two instructions. A call
+   always ends its region, so the call's return pc is a fresh scan start
+   and the code after the call opens a region of its own. *)
+let lower ~nlocals ~max_stack (code : Rt.cinstr array)
+    (handlers : Rt.rhandler array) (maps : Rt.refmap array) :
+    Rt.region option array =
   let n = Array.length code in
   let nslots = nlocals + max_stack in
   let regions = Array.make n None in
@@ -470,8 +440,7 @@ let lower ?(inline = fun (_ : Rt.cinstr) -> None) ~nlocals ~max_stack
       let last = ref start in
       let scan = ref true in
       while !scan do
-        if classify code.(!last) = Terminal && inline code.(!last) = None then
-          scan := false
+        if classify code.(!last) = Terminal then scan := false
         else
           let q = !last + 1 in
           if q < n && (not barrier.(q)) && classify code.(q) <> Excluded then
@@ -480,9 +449,7 @@ let lower ?(inline = fun (_ : Rt.cinstr) -> None) ~nlocals ~max_stack
       done;
       let count = !last - start + 1 in
       if count >= 2 then begin
-        (match
-           lower_region ~nlocals ~nslots ~inline code maps ~start ~last:!last
-         with
+        (match lower_region ~nlocals ~nslots code maps ~start ~last:!last with
         | Some r_ops -> regions.(start) <- Some { Rt.r_n = count; r_ops }
         | None -> ());
         pc := !last + 1
@@ -494,12 +461,11 @@ let lower ?(inline = fun (_ : Rt.cinstr) -> None) ~nlocals ~max_stack
 
 (* ------------------------------------------------------------- audit *)
 
-(* Static audit run after lowering (the regir analogue of
-   [Verify.check_fusion]): every region must cover only includable,
-   barrier-free pcs, pay exactly one tick per covered instruction, carry
-   canonical pcs and fault-time sp slots that agree with the reference
-   maps, and agree with [k_code] operand-for-operand — including physical
-   equality of the shared inline-cache cells. *)
+(* Static audit run after lowering: every region must cover only
+   includable, barrier-free pcs, pay exactly one tick per covered
+   instruction, carry canonical pcs and fault-time sp slots that agree
+   with the reference maps, and agree with [k_code] operand-for-operand —
+   including physical equality of the shared inline-cache cells. *)
 let check (m : Rt.rmethod) (code : Rt.cinstr array)
     (handlers : Rt.rhandler array) (maps : Rt.refmap array) ~nlocals
     ~max_stack (regions : Rt.region option array) =
@@ -521,17 +487,6 @@ let check (m : Rt.rmethod) (code : Rt.cinstr array)
         if r.Rt.r_n < 2 || fin >= n then
           error "%s: region at %d covers %d instructions (code length %d)"
             name entry r.Rt.r_n n;
-        (* calls spliced inline are the one legitimate mid-region terminal:
-           collect their pcs so the coverage walk below can tell them from
-           a control transfer the lowering failed to end the region at *)
-        let inline_pcs =
-          Array.to_list r.Rt.r_ops
-          |> List.filter_map (function
-               | Rt.RInlineStatic (_, p, _) | Rt.RInlineVirtual (_, _, _, p, _)
-                 ->
-                 Some p
-               | _ -> None)
-        in
         for p = entry to fin do
           if p > entry && barrier.(p) then
             error "%s: region at %d crosses a barrier at %d" name entry p;
@@ -539,11 +494,8 @@ let check (m : Rt.rmethod) (code : Rt.cinstr array)
           | Excluded ->
             error "%s: region at %d covers excluded instruction at %d" name
               entry p
-          | Terminal when p < fin && not (List.mem p inline_pcs) ->
+          | Terminal when p < fin ->
             error "%s: region at %d has a terminal mid-region at %d" name
-              entry p
-          | Terminal when p = fin && List.mem p inline_pcs ->
-            error "%s: region at %d ends in an inline splice at %d" name
               entry p
           | _ -> ())
         done;
@@ -707,29 +659,6 @@ let check (m : Rt.rmethod) (code : Rt.cinstr array)
               (match code.(p) with
               | Rt.KMonitorexit -> ()
               | _ -> error "%s: RMonExit at pc %d mismatches code" name p)
-            | Rt.RInlineStatic (callee, p, s) ->
-              pc_in p;
-              sp_slot s;
-              want_sp p s ~delta:0;
-              if s - callee.Rt.rm_nargs < 0 then
-                error "%s: RInlineStatic at pc %d underflows the frame" name p;
-              (match code.(p) with
-              | Rt.KInvokestatic callee' when callee' == callee -> ()
-              | _ -> error "%s: RInlineStatic at pc %d mismatches code" name p)
-            | Rt.RInlineVirtual (vslot, nargs, ic, p, s) ->
-              pc_in p;
-              sp_slot s;
-              slots [ s - nargs ];
-              want_sp p s ~delta:0;
-              (match code.(p) with
-              | Rt.KInvokevirtual (_, vslot', nargs', ic')
-                when vslot' = vslot && nargs' = nargs && ic' == ic ->
-                ()
-              | _ ->
-                error
-                  "%s: RInlineVirtual at pc %d mismatches code (the inline \
-                   cache must be the same cell as the stack tier's)"
-                  name p)
             | Rt.RIf (c, tgt, fall, a) ->
               want_final "a branch";
               let p = fall - 1 in

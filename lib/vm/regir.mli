@@ -9,15 +9,10 @@ exception Error of string
 (** Build the region table for a verified method body. Indexed by entry
     pc; [None] everywhere a region does not start. Regions never cross
     branch targets, handler boundaries, or excluded instructions, and
-    only cover runs of at least two instructions. [inline] is the
-    compiler's tiny-callee predicate: a call instruction it maps to
-    [Some callee] is spliced mid-region ([Rt.RInlineStatic] /
-    [Rt.RInlineVirtual]) instead of ending it; the returned method is
-    the statically predicted target, used only for its arity and return
-    shape — the runtime still dispatches through the shared inline
-    cache. *)
+    only cover runs of at least two instructions. Every call, branch
+    and return ends its region, so the pc after a call opens a region of
+    its own and the code after a call stays on the register tier. *)
 val lower :
-  ?inline:(Rt.cinstr -> Rt.rmethod option) ->
   nlocals:int ->
   max_stack:int ->
   Rt.cinstr array ->
@@ -25,8 +20,8 @@ val lower :
   Rt.refmap array ->
   Rt.region option array
 
-(** Static audit of a lowered region table against the canonical code —
-    the regir analogue of [Verify.check_fusion]. Checks extents, tick
+(** Static audit of a lowered region table against the canonical code,
+    run when [cfg.audit] is set. Checks extents, tick
     totals, slot bounds, fault-time sp slots against the reference maps,
     operand agreement with [k_code], and physical sharing of inline-cache
     cells. Raises [Error] on any violation. *)

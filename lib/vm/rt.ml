@@ -78,29 +78,6 @@ type cinstr =
   | KHalt
   | KNop
   | KYield (* yield point, injected by the method compiler *)
-  (* Superinstructions, produced only by the fusion pass in Vm.Compile and
-     present only in [k_fused] (never in the canonical [k_code]). Each one
-     occupies the first constituent's slot; the shadow slots behind it keep
-     the original instructions, so pc numbering, branch targets, handler
-     ranges, reference maps, and the source-pc table are untouched and a
-     branch into the middle of a fused region executes the originals. *)
-  | KLdLdBin of int * int * bin (* load i; load j; bin op *)
-  | KLdConstBin of int * int * bin (* load i; const n; bin op *)
-  | KBinIf of bin * cmp * int (* bin op; if cmp target *)
-  | KBinIfz of bin * cmp * int (* bin op; ifz cmp target *)
-  | KLdGetfield of int * int * Bytecode.Instr.ty (* load i; getfield slot *)
-  | KLdStore of int * int (* load i; store j *)
-  | KLdIf of int * cmp * int (* load i; if cmp target *)
-  | KLdIfz of int * cmp * int (* load i; ifz cmp target *)
-  | KLdLdIf of int * int * cmp * int (* load i; load j; if cmp target *)
-  | KLdConstIf of int * int * cmp * int (* load i; const n; if cmp target *)
-  | KLdLdBinIf of int * int * bin * cmp * int
-      (* load i; load j; bin op; if cmp target *)
-  | KLdLdBinIfz of int * int * bin * cmp * int
-      (* load i; load j; bin op; ifz cmp target *)
-  | KLdConstBinSt of int * int * bin * int
-      (* load i; const n; bin op; store j *)
-  | KBinSt of bin * int (* bin op; store j *)
 
 (* Inline cache: one mutable cell per virtual call/spawn site. [ic_cid] /
    [ic_meth] hold the most-recent receiver class and resolved callee (the
@@ -190,17 +167,6 @@ and rop =
     (* monitorexit: next pc, obj slot. Releasing never parks the current
        thread (a handoff only readies the next owner), so the region
        always continues. *)
-  | RInlineStatic of rmethod * int * int
-    (* mid-region static call splice: callee, pc, entry sp slot. Pushes
-       the callee frame canonically, executes the callee's whole-body
-       region in place when it has one, and continues this region right
-       after the call when the callee returned without a switch; any
-       other outcome bails to the outer loop with canonical frames. *)
-  | RInlineVirtual of int * int * ic * int * int
-    (* mid-region virtual call splice: vtable slot, nargs, cache, pc,
-       entry sp slot. Same cell as the stack tier's inline cache — the
-       splice sits behind the same IC guard, and a receiver the lowering's
-       CHA prediction did not anticipate still dispatches correctly. *)
   (* terminals: exit the region, storing the canonical pc/sp *)
   | RIf of cmp * int * int * int (* cmp, target, fall pc, a slot (b at a+1) *)
   | RIfz of cmp * int * int * int (* cmp, target, fall pc, a slot *)
@@ -226,11 +192,6 @@ and rhandler = {
 
 and compiled = {
   k_code : cinstr array; (* canonical stream: verifier, observers, debugger *)
-  k_fused : cinstr array;
-      (* same length and pc numbering as [k_code]; superinstruction heads
-         with original instructions in the shadow slots. Physically equal
-         to [k_code] when fusion is disabled. Only the fast dispatch loop
-         executes it. *)
   k_regions : region option array;
       (* register-IR tier, indexed by entry pc ([None] mid-region or when
          the tier is disabled). Lives inside [compiled] so snapshot
@@ -376,7 +337,9 @@ type stats = {
   mutable n_exceptions : int;
   mutable n_regir_instr : int; (* canonical instrs retired via register regions *)
   mutable n_regir_mon : int; (* monitor ops executed inside register regions *)
-  mutable n_regir_inline : int; (* calls spliced inline inside register regions *)
+  mutable n_regir_inline : int;
+      (* always 0: the VM has no call splicing. Kept only so the frozen
+         perfbench harness, which reads it, still compiles *)
 }
 
 let fresh_stats () =
@@ -448,14 +411,16 @@ and config = {
   stack_max : int; (* max thread-stack words *)
   stack_slack : int; (* eager-growth threshold, see DejaVu symmetry *)
   instr_limit : int; (* safety valve; Fatal when exceeded *)
-  fuse : bool; (* superinstruction fusion in the compiler (k_fused) *)
+  fuse : bool;
+      (* no effect: the VM has no superinstruction fusion. Kept only so
+         the frozen perfbench harness, which sets it, still compiles *)
   regir : bool; (* register-IR tier in the compiler (k_regions) *)
   audit : bool;
-      (* re-verify the fused stream and the lowered region table against
-         the canonical code at compile time. A belt-and-braces pass for
-         the test suite: it can only reject compiler bugs, never change
-         behavior, and on sub-millisecond workloads its wall cost rivals
-         the run itself — so production configs leave it off *)
+      (* re-check the lowered region table against the canonical code
+         at compile time. A belt-and-braces pass for the test suite: it
+         can only reject compiler bugs, never change behavior, and on
+         sub-millisecond workloads its wall cost rivals the run itself —
+         so production configs leave it off *)
   clock : bool;
       (* advance the environment clock per instruction (always true in
          real runs; the bench turns it off to price the clock itself) *)
@@ -615,57 +580,9 @@ let tag_of_cinstr = function
   | KHalt -> 46
   | KNop -> 47
   | KYield -> 48
-  (* superinstructions never reach observers (the observed loop executes
-     the canonical k_code), but the tags stay total and stable for the
-     disassembler and any future fused-stream tooling *)
-  | KLdLdBin _ -> 53
-  | KLdConstBin _ -> 54
-  | KBinIf _ -> 55
-  | KBinIfz _ -> 56
-  | KLdGetfield _ -> 57
-  | KLdStore _ -> 58
-  | KLdIf _ -> 59
-  | KLdIfz _ -> 60
-  | KLdLdIf _ -> 61
-  | KLdConstIf _ -> 62
-  | KLdLdBinIf _ -> 63
-  | KLdLdBinIfz _ -> 64
-  | KLdConstBinSt _ -> 65
-  | KBinSt _ -> 66
 
-(* Number of canonical-stream slots a fused-stream instruction covers. *)
-let width_of_cinstr = function
-  | KLdLdBinIf _ | KLdLdBinIfz _ | KLdConstBinSt _ -> 4
-  | KLdLdBin _ | KLdConstBin _ | KLdLdIf _ | KLdConstIf _ -> 3
-  | KBinIf _ | KBinIfz _ | KLdGetfield _ | KLdStore _ | KLdIf _ | KLdIfz _
-  | KBinSt _ -> 2
-  | _ -> 1
-
-(* The canonical instructions a superinstruction stands for, in execution
-   order; [None] for ordinary instructions. [Verify.check_fusion] compares
-   this expansion against the shadow slots, and the disassembler prints it. *)
-let constituents_of_cinstr = function
-  | KLdLdBin (i, j, op) -> Some [| KLoad i; KLoad j; KBin op |]
-  | KLdConstBin (i, n, op) -> Some [| KLoad i; KConst n; KBin op |]
-  | KBinIf (op, c, t) -> Some [| KBin op; KIf (c, t) |]
-  | KBinIfz (op, c, t) -> Some [| KBin op; KIfz (c, t) |]
-  | KLdGetfield (i, slot, ty) -> Some [| KLoad i; KGetfield (slot, ty) |]
-  | KLdStore (i, j) -> Some [| KLoad i; KStore j |]
-  | KLdIf (i, c, t) -> Some [| KLoad i; KIf (c, t) |]
-  | KLdIfz (i, c, t) -> Some [| KLoad i; KIfz (c, t) |]
-  | KLdLdIf (i, j, c, t) -> Some [| KLoad i; KLoad j; KIf (c, t) |]
-  | KLdConstIf (i, n, c, t) -> Some [| KLoad i; KConst n; KIf (c, t) |]
-  | KLdLdBinIf (i, j, op, c, t) ->
-    Some [| KLoad i; KLoad j; KBin op; KIf (c, t) |]
-  | KLdLdBinIfz (i, j, op, c, t) ->
-    Some [| KLoad i; KLoad j; KBin op; KIfz (c, t) |]
-  | KLdConstBinSt (i, n, op, j) ->
-    Some [| KLoad i; KConst n; KBin op; KStore j |]
-  | KBinSt (op, j) -> Some [| KBin op; KStore j |]
-  | _ -> None
-
-(* Branch target carried by a canonical instruction, if any — the fusion
-   pass uses this to find the barriers no fused region may span. *)
+(* Branch target carried by a canonical instruction, if any — the
+   region lowering uses this to find the barriers no region may span. *)
 let target_of_cinstr = function
   | KIf (_, t) | KIfz (_, t) | KIfnull t | KIfnonnull t | KIfrefeq t
   | KIfrefne t | KGoto t ->

@@ -431,12 +431,7 @@ let verify (vm : Rt.t) (m : Rt.rmethod) (code : Rt.cinstr array)
       goto_next ()
     | KHalt -> ()
     | KNop -> goto_next ()
-    | KYield -> goto_next ()
-    | KLdLdBin _ | KLdConstBin _ | KBinIf _ | KBinIfz _ | KLdGetfield _
-    | KLdStore _ | KLdIf _ | KLdIfz _ | KLdLdIf _ | KLdConstIf _
-    | KLdLdBinIf _ | KLdLdBinIfz _ | KLdConstBinSt _ | KBinSt _ ->
-      (* the verifier runs on the canonical stream, before fusion *)
-      error "%s: pc %d: superinstruction in unfused code" m.rm_name pc);
+    | KYield -> goto_next ());
     if !sp > !max_depth then max_depth := !sp
   done;
   let maps =
@@ -446,52 +441,3 @@ let verify (vm : Rt.t) (m : Rt.rmethod) (code : Rt.cinstr array)
         | None -> empty_refmap nlocals)
   in
   { maps; max_stack = !max_depth }
-
-(* Consistency check over the fusion pass: the fused stream must be the
-   canonical stream with some regions replaced by a superinstruction head
-   whose expansion reproduces the shadowed originals exactly, and no region
-   may span a branch target or handler boundary/entry. Shadow slots and
-   unfused slots must be the SAME values as the canonical stream (physical
-   equality — cinstr operands reach back into the recursive rmethod/rclass
-   graph, so structural comparison is off the table there; constituent
-   expansions are flat and compare structurally). *)
-let check_fusion (m : Rt.rmethod) (code : Rt.cinstr array)
-    (fused : Rt.cinstr array) (handlers : Rt.rhandler array) : unit =
-  let n = Array.length code in
-  if Array.length fused <> n then
-    error "%s: fused stream length %d <> %d" m.rm_name (Array.length fused) n;
-  let barrier = Array.make (n + 1) false in
-  let mark t = if t >= 0 && t <= n then barrier.(t) <- true in
-  Array.iter
-    (fun ins -> match Rt.target_of_cinstr ins with Some t -> mark t | None -> ())
-    code;
-  Array.iter
-    (fun (h : Rt.rhandler) ->
-      mark h.k_from;
-      mark h.k_upto;
-      mark h.k_target)
-    handlers;
-  let pc = ref 0 in
-  while !pc < n do
-    let p = !pc in
-    (match Rt.constituents_of_cinstr fused.(p) with
-    | None ->
-      if not (fused.(p) == code.(p)) then
-        error "%s: pc %d: fused slot is not the canonical instruction"
-          m.rm_name p
-    | Some cs ->
-      let w = Array.length cs in
-      if p + w > n then
-        error "%s: pc %d: fused region runs past the end" m.rm_name p;
-      for k = 0 to w - 1 do
-        if cs.(k) <> code.(p + k) then
-          error "%s: pc %d: constituent %d does not match the canonical code"
-            m.rm_name p k;
-        if k > 0 && not (fused.(p + k) == code.(p + k)) then
-          error "%s: pc %d: shadow slot %d was rewritten" m.rm_name p k;
-        if k > 0 && barrier.(p + k) then
-          error "%s: pc %d: fused region spans a barrier at %d" m.rm_name p
-            (p + k)
-      done);
-    pc := p + Rt.width_of_cinstr fused.(p)
-  done

@@ -30,14 +30,5 @@ val assignable : Rt.t -> want:vt -> vt -> bool
 type result = { maps : Rt.refmap array; max_stack : int }
 
 (** Verify a compiled body against its handlers; returns the per-pc
-    reference maps and the operand-stack bound, or raises {!Error}. The
-    stream must be canonical (pre-fusion): superinstructions are rejected. *)
+    reference maps and the operand-stack bound, or raises {!Error}. *)
 val verify : Rt.t -> Rt.rmethod -> Rt.cinstr array -> Rt.rhandler array -> result
-
-(** Check a fused stream against its canonical stream: equal length, every
-    superinstruction expands exactly to the shadowed originals, shadow and
-    unfused slots are physically the canonical values, and no fused region
-    spans a branch target or handler boundary/entry. Raises {!Error} on any
-    violation; the compiler runs this after every fusion pass. *)
-val check_fusion :
-  Rt.rmethod -> Rt.cinstr array -> Rt.cinstr array -> Rt.rhandler array -> unit

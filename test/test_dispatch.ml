@@ -90,67 +90,6 @@ let test_fast_recorded_trace_matches () =
         obs_run.Dejavu.obs_count replayed.Dejavu.obs_count)
     (all ())
 
-(* Fused vs unfused compilation: [cfg.fuse] only decides whether the
-   executed stream (k_fused) carries superinstructions; every observable —
-   status, output, state digest, instruction count, event sequence, and
-   recorded trace bytes — must be identical across the whole catalogue,
-   and traces recorded under one setting must replay under the other. *)
-let unfused = { Vm.Rt.default_config with Vm.Rt.fuse = false }
-
-let test_fused_vs_unfused_live () =
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      List.iter
-        (fun seed ->
-          let f, f_st = run ~natives:e.natives ~seed e.program in
-          let u, u_st = run ~config:unfused ~natives:e.natives ~seed e.program in
-          let ctx = Fmt.str "%s/%d" e.name seed in
-          Alcotest.check status_testable (ctx ^ " status") u_st f_st;
-          Alcotest.(check string) (ctx ^ " output") (Vm.output u) (Vm.output f);
-          Alcotest.(check int) (ctx ^ " state digest") (Vm.digest u)
-            (Vm.digest f);
-          Alcotest.(check int)
-            (ctx ^ " instruction count")
-            (Vm.stats u).n_instr (Vm.stats f).n_instr)
-        [ 1; 3 ])
-    (all ())
-
-let test_fused_vs_unfused_traces () =
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let fr, ft = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-      let ur, ut =
-        Dejavu.record ~config:unfused ~natives:e.natives ~seed:1 e.program
-      in
-      Alcotest.(check string)
-        (e.name ^ " trace bytes")
-        (Dejavu.Trace.to_bytes ut) (Dejavu.Trace.to_bytes ft);
-      Alcotest.(check int) (e.name ^ " event digest") ur.Dejavu.obs_digest
-        fr.Dejavu.obs_digest;
-      Alcotest.(check int) (e.name ^ " event count") ur.Dejavu.obs_count
-        fr.Dejavu.obs_count;
-      (* cross-replay: a trace recorded fused replays unfused, and back *)
-      let rep_u, left_u =
-        Dejavu.replay ~config:unfused ~natives:e.natives e.program ft
-      in
-      Alcotest.(check (list string))
-        (e.name ^ " fused->unfused consumed")
-        [] left_u;
-      Alcotest.(check int)
-        (e.name ^ " fused->unfused events")
-        fr.Dejavu.obs_digest rep_u.Dejavu.obs_digest;
-      let rep_f, left_f = Dejavu.replay ~natives:e.natives e.program ut in
-      Alcotest.(check (list string))
-        (e.name ^ " unfused->fused consumed")
-        [] left_f;
-      Alcotest.(check int)
-        (e.name ^ " unfused->fused events")
-        ur.Dejavu.obs_digest rep_f.Dejavu.obs_digest;
-      Alcotest.(check int)
-        (e.name ^ " replay state digest")
-        rep_u.Dejavu.state_digest rep_f.Dejavu.state_digest)
-    (all ())
-
 (* Register tier vs stack tier: [cfg.regir] only decides whether verified
    methods additionally carry register-IR regions and whether the fast
    loop dispatches into them; every observable — status, output, state
@@ -320,15 +259,22 @@ let test_poly_ic_transition () =
         sr.Dejavu.state_digest rr.Dejavu.state_digest)
     [ ("poly", p3); ("mega", p6) ]
 
-(* Tiny-callee inlining: a hot loop over a 4-instruction static helper
-   must splice the callee into the caller's region (the registry's
-   helpers are all too big, synchronized, or polymorphic, so this
-   directed program guards the mechanism), and the splice must be
-   invisible to recording. *)
-let tiny_call_prog iters =
-  let inc =
-    A.method_ ~args:[ I.Tint ] ~ret:I.Tint ~nlocals:1 "inc"
-      [ i (I.Load 0); i (I.Const 1); i I.Add; i I.Retv ]
+(* A call ends its region, so the instruction after the call must open a
+   region of its own; otherwise everything from the return pc to the next
+   branch target runs on the stack tier. The callee loops, so no run-time
+   shortcut could cover the call itself — this directed program pins the
+   lowering, and the regions must stay invisible to recording. *)
+let looping_call_prog iters =
+  let spin =
+    A.method_ ~args:[ I.Tint ] ~nlocals:1 "spin"
+      [
+        l "loop";
+        i (I.Load 0); i (I.Ifz (I.Le, "end"));
+        i (I.Load 0); i (I.Const 1); i I.Sub; i (I.Store 0);
+        i (I.Goto "loop");
+        l "end";
+        i I.Ret;
+      ]
   in
   let main =
     A.method_ ~nlocals:2 "main"
@@ -336,24 +282,42 @@ let tiny_call_prog iters =
         i (I.Const 0); i (I.Store 0); i (I.Const 0); i (I.Store 1);
         l "loop";
         i (I.Load 1); i (I.Const iters); i (I.If (I.Ge, "end"));
-        i (I.Load 0); i (I.Invoke ("T", "inc")); i (I.Store 0);
+        i (I.Const 3); i (I.Invoke ("T", "spin"));
+        i (I.Load 0); i (I.Const 2); i I.Add; i (I.Store 0);
         i (I.Load 1); i (I.Const 1); i I.Add; i (I.Store 1);
         i (I.Goto "loop");
         l "end";
         i (I.Load 0); i I.Print; i I.Ret;
       ]
   in
-  D.program ~main_class:"T" [ D.cdecl "T" [ inc; main ] ]
+  D.program ~main_class:"T" [ D.cdecl "T" [ spin; main ] ]
 
-let test_tiny_callee_inlined () =
-  let iters = 5000 in
-  let p = tiny_call_prog iters in
+let test_return_pc_opens_region () =
+  let iters = 2000 in
+  let p = looping_call_prog iters in
   let live, st = run ~seed:1 p in
   Alcotest.check status_testable "finished" Vm.Rt.Finished st;
-  Alcotest.(check string) "output" (Fmt.str "%d\n" iters) (Vm.output live);
-  Alcotest.(check int)
-    "every call spliced" iters
-    (Vm.stats live).Vm.Rt.n_regir_inline;
+  Alcotest.(check string) "output" (Fmt.str "%d\n" (2 * iters))
+    (Vm.output live);
+  let main =
+    List.find
+      (fun (m : Vm.Rt.rmethod) -> m.rm_name = "main")
+      (Array.to_list live.Vm.Rt.methods)
+  in
+  let c = Vm.Rt.compiled main in
+  let calls = ref 0 in
+  Array.iteri
+    (fun pc ins ->
+      match ins with
+      | Vm.Rt.KInvokestatic _ ->
+        incr calls;
+        Alcotest.(check bool)
+          (Fmt.str "region at return pc %d" (pc + 1))
+          true
+          (c.Vm.Rt.k_regions.(pc + 1) <> None)
+      | _ -> ())
+    c.Vm.Rt.k_code;
+  Alcotest.(check int) "one call site" 1 !calls;
   let rr, rt = Dejavu.record ~seed:1 p in
   let sr, st' = Dejavu.record ~config:noregir ~seed:1 p in
   Alcotest.(check string) "trace bytes" (Dejavu.Trace.to_bytes st')
@@ -361,6 +325,24 @@ let test_tiny_callee_inlined () =
   Alcotest.(check int) "state digest" sr.Dejavu.state_digest
     rr.Dejavu.state_digest;
   Alcotest.(check int) "event digest" sr.Dejavu.obs_digest rr.Dejavu.obs_digest
+
+(* racy-counter's worker calls a looping [spin] mid-iteration. If the
+   code after the call loses its region, pcs 9-18 of the 36-instruction
+   iteration fall back to the stack tier and coverage drops to 0.666. *)
+let test_racy_counter_coverage () =
+  let e =
+    match Workloads.Registry.find "racy-counter" with
+    | Some e -> e
+    | None -> Alcotest.fail "racy-counter workload missing"
+  in
+  let vm, _ = run ~natives:e.natives ~seed:1 e.program in
+  let s = Vm.stats vm in
+  let frac =
+    float_of_int s.Vm.Rt.n_regir_instr /. float_of_int (max 1 s.n_instr)
+  in
+  if frac < 0.9 then
+    Alcotest.failf "racy-counter region coverage %.3f < 0.9 (%d/%d)" frac
+      s.Vm.Rt.n_regir_instr s.n_instr
 
 (* Interrupts arriving mid-region at a monitor op: a tiny timer quantum
    lands preemption requests on monitorenter/monitorexit constantly, so
@@ -513,17 +495,13 @@ let () =
           quick "roundtrip digests (observed)" test_roundtrip_digests_observed;
           quick "fast-recorded trace matches" test_fast_recorded_trace_matches;
         ] );
-      ( "fusion",
-        [
-          quick "fused vs unfused live" test_fused_vs_unfused_live;
-          quick "fused vs unfused traces" test_fused_vs_unfused_traces;
-        ] );
       ( "regir",
         [
           quick "register vs stack live" test_regir_vs_stack_live;
           quick "register vs stack traces" test_regir_vs_stack_traces;
           quick "poly-IC transition mid-trace" test_poly_ic_transition;
-          quick "tiny callee inlined into region" test_tiny_callee_inlined;
+          quick "return pc after a looping callee" test_return_pc_opens_region;
+          quick "racy-counter region coverage" test_racy_counter_coverage;
           quick "interrupt at a monitor op mid-region"
             test_interrupt_at_monitor_op;
         ] );

@@ -488,53 +488,6 @@ let prop_random_programs_icount =
       let p = program_of_tacts nt iters bodies in
       Baselines.Runner.ok (Baselines.Runner.roundtrip_icount ~seed:11 p))
 
-(* --- superinstruction fusion is invisible --------------------------------- *)
-
-let unfused_config = { Vm.Rt.default_config with Vm.Rt.fuse = false }
-
-(* Random multithreaded programs: recording under the fused stream and
-   under the canonical stream must produce the same output, final state,
-   event sequence, and byte-identical traces. *)
-let prop_fusion_transparent_mt =
-  qtest ~count:30 "fusion invisible on random multithreaded programs" racy_arb
-    (fun (nt, iters, bodies) ->
-      let p = program_of_tacts nt iters bodies in
-      let seed = (7 * nt) + iters in
-      let fr, ft = Dejavu.record ~seed p in
-      let ur, ut = Dejavu.record ~config:unfused_config ~seed p in
-      fr.Dejavu.output = ur.Dejavu.output
-      && fr.Dejavu.state_digest = ur.Dejavu.state_digest
-      && fr.Dejavu.obs_digest = ur.Dejavu.obs_digest
-      && fr.Dejavu.obs_count = ur.Dejavu.obs_count
-      && Dejavu.Trace.to_bytes ft = Dejavu.Trace.to_bytes ut)
-
-(* Fuzzed programs reach the paths the structured generator cannot: faults
-   inside fused regions (division by zero mid-superinstruction), mid-region
-   branch targets, and instruction-limit cutoffs. The fused run must agree
-   with the canonical run on status, output, and state digest — the digest
-   covers dead stack slots, so even transient pushes must match. *)
-let prop_fuzzed_fusion_agrees =
-  qtest ~count:250 "accepted random programs: fusion transparent" fuzz_arb
-    (fun instrs ->
-      let code = instrs @ [ I.Ret ] in
-      let aux = D.mdecl ~nlocals:0 "aux" [ I.Ret ] in
-      let main = D.mdecl ~nlocals:5 "main" code in
-      let p =
-        D.program ~main_class:"T"
-          [
-            D.cdecl "T"
-              ~statics:[ D.field "s0"; D.field ~ty:I.Tref "r0" ]
-              [ aux; main ];
-          ]
-      in
-      match run ~limit:100_000 p with
-      | exception _ -> true (* rejected before dispatch: nothing to compare *)
-      | vm_f, st_f ->
-        let vm_u, st_u = run ~limit:100_000 ~config:unfused_config p in
-        st_f = st_u
-        && Vm.output vm_f = Vm.output vm_u
-        && Vm.digest vm_f = Vm.digest vm_u)
-
 (* --- the register-IR tier is invisible ------------------------------------- *)
 
 let noregir_config = { Vm.Rt.default_config with Vm.Rt.regir = false }
@@ -856,10 +809,6 @@ let () =
           prop_random_programs_icount;
         ] );
       ("snapshot", [ prop_snapshot_transparent ]);
-      ( "fusion",
-        [
-          prop_fusion_transparent_mt; prop_fuzzed_fusion_agrees;
-        ] );
       ( "regir",
         [
           prop_regir_transparent_mt; prop_fuzzed_regir_agrees;

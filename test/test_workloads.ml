@@ -34,9 +34,9 @@ let test_catalogue_checks_clean () =
 
 let test_catalogue_verifies () =
   (* every method of every workload passes the dataflow verifier, and —
-     with the compile-time audits on — the fused stream and the lowered
-     region table re-verify against the canonical code. Production
-     configs skip the audits for wall time; this is where they run. *)
+     with the compile-time audit on — the lowered region table re-checks
+     against the canonical code. Production configs skip the audit for
+     wall time; this is where it runs. *)
   let config = { Vm.Rt.default_config with Vm.Rt.audit = true } in
   List.iter
     (fun (e : Workloads.Registry.entry) ->
