@@ -1,6 +1,6 @@
 # Convenience targets; everything below is plain dune.
 
-.PHONY: all build test smoke batch-smoke bench-farm regir-smoke explore-smoke perfbench-smoke bench lint clean
+.PHONY: all build test smoke batch-smoke regir-smoke explore-smoke perfbench-smoke bench lint clean
 
 all: build
 
@@ -10,10 +10,10 @@ build:
 test:
 	dune runtest
 
-# Tier-1 gate plus the perf trajectory: build, full test suite, and the
-# machine-readable dispatch benchmark (writes BENCH_interp.json).
+# Tier-1 gate: build and the full test suite, which holds every parity
+# check (tier identity, warm = cold, shard-count invariance, golden traces).
 smoke:
-	dune build && dune runtest && dune exec bench/main.exe -- --json
+	dune build && dune runtest
 
 # Replay farm gate: record the whole registry across 4 shard domains and
 # fail unless every job completes (the aggregate digest is checked against
@@ -21,16 +21,10 @@ smoke:
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 
-# Warm-reuse gate: record the registry twice over on warm shard pools at
-# 1 and 2 shards and fail unless the aggregate digests are identical —
-# recycling VMs must change scheduling, never results.
-bench-farm:
-	dune exec bench/main.exe -- farm-smoke
-
-# Register-tier gate: record every registry workload with the register-IR
-# compile tier on and off and fail unless trace bytes, state digests,
-# event digests, and observer counts are identical — the tier is a pure
-# perf optimisation and must be invisible to replay.
+# Register-tier speed floor: run every registry workload live with the
+# register-IR tier on and off and fail if any workload of >= 200k
+# instructions runs slower than 0.95x with the tier on. (That the tier is
+# invisible to replay is checked by test_dispatch under dune runtest.)
 regir-smoke:
 	dune exec bench/main.exe -- regir-smoke
 

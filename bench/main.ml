@@ -3,9 +3,13 @@
    related-work comparison (E5–E9). See DESIGN.md section 4 for the index
    and EXPERIMENTS.md for paper-claim vs measured.
 
-   Run:  dune exec bench/main.exe            (all experiments)
-         dune exec bench/main.exe -- E7 E9   (a subset)
-         dune exec bench/main.exe -- micro   (bechamel microbenchmarks) *)
+   Run:  dune exec bench/main.exe                (all experiments)
+         dune exec bench/main.exe -- E7 E9       (a subset)
+         dune exec bench/main.exe -- micro       (bechamel microbenchmarks)
+         dune exec bench/main.exe -- regir-smoke (register-tier speed floor)
+
+   The steady end-to-end benchmark is perfbench/ (BENCHMARK.json); the
+   parity checks live in the test suite (dune runtest). *)
 
 let section id title =
   Fmt.pr "@.=== %s: %s ===@." id title
@@ -456,12 +460,12 @@ let rm_rf dir =
    counts and compare wall clock. The aggregate digest must not change with
    the shard count OR with warm reuse — sharding and VM recycling alter
    scheduling, never results. *)
-let batch_under ?(warm = false) ?(rounds = 1) shards =
+let batch_under ?(warm = false) shards =
   let out_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Fmt.str "dv-bench-batch-%d-%d-%b" (Unix.getpid ()) shards warm)
   in
-  let rep = Server.Batch.run_registry ~shards ~warm ~rounds ~out_dir () in
+  let rep = Server.Batch.run_registry ~shards ~warm ~out_dir () in
   rm_rf out_dir;
   rep
 
@@ -523,9 +527,7 @@ let warm_sustained ~shards ~rounds =
   let jobs = rounds * List.length names in
   ( (if wall > 0. then float_of_int jobs /. wall else 0.),
     q 0.50 *. 1e3,
-    q 0.99 *. 1e3,
-    wall,
-    runner.Server.Job.warm_stats () )
+    q 0.99 *. 1e3 )
 
 let e12 () =
   section "E12"
@@ -538,7 +540,7 @@ let e12 () =
     (fun shards ->
       let cold = if shards = 1 then base else batch_under ~warm:false shards in
       let w = batch_under ~warm:true shards in
-      let sus_jps, p50, p99, _, _ = warm_sustained ~shards ~rounds:3 in
+      let sus_jps, p50, p99 = warm_sustained ~shards ~rounds:3 in
       if shards = 1 then sus1 := sus_jps;
       if shards = 4 then sus4 := sus_jps;
       Fmt.pr "%-8d %12.1f %12.1f %12.1f %10.1f %10.1f%s@." shards
@@ -637,53 +639,19 @@ let e13 () =
      %d/%d done, %.1f jobs/s, p50 %.1f ms, p99 %.1f ms@."
     done_ total jps p50 p99
 
-(* CI gate: the 2-shard warm aggregate must equal the 1-shard one (and
-   every job must succeed) — the cheap end-to-end proof that sharding plus
-   warm reuse never changes results. *)
-let farm_smoke () =
-  section "farm-smoke" "2-shard vs 1-shard aggregate digest (warm, 2 rounds)";
-  let b1 = batch_under ~warm:true ~rounds:2 1 in
-  let b2 = batch_under ~warm:true ~rounds:2 2 in
-  let ok =
-    b1.Server.Batch.ok && b2.Server.Batch.ok
-    && b1.Server.Batch.aggregate = b2.Server.Batch.aggregate
-  in
-  Fmt.pr "1 shard : %s (%s)@\n2 shards: %s (%s)@\n%s@." b1.Server.Batch.aggregate
-    (if b1.Server.Batch.ok then "all done" else "FAILURES")
-    b2.Server.Batch.aggregate
-    (if b2.Server.Batch.ok then "all done" else "FAILURES")
-    (if ok then "farm-smoke PASS" else "farm-smoke FAIL");
-  if not ok then exit 1
-
-(* CI gate: the register tier must be invisible — byte-identical traces,
-   identical state digests, and identical event sequences vs the stack
-   tier, across the whole registry — and it must pay for itself: any
-   workload long enough to time reliably (>= 200k instructions) must run
-   at >= 0.95x of the stack tier's live throughput. The monitor-heavy
-   workloads additionally cross-replay: a trace recorded under one tier
-   must replay to the same digests under the other. *)
+(* CI gate: the register tier must pay for itself. Any workload long
+   enough to time reliably (>= 200k instructions) must run live at >=
+   0.95x of the stack tier's throughput. Tier identity (traces, digests,
+   event sequences, cross-replay) is checked registry-wide by
+   test_dispatch under dune runtest. *)
 let regir_smoke () =
-  section "regir-smoke"
-    "register vs stack tier: trace/digest identity + speedup floor";
+  section "regir-smoke" "register vs stack tier: live speed floor";
   let noregir = { Vm.Rt.default_config with Vm.Rt.regir = false } in
-  let failures = ref 0 in
+  let slow = ref 0 in
   List.iter
     (fun (e : Workloads.Registry.entry) ->
-      let r_on, t_on = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-      let r_off, t_off =
-        Dejavu.record ~config:noregir ~natives:e.natives ~seed:1 e.program
-      in
-      let traces_eq =
-        String.equal (Dejavu.Trace.to_bytes t_on) (Dejavu.Trace.to_bytes t_off)
-      in
-      let ok =
-        traces_eq
-        && r_on.Dejavu.state_digest = r_off.Dejavu.state_digest
-        && r_on.Dejavu.obs_digest = r_off.Dejavu.obs_digest
-        && r_on.Dejavu.obs_count = r_off.Dejavu.obs_count
-      in
-      (* live on/off speedup, best of 3 interleaved reps so slow phases
-         of the bench process hit both tiers alike *)
+      (* best of 3 interleaved reps so slow phases of the bench process
+         hit both tiers alike *)
       let one ?config () =
         time (fun () ->
             let vm, _ =
@@ -701,54 +669,15 @@ let regir_smoke () =
       done;
       let speedup = if !best_on > 0. then !best_off /. !best_on else 1. in
       let timed = !n >= 200_000 in
-      let slow = timed && speedup < 0.95 in
-      if not ok || slow then incr failures;
-      Fmt.pr "%-24s %s  %s@." e.name
-        (if ok then "identical"
-         else
-           Fmt.str "DIFFER (trace %b, state %b, events %b, %d vs %d)" traces_eq
-             (r_on.Dejavu.state_digest = r_off.Dejavu.state_digest)
-             (r_on.Dejavu.obs_digest = r_off.Dejavu.obs_digest)
-             r_on.Dejavu.obs_count r_off.Dejavu.obs_count)
+      let below = timed && speedup < 0.95 in
+      if below then incr slow;
+      Fmt.pr "%-24s %s@." e.name
         (if not timed then Fmt.str "%.2fx (untimed, %d instrs)" speedup !n
-         else if slow then Fmt.str "%.2fx SLOW (< 0.95x floor)" speedup
+         else if below then Fmt.str "%.2fx SLOW (< 0.95x floor)" speedup
          else Fmt.str "%.2fx" speedup))
     (Lazy.force Workloads.Registry.all);
-  (* cross-tier replay on the monitor-heavy workloads: monitor-spanning
-     regions must not leak into the trace in either direction *)
-  List.iter
-    (fun name ->
-      match Workloads.Registry.find name with
-      | None -> ()
-      | Some e ->
-        let check ~rec_cfg ~rep_cfg label =
-          let r, trace =
-            Dejavu.record ~config:rec_cfg ~natives:e.natives ~seed:1 e.program
-          in
-          let rp, leftovers =
-            Dejavu.replay ~config:rep_cfg ~natives:e.natives e.program trace
-          in
-          let ok =
-            leftovers = []
-            && r.Dejavu.state_digest = rp.Dejavu.state_digest
-            && r.Dejavu.obs_digest = rp.Dejavu.obs_digest
-            && r.Dejavu.obs_count = rp.Dejavu.obs_count
-          in
-          if not ok then incr failures;
-          Fmt.pr "cross-replay %-18s %-14s %s@." e.name label
-            (if ok then "ok"
-             else
-               Fmt.str "FAIL (drained %b, state %b, events %b)"
-                 (leftovers = [])
-                 (r.Dejavu.state_digest = rp.Dejavu.state_digest)
-                 (r.Dejavu.obs_digest = rp.Dejavu.obs_digest))
-        in
-        check ~rec_cfg:Vm.Rt.default_config ~rep_cfg:noregir "regir->stack";
-        check ~rec_cfg:noregir ~rep_cfg:Vm.Rt.default_config "stack->regir")
-    [ "producer-consumer"; "lock-cycle" ];
-  Fmt.pr "%s@."
-    (if !failures = 0 then "regir-smoke PASS" else "regir-smoke FAIL");
-  if !failures > 0 then exit 1
+  Fmt.pr "%s@." (if !slow = 0 then "regir-smoke PASS" else "regir-smoke FAIL");
+  if !slow > 0 then exit 1
 
 (* ------------------------------------------------------------------ E14 *)
 
@@ -799,373 +728,6 @@ let e14 () =
         off.Explore.Driver.rp_digests)
     [ "atomicity"; "lock-cycle" ]
 
-(* ---------------------------------------------------------------- json *)
-
-(* Machine-readable perf trajectory: per-workload instrs/sec for live,
-   record, and replay plus trace sizes, kept in BENCH_interp.json so a
-   checked-in history of dispatch-loop performance accumulates PR over PR.
-   The file is a JSON array of {pr, date, workloads} points; each --json
-   run APPENDS a point rather than overwriting the history (a pre-history
-   single-object file is wrapped as point 1 on first append). The pr number
-   is inferred from the number of existing points, or forced with --pr=N.
-   The registry workloads match E6 (short runs, VM setup included); the
-   -XL entries are scaled up so the steady-state dispatch rate dominates
-   setup noise. No JSON library in the tree — the writer is hand-rolled. *)
-let json_out = "BENCH_interp.json"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* The text of the existing points (everything between the outer brackets),
-   or [None] for no/empty history. A legacy single-object file — the format
-   before the trajectory became an array — is wrapped as point 1, dated by
-   the PR-1 commit. *)
-let prior_points () =
-  if not (Sys.file_exists json_out) then None
-  else
-    let s = String.trim (read_file json_out) in
-    let len = String.length s in
-    if len = 0 then None
-    else if s.[0] = '[' then Some (String.trim (String.sub s 1 (len - 2)))
-    else
-      (* "{ body }" -> "{ pr/date, body }" *)
-      let body = String.sub s 1 (len - 2) in
-      Some (Fmt.str "{\n  \"pr\": 1,\n  \"date\": \"2026-08-05\",%s}" body)
-
-let count_points s =
-  (* one "pr" key per point *)
-  let n = ref 0 in
-  let key = "\"pr\":" in
-  let klen = String.length key in
-  for i = 0 to String.length s - klen do
-    if String.sub s i klen = key then incr n
-  done;
-  !n
-
-let json_workloads () =
-  let xl name program = (name, program, []) in
-  List.map
-    (fun (name, (e : Workloads.Registry.entry)) -> (name, e.program, e.natives))
-    overhead_workloads
-  @ [
-      xl "primes-XL" (Workloads.Compute.primes ~n:30000 ());
-      xl "parsum-XL" (Workloads.Compute.parsum ~threads:4 ~size:200000 ());
-    ]
-
-let json () =
-  section "json" ("perf trajectory -> " ^ json_out);
-  let prior = prior_points () in
-  let pr =
-    let forced =
-      Array.fold_left
-        (fun acc a ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            if String.length a > 5 && String.sub a 0 5 = "--pr=" then
-              int_of_string_opt (String.sub a 5 (String.length a - 5))
-            else None)
-        None Sys.argv
-    in
-    match forced with
-    | Some n -> n
-    | None -> (match prior with None -> 1 | Some s -> count_points s + 1)
-  in
-  let date =
-    let t = Unix.localtime (Unix.time ()) in
-    Fmt.str "%04d-%02d-%02d" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
-      t.Unix.tm_mday
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Fmt.str "{\n  \"pr\": %d,\n  \"date\": %S,\n" pr date);
-  Buffer.add_string buf "  \"bench\": \"interp-dispatch\",\n";
-  Buffer.add_string buf "  \"units\": \"instructions_per_cpu_second\",\n";
-  Buffer.add_string buf "  \"observer\": \"detached\",\n  \"workloads\": {\n";
-  let n_total = List.length (json_workloads ()) in
-  List.iteri
-    (fun i (name, program, natives) ->
-      let (live_n, live_t), (rec_n, rec_t), (rep_n, rep_t), sizes =
-        measure_modes ~natives ~program ()
-      in
-      (* static race-audit cost, from scratch (the recorder itself hits the
-         memoized Dejavu.Audit cache, so recording pays this only once) *)
-      let report, lint_t = time (fun () -> Analysis.run ~name program) in
-      Fmt.pr
-        "%-14s live %.2f record %.2f replay %.2f Mi/s lint %.1f ms (mhp %.1f \
-         dl %.1f) conflicts %d@."
-        name
-        (rate live_n live_t /. 1e6)
-        (rate rec_n rec_t /. 1e6)
-        (rate rep_n rep_t /. 1e6)
-        (lint_t *. 1e3) report.Analysis.Report.mhp_ms
-        report.Analysis.Report.deadlock_ms
-        report.Analysis.Report.n_conflict_pairs;
-      Buffer.add_string buf
-        (Fmt.str
-           "    %S: {\n\
-           \      \"n_instr\": %d,\n\
-           \      \"live_ips\": %.0f,\n\
-           \      \"record_ips\": %.0f,\n\
-           \      \"replay_ips\": %.0f,\n\
-           \      \"lint_ms\": %.2f,\n\
-           \      \"mhp_ms\": %.2f,\n\
-           \      \"deadlock_ms\": %.2f,\n\
-           \      \"conflict_pairs\": %d,\n\
-           \      \"deadlock_cycles\": %d,\n\
-           \      \"trace_words\": %d,\n\
-           \      \"trace_bytes\": %d\n\
-           \    }%s\n"
-           name live_n (rate live_n live_t) (rate rec_n rec_t)
-           (rate rep_n rep_t) (lint_t *. 1e3) report.Analysis.Report.mhp_ms
-           report.Analysis.Report.deadlock_ms
-           report.Analysis.Report.n_conflict_pairs
-           (List.length report.Analysis.Report.deadlocks)
-           sizes.Dejavu.Trace.total_words sizes.Dejavu.Trace.total_bytes
-           (if i = n_total - 1 then "" else ",")))
-    (json_workloads ());
-  Buffer.add_string buf "  },\n";
-  (* replay-farm batch throughput: whole registry recorded under 1 and 4
-     shards, cold (a VM per job — comparable with the PR-4/5 trajectory)
-     and warm (shard pools of baseline-reset VMs). The headline
-     speedup_4v1 is the warm steady-state ratio (untimed warm-up round,
-     then timed rounds on resets only, exact quantiles); the cold ratio is
-     kept alongside it. *)
-  let batch_json ?(warm = false) shards =
-    let rep = batch_under ~warm shards in
-    Fmt.pr
-      "batch %d shard(s)%s: %.1f jobs/s (p50 <= %.1f ms, p99 <= %.1f ms)@."
-      shards
-      (if warm then " warm" else "")
-      rep.Server.Batch.jobs_per_s
-      (rep.Server.Batch.stats.Server.Stats.v_p50 *. 1e3)
-      (rep.Server.Batch.stats.Server.Stats.v_p99 *. 1e3);
-    rep
-  in
-  let b1 = batch_json 1 in
-  let b4 = batch_json 4 in
-  let w1 = batch_json ~warm:true 1 in
-  let w4 = batch_json ~warm:true 4 in
-  let s1_jps, s1_p50, s1_p99, _, _ = warm_sustained ~shards:1 ~rounds:6 in
-  let s4_jps, s4_p50, s4_p99, _, _ = warm_sustained ~shards:4 ~rounds:6 in
-  Fmt.pr "warm sustained: 1 shard %.1f jobs/s, 4 shards %.1f jobs/s@." s1_jps
-    s4_jps;
-  let sv_jps, sv_p50, sv_p99, sv_done, sv_total =
-    serve_load ~shards:4 ~clients:3 ~per_client:21 ~rate_hz:400.
-  in
-  Fmt.pr "serve load: %d/%d done, %.1f jobs/s@." sv_done sv_total sv_jps;
-  let batch_field key (rep : Server.Batch.report) last =
-    Buffer.add_string buf
-      (Fmt.str
-         "    %S: {\n\
-         \      \"jobs\": %d,\n\
-         \      \"wall_s\": %.3f,\n\
-         \      \"jobs_per_s\": %.2f,\n\
-         \      \"p50_ms\": %.2f,\n\
-         \      \"p99_ms\": %.2f\n\
-         \    }%s\n"
-         key (List.length rep.Server.Batch.rows) rep.Server.Batch.wall_s
-         rep.Server.Batch.jobs_per_s
-         (rep.Server.Batch.stats.Server.Stats.v_p50 *. 1e3)
-         (rep.Server.Batch.stats.Server.Stats.v_p99 *. 1e3)
-         (if last then "" else ","))
-  in
-  let sustained_field key (jps, p50, p99) last =
-    Buffer.add_string buf
-      (Fmt.str
-         "    %S: { \"jobs_per_s\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": \
-          %.2f }%s\n"
-         key jps p50 p99
-         (if last then "" else ","))
-  in
-  Buffer.add_string buf "  \"batch\": {\n";
-  batch_field "shards_1" b1 false;
-  batch_field "shards_4" b4 false;
-  batch_field "warm_shards_1" w1 false;
-  batch_field "warm_shards_4" w4 false;
-  sustained_field "warm_sustained_1" (s1_jps, s1_p50, s1_p99) false;
-  sustained_field "warm_sustained_4" (s4_jps, s4_p50, s4_p99) false;
-  Buffer.add_string buf
-    (Fmt.str
-       "    \"speedup_4v1\": %.2f,\n\
-       \    \"speedup_4v1_cold\": %.2f,\n\
-       \    \"warm_vs_cold_1shard\": %.2f,\n\
-       \    \"digests_equal\": %b\n"
-       (if s1_jps > 0. then s4_jps /. s1_jps else 0.)
-       (if b4.Server.Batch.wall_s > 0. then
-          b1.Server.Batch.wall_s /. b4.Server.Batch.wall_s
-        else 0.)
-       (if b1.Server.Batch.jobs_per_s > 0. then
-          w1.Server.Batch.jobs_per_s /. b1.Server.Batch.jobs_per_s
-        else 0.)
-       (b1.Server.Batch.aggregate = b4.Server.Batch.aggregate
-       && b1.Server.Batch.aggregate = w1.Server.Batch.aggregate
-       && b1.Server.Batch.aggregate = w4.Server.Batch.aggregate));
-  Buffer.add_string buf "  },\n";
-  (* register-tier differential: live throughput with the tier off (the
-     on-numbers are the workloads block above) and the fraction of
-     instructions the register tier executed when on *)
-  let noregir = { Vm.Rt.default_config with Vm.Rt.regir = false } in
-  (* on/off reps are interleaved so slow phases of the (long-running)
-     bench process hit both tiers alike instead of biasing one *)
-  let live_pair ~natives program =
-    let one ?config () =
-      time (fun () ->
-          let vm, _ = Vm.execute ?config ~natives ~seed:1 program in
-          (Vm.stats vm).n_instr)
-    in
-    (* untimed warmup pairs first (see measure_modes), then best-of with
-       extra reps for the short monitor-heavy workloads: they run well
-       under a millisecond, so the ratio needs more samples to shake
-       phase noise *)
-    let (n0 : int), _ = one () in
-    ignore (one ~config:noregir ());
-    for _ = 1 to 2 do
-      ignore (one ());
-      ignore (one ~config:noregir ())
-    done;
-    let reps = if n0 < 50_000 then 15 else 9 in
-    let best_on = ref infinity and best_off = ref infinity and n = ref 0 in
-    for _ = 1 to reps do
-      let (i : int), t_on = one () in
-      let _, t_off = one ~config:noregir () in
-      n := i;
-      if t_on < !best_on then best_on := t_on;
-      if t_off < !best_off then best_off := t_off
-    done;
-    (rate !n !best_on, rate !n !best_off)
-  in
-  let regir_rows =
-    List.map
-      (fun (name, (e : Workloads.Registry.entry)) ->
-        let on, off = live_pair ~natives:e.natives e.program in
-        let vm, _ = Vm.execute ~natives:e.natives ~seed:1 e.program in
-        let s = Vm.stats vm in
-        let frac =
-          float_of_int s.Vm.Rt.n_regir_instr /. float_of_int (max 1 s.n_instr)
-        in
-        let mon_frac =
-          float_of_int s.Vm.Rt.n_regir_mon
-          /. float_of_int (max 1 s.Vm.Rt.n_monitor_ops)
-        in
-        Fmt.pr
-          "regir %-20s on %.2f off %.2f Mi/s (%.2fx, %.0f%% covered, %.0f%% \
-           mon-in-region)@."
-          name (on /. 1e6) (off /. 1e6)
-          (if on > 0. then on /. off else 0.)
-          (frac *. 100.) (mon_frac *. 100.);
-        (name, on, off, frac, mon_frac))
-      overhead_workloads
-  in
-  let geo f =
-    exp
-      (List.fold_left (fun acc r -> acc +. log (f r)) 0. regir_rows
-      /. float_of_int (List.length regir_rows))
-  in
-  (* isolated clock cost: a tight single-threaded loop with the virtual
-     clock compiled out vs on — (t_on - t_off) / instrs. The no-clock
-     mode is a bench-only probe; nothing observable runs under it. *)
-  let clock_ns =
-    let e = entry "primes" in
-    let noclock = { Vm.Rt.default_config with Vm.Rt.clock = false } in
-    let one ?config () =
-      time (fun () ->
-          let vm, _ = Vm.execute ?config ~natives:e.natives ~seed:1 e.program in
-          (Vm.stats vm).n_instr)
-    in
-    let b_on = ref infinity and b_off = ref infinity and n = ref 0 in
-    for _ = 1 to 5 do
-      let (i : int), t_on = one () in
-      let _, t_off = one ~config:noclock () in
-      n := i;
-      if t_on < !b_on then b_on := t_on;
-      if t_off < !b_off then b_off := t_off
-    done;
-    Float.max 0. ((!b_on -. !b_off) /. float_of_int (max 1 !n) *. 1e9)
-  in
-  Fmt.pr "regir clock cost: %.3f ns/instr (primes, clock on vs compiled out)@."
-    clock_ns;
-  Buffer.add_string buf "  \"regir\": {\n";
-  Buffer.add_string buf
-    (Fmt.str "    \"clock_ns_per_instr\": %.3f,\n" clock_ns);
-  List.iter
-    (fun (name, on, off, frac, mon_frac) ->
-      Buffer.add_string buf
-        (Fmt.str
-           "    %S: { \"live_ips_off\": %.0f, \"speedup\": %.3f, \
-            \"coverage\": %.3f, \"mon_region_frac\": %.3f },\n"
-           name off
-           (if off > 0. then on /. off else 0.)
-           frac mon_frac))
-    regir_rows;
-  Buffer.add_string buf
-    (Fmt.str
-       "    \"geomean_speedup\": %.3f,\n    \"geomean_coverage\": %.3f\n  },\n"
-       (geo (fun (_, on, off, _, _) -> if off > 0. then on /. off else 1.))
-       (geo (fun (_, _, _, frac, _) -> Float.max frac 1e-9)));
-  (* schedule-exploration trajectory: throughput and DPOR efficiency of
-     the bounded DFS on the seeded atomicity bug (pb 2, db 1) *)
-  let ex_on, ex_t_on, ex_off, _, ex_t_first =
-    explore_measure (entry "atomicity")
-  in
-  Fmt.pr
-    "explore atomicity: %d schedules (%d pruned, %.0f%% cut), first fault in \
-     %.0f ms@."
-    ex_on.Explore.Driver.rp_explored ex_on.Explore.Driver.rp_pruned
-    (100. *. cut_ratio ex_on ex_off)
-    (ex_t_first *. 1e3);
-  Buffer.add_string buf
-    (Fmt.str
-       "  \"explore\": {\n\
-       \    \"workload\": \"atomicity\",\n\
-       \    \"pb\": 2,\n\
-       \    \"db\": 1,\n\
-       \    \"schedules\": %d,\n\
-       \    \"schedules_nodpor\": %d,\n\
-       \    \"pruned\": %d,\n\
-       \    \"schedules_per_s\": %.1f,\n\
-       \    \"pruned_ratio\": %.3f,\n\
-       \    \"first_failure_at\": %d,\n\
-       \    \"time_to_first_failure_ms\": %.2f\n\
-       \  },\n"
-       ex_on.Explore.Driver.rp_explored ex_off.Explore.Driver.rp_explored
-       ex_on.Explore.Driver.rp_pruned
-       (if ex_t_on > 0. then
-          float_of_int ex_on.Explore.Driver.rp_explored /. ex_t_on
-        else 0.)
-       (cut_ratio ex_on ex_off)
-       (match ex_on.Explore.Driver.rp_first_failure_at with
-       | Some k -> k
-       | None -> -1)
-       (ex_t_first *. 1e3));
-  Buffer.add_string buf
-    (Fmt.str
-       "  \"serve_load\": {\n\
-       \    \"shards\": 4,\n\
-       \    \"clients\": 3,\n\
-       \    \"offered_hz\": 400,\n\
-       \    \"jobs\": %d,\n\
-       \    \"done\": %d,\n\
-       \    \"jobs_per_s\": %.2f,\n\
-       \    \"p50_ms\": %.2f,\n\
-       \    \"p99_ms\": %.2f\n\
-       \  }\n\
-        }"
-       sv_total sv_done sv_jps sv_p50 sv_p99);
-  let point = Buffer.contents buf in
-  let oc = open_out json_out in
-  (match prior with
-  | None -> output_string oc (Fmt.str "[\n%s\n]\n" point)
-  | Some pts -> output_string oc (Fmt.str "[\n%s,\n%s\n]\n" pts point));
-  close_out oc;
-  Fmt.pr "appended point %d (pr %d) to %s@."
-    (match prior with None -> 1 | Some s -> count_points s + 1)
-    pr json_out
-
 (* -------------------------------------------------------------- driver *)
 
 let all : (string * string * (unit -> unit)) list =
@@ -1185,9 +747,7 @@ let all : (string * string * (unit -> unit)) list =
     ("E13", "sustained-load serving (open-loop clients)", e13);
     ("E14", "systematic schedule exploration (DPOR vs unpruned)", e14);
     ("micro", "bechamel microbenches", micro);
-    ("farm-smoke", "CI: sharded+warm aggregate digest equality", farm_smoke);
-    ("regir-smoke", "CI: register vs stack tier trace/digest identity", regir_smoke);
-    ("--json", "write the BENCH_interp.json perf trajectory", json);
+    ("regir-smoke", "CI: register-tier live speed floor", regir_smoke);
   ]
 
 let () =
@@ -1195,9 +755,7 @@ let () =
   let selected =
     if want = [] then
       List.filter
-        (fun (id, _, _) ->
-          id <> "micro" && id <> "--json" && id <> "farm-smoke"
-          && id <> "regir-smoke")
+        (fun (id, _, _) -> id <> "micro" && id <> "regir-smoke")
         all
     else List.filter (fun (id, _, _) -> List.mem id want) all
   in

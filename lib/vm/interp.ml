@@ -370,8 +370,7 @@ let ic_lookup (vm : Rt.t) (ic : Rt.ic) vslot rcid =
   if ic.Rt.ic_cid = rcid then ic.Rt.ic_meth else ic_miss vm ic vslot rcid
 
 (* Execute [ins], fetched from [pc] of thread [t]. Stat accounting and the
-   per-instruction hooks/clock are the caller's job: [exec] pays them one
-   instruction at a time (debugger single-stepping), [exec_batch] amortizes
+   per-instruction hooks/clock are the caller's job: [exec_batch] amortizes
    them over a run-until-yield segment. *)
 let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
   match (ins : Rt.cinstr) with
@@ -634,42 +633,36 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
     vm.hooks.h_yieldpoint vm
 
 (* Advance the environment clock for one executed instruction and latch a
-   timer fire into the preemption bit. The [cfg.clock] guard exists for
-   one consumer: the bench's no-clock mode, which prices the clock itself
-   by differencing timed runs with the guard on and off. *)
+   timer fire into the preemption bit. *)
 let clock_instr (vm : Rt.t) =
-  if vm.cfg.clock then begin
-    (* open-coded [Env.tick] fast path: strictly inside the precomputed
-       horizon a tick is two counter bumps, and this duplicate keeps it
-       free of the cross-module call (semantically identical — [tick]
-       runs the very same branch first) *)
-    let e = vm.env in
-    if e.Env.h_valid && e.Env.h_pending + 1 < e.Env.h_count then begin
-      e.Env.h_pending <- e.Env.h_pending + 1;
-      e.Env.ticks <- e.Env.ticks + 1
-    end
-    else if Env.tick e then begin
-      vm.preempt_pending <- true;
-      vm.stats.n_preempt_req <- vm.stats.n_preempt_req + 1
-    end
+  (* open-coded [Env.tick] fast path: strictly inside the precomputed
+     horizon a tick is two counter bumps, and this duplicate keeps it free
+     of the cross-module call (semantically identical — [tick] runs the
+     very same branch first) *)
+  let e = vm.env in
+  if e.Env.h_valid && e.Env.h_pending + 1 < e.Env.h_count then begin
+    e.Env.h_pending <- e.Env.h_pending + 1;
+    e.Env.ticks <- e.Env.ticks + 1
+  end
+  else if Env.tick e then begin
+    vm.preempt_pending <- true;
+    vm.stats.n_preempt_req <- vm.stats.n_preempt_req + 1
   end
 
 (* [clock_instr] for [n] instructions of a region segment at once: one stub
    call, same draws, every fire latched and counted as n ticks would. *)
 let clock_batch (vm : Rt.t) n =
-  if vm.cfg.clock then begin
-    let e = vm.env in
-    if e.Env.h_valid && e.Env.h_pending + n < e.Env.h_count then begin
-      e.Env.h_pending <- e.Env.h_pending + n;
-      e.Env.ticks <- e.Env.ticks + n
-    end
-    else
-      let fires = Env.tick_batch e n in
-      if fires > 0 then begin
-        vm.preempt_pending <- true;
-        vm.stats.n_preempt_req <- vm.stats.n_preempt_req + fires
-      end
+  let e = vm.env in
+  if e.Env.h_valid && e.Env.h_pending + n < e.Env.h_count then begin
+    e.Env.h_pending <- e.Env.h_pending + n;
+    e.Env.ticks <- e.Env.ticks + n
   end
+  else
+    let fires = Env.tick_batch e n in
+    if fires > 0 then begin
+      vm.preempt_pending <- true;
+      vm.stats.n_preempt_req <- vm.stats.n_preempt_req + fires
+    end
 
 (* --- the register tier -------------------------------------------------- *)
 
@@ -977,29 +970,6 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
   in
   run_region r0
 
-(* Execute exactly one instruction of the current thread. *)
-let exec (vm : Rt.t) =
-  let t = Rt.cur vm in
-  let c = Rt.compiled t.t_meth in
-  let pc = t.t_pc in
-  let ins = c.k_code.(pc) in
-  vm.stats.n_instr <- vm.stats.n_instr + 1;
-  (match vm.hooks.h_instr with Some f -> f vm | None -> ());
-  (match vm.hooks.h_observe with
-  | Some f -> f vm t.tid t.t_meth.uid pc (Rt.tag_of_cinstr ins)
-  | None -> ());
-  clock_instr vm;
-  dispatch vm t pc ins
-
-(* One step with exception conversion. *)
-let step (vm : Rt.t) =
-  try exec vm with
-  | Rt.Vm_exception name -> throw_by_name vm name
-  | Heap.Out_of_memory -> vm.status <- Rt.Fatal "OutOfMemoryError"
-  | Verify.Error msg -> vm.status <- Rt.Fatal ("verify: " ^ msg)
-  | Compile.Error msg -> vm.status <- Rt.Fatal ("compile: " ^ msg)
-  | Fatal msg -> vm.status <- Rt.Fatal msg
-
 (* The batched hot path: run up to [fuel] instructions before returning.
 
    The outer loop re-reads everything a dispatch segment depends on — the
@@ -1011,11 +981,11 @@ let step (vm : Rt.t) =
    iteration vs. one switch per scheduling quantum) stay inside the loop.
 
    [n_instr] is committed in one batched store per call, including the
-   faulting instruction when an exception unwinds (same accounting as the
-   one-at-a-time path). The segment loop is specialized once per segment for
-   the no-observer/no-instr-hook case — attaching or detaching those hooks
-   takes effect at the next segment boundary, never mid-segment (all stock
-   instrumentation attaches before the run starts). *)
+   faulting instruction when an exception unwinds. The segment loop is
+   specialized once per segment for the no-observer/no-instr-hook case —
+   attaching or detaching those hooks takes effect at the next segment
+   boundary, never mid-segment (all stock instrumentation attaches before
+   the run starts). *)
 let exec_batch (vm : Rt.t) ~fuel =
   let executed = ref 0 in
   let commit () = vm.stats.n_instr <- vm.stats.n_instr + !executed in
@@ -1057,8 +1027,8 @@ let exec_batch (vm : Rt.t) ~fuel =
           then live := false
         done
       | hi, ho ->
-        (* observed loop: identical event sequence to the one-at-a-time
-           path — hooks fire per instruction, in the same order. The hook
+        (* observed loop: the instruction hook and the observer fire once
+           per instruction, before its clock tick and dispatch. The hook
            closures and the segment-constant event fields are hoisted; a
            hook attached mid-segment is seen at the next boundary. *)
         let otid = t.tid and ouid = meth.uid in
@@ -1100,6 +1070,12 @@ let exec_batch (vm : Rt.t) ~fuel =
     (* divergence signals etc.: keep the count exact, let it propagate *)
     commit ();
     raise e
+
+(* One instruction of the current thread: the batched loop with one unit of
+   fuel. No region fits (every region retires at least two instructions),
+   so the instruction takes the canonical path with the same hooks, clock
+   tick, exception conversion and [n_instr] accounting as a full run. *)
+let step (vm : Rt.t) = exec_batch vm ~fuel:1
 
 (* Create the main thread and queue main-class initialization. *)
 let boot (vm : Rt.t) =

@@ -8,8 +8,8 @@
     canonical [k_code]; regions batch their clock ticks through
     [Env.tick_batch] while preserving instruction counts, PRNG draws,
     stack writes, and fault points bit-for-bit ({e the parity contract},
-    DESIGN.md sections 7 and 10). The observed loop and the single-step
-    [step] path execute [k_code] one instruction at a time. *)
+    DESIGN.md sections 7 and 10). The observed loop (any instruction hook
+    or observer attached) executes [k_code] one instruction at a time. *)
 
 exception Fatal of string
 
@@ -36,19 +36,18 @@ val raise_exception : Rt.t -> int -> unit
 (** Allocate a builtin exception by class name and unwind. *)
 val throw_by_name : Rt.t -> string -> unit
 
-(** Execute one instruction of the current thread, converting VM-level
-    exceptions into unwinding and resource exhaustion into a Fatal status.
-    This is the precise single-instruction path (the debugger steps with
-    it); [run] goes through the batched dispatch loop instead. *)
-val step : Rt.t -> unit
-
 (** Execute up to [fuel] instructions through the batched run-until-yield
-    dispatch loop, committing [n_instr] once at exit. The event sequence
-    (hooks, env ticks, yield points) is identical to repeated [step]s;
-    hook attachment and detachment take effect at the next dispatch-segment
+    dispatch loop, committing [n_instr] once at exit. VM-level exceptions
+    unwind the guest thread; resource exhaustion sets a Fatal status. Hook
+    attachment and detachment take effect at the next dispatch-segment
     boundary (thread switch, call/return, unwind, or re-entry), never
-    mid-segment. *)
+    mid-segment. Does nothing unless the status is [Running_]. *)
 val exec_batch : Rt.t -> fuel:int -> unit
+
+(** [exec_batch ~fuel:1]: execute one instruction of the current thread
+    (the debugger steps with it). No region runs, since every region
+    retires at least two instructions. *)
+val step : Rt.t -> unit
 
 (** Create the main thread and queue main-class initialization. *)
 val boot : Rt.t -> unit

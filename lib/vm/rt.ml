@@ -421,9 +421,6 @@ and config = {
          can only reject compiler bugs, never change behavior, and on
          sub-millisecond workloads its wall cost rivals the run itself —
          so production configs leave it off *)
-  clock : bool;
-      (* advance the environment clock per instruction (always true in
-         real runs; the bench turns it off to price the clock itself) *)
   env_cfg : Env.config;
 }
 
@@ -518,7 +515,6 @@ let default_config =
     fuse = true;
     regir = true;
     audit = false;
-    clock = true;
     env_cfg = Env.default_config;
   }
 

@@ -90,6 +90,42 @@ let test_fast_recorded_trace_matches () =
         obs_run.Dejavu.obs_count replayed.Dejavu.obs_count)
     (all ())
 
+(* [Vm.step] is the batched loop with one unit of fuel: [n] single steps
+   with the observer attached must land exactly where [Vm.run ~limit:n]
+   lands — same event digest and count (the hooks fired once per step),
+   same preemption requests and state digest (the clock ticked once per
+   step, so the schedule matches), same instruction count. *)
+let test_step_matches_run () =
+  let e =
+    match Workloads.Registry.find "racy-counter" with
+    | Some e -> e
+    | None -> Alcotest.fail "racy-counter workload missing"
+  in
+  let n = 40_000 in
+  let stepped = Vm.create ~config:(seeded 2) ~natives:e.natives e.program in
+  let s_obs = Vm.Observer.attach_digest stepped in
+  Vm.boot stepped;
+  let k = ref 0 in
+  while Vm.status stepped = Vm.Rt.Running_ && !k < n do
+    Vm.step stepped;
+    incr k
+  done;
+  let ran = Vm.create ~config:(seeded 2) ~natives:e.natives e.program in
+  let r_obs = Vm.Observer.attach_digest ran in
+  ignore (Vm.run ~limit:n ran);
+  Alcotest.(check int) "still running after n steps" n !k;
+  Alcotest.(check int) "instruction count" (Vm.stats ran).n_instr
+    (Vm.stats stepped).n_instr;
+  Alcotest.(check int) "event count" (Vm.Observer.count r_obs)
+    (Vm.Observer.count s_obs);
+  Alcotest.(check int) "event digest" (Vm.Observer.digest r_obs)
+    (Vm.Observer.digest s_obs);
+  Alcotest.(check int) "preemption requests" (Vm.stats ran).n_preempt_req
+    (Vm.stats stepped).n_preempt_req;
+  Alcotest.(check bool) "preempted at least once" true
+    ((Vm.stats ran).n_preempt_req > 0);
+  Alcotest.(check int) "state digest" (Vm.digest ran) (Vm.digest stepped)
+
 (* Register tier vs stack tier: [cfg.regir] only decides whether verified
    methods additionally carry register-IR regions and whether the fast
    loop dispatches into them; every observable — status, output, state
@@ -494,6 +530,7 @@ let () =
           quick "fast vs observed live" test_fast_vs_observed_live;
           quick "roundtrip digests (observed)" test_roundtrip_digests_observed;
           quick "fast-recorded trace matches" test_fast_recorded_trace_matches;
+          quick "single steps = run ~limit" test_step_matches_run;
         ] );
       ( "regir",
         [
