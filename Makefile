@@ -17,9 +17,13 @@ smoke:
 
 # Replay farm gate: record the whole registry across 4 shard domains and
 # fail unless every job completes (the aggregate digest is checked against
-# a sequential run by test_server and bench E12).
+# a sequential run by test_server and bench E12), or if any writer left its
+# scratch files (*.tmp, *.spill) behind.
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
+	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
+	  if [ -n "$$left" ]; then echo "batch-smoke: scratch files left:"; \
+	    echo "$$left"; exit 1; fi
 
 # Register-tier speed floor: run every registry workload live with the
 # register-IR tier on and off and fail if any workload of >= 200k

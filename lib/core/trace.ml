@@ -229,18 +229,25 @@ let put_varint buf v =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
-(* A 63-bit zigzagged int needs at most 9 groups of 7 bits, i.e. shifts
+(* A decoding position over [buf.[pos .. lim)], with [lim <= Bytes.length
+   buf]. *)
+type cursor = { buf : Bytes.t; mutable pos : int; mutable lim : int }
+
+(* The one varint decoder: [of_bytes], the streaming reader's header scan
+   and refills, and the wire protocol all go through it.
+
+   A 63-bit zigzagged int needs at most 9 groups of 7 bits, i.e. shifts
    0..56; a 10th continuation byte would shift past bit 62, which [lsl]
    leaves unspecified — reject it. A final byte of 0 past the first group
    is a non-canonical encoding [put_varint] never produces; reject it too
    so every value has exactly one byte representation. *)
-let get_varint s pos =
-  let v = ref 0 and shift = ref 0 and p = ref pos and continue_ = ref true in
+let read_varint c =
+  let v = ref 0 and shift = ref 0 and continue_ = ref true in
   while !continue_ do
-    if !p >= String.length s then raise (Format_error "truncated varint");
+    if c.pos >= c.lim then raise (Format_error "truncated varint");
     if !shift > 56 then raise (Format_error "oversized varint");
-    let b = Char.code s.[!p] in
-    incr p;
+    let b = Char.code (Bytes.get c.buf c.pos) in
+    c.pos <- c.pos + 1;
     v := !v lor ((b land 0x7f) lsl !shift);
     if b land 0x80 = 0 then begin
       if b = 0 && !shift > 0 then
@@ -249,7 +256,20 @@ let get_varint s pos =
     end
     else shift := !shift + 7
   done;
-  (unzigzag !v, !p)
+  unzigzag !v
+
+let get_varint s pos =
+  let c = { buf = Bytes.unsafe_of_string s; pos; lim = String.length s } in
+  let v = read_varint c in
+  (v, c.pos)
+
+(* A section's element count. Every element takes at least one byte, so a
+   count beyond the [avail] bytes left is a truncation, caught before
+   anything is allocated or scanned. *)
+let check_count n ~avail =
+  if n < 0 then raise (Format_error "negative section length");
+  if n > avail then raise (Format_error "truncated section");
+  n
 
 (* Encoded size of one value, without producing the bytes: a zigzagged
    63-bit int occupies ceil(bits/7) groups of 7. *)
@@ -261,18 +281,6 @@ let varint_size v =
 let put_section buf arr =
   put_varint buf (Array.length arr);
   Array.iter (put_varint buf) arr
-
-let get_section s pos =
-  let n, pos = get_varint s pos in
-  if n < 0 then raise (Format_error "negative section length");
-  let arr = Array.make n 0 in
-  let p = ref pos in
-  for i = 0 to n - 1 do
-    let v, p' = get_varint s !p in
-    arr.(i) <- v;
-    p := p'
-  done;
-  (arr, !p)
 
 let to_bytes (t : t) : string =
   let buf = Buffer.create 4096 in
@@ -294,24 +302,28 @@ let of_bytes (s : string) : t =
   let ml = String.length magic in
   if String.length s < ml || String.sub s 0 ml <> magic then
     raise (Format_error "bad magic");
-  let dlen, pos = get_varint s ml in
-  if dlen < 0 || pos + dlen > String.length s then
-    raise (Format_error "bad digest length");
-  let program_digest = String.sub s pos dlen in
-  let pos = pos + dlen in
-  let hlen, pos = get_varint s pos in
-  if hlen < 0 || pos + hlen > String.length s then
-    raise (Format_error "bad analysis-hash length");
-  let analysis_hash = String.sub s pos hlen in
-  let pos = pos + hlen in
-  let switches, pos = get_section s pos in
-  let clocks, pos = get_section s pos in
-  let inputs, pos = get_section s pos in
-  let natives, pos = get_section s pos in
-  let picks, pos =
-    if pos = String.length s then ([||], pos) else get_section s pos
+  let c = { buf = Bytes.unsafe_of_string s; pos = ml; lim = String.length s } in
+  let str_field what =
+    let n = read_varint c in
+    if n < 0 || n > c.lim - c.pos then
+      raise (Format_error (Fmt.str "bad %s length" what));
+    let f = String.sub s c.pos n in
+    c.pos <- c.pos + n;
+    f
   in
-  if pos <> String.length s then raise (Format_error "trailing bytes");
+  let program_digest = str_field "digest" in
+  let analysis_hash = str_field "analysis-hash" in
+  let section () =
+    let n = read_varint c in
+    let n = check_count n ~avail:(c.lim - c.pos) in
+    Array.init n (fun _ -> read_varint c)
+  in
+  let switches = section () in
+  let clocks = section () in
+  let inputs = section () in
+  let natives = section () in
+  let picks = if c.pos = c.lim then [||] else section () in
+  if c.pos <> c.lim then raise (Format_error "trailing bytes");
   { program_digest; analysis_hash; switches; clocks; inputs; natives; picks }
 
 (* Byte size of the serialized form, computed arithmetically — no buffer is
@@ -378,11 +390,13 @@ let pp_sizes ppf s =
 (* --- streaming writer -------------------------------------------------- *)
 
 (* The DJVU2 layout prefixes each section with its element count, which is
-   unknown until the run ends — so a bounded-memory recording spills each
-   tape's varint-encoded elements to its own scratch file as the in-memory
-   buffer fills, and [finish] stitches header + counts + spill contents into
-   the final file (temp file + atomic rename). The result is byte-identical
-   to [to_bytes] of the materialized trace. *)
+   unknown until the run ends — so each tape's sink varint-encodes flushed
+   elements into its stream's in-memory buffer, and [finish] writes header,
+   counts and encoded bytes into [path.tmp] (opened at [create]) and renames
+   it into place. A stream whose buffer passes [cap] bytes appends it to
+   the one scratch file [path.spill], opened on the first spill; [finish]
+   copies the chunks back in order. The result is byte-identical to
+   [to_bytes] of the materialized trace. *)
 module Writer = struct
   (* The first four sections are mandatory in the file; the trailing picks
      section is stitched in only when non-empty (mirroring [to_bytes]). *)
@@ -391,15 +405,17 @@ module Writer = struct
   let mandatory_streams = 4
 
   type stream = {
-    w_spill : string;
-    mutable w_oc : out_channel option;
-    w_buf : Buffer.t; (* scratch for encoding one flush *)
-    mutable w_count : int; (* elements flushed *)
-    mutable w_bytes : int; (* encoded bytes flushed *)
+    w_buf : Buffer.t; (* encoded elements not yet spilled *)
+    mutable w_chunks : (int * int) list;
+        (* spilled (offset, length) in [path.spill], newest first *)
+    mutable w_count : int; (* elements encoded *)
   }
 
   type t = {
     path : string;
+    tmp : out_channel; (* [path.tmp], renamed to [path] by [finish] *)
+    mutable spill : out_channel option; (* [path.spill], once opened *)
+    cap : int; (* encoded bytes a stream buffers before it spills *)
     streams : stream array;
     mutable w_tapes : Tape.t array;
     mutable peak_words : int; (* high-water mark of buffered words *)
@@ -408,65 +424,62 @@ module Writer = struct
 
   let default_buf_words = 4096
 
-  let create ?(buf_words = default_buf_words) path =
-    (* If a later open fails (unwritable dir, ENOSPC), the writer is never
-       returned, so no [abort] can clean up — close and remove whatever was
-       already created before re-raising. *)
-    let opened = ref [] in
-    let streams =
-      try
-        Array.map
-          (fun name ->
-            let spill = Fmt.str "%s.%s.spill" path name in
-            let s =
-              {
-                w_spill = spill;
-                w_oc = Some (open_out_bin spill);
-                w_buf = Buffer.create (buf_words * 2);
-                w_count = 0;
-                w_bytes = 0;
-              }
-            in
-            opened := s :: !opened;
-            s)
-          stream_names
-      with exn ->
-        List.iter
-          (fun s ->
-            (match s.w_oc with
-            | Some oc -> close_out_noerr oc
-            | None -> ());
-            try Sys.remove s.w_spill with Sys_error _ -> ())
-          !opened;
-        raise exn
+  let remove path = try Sys.remove path with Sys_error _ -> ()
+
+  let spill_path w = w.path ^ ".spill"
+
+  let buffered_words w =
+    Array.fold_left (fun acc (t : Tape.t) -> acc + t.len) 0 w.w_tapes
+
+  let spill w s =
+    let oc =
+      match w.spill with
+      | Some oc -> oc
+      | None ->
+        let oc = open_out_bin (spill_path w) in
+        w.spill <- Some oc;
+        oc
     in
-    let w = { path; streams; w_tapes = [||]; peak_words = 0; closed = false } in
+    s.w_chunks <- (pos_out oc, Buffer.length s.w_buf) :: s.w_chunks;
+    Buffer.output_buffer oc s.w_buf;
+    Buffer.clear s.w_buf
+
+  let create ?(buf_words = default_buf_words) path =
+    let buf_words = max 1 buf_words in
+    (* opened first, so an unwritable destination fails here, leaving
+       nothing behind *)
+    let tmp = open_out_bin (path ^ ".tmp") in
+    let streams =
+      Array.map
+        (fun _ -> { w_buf = Buffer.create 256; w_chunks = []; w_count = 0 })
+        stream_names
+    in
+    let w =
+      {
+        path;
+        tmp;
+        spill = None;
+        cap = 16 * buf_words;
+        streams;
+        w_tapes = [||];
+        peak_words = 0;
+        closed = false;
+      }
+    in
     let tapes =
       Array.mapi
         (fun i name ->
           Tape.with_sink name ~cap:buf_words (fun data len ->
-              let s = streams.(i) in
-              let oc =
-                match s.w_oc with
-                | Some oc -> oc
-                | None -> invalid_arg "Trace.Writer: finished writer"
-              in
+              if w.closed then invalid_arg "Trace.Writer: finished writer";
               (* high-water mark sampled at the flush boundary, where the
                  buffered total is maximal *)
-              let buffered =
-                Array.fold_left
-                  (fun acc (t : Tape.t) -> acc + t.len)
-                  0 w.w_tapes
-              in
-              if buffered > w.peak_words then w.peak_words <- buffered;
-              Buffer.clear s.w_buf;
+              w.peak_words <- max w.peak_words (buffered_words w);
+              let s = streams.(i) in
               for k = 0 to len - 1 do
                 put_varint s.w_buf data.(k)
               done;
-              Buffer.output_buffer oc s.w_buf;
               s.w_count <- s.w_count + len;
-              s.w_bytes <- s.w_bytes + Buffer.length s.w_buf;
-              Buffer.clear s.w_buf))
+              if Buffer.length s.w_buf >= w.cap then spill w s))
         stream_names
     in
     w.w_tapes <- tapes;
@@ -474,14 +487,7 @@ module Writer = struct
 
   let tapes w = w.w_tapes
 
-  let peak_buffered_words w =
-    let buffered =
-      Array.fold_left (fun acc (t : Tape.t) -> acc + t.len) 0 w.w_tapes
-    in
-    max w.peak_words buffered
-
-  let buffered_words w =
-    Array.fold_left (fun acc (t : Tape.t) -> acc + t.len) 0 w.w_tapes
+  let peak_buffered_words w = max w.peak_words (buffered_words w)
 
   (* Remove scratch state; safe to call more than once, and after [finish].
      A cancelled recording aborts instead of finishing, so no partial trace
@@ -489,124 +495,86 @@ module Writer = struct
   let abort w =
     if not w.closed then begin
       w.closed <- true;
-      Array.iter
-        (fun s ->
-          (match s.w_oc with
-          | Some oc ->
-            close_out_noerr oc;
-            s.w_oc <- None
-          | None -> ());
-          try Sys.remove s.w_spill with Sys_error _ -> ())
-        w.streams;
-      try Sys.remove (w.path ^ ".tmp") with Sys_error _ -> ()
+      close_out_noerr w.tmp;
+      remove (w.path ^ ".tmp");
+      Option.iter
+        (fun oc ->
+          close_out_noerr oc;
+          remove (spill_path w))
+        w.spill
     end
-
-  let copy_file ic oc =
-    let chunk = Bytes.create 65536 in
-    let rec go () =
-      let n = input ic chunk 0 (Bytes.length chunk) in
-      if n > 0 then begin
-        output oc chunk 0 n;
-        go ()
-      end
-    in
-    go ()
 
   let finish w ~program_digest ~analysis_hash : sizes =
     if w.closed then invalid_arg "Trace.Writer.finish: finished writer";
-    (match
-       (* drain the tail of every tape, then detach the spill channels *)
-       Array.iter Tape.flush w.w_tapes
-     with
-    | () -> ()
-    | exception e ->
-      abort w;
-      raise e);
-    Array.iter
-      (fun s ->
-        match s.w_oc with
-        | Some oc ->
-          close_out oc;
-          s.w_oc <- None
-        | None -> ())
-      w.streams;
-    let tmp = w.path ^ ".tmp" in
-    (try
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           Buffer.clear w.streams.(0).w_buf;
-           let hdr = w.streams.(0).w_buf in
-           Buffer.add_string hdr magic;
-           put_varint hdr (String.length program_digest);
-           Buffer.add_string hdr program_digest;
-           put_varint hdr (String.length analysis_hash);
-           Buffer.add_string hdr analysis_hash;
-           Buffer.output_buffer oc hdr;
-           Buffer.clear hdr;
-           Array.iteri
-             (fun i s ->
-               if i < mandatory_streams || s.w_count > 0 then begin
-                 let cnt = Buffer.create 10 in
-                 put_varint cnt s.w_count;
-                 Buffer.output_buffer oc cnt;
-                 let ic = open_in_bin s.w_spill in
-                 Fun.protect
-                   ~finally:(fun () -> close_in_noerr ic)
-                   (fun () -> copy_file ic oc)
-               end)
-             w.streams);
-       Sys.rename tmp w.path
-     with e ->
-       abort w;
-       raise e);
-    let counts = Array.map (fun s -> s.w_count) w.streams in
-    let total_words = Array.fold_left ( + ) 0 counts in
     let total_bytes =
-      String.length magic
-      + varint_size (String.length program_digest)
-      + String.length program_digest
-      + varint_size (String.length analysis_hash)
-      + String.length analysis_hash
-      + snd
-          (Array.fold_left
-             (fun (i, acc) s ->
-               let acc =
-                 if i < mandatory_streams || s.w_count > 0 then
-                   acc + varint_size s.w_count + s.w_bytes
-                 else acc
-               in
-               (i + 1, acc))
-             (0, 0) w.streams)
+      try
+        Array.iter Tape.flush w.w_tapes;
+        let spilled =
+          Option.map
+            (fun oc ->
+              close_out oc;
+              open_in_bin (spill_path w))
+            w.spill
+        in
+        Fun.protect
+          ~finally:(fun () -> Option.iter close_in_noerr spilled)
+          (fun () ->
+            let b = Buffer.create 64 in
+            Buffer.add_string b magic;
+            put_varint b (String.length program_digest);
+            Buffer.add_string b program_digest;
+            put_varint b (String.length analysis_hash);
+            Buffer.add_string b analysis_hash;
+            Buffer.output_buffer w.tmp b;
+            Array.iteri
+              (fun i s ->
+                if i < mandatory_streams || s.w_count > 0 then begin
+                  Buffer.clear b;
+                  put_varint b s.w_count;
+                  Buffer.output_buffer w.tmp b;
+                  Option.iter
+                    (fun ic ->
+                      List.iter
+                        (fun (off, len) ->
+                          seek_in ic off;
+                          output_string w.tmp (really_input_string ic len))
+                        (List.rev s.w_chunks))
+                    spilled;
+                  Buffer.output_buffer w.tmp s.w_buf
+                end)
+              w.streams);
+        let n = pos_out w.tmp in
+        close_out w.tmp;
+        Sys.rename (w.path ^ ".tmp") w.path;
+        n
+      with e ->
+        abort w;
+        raise e
     in
-    let sizes =
-      {
-        n_switches = counts.(0);
-        n_clock_reads = counts.(1) / 2;
-        n_inputs = counts.(2);
-        n_native_words = counts.(3);
-        n_picks = counts.(4);
-        total_words;
-        total_bytes;
-      }
-    in
-    Array.iter
-      (fun s -> try Sys.remove s.w_spill with Sys_error _ -> ())
-      w.streams;
+    if Option.is_some w.spill then remove (spill_path w);
     w.closed <- true;
-    sizes
+    let count i = w.streams.(i).w_count in
+    {
+      n_switches = count 0;
+      n_clock_reads = count 1 / 2;
+      n_inputs = count 2;
+      n_native_words = count 3;
+      n_picks = count 4;
+      total_words = Array.fold_left (fun acc s -> acc + s.w_count) 0 w.streams;
+      total_bytes;
+    }
 end
 
 (* --- streaming reader -------------------------------------------------- *)
 
-(* Replays a trace file through chunked tapes: the header is parsed and the
-   four sections located up front (one linear scan, O(1) memory), then each
-   tape refills [chunk_words]-element chunks on demand from its own cursor
-   into the shared channel. Resident memory is O(chunk), constant in trace
-   length. *)
+(* Replays a trace file through chunked tapes. [open_file] finds each
+   section's byte range [start, stop) in one pass over 64 KiB windows,
+   counting varint terminators without decoding; a refill then reads at
+   most [9 * chunk_words] bytes of its section into a shared scratch buffer
+   and decodes them into the tape's own array. Resident memory is
+   O(window + chunk), constant in trace length. *)
 module Reader = struct
-  type cursor = { mutable offset : int; mutable left : int }
+  type section = { mutable offset : int; stop : int; mutable left : int }
 
   type t = {
     ic : in_channel;
@@ -617,101 +585,127 @@ module Reader = struct
     mutable r_closed : bool;
   }
 
-  let input_varint ic =
-    let v = ref 0 and shift = ref 0 and continue_ = ref true in
-    while !continue_ do
-      if !shift > 56 then raise (Format_error "oversized varint");
-      let b =
-        match input_char ic with
-        | c -> Char.code c
-        | exception End_of_file -> raise (Format_error "truncated varint")
-      in
-      v := !v lor ((b land 0x7f) lsl !shift);
-      if b land 0x80 = 0 then begin
-        if b = 0 && !shift > 0 then
-          raise (Format_error "non-canonical varint");
-        continue_ := false
-      end
-      else shift := !shift + 7
-    done;
-    unzigzag !v
-
-  let input_exact ic n what =
-    match really_input_string ic n with
-    | s -> s
-    | exception End_of_file ->
-      raise (Format_error (Fmt.str "truncated %s" what))
-
-  (* Skip [n] varints by scanning for terminator bytes (top bit clear);
-     malformed interiors surface as Format_error at read time. *)
-  let skip_varints ic n =
-    for _ = 1 to n do
-      let fin = ref false in
-      while not !fin do
-        match input_char ic with
-        | c -> if Char.code c land 0x80 = 0 then fin := true
-        | exception End_of_file ->
-          raise (Format_error "truncated section")
-      done
-    done
-
   let default_chunk_words = 1024
 
+  let window_bytes = 65536
+
+  (* [n] bytes at file offset [at] into [buf]; the file was measured at
+     open, so running short means it shrank since. *)
+  let read_at ic ~at buf n =
+    seek_in ic at;
+    try really_input ic buf 0 n
+    with End_of_file -> raise (Format_error "truncated section")
+
   let open_file ?(chunk_words = default_chunk_words) path =
+    let chunk_words = max 1 chunk_words in
     let ic = open_in_bin path in
     match
       let file_len = in_channel_length ic in
+      (* the window holds file bytes [off, off + w.lim); [w.pos] is the
+         parse point within it *)
+      let w =
+        { buf = Bytes.create (min window_bytes file_len); pos = 0; lim = 0 }
+      in
+      let off = ref 0 in
+      let at () = !off + w.pos in
+      let reload () =
+        let a = at () in
+        let n = min (Bytes.length w.buf) (file_len - a) in
+        read_at ic ~at:a w.buf n;
+        off := a;
+        w.pos <- 0;
+        w.lim <- n
+      in
+      (* make [n] bytes readable at the parse point, or all that remain *)
+      let ensure n =
+        if w.lim - w.pos < n && !off + w.lim < file_len then reload ()
+      in
+      let varint () =
+        ensure 10;
+        read_varint w
+      in
       let ml = String.length magic in
-      if input_exact ic ml "magic" <> magic then
+      ensure ml;
+      if w.lim < ml || Bytes.sub_string w.buf 0 ml <> magic then
         raise (Format_error "bad magic");
+      w.pos <- ml;
       let str_field what =
-        let n = input_varint ic in
-        if n < 0 || n > file_len then
+        let n = varint () in
+        if n < 0 || n > file_len - at () then
           raise (Format_error (Fmt.str "bad %s length" what));
-        input_exact ic n what
+        ensure n;
+        if n <= w.lim - w.pos then begin
+          w.pos <- w.pos + n;
+          Bytes.sub_string w.buf (w.pos - n) n
+        end
+        else begin
+          (* longer than the window: read it directly, restart after it *)
+          seek_in ic (at ());
+          let s = really_input_string ic n in
+          off := at () + n;
+          w.pos <- 0;
+          w.lim <- 0;
+          s
+        end
       in
       let r_digest = str_field "digest" in
       let r_hash = str_field "analysis-hash" in
-      let read_cursor () =
-        let count = input_varint ic in
-        if count < 0 then raise (Format_error "negative section length");
-        let start = pos_in ic in
-        skip_varints ic count;
-        (count, { offset = start; left = count })
+      (* skip [count] varints by counting terminator bytes (top bit clear);
+         malformed interiors surface as Format_error at refill time *)
+      let section () =
+        let count = varint () in
+        let count = check_count count ~avail:(file_len - at ()) in
+        let start = at () in
+        let left = ref count in
+        while !left > 0 do
+          ensure 1;
+          if w.pos >= w.lim then raise (Format_error "truncated section");
+          let i = ref w.pos and lim = w.lim and b = w.buf in
+          (* [w.pos <= !i < lim <= Bytes.length b] *)
+          while !left > 0 && !i < lim do
+            if Char.code (Bytes.unsafe_get b !i) < 0x80 then decr left;
+            incr i
+          done;
+          w.pos <- !i
+        done;
+        (count, { offset = start; stop = at (); left = count })
       in
-      let cursors =
+      let sections =
         Array.init (Array.length Writer.stream_names) (fun i ->
-            if i < Writer.mandatory_streams then read_cursor ()
-            else if
-              (* the trailing picks section is optional: absent entirely in
-                 traces from ordinary recordings *)
-              pos_in ic < file_len
-            then read_cursor ()
-            else (0, { offset = pos_in ic; left = 0 }))
+            (* the trailing picks section is optional: absent entirely in
+               traces from ordinary recordings *)
+            if i < Writer.mandatory_streams || at () < file_len then section ()
+            else (0, { offset = at (); stop = at (); left = 0 }))
       in
-      if pos_in ic <> file_len then raise (Format_error "trailing bytes");
-      let r_counts = Array.map fst cursors in
+      if at () <> file_len then raise (Format_error "trailing bytes");
+      let scratch = Bytes.create (min (9 * chunk_words) file_len) in
       let r_tapes =
         Array.mapi
           (fun i name ->
-            let _, cur = cursors.(i) in
-            Tape.of_refill name ~pending:cur.left (fun (t : Tape.t) ->
-                if cur.left = 0 then false
+            let count, sec = sections.(i) in
+            Tape.of_refill name ~pending:count (fun (t : Tape.t) ->
+                if sec.left = 0 then false
                 else begin
-                  let k = min chunk_words cur.left in
-                  seek_in ic cur.offset;
-                  let chunk = Array.init k (fun _ -> input_varint ic) in
-                  cur.offset <- pos_in ic;
-                  cur.left <- cur.left - k;
+                  let k = min chunk_words sec.left in
+                  let n = min (9 * k) (sec.stop - sec.offset) in
+                  read_at ic ~at:sec.offset scratch n;
+                  let c = { buf = scratch; pos = 0; lim = n } in
+                  if Array.length t.data < k then
+                    t.data <- Array.make (min chunk_words count) 0;
+                  for j = 0 to k - 1 do
+                    t.data.(j) <- read_varint c
+                  done;
+                  sec.offset <- sec.offset + c.pos;
+                  sec.left <- sec.left - k;
                   t.base <- t.base + t.len;
-                  t.data <- chunk;
                   t.len <- k;
                   t.rd <- 0;
-                  t.pending <- cur.left;
+                  t.pending <- sec.left;
                   true
                 end))
           Writer.stream_names
       in
+      let r_counts = Array.map fst sections in
       { ic; r_digest; r_hash; r_tapes; r_counts; r_closed = false }
     with
     | r -> r

@@ -141,20 +141,24 @@ val sizes : t -> sizes
 
 val pp_sizes : Format.formatter -> sizes -> unit
 
-(** Incremental trace encoder: spills each tape's varint-encoded elements to
-    a scratch file as its bounded buffer fills, then {!Writer.finish}
-    stitches the DJVU2 header and sections into the destination via temp
-    file + atomic rename. Output is byte-identical to {!to_bytes} of the
-    materialized trace; recorder-side memory stays constant in the event
-    count. *)
+(** Incremental trace encoder: each tape's bounded buffer drains into an
+    in-memory byte buffer of varint-encoded elements; a stream whose
+    buffer passes [16 * buf_words] bytes spills it to one shared scratch
+    file, [path ^ ".spill"], opened on the first spill. {!Writer.finish}
+    writes the DJVU2 header and sections into [path ^ ".tmp"] (opened by
+    {!Writer.create}) and renames it into place, so a trace that never
+    spills costs one file and one rename. Output is byte-identical to
+    {!to_bytes} of the materialized trace; recorder-side memory stays
+    constant in the event count. *)
 module Writer : sig
   type t
 
   val default_buf_words : int
 
-  (** [create ?buf_words path] opens a writer targeting [path]; scratch
-      files live next to it (same filesystem, so the final rename is
-      atomic). *)
+  (** [create ?buf_words path] opens a writer targeting [path] and creates
+      [path ^ ".tmp"] at once, so an unwritable destination raises
+      [Sys_error] here, leaving nothing. Scratch files live next to [path]
+      (same filesystem, so the final rename is atomic). *)
   val create : ?buf_words:int -> string -> t
 
   (** The five sink-wired tapes, in section order: switches, clocks,
@@ -165,11 +169,11 @@ module Writer : sig
   (** High-water mark of words buffered in memory across all tapes. *)
   val peak_buffered_words : t -> int
 
-  (** Words currently buffered (bounded by 4 x buf_words). *)
+  (** Words currently buffered in the tapes (bounded by 5 x buf_words). *)
   val buffered_words : t -> int
 
   (** Flush tails, write the final file, atomic-rename it into place,
-      remove scratch files; returns the trace statistics (tracked
+      remove the spill file if any; returns the trace statistics (tracked
       incrementally — the trace is never materialized). *)
   val finish : t -> program_digest:string -> analysis_hash:string -> sizes
 
@@ -178,11 +182,12 @@ module Writer : sig
   val abort : t -> unit
 end
 
-(** Bounded-memory trace reader: parses the header and locates the four
-    sections in one linear scan, then serves each tape in
-    [chunk_words]-element chunks refilled on demand. Resident memory is
-    O(chunk), constant in trace length. Raises {!Format_error} on a
-    truncated or corrupted file. *)
+(** Bounded-memory trace reader: parses the header and locates each
+    section's byte range in one pass over 64 KiB blocks, counting varint
+    terminators without decoding, then serves each tape in
+    [chunk_words]-element chunks refilled on demand, one seek and one block
+    read per refill. Resident memory is O(block + chunk), constant in trace
+    length. Raises {!Format_error} on a truncated or corrupted file. *)
 module Reader : sig
   type t
 

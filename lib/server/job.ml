@@ -1,8 +1,9 @@
 (* The jobs a farm shard knows how to run. Each runs one VM to completion
    in fuel-bounded slices, polling [ctx.should_stop] between slices so
    cancellation and deadlines take effect mid-program, and never leaves a
-   partial trace file behind (streaming writer: spill files + atomic
-   rename, aborted on any exception).
+   partial trace file behind (streaming writer: one temp file, a spill
+   file only past 64 KiB per stream, atomic rename; aborted on any
+   exception).
 
    Two ways to get the VM: cold — [Vm.create] per job, the original farm
    behaviour and still the reference the warm path is tested against — or

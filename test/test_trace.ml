@@ -128,10 +128,20 @@ let test_trailing_bytes () =
 
 let test_truncation () =
   let s = T.to_bytes (mk ~switches:[| 1; 2; 3 |] ()) in
-  let s = String.sub s 0 (String.length s - 2) in
-  match T.of_bytes s with
-  | exception T.Format_error _ -> ()
-  | _ -> Alcotest.fail "truncated trace accepted"
+  let cut = String.sub s 0 (String.length s - 2) in
+  (* a section count far beyond the bytes left: rejected before any
+     allocation is sized by it *)
+  let header = T.to_bytes (mk ()) in
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (String.sub header 0 (String.length header - 4));
+  T.put_varint buf (1 lsl 40);
+  Buffer.add_string buf "\x00\x00\x00\x00";
+  List.iter
+    (fun s ->
+      match T.of_bytes s with
+      | exception T.Format_error _ -> ()
+      | _ -> Alcotest.fail "truncated trace accepted")
+    [ cut; Buffer.contents buf ]
 
 let test_save_load () =
   let t = mk ~switches:[| 9; 8; 7 |] ~inputs:[| 1 |] () in
@@ -216,6 +226,7 @@ let stream_out path (t : T.t) ~buf_words =
   Array.iter (fun v -> T.Tape.push tp.(1) v) t.T.clocks;
   Array.iter (fun v -> T.Tape.push tp.(2) v) t.T.inputs;
   Array.iter (fun v -> T.Tape.push tp.(3) v) t.T.natives;
+  Array.iter (fun v -> T.Tape.push tp.(4) v) t.T.picks;
   T.Writer.finish w ~program_digest:t.T.program_digest
     ~analysis_hash:t.T.analysis_hash
 
@@ -339,6 +350,223 @@ let test_reader_corrupt () =
             | exception T.Format_error _ -> ()
             | exception T.End_of_tape _ -> ()))
 
+(* --- block reader and single-file writer ---------------------------------- *)
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* every tape of [r] read to its end, in section order *)
+let drain_all r =
+  Array.map
+    (fun tp -> Array.init (T.Tape.remaining tp) (fun _ -> T.Tape.read tp))
+    (T.Reader.tapes r)
+
+let sections (t : T.t) =
+  [| t.T.switches; t.T.clocks; t.T.inputs; t.T.natives; t.T.picks |]
+
+(* [n] values cycling through 9-, 1-, 9-, 4- and 2-byte varints, bracketed
+   by 9-byte ones so every section boundary sits between two of them *)
+let dense n =
+  Array.init (n + 2) (fun k ->
+      if k = 0 then max_int
+      else if k = n + 1 then min_int
+      else
+        match k mod 5 with
+        | 0 -> min_int
+        | 1 -> -1
+        | 2 -> max_int
+        | 3 -> -(1 lsl 20)
+        | _ -> 300)
+
+(* Reader window size (not exported; a format-independent constant). *)
+let window = 65536
+
+let edges = [ window; 2 * window; 3 * window ]
+
+(* ~255 KB: switches, clocks and inputs each hold one window edge, natives
+   and picks come after the last, so a cut at any edge loses a mandatory
+   section. The section holding an edge is padded with 1-byte values after
+   its first until the byte before the edge is a continuation byte, i.e. a
+   multi-byte varint straddles the edge. *)
+let edge_trace () =
+  let secs =
+    [| dense 15_000; dense 15_000; dense 15_000; dense 4_000; dense 2_000 |]
+  in
+  let build () =
+    mk ~digest:"edges" ~analysis_hash:"audit" ~switches:secs.(0)
+      ~clocks:secs.(1) ~inputs:secs.(2) ~natives:secs.(3) ~picks:secs.(4) ()
+  in
+  List.iteri
+    (fun i e ->
+      while Char.code (T.to_bytes (build ())).[e - 1] land 0x80 = 0 do
+        let s = secs.(i) in
+        secs.(i) <-
+          Array.concat [ [| s.(0); 0 |]; Array.sub s 1 (Array.length s - 1) ]
+      done)
+    edges;
+  build ()
+
+(* run [f], failing instead of hanging if it loops *)
+let within_seconds n f =
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> failwith "timed out"))
+  in
+  ignore (Unix.alarm n);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+    f
+
+let test_reader_window_edges () =
+  let t = edge_trace () in
+  let bytes = T.to_bytes t in
+  List.iter
+    (fun e ->
+      (* the fixture's premise: a multi-byte varint straddles each edge *)
+      Alcotest.(check bool)
+        (Fmt.str "varint straddles %d" e)
+        true
+        (Char.code bytes.[e - 1] land 0x80 <> 0))
+    edges;
+  Alcotest.(check bool)
+    "three windows before natives" true
+    (String.length bytes > 3 * window);
+  let expect = sections (T.of_bytes bytes) in
+  (* a reader that loops at a window edge fails here instead of hanging *)
+  within_seconds 60 @@ fun () ->
+  with_tmp (fun path ->
+      write_file path bytes;
+      List.iter
+        (fun chunk_words ->
+          let r = T.Reader.open_file ?chunk_words path in
+          Fun.protect
+            ~finally:(fun () -> T.Reader.close r)
+            (fun () ->
+              Alcotest.(check bool)
+                "drained = of_bytes" true
+                (drain_all r = expect)))
+        [ Some 1; Some 7; None ];
+      List.iter
+        (fun e ->
+          List.iter
+            (fun cut ->
+              write_file path (String.sub bytes 0 cut);
+              match
+                let r = T.Reader.open_file ~chunk_words:7 path in
+                Fun.protect
+                  ~finally:(fun () -> T.Reader.close r)
+                  (fun () -> drain_all r)
+              with
+              | _ -> Alcotest.failf "cut %d read fully" cut
+              | exception T.Format_error _ -> ()
+              | exception T.End_of_tape _ -> ())
+            [ e - 1; e; e + 1 ])
+        edges)
+
+(* a scratch directory, removed with its contents afterwards *)
+let with_dir f =
+  let dir = Filename.temp_dir "dvtrace" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let push_all w (t : T.t) =
+  let tp = T.Writer.tapes w in
+  Array.iteri (fun i sec -> Array.iter (T.Tape.push tp.(i)) sec) (sections t)
+
+let test_writer_scratch_lifecycle () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "t.trace" in
+      (* below the cap: one scratch file, renamed into place *)
+      let t = sample_trace () in
+      let w = T.Writer.create path in
+      push_all w t;
+      Alcotest.(check (list string)) "only tmp" [ "t.trace.tmp" ] (listing dir);
+      ignore
+        (T.Writer.finish w ~program_digest:t.T.program_digest
+           ~analysis_hash:t.T.analysis_hash);
+      Alcotest.(check (list string)) "only path" [ "t.trace" ] (listing dir);
+      Sys.remove path;
+      (* several times the cap (16 x buf_words bytes per stream; 64 KiB at
+         the default), in two streams whose spills interleave *)
+      let big =
+        mk ~digest:"big" ~switches:(dense 60_000) ~natives:(dense 30_000)
+          ~picks:(dense 10) ()
+      in
+      List.iter
+        (fun buf_words ->
+          let w = T.Writer.create ?buf_words path in
+          push_all w big;
+          Alcotest.(check (list string))
+            "spilled" [ "t.trace.spill"; "t.trace.tmp" ] (listing dir);
+          ignore
+            (T.Writer.finish w ~program_digest:big.T.program_digest
+               ~analysis_hash:big.T.analysis_hash);
+          Alcotest.(check (list string)) "only path" [ "t.trace" ] (listing dir);
+          Alcotest.(check bool)
+            "file = to_bytes" true
+            (read_file path = T.to_bytes big);
+          Sys.remove path)
+        [ None; Some 2 ];
+      (* abort after a spill leaves nothing *)
+      let w = T.Writer.create ~buf_words:2 path in
+      push_all w big;
+      T.Writer.abort w;
+      Alcotest.(check (list string)) "abort leaves nothing" [] (listing dir);
+      (* an unwritable destination fails at create, leaving nothing *)
+      let missing = Filename.concat dir "no-such-dir" in
+      (match T.Writer.create (Filename.concat missing "t.trace") with
+      | _ -> Alcotest.fail "create under a missing directory"
+      | exception Sys_error _ -> ());
+      Alcotest.(check (list string)) "create leaves nothing" [] (listing dir))
+
+(* Writer -> file -> Reader on random tapes up to 3x the spill cap, with
+   random buffer and chunk sizes: the file is [to_bytes] and every tape
+   drains back to its input. *)
+let prop_stream_roundtrip =
+  let int_gen =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ min_int; max_int; 0; -1 ]); (4, small_signed_int); (4, int) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 64 >>= fun buf_words ->
+      int_range 1 64 >>= fun chunk_words ->
+      let tape = array_size (int_bound (3 * 16 * buf_words)) int_gen in
+      array_repeat 5 tape >|= fun secs -> (buf_words, chunk_words, secs))
+  in
+  let print (b, c, secs) =
+    Fmt.str "buf_words=%d chunk_words=%d lengths=%a" b c
+      Fmt.(Dump.array int)
+      (Array.map Array.length secs)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150 ~name:"writer -> file -> reader"
+       (QCheck.make ~print gen)
+       (fun (buf_words, chunk_words, secs) ->
+         let t =
+           mk ~digest:"prop" ~analysis_hash:"audit" ~switches:secs.(0)
+             ~clocks:secs.(1) ~inputs:secs.(2) ~natives:secs.(3)
+             ~picks:secs.(4) ()
+         in
+         with_tmp (fun path ->
+             ignore (stream_out path t ~buf_words);
+             let r = T.Reader.open_file ~chunk_words path in
+             Fun.protect
+               ~finally:(fun () -> T.Reader.close r)
+               (fun () ->
+                 read_file path = T.to_bytes t && drain_all r = secs))))
+
 let () =
   Alcotest.run "trace"
     [
@@ -371,5 +599,8 @@ let () =
           quick "reader roundtrip" test_reader_roundtrip;
           quick "reader truncation" test_reader_truncation;
           quick "reader corrupt" test_reader_corrupt;
+          quick "reader window edges" test_reader_window_edges;
+          quick "writer scratch lifecycle" test_writer_scratch_lifecycle;
+          prop_stream_roundtrip;
         ] );
     ]
