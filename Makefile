@@ -17,13 +17,17 @@ smoke:
 
 # Replay farm gate: record the whole registry across 4 shard domains and
 # fail unless every job completes (the aggregate digest is checked against
-# a sequential run by test_server and bench E12), or if any writer left its
-# scratch files (*.tmp, *.spill) behind.
+# a sequential run by test_server's shard-count invariance), or if any
+# writer left its scratch files (*.tmp, *.spill) behind. Then replay two of
+# the recorded files through the user-facing CLI; `dvrun replay` exits 1
+# if a replay diverges or leaves trace words unconsumed.
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
 	  if [ -n "$$left" ]; then echo "batch-smoke: scratch files left:"; \
 	    echo "$$left"; exit 1; fi
+	dune exec bin/dvrun.exe -- replay bank -i _batch/bank.trace
+	dune exec bin/dvrun.exe -- replay racy-counter -i _batch/racy-counter.trace
 
 # Register-tier speed floor: run every registry workload live with the
 # register-IR tier on and off and fail if any workload of >= 200k

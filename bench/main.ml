@@ -1,7 +1,8 @@
 (* The experiment harness: regenerates every figure-level result of the
    paper (E1–E4) and the quantitative claims it makes in prose and in the
-   related-work comparison (E5–E9). See DESIGN.md section 4 for the index
-   and EXPERIMENTS.md for paper-claim vs measured.
+   related-work comparison (E5, E7–E9). See DESIGN.md section 4 for the
+   index and EXPERIMENTS.md for paper-claim vs measured. Record/replay
+   overhead (E6) and farm throughput (E12) are measured by perfbench.
 
    Run:  dune exec bench/main.exe                (all experiments)
          dune exec bench/main.exe -- E7 E9       (a subset)
@@ -20,9 +21,6 @@ let time f =
   let t0 = Sys.time () in
   let r = f () in
   (r, Sys.time () -. t0)
-
-(* instructions per CPU second of a run *)
-let rate instrs secs = if secs <= 0. then 0. else float_of_int instrs /. secs
 
 (* ---------------------------------------------------------------- E1/E2 *)
 
@@ -148,75 +146,6 @@ let e5 () =
         [ 1; 2 ])
     (Lazy.force Workloads.Registry.all)
 
-(* ------------------------------------------------------------------- E6 *)
-
-let overhead_workloads =
-  [ ("primes", entry "primes"); ("parsum", entry "parsum");
-    ("racy-counter", entry "racy-counter"); ("gc-churn", entry "gc-churn");
-    ("producer-consumer", entry "producer-consumer") ]
-
-(* Measure one workload's live / record / replay rates. Record and replay
-   run WITHOUT the event-sequence digest observer: it is a verification
-   artifact (a per-instruction hash fold) rather than part of the replay
-   instrumentation, so including it would overstate the overhead the paper
-   talks about. [reps] runs are taken and the fastest kept. *)
-let measure_modes ?(reps = 9) ~natives ~program () =
-  (* one untimed run first: a program's first execution in this process
-     pays page faults, allocator growth, and cold branch history — up to
-     2x on sub-millisecond workloads, a trend best-of alone can't dodge.
-     Best-of-9 after that: on this 1-CPU box single runs of the same
-     build swing several percent, and 5 samples were not enough for the
-     best-of to converge *)
-  ignore (Vm.execute ~natives ~seed:1 program);
-  let best f =
-    let r = ref infinity in
-    let instrs = ref 0 in
-    for _ = 1 to reps do
-      let (n : int), t = time f in
-      instrs := n;
-      if t < !r then r := t
-    done;
-    (!instrs, !r)
-  in
-  let live =
-    best (fun () ->
-        let vm, _ = Vm.execute ~natives ~seed:1 program in
-        (Vm.stats vm).n_instr)
-  in
-  let record =
-    best (fun () ->
-        let run, _ =
-          Dejavu.record ~natives ~seed:1 ~observe:false program
-        in
-        (Vm.stats run.Dejavu.vm).n_instr)
-  in
-  let _, trace = Dejavu.record ~natives ~seed:1 ~observe:false program in
-  let replay =
-    best (fun () ->
-        let run, _ =
-          Dejavu.replay ~natives ~observe:false program trace
-        in
-        (Vm.stats run.Dejavu.vm).n_instr)
-  in
-  (live, record, replay, Dejavu.Trace.sizes trace)
-
-let e6 () =
-  section "E6" "Record/replay overhead vs uninstrumented execution";
-  Fmt.pr "%-20s %-12s %-12s %-12s %-10s %-10s@." "workload" "live Mi/s"
-    "record Mi/s" "replay Mi/s" "rec ovhd" "rep ovhd";
-  List.iter
-    (fun (name, (e : Workloads.Registry.entry)) ->
-      let (live_instrs, live_t), (rec_instrs, rec_t), (rep_instrs, rep_t), _ =
-        measure_modes ~natives:e.natives ~program:e.program ()
-      in
-      let mips n t = rate n t /. 1e6 in
-      Fmt.pr "%-20s %-12.2f %-12.2f %-12.2f %-10.3f %-10.3f@." name
-        (mips live_instrs live_t) (mips rec_instrs rec_t)
-        (mips rep_instrs rep_t)
-        (rec_t /. live_t) (rep_t /. live_t))
-    overhead_workloads;
-  Fmt.pr "(verification observer excluded; timings include VM setup)@."
-
 (* ------------------------------------------------------------------- E7 *)
 
 let e7 () =
@@ -243,7 +172,9 @@ let e7 () =
       in
       Fmt.pr "%-20s %-10d %-12d %-12d %-12d %-10d@." name dv.total_words sm rl
         crew dv.total_bytes)
-    overhead_workloads;
+    [ ("primes", entry "primes"); ("parsum", entry "parsum");
+      ("racy-counter", entry "racy-counter"); ("gc-churn", entry "gc-churn");
+      ("producer-consumer", entry "producer-consumer") ];
   Fmt.pr "(expected shape: dejavu < switch-map << read-log <= crew)@."
 
 (* ------------------------------------------------------------------- E8 *)
@@ -445,7 +376,7 @@ let micro () =
         tbl)
     results
 
-(* ------------------------------------------------------------------ E12 *)
+(* ------------------------------------------------------------------ E13 *)
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
@@ -455,104 +386,6 @@ let rm_rf dir =
       (Sys.readdir dir);
     try Sys.rmdir dir with Sys_error _ -> ()
   end
-
-(* Replay-farm throughput: record the whole registry under increasing shard
-   counts and compare wall clock. The aggregate digest must not change with
-   the shard count OR with warm reuse — sharding and VM recycling alter
-   scheduling, never results. *)
-let batch_under ?(warm = false) shards =
-  let out_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "dv-bench-batch-%d-%d-%b" (Unix.getpid ()) shards warm)
-  in
-  let rep = Server.Batch.run_registry ~shards ~warm ~out_dir () in
-  rm_rf out_dir;
-  rep
-
-(* Steady-state warm throughput: one untimed warm-up round boots every
-   pool VM, then [rounds] timed rounds run entirely on baseline resets.
-   Quantiles are exact (sorted per-job latencies), not histogram bounds. *)
-let warm_sustained ~shards ~rounds =
-  Server.Job.preload ();
-  let out_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "dv-bench-sus-%d-%d" (Unix.getpid ()) shards)
-  in
-  if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
-  let stats = Server.Stats.create () in
-  let runner = Server.Job.runner ~stats ~shards () in
-  let d =
-    Server.Dispatcher.create ~shards ~place:runner.Server.Job.place ~stats
-      ~run:runner.Server.Job.run ()
-  in
-  let names = Workloads.Registry.names () in
-  let submit_round r =
-    List.iter
-      (fun n ->
-        ignore
-          (Server.Dispatcher.submit d
-             (Server.Job.Record
-                {
-                  workload = n;
-                  seed = 1;
-                  out = Filename.concat out_dir (Fmt.str "%s-%d.trace" n r);
-                })))
-      names
-  in
-  submit_round 0;
-  for _ = 1 to List.length names do
-    ignore (Server.Dispatcher.next d)
-  done;
-  let t0 = Unix.gettimeofday () in
-  let lats = ref [] in
-  for r = 1 to rounds do
-    submit_round r
-  done;
-  for _ = 1 to rounds * List.length names do
-    match Server.Dispatcher.next d with
-    | Some r -> lats := r.Server.Dispatcher.r_latency :: !lats
-    | None -> ()
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  ignore (Server.Dispatcher.drain d);
-  rm_rf out_dir;
-  let sorted = Array.of_list (List.sort compare !lats) in
-  let q p =
-    if Array.length sorted = 0 then 0.
-    else
-      sorted.(min
-                (Array.length sorted - 1)
-                (int_of_float (p *. float_of_int (Array.length sorted))))
-  in
-  let jobs = rounds * List.length names in
-  ( (if wall > 0. then float_of_int jobs /. wall else 0.),
-    q 0.50 *. 1e3,
-    q 0.99 *. 1e3 )
-
-let e12 () =
-  section "E12"
-    "Replay farm: batch record throughput vs shard count, cold vs warm";
-  let base = batch_under ~warm:false 1 in
-  Fmt.pr "%-8s %12s %12s %12s %10s %10s@." "shards" "cold jobs/s"
-    "warm jobs/s" "sustained" "p50 ms" "p99 ms";
-  let sus1 = ref 0. and sus4 = ref 0. in
-  List.iter
-    (fun shards ->
-      let cold = if shards = 1 then base else batch_under ~warm:false shards in
-      let w = batch_under ~warm:true shards in
-      let sus_jps, p50, p99 = warm_sustained ~shards ~rounds:3 in
-      if shards = 1 then sus1 := sus_jps;
-      if shards = 4 then sus4 := sus_jps;
-      Fmt.pr "%-8d %12.1f %12.1f %12.1f %10.1f %10.1f%s@." shards
-        cold.Server.Batch.jobs_per_s w.Server.Batch.jobs_per_s sus_jps p50 p99
-        (if
-           w.Server.Batch.aggregate = base.Server.Batch.aggregate
-           && cold.Server.Batch.aggregate = base.Server.Batch.aggregate
-         then "  (digest = sequential)"
-         else "  AGGREGATE MISMATCH"))
-    [ 1; 2; 4 ];
-  Fmt.pr "warm sustained speedup 4v1: %.2f@."
-    (if !sus1 > 0. then !sus4 /. !sus1 else 0.)
 
 (* Sustained-load serving: an open-loop multi-client driver against a live
    [dvrun serve] farm. Each client domain paces its submissions at a fixed
@@ -737,13 +570,11 @@ let all : (string * string * (unit -> unit)) list =
     ("E3", "figure 2 symmetry", e3);
     ("E4", "remote reflection", e4);
     ("E5", "replay accuracy", e5);
-    ("E6", "overhead", e6);
     ("E7", "trace size", e7);
     ("E8", "instruction counting", e8);
     ("E9", "ablations", e9);
     ("E10", "time travel", e10);
     ("E11", "symmetry ablation", e11);
-    ("E12", "replay farm batch throughput, cold vs warm", e12);
     ("E13", "sustained-load serving (open-loop clients)", e13);
     ("E14", "systematic schedule exploration (DPOR vs unpruned)", e14);
     ("micro", "bechamel microbenches", micro);

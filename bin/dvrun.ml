@@ -3,7 +3,8 @@
      dvrun list                         catalogue of workloads
      dvrun run NAME [--seed N]          live run: output, status, stats
      dvrun record NAME -o T [--seed N]  record a run into trace file T
-     dvrun replay NAME -i T             replay a recorded trace
+     dvrun replay NAME -i T             replay a recorded trace (exit 1 if it
+                                        ends fatal or leaves trace words)
      dvrun compare NAME --seeds A,B,..  run under several seeds, diff outputs
      dvrun disasm NAME                  disassemble the workload's bytecode *)
 
@@ -201,7 +202,10 @@ let record_cmd =
       $ name_arg $ seed_arg $ no_regir_arg $ out_arg $ verbose_arg)
 
 let replay_cmd =
-  let doc = "replay a recorded trace" in
+  let doc =
+    "replay a recorded trace; exits 1 if the replay ends fatal (a divergence) \
+     or leaves trace words unconsumed"
+  in
   let in_arg =
     Arg.(
       required
@@ -230,7 +234,12 @@ let replay_cmd =
             (Vm.string_of_status run.status);
           if leftovers <> [] then
             Fmt.pr "warning: %s@." (String.concat "; " leftovers);
-          if verbose then Fmt.pr "%a@." pp_stats (Vm.stats run.vm))
+          if verbose then Fmt.pr "%a@." pp_stats (Vm.stats run.vm);
+          (* a divergence ends the run Fatal; like verify, fail on it and
+             on unconsumed trace words *)
+          match run.status with
+          | Vm.Rt.Fatal _ -> Stdlib.exit 1
+          | _ -> if leftovers <> [] then Stdlib.exit 1)
       $ name_arg $ in_arg $ no_regir_arg $ verbose_arg)
 
 let verify_cmd =

@@ -57,7 +57,7 @@ let bump b oid =
   Dejavu.Tape.push b.accesses seq
 
 let attach (vm : Vm.Rt.t) : t =
-  let session = Dejavu.Session.for_record vm in
+  let session = Dejavu.Session.for_record vm (Dejavu.Trace.new_tapes ()) in
   Dejavu.Recorder.attach_io vm session;
   let b =
     {

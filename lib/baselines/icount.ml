@@ -22,7 +22,7 @@ type t = {
 }
 
 let attach_record (vm : Vm.Rt.t) : t =
-  let session = Dejavu.Session.for_record vm in
+  let session = Dejavu.Session.for_record vm (Dejavu.Trace.new_tapes ()) in
   Dejavu.Recorder.attach_io vm session;
   let b =
     {
@@ -51,7 +51,7 @@ exception Divergence = Dejavu.Session.Divergence
 let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t)
     (deltas : int array) : t =
   Dejavu.Replayer.check_digest vm trace;
-  let session = Dejavu.Session.for_replay vm trace in
+  let session = Dejavu.Session.for_replay vm (Dejavu.Trace.tapes trace) in
   Dejavu.Replayer.attach_io vm session;
   let b =
     {

@@ -17,7 +17,7 @@ type t = {
 }
 
 let attach (vm : Vm.Rt.t) : t =
-  let session = Dejavu.Session.for_record vm in
+  let session = Dejavu.Session.for_record vm (Dejavu.Trace.new_tapes ()) in
   Dejavu.Recorder.attach_io vm session;
   let b =
     { vm; session; values = Dejavu.Tape.create "read-values"; n_reads = 0 }

@@ -63,7 +63,7 @@ let base vm mode session entries =
 (* --- record ----------------------------------------------------------- *)
 
 let attach_record (vm : Vm.Rt.t) : t =
-  let session = Dejavu.Session.for_record vm in
+  let session = Dejavu.Session.for_record vm (Dejavu.Trace.new_tapes ()) in
   Dejavu.Recorder.attach_io vm session;
   let b = base vm Record session (Dejavu.Tape.create "switch-map") in
   vm.hooks.h_yieldpoint <-
@@ -131,7 +131,7 @@ let register_thread (b : t) replay_tid =
 let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t)
     (entries : int array) : t =
   Dejavu.Replayer.check_digest vm trace;
-  let session = Dejavu.Session.for_replay vm trace in
+  let session = Dejavu.Session.for_replay vm (Dejavu.Trace.tapes trace) in
   Dejavu.Replayer.attach_io vm session;
   let b = base vm Replay session (Dejavu.Tape.of_array "switch-map" entries) in
   next_entry b;

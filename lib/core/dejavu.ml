@@ -2,8 +2,13 @@
 
    [record] runs a program with recording instrumentation and returns the
    trace; [replay] re-runs it, substituting every non-deterministic result
-   from the trace; [verify_roundtrip] checks the paper's accuracy criterion:
-   identical event sequences and identical program states. *)
+   from the trace; [record_to]/[replay_from] do the same through a trace
+   file; [verify_roundtrip] checks the paper's accuracy criterion:
+   identical event sequences and identical program states.
+
+   Record and replay each have one driver core, shared in memory and on
+   file, and with the farm's jobs: [record_into] is the file-record
+   bracket, [replay_guard] the replay guard. *)
 
 module Trace = Trace
 module Tape = Trace.Tape
@@ -27,132 +32,119 @@ type run = {
   session : Session.t option; (* None when the trace was rejected outright *)
 }
 
+(* [config] with the environment seed replaced. *)
+let with_seed seed (config : Vm.Rt.config) =
+  { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
+
+(* [session] is None when replay rejected the trace at attach: nothing ran,
+   so there is no state digest. *)
 let finish_run vm session observer =
+  let obs f = match observer with Some o -> f o | None -> 0 in
   {
     vm;
     status = Vm.status vm;
     output = Vm.output vm;
-    state_digest = Vm.digest vm;
-    obs_digest =
-      (match observer with Some o -> Vm.Observer.digest o | None -> 0);
-    obs_count =
-      (match observer with Some o -> Vm.Observer.count o | None -> 0);
-    session = Some session;
+    state_digest = (if Option.is_none session then 0 else Vm.digest vm);
+    obs_digest = obs Vm.Observer.digest;
+    obs_count = obs Vm.Observer.count;
+    session;
   }
 
-(* Run a program in record mode. The environment (seed) supplies the
-   non-determinism being captured. [observe] attaches the event-sequence
-   digest observer the roundtrip check compares; it costs a per-instruction
-   hash fold, so overhead measurements turn it off. *)
-let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
-    ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-  in
-  let vm = Vm.create ~config ~natives ~inputs program in
-  let session = Recorder.attach vm in
-  let observer = if observe then Some (Vm.Observer.attach_digest vm) else None in
+(* [observe] attaches the event-sequence digest observer the roundtrip
+   check compares; it costs a per-instruction hash fold, so overhead
+   measurements turn it off. *)
+let observer_for ~observe vm =
+  if observe then Some (Vm.Observer.attach_digest vm) else None
+
+let run_recording ~limit ~observe vm session =
+  let observer = observer_for ~observe vm in
   ignore (Vm.run ?limit vm);
-  let run = finish_run vm session observer in
-  (run, Recorder.finish session)
+  finish_run vm (Some session) observer
 
-(* Replay a trace. The seed deliberately defaults to something different
-   from any recording seed: replay must not depend on the environment. *)
-let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
-    ?limit ?(observe = true) program (trace : Trace.t) : run * string list =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-  in
-  let vm = Vm.create ~config ~natives program in
-  match Replayer.attach vm trace with
-  | exception Session.Divergence msg ->
-    vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg);
-    ( {
-        vm;
-        status = Vm.status vm;
-        output = "";
-        state_digest = 0;
-        obs_digest = 0;
-        obs_count = 0;
-        session = None;
-      },
-      [ msg ] )
-  | session ->
-    let observer =
-      if observe then Some (Vm.Observer.attach_digest vm) else None
-    in
-    (try ignore (Vm.run ?limit vm) with
-    | Session.Divergence msg ->
-      vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
-    | Vm.Sched.Sched_error msg ->
-      (* a picks-bearing trace steered dispatch to a thread that is not
-         ready here — the schedule does not fit this program/state *)
-      vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg));
-    let run = finish_run vm session observer in
-    (run, Replayer.check_complete session)
-
-(* Record straight into a trace file through the streaming writer: bounded
-   recorder-side memory, temp-file + atomic-rename on finish, and abort on
-   any error — a crashed or cancelled recording leaves nothing behind. *)
-let record_to ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
-    ?(seed = 1) ?limit ?(observe = true) ?buf_words ~path program :
-    run * Trace.sizes =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-  in
-  let vm = Vm.create ~config ~natives ~inputs program in
-  let writer = Trace.Writer.create ?buf_words path in
+(* The one file-record bracket, serving [record_to] and the farm's record
+   job: attach the recorder to [writer]'s tapes, [run] the VM, seal the
+   file (temp file + atomic rename). Any exception aborts the writer, so a
+   crashed or cancelled recording leaves nothing behind. *)
+let record_into (vm : Vm.t) writer run =
   match
     let session = Recorder.attach_stream vm writer in
-    let observer =
-      if observe then Some (Vm.Observer.attach_digest vm) else None
-    in
-    ignore (Vm.run ?limit vm);
-    (finish_run vm session observer, Recorder.finish_stream session writer)
+    let r = run session in
+    (r, Recorder.finish_stream session writer)
   with
   | result -> result
   | exception e ->
     Trace.Writer.abort writer;
     raise e
 
+(* The one replay guard, serving [replay], [replay_from] and the farm's
+   replay job. [attach] checks the trace header and installs the replay
+   hooks; a trace it rejects, or a [Divergence] or [Sched_error] while
+   [drive] runs the VM, ends the run with a [Fatal] status instead of an
+   exception. Returns the
+   session (None when the trace was rejected) and the warnings: the
+   unconsumed trace words, or the rejection. *)
+let replay_guard (vm : Vm.t) ~attach ~drive =
+  let fatal msg =
+    vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
+  in
+  match attach () with
+  | exception Session.Divergence msg ->
+    fatal msg;
+    (None, [ msg ])
+  | session ->
+    (* Sched_error: a picks-bearing trace steered dispatch to a thread that
+       is not ready here — the schedule does not fit this program/state *)
+    (try drive () with Session.Divergence msg | Vm.Sched.Sched_error msg ->
+       fatal msg);
+    (Some session, Replayer.check_complete session)
+
+let run_replay ~limit ~observe vm attach =
+  let observer = ref None in
+  let session, leftovers =
+    replay_guard vm ~attach ~drive:(fun () ->
+        observer := observer_for ~observe vm;
+        ignore (Vm.run ?limit vm))
+  in
+  (finish_run vm session !observer, leftovers)
+
+(* Run a program in record mode. The environment (seed) supplies the
+   non-determinism being captured. *)
+let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
+    ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t =
+  let vm = Vm.create ~config:(with_seed seed config) ~natives ~inputs program in
+  let session = Recorder.attach vm in
+  let run = run_recording ~limit ~observe vm session in
+  (run, Recorder.finish session)
+
+(* Replay a trace. The seed deliberately defaults to something different
+   from any recording seed: replay must not depend on the environment. *)
+let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
+    ?limit ?(observe = true) program (trace : Trace.t) : run * string list =
+  let vm = Vm.create ~config:(with_seed seed config) ~natives program in
+  run_replay ~limit ~observe vm (fun () -> Replayer.attach vm trace)
+
+(* Record straight into a trace file through the streaming writer: bounded
+   recorder-side memory. *)
+let record_to ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
+    ?(seed = 1) ?limit ?(observe = true) ?buf_words ~path program :
+    run * Trace.sizes =
+  let vm = Vm.create ~config:(with_seed seed config) ~natives ~inputs program in
+  record_into vm
+    (Trace.Writer.create ?buf_words path)
+    (run_recording ~limit ~observe vm)
+
 (* Replay from a trace file through the streaming reader: O(chunk) replay-
-   side trace memory. Raises Trace.Format_error on a malformed file;
-   divergences are reported like [replay]. *)
+   side trace memory. Raises Trace.Format_error on a malformed file. *)
 let replay_from ?(config = Vm.Rt.default_config) ?(natives = [])
     ?(seed = 424242) ?limit ?(observe = true) ?chunk_words ~path program :
     run * string list =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-  in
-  let vm = Vm.create ~config ~natives program in
+  let vm = Vm.create ~config:(with_seed seed config) ~natives program in
   let reader = Trace.Reader.open_file ?chunk_words path in
   Fun.protect
     ~finally:(fun () -> Trace.Reader.close reader)
     (fun () ->
-      match Replayer.attach_stream vm reader with
-      | exception Session.Divergence msg ->
-        vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg);
-        ( {
-            vm;
-            status = Vm.status vm;
-            output = "";
-            state_digest = 0;
-            obs_digest = 0;
-            obs_count = 0;
-            session = None;
-          },
-          [ msg ] )
-      | session ->
-        let observer =
-          if observe then Some (Vm.Observer.attach_digest vm) else None
-        in
-        (try ignore (Vm.run ?limit vm) with
-        | Session.Divergence msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
-        | Vm.Sched.Sched_error msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg));
-        let run = finish_run vm session observer in
-        (run, Replayer.check_complete session))
+      run_replay ~limit ~observe vm (fun () ->
+          Replayer.attach_stream vm reader))
 
 type roundtrip = {
   recorded : run;

@@ -33,37 +33,36 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
       Ring.put s.ring nat.nat_id;
       outcome)
 
-let attach (vm : Vm.Rt.t) : Session.t =
-  let s = Session.for_record vm in
+(* The one attach: in-memory and streamed recordings differ only in the
+   tapes, fresh growable ones or the writer's sink-wired buffers (which
+   hold O(buffer) trace memory no matter how long the run is). *)
+let attach_tapes (vm : Vm.Rt.t) tapes : Session.t =
+  let s = Session.for_record vm tapes in
   attach_io vm s;
   vm.hooks.h_yieldpoint <- Figure2.record s;
   s
 
-(* Streaming record attachment: identical hooks, but every tape drains into
-   the writer's bounded buffers, so the recorder holds O(buffer) trace
-   memory no matter how long the run is. *)
-let attach_stream (vm : Vm.Rt.t) (w : Trace.Writer.t) : Session.t =
-  let s = Session.for_record_stream vm w in
-  attach_io vm s;
-  vm.hooks.h_yieldpoint <- Figure2.record s;
-  s
+let attach vm = attach_tapes vm (Trace.new_tapes ())
 
-(* Finish a recording: produce the trace, stamped with the program digest
-   and the static race audit's fingerprint (memoized per program, so
-   repeated recordings of one program pay for the analysis once). *)
-let finish (s : Session.t) : Trace.t =
-  Session.to_trace s
-    ~analysis_hash:(Audit.hash_for s.vm.program)
-    (Bytecode.Decl.digest s.vm.program)
+let attach_stream vm w = attach_tapes vm (Trace.Writer.tapes w)
+
+(* The header stamp: the program digest and the static race audit's
+   fingerprint (memoized per program, so repeated recordings of one
+   program pay for the analysis once). *)
+let stamp (s : Session.t) =
+  (Bytecode.Decl.digest s.vm.program, Audit.hash_for s.vm.program)
+
+let finish s =
+  let program_digest, analysis_hash = stamp s in
+  Session.to_trace ~analysis_hash s program_digest
 
 (* Seal a streamed recording into its destination file (temp file + atomic
    rename inside the writer). On any error the writer is aborted, so a
    cancelled or crashed recording never leaves a partial trace behind. *)
-let finish_stream (s : Session.t) (w : Trace.Writer.t) : Trace.sizes =
+let finish_stream s w =
   match
-    Trace.Writer.finish w
-      ~program_digest:(Bytecode.Decl.digest s.vm.program)
-      ~analysis_hash:(Audit.hash_for s.vm.program)
+    let program_digest, analysis_hash = stamp s in
+    Trace.Writer.finish w ~program_digest ~analysis_hash
   with
   | sizes -> sizes
   | exception e ->

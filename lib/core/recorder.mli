@@ -15,14 +15,17 @@ val attach_io : Vm.Rt.t -> Session.t -> unit
     effects stay symmetric with replay. *)
 val attach : Vm.Rt.t -> Session.t
 
-(** Like {!attach}, but the tapes drain into the writer's bounded buffers:
-    recorder-side trace memory is constant in event count. Finish with
-    {!finish_stream} (or [Trace.Writer.abort] to discard). *)
+(** {!attach} over the writer's tapes instead of fresh ones: they drain
+    into its bounded buffers, so recorder-side trace memory is constant in
+    event count. Finish with {!finish_stream} (or [Trace.Writer.abort] to
+    discard). *)
 val attach_stream : Vm.Rt.t -> Trace.Writer.t -> Session.t
 
-(** Produce the trace, stamped with the program digest. *)
+(** Produce the trace, stamped with the program digest and the race
+    audit's fingerprint. *)
 val finish : Session.t -> Trace.t
 
-(** Seal a streamed recording into its destination file (atomic rename);
-    aborts the writer on error so no partial trace is left behind. *)
+(** Seal a streamed recording into its destination file (atomic rename),
+    with the same stamp as {!finish}; aborts the writer on error so no
+    partial trace is left behind. *)
 val finish_stream : Session.t -> Trace.Writer.t -> Trace.sizes

@@ -92,25 +92,26 @@ let attach_picks (vm : Vm.Rt.t) (s : Session.t) =
             Session.divergence_at vm
               "dispatch override beyond the recorded schedule")
 
-let attach (vm : Vm.Rt.t) (trace : Trace.t) : Session.t =
-  check_digest vm trace;
-  let s = Session.for_replay vm trace in
+(* The one attach: reject a foreign header, then install the hooks over
+   the five tapes, a trace's arrays in memory or the reader's
+   chunk-refilled views (O(chunk) replay-side trace memory). *)
+let attach_tapes (vm : Vm.Rt.t) ~program_digest ~analysis_hash tapes :
+    Session.t =
+  check_header vm ~program_digest ~analysis_hash;
+  let s = Session.for_replay vm tapes in
   attach_io vm s;
   attach_picks vm s;
   vm.hooks.h_yieldpoint <- Figure2.replay s;
   s
 
-(* Streaming replay attachment: the header was already parsed by the reader;
-   the tapes refill chunk by chunk, so replay-side trace memory is O(chunk)
-   regardless of trace length. *)
-let attach_stream (vm : Vm.Rt.t) (r : Trace.Reader.t) : Session.t =
-  check_header vm
+let attach vm (trace : Trace.t) =
+  attach_tapes vm ~program_digest:trace.program_digest
+    ~analysis_hash:trace.analysis_hash (Trace.tapes trace)
+
+let attach_stream vm r =
+  attach_tapes vm
     ~program_digest:(Trace.Reader.program_digest r)
-    ~analysis_hash:(Trace.Reader.analysis_hash r);
-  let s = Session.for_replay_stream vm r in
-  attach_io vm s;
-  attach_picks vm s;
-  vm.hooks.h_yieldpoint <- Figure2.replay s;
-  s
+    ~analysis_hash:(Trace.Reader.analysis_hash r)
+    (Trace.Reader.tapes r)
 
 let check_complete (s : Session.t) = Session.leftovers s

@@ -14,15 +14,15 @@ val attach_io : Vm.Rt.t -> Session.t -> unit
 val check_header :
   Vm.Rt.t -> program_digest:string -> analysis_hash:string -> unit
 
-(** Reject a trace recorded for a different program (digest check). *)
+(** {!check_header} of a trace in memory. *)
 val check_digest : Vm.Rt.t -> Trace.t -> unit
 
 (** Full DejaVu replay attachment: digest check, {!attach_io}, and the
     Figure-2 replay yield-point hook. *)
 val attach : Vm.Rt.t -> Trace.t -> Session.t
 
-(** Like {!attach}, over a streaming reader: replay-side trace memory is
-    O(chunk) in trace length. *)
+(** {!attach} over a streaming reader's tapes and header: replay-side
+    trace memory is O(chunk) in trace length. *)
 val attach_stream : Vm.Rt.t -> Trace.Reader.t -> Session.t
 
 (** Unconsumed-trace warnings, empty after a complete replay. *)

@@ -45,7 +45,13 @@ type t = {
   mutable switches_done : int;
 }
 
-let create vm mode ~switches ~clocks ~inputs ~natives ~picks =
+(* The one record constructor and the one replay constructor. Each takes
+   the five tapes in section order (switches, clocks, inputs, natives,
+   picks): fresh growable ones or a trace's arrays in memory, the writer's
+   sink-wired buffers or the reader's chunk-refilled views on file.
+   Everything downstream — Figure 2, the I/O hooks, leftover accounting —
+   is tape-agnostic. *)
+let create vm mode (tapes : Trace.Tape.t array) =
   (* symmetric initialization: same allocation, same warm-up, both modes *)
   Symmetry.warmup_io ();
   let ring = Ring.create vm () in
@@ -53,11 +59,11 @@ let create vm mode ~switches ~clocks ~inputs ~natives ~picks =
     vm;
     mode;
     ring;
-    switches;
-    clocks;
-    inputs;
-    natives;
-    picks;
+    switches = tapes.(0);
+    clocks = tapes.(1);
+    inputs = tapes.(2);
+    natives = tapes.(3);
+    picks = tapes.(4);
     nyp = 0;
     liveclock = true;
     switch_bit = false;
@@ -65,22 +71,10 @@ let create vm mode ~switches ~clocks ~inputs ~natives ~picks =
     switches_done = 0;
   }
 
-let for_record vm =
-  create vm Record ~switches:(Trace.Tape.create "switches")
-    ~clocks:(Trace.Tape.create "clocks")
-    ~inputs:(Trace.Tape.create "inputs")
-    ~natives:(Trace.Tape.create "natives")
-    ~picks:(Trace.Tape.create "picks")
+let for_record vm tapes = create vm Record tapes
 
-let for_replay vm (trace : Trace.t) =
-  let s =
-    create vm Replay
-      ~switches:(Trace.Tape.of_array "switches" trace.switches)
-      ~clocks:(Trace.Tape.of_array "clocks" trace.clocks)
-      ~inputs:(Trace.Tape.of_array "inputs" trace.inputs)
-      ~natives:(Trace.Tape.of_array "natives" trace.natives)
-      ~picks:(Trace.Tape.of_array "picks" trace.picks)
-  in
+let for_replay vm tapes =
+  let s = create vm Replay tapes in
   (* nyp counts down to the first recorded switch *)
   s.nyp <-
     (match Trace.Tape.read_opt s.switches with
@@ -88,30 +82,9 @@ let for_replay vm (trace : Trace.t) =
     | None -> max_int);
   s
 
-(* Streaming variants: the tapes are the Writer's sink-wired buffers (record)
-   or the Reader's chunk-refilled views (replay), so neither side ever holds
-   a whole tape in memory. Everything downstream — Figure 2, the I/O hooks,
-   leftover accounting — is tape-agnostic and unchanged. *)
-let for_record_stream vm (w : Trace.Writer.t) =
-  let t = Trace.Writer.tapes w in
-  create vm Record ~switches:t.(0) ~clocks:t.(1) ~inputs:t.(2) ~natives:t.(3)
-    ~picks:t.(4)
+let tapes s = [| s.switches; s.clocks; s.inputs; s.natives; s.picks |]
 
-let for_replay_stream vm (r : Trace.Reader.t) =
-  let t = Trace.Reader.tapes r in
-  let s =
-    create vm Replay ~switches:t.(0) ~clocks:t.(1) ~inputs:t.(2) ~natives:t.(3)
-      ~picks:t.(4)
-  in
-  s.nyp <-
-    (match Trace.Tape.read_opt s.switches with
-    | Some d -> d
-    | None -> max_int);
-  s
-
-let streaming (s : t) =
-  Array.exists Trace.Tape.is_streaming
-    [| s.switches; s.clocks; s.inputs; s.natives; s.picks |]
+let streaming (s : t) = Array.exists Trace.Tape.is_streaming (tapes s)
 
 let to_trace ?(analysis_hash = "") (s : t) program_digest : Trace.t =
   {
@@ -140,8 +113,6 @@ type snap = {
   sn_yieldpoints_seen : int;
   sn_switches_done : int;
 }
-
-let tapes s = [| s.switches; s.clocks; s.inputs; s.natives; s.picks |]
 
 (* Checkpoints cut tape cursors/lengths backwards, which a flushed sink or a
    consumed refill chunk cannot honour — the time-travel debugger keeps to
@@ -187,4 +158,4 @@ let leftovers (s : t) : string list =
       let r = Trace.Tape.remaining tape in
       if r > 0 then Some (Fmt.str "%d unconsumed %s words" r tape.Trace.Tape.name)
       else None)
-    [ s.switches; s.clocks; s.inputs; s.natives; s.picks ]
+    (Array.to_list (tapes s))

@@ -34,21 +34,17 @@ type t = {
   mutable switches_done : int;
 }
 
-(** Create a record-mode session: fresh tapes, symmetric initialization
-    (warm-up I/O, ring allocation). *)
-val for_record : Vm.Rt.t -> t
+(** The record-mode session over five tapes in section order (switches,
+    clocks, inputs, natives, picks): {!Trace.new_tapes} for an in-memory
+    recording, [Trace.Writer.tapes] to stream into a file. Symmetric
+    initialization (warm-up I/O, ring allocation). *)
+val for_record : Vm.Rt.t -> Trace.Tape.t array -> t
 
-(** Create a replay-mode session over a trace; primes [nyp] with the first
-    recorded switch delta. *)
-val for_replay : Vm.Rt.t -> Trace.t -> t
-
-(** Record-mode session whose tapes drain into the writer's bounded
-    buffers: recorder-side trace memory stays constant in event count. *)
-val for_record_stream : Vm.Rt.t -> Trace.Writer.t -> t
-
-(** Replay-mode session over the reader's chunk-refilled tapes (O(1)
-    memory in trace length); primes [nyp] like {!for_replay}. *)
-val for_replay_stream : Vm.Rt.t -> Trace.Reader.t -> t
+(** The replay-mode session over five tapes in section order:
+    {!Trace.tapes} of a trace in memory, [Trace.Reader.tapes] to stream
+    from a file. Same initialization as {!for_record}, then primes [nyp]
+    with the first recorded switch delta. *)
+val for_replay : Vm.Rt.t -> Trace.Tape.t array -> t
 
 (** True when any tape is sink- or refill-wired; such sessions refuse
     {!snapshot}/{!restore} (checkpoints cannot rewind flushed data). *)

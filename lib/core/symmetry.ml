@@ -15,37 +15,31 @@
    - logical clock: yield points executed while the instrumentation runs are
      not counted (the liveclock flag in Figure 2). *)
 
-(* Write a small temp file and read it back: both the write path and the
-   read path of the trace I/O get exercised during initialization in BOTH
-   modes, so neither mode performs first-use work the other does not.
-   Memoized per process — first-use compilation only exists once, and the
-   warm-up has no VM-visible effects (it runs before the session's ring is
-   allocated), so repeating the file round-trip on every attach would only
-   tax session setup with ~0.4ms of host I/O. *)
+(* Save a small trace and load it back, through the same [Trace.Writer]
+   and [Trace.Reader] code recording and replay use: both the write path
+   and the read path of the trace I/O get exercised during initialization
+   in BOTH modes, so neither mode performs first-use work the other does
+   not. Memoized per process — first-use compilation only exists once, and
+   the warm-up has no VM-visible effects (it runs before the session's ring
+   is allocated), so repeating the file round-trip on every attach would
+   only tax session setup with host I/O. *)
 let warmup_once () =
-  let sample =
-    Trace.to_bytes
-      {
-        Trace.program_digest = "warmup";
-        analysis_hash = "";
-        switches = [| 1; 2; 3 |];
-        clocks = [| 0; 42 |];
-        inputs = [| 7 |];
-        natives = [||];
-        picks = [||];
-      }
-  in
   let path = Filename.temp_file "dejavu" ".warmup" in
-  let oc = open_out_bin path in
-  output_string oc sample;
-  close_out oc;
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  (try Sys.remove path with Sys_error _ -> ());
-  let rt = Trace.of_bytes s in
-  assert (rt.Trace.program_digest = "warmup")
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Trace.save path
+        {
+          Trace.program_digest = "warmup";
+          analysis_hash = "";
+          switches = [| 1; 2; 3 |];
+          clocks = [| 0; 42 |];
+          inputs = [| 7 |];
+          natives = [||];
+          picks = [||];
+        };
+      let rt = Trace.load path in
+      assert (rt.Trace.program_digest = "warmup"))
 
 (* Not a [Lazy.t]: shard domains attach sessions concurrently, and forcing
    a shared suspension from two domains raises (RacyLazy/Undefined). A

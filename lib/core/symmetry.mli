@@ -3,9 +3,10 @@
     replay modes — allocation, loading/compilation warm-up, eager stack
     growth, and the logical-clock gating. *)
 
-(** Write a small trace file and read it back, exercising both the input
-    and output code paths at initialization in both modes (the paper's
-    "Symmetry in Loading and Compilation"). *)
+(** Save a small trace file and load it back through [Trace.Writer] and
+    [Trace.Reader], exercising the trace output and input code paths at
+    initialization in both modes (the paper's "Symmetry in Loading and
+    Compilation"). Runs once per process; domain-safe. *)
 val warmup_io : unit -> unit
 
 (** Eagerly grow the current thread's stack when headroom falls below the

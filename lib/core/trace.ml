@@ -15,7 +15,12 @@
 
    Tapes are flat integer sequences; the file format is a zigzag-varint
    stream with a header carrying a structural digest of the program so a
-   trace cannot be replayed against the wrong code. *)
+   trace cannot be replayed against the wrong code.
+
+   Each codec job exists once: [to_bytes] is the reference encoder,
+   [Writer] the one file writer (also behind [save]), [Reader] the one
+   decoder (also behind [of_bytes] and [load]); [put_header] serves both
+   encoders. *)
 
 exception End_of_tape of string
 
@@ -35,18 +40,6 @@ module Tape = struct
         (* streaming replay: loads the next chunk; false at end of stream *)
   }
 
-  let create name =
-    {
-      name;
-      data = Array.make 64 0;
-      len = 0;
-      rd = 0;
-      base = 0;
-      pending = 0;
-      sink = None;
-      refill = None;
-    }
-
   let of_array name data =
     {
       name;
@@ -59,34 +52,19 @@ module Tape = struct
       refill = None;
     }
 
+  let create name = { (of_array name (Array.make 64 0)) with len = 0 }
+
   (* A tape draining into [sink]: the buffer is a fixed [cap] words, flushed
      whenever it fills, so a recording holds at most [cap] unflushed words
      per tape regardless of run length. *)
   let with_sink name ~cap sink =
-    {
-      name;
-      data = Array.make (max 1 cap) 0;
-      len = 0;
-      rd = 0;
-      base = 0;
-      pending = 0;
-      sink = Some sink;
-      refill = None;
-    }
+    let t = of_array name (Array.make (max 1 cap) 0) in
+    { t with len = 0; sink = Some sink }
 
   (* A tape filled on demand by [refill]; [pending] is the element count the
      source still holds, so [remaining] stays exact for leftover checks. *)
   let of_refill name ~pending refill =
-    {
-      name;
-      data = [||];
-      len = 0;
-      rd = 0;
-      base = 0;
-      pending;
-      sink = None;
-      refill = Some refill;
-    }
+    { (of_array name [||]) with pending; refill = Some refill }
 
   let is_streaming t = t.sink <> None || t.refill <> None
 
@@ -233,8 +211,8 @@ let put_varint buf v =
    buf]. *)
 type cursor = { buf : Bytes.t; mutable pos : int; mutable lim : int }
 
-(* The one varint decoder: [of_bytes], the streaming reader's header scan
-   and refills, and the wire protocol all go through it.
+(* The one varint decoder: the reader's header scan and refills (and so
+   [of_bytes] and [load]) and the wire protocol all go through it.
 
    A 63-bit zigzagged int needs at most 9 groups of 7 bits, i.e. shifts
    0..56; a 10th continuation byte would shift past bit 62, which [lsl]
@@ -278,107 +256,78 @@ let varint_size v =
   let rec go z n = if z lsr 7 = 0 then n else go (z lsr 7) (n + 1) in
   go z 1
 
-let put_section buf arr =
-  put_varint buf (Array.length arr);
-  Array.iter (put_varint buf) arr
+(* The five sections, in file order. The first four are mandatory; the
+   trailing picks section is written only when non-empty, so every trace
+   without dispatch overrides keeps the original 4-section layout
+   bit-for-bit. *)
+let section_names = [| "switches"; "clocks"; "inputs"; "natives"; "picks" |]
 
+let mandatory_sections = 4
+
+let written i count = i < mandatory_sections || count > 0
+
+let sections (t : t) = [| t.switches; t.clocks; t.inputs; t.natives; t.picks |]
+
+let new_tapes () = Array.map Tape.create section_names
+
+let tapes (t : t) = Array.map2 Tape.of_array section_names (sections t)
+
+(* The header, shared by [to_bytes] and [Writer.finish]. *)
+let put_header buf ~program_digest ~analysis_hash =
+  Buffer.add_string buf magic;
+  put_varint buf (String.length program_digest);
+  Buffer.add_string buf program_digest;
+  put_varint buf (String.length analysis_hash);
+  Buffer.add_string buf analysis_hash
+
+(* The reference encoder: the whole trace in one string. [Writer] must
+   write the same bytes; the two share only [put_header] and [put_varint],
+   so a test comparing them checks the writer's section layout against an
+   independent one. *)
 let to_bytes (t : t) : string =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  put_varint buf (String.length t.program_digest);
-  Buffer.add_string buf t.program_digest;
-  put_varint buf (String.length t.analysis_hash);
-  Buffer.add_string buf t.analysis_hash;
-  put_section buf t.switches;
-  put_section buf t.clocks;
-  put_section buf t.inputs;
-  put_section buf t.natives;
-  (* the picks section is written only when present, so every trace without
-     dispatch overrides keeps the original 4-section layout bit-for-bit *)
-  if Array.length t.picks > 0 then put_section buf t.picks;
+  put_header buf ~program_digest:t.program_digest
+    ~analysis_hash:t.analysis_hash;
+  Array.iteri
+    (fun i arr ->
+      if written i (Array.length arr) then begin
+        put_varint buf (Array.length arr);
+        Array.iter (put_varint buf) arr
+      end)
+    (sections t);
   Buffer.contents buf
-
-let of_bytes (s : string) : t =
-  let ml = String.length magic in
-  if String.length s < ml || String.sub s 0 ml <> magic then
-    raise (Format_error "bad magic");
-  let c = { buf = Bytes.unsafe_of_string s; pos = ml; lim = String.length s } in
-  let str_field what =
-    let n = read_varint c in
-    if n < 0 || n > c.lim - c.pos then
-      raise (Format_error (Fmt.str "bad %s length" what));
-    let f = String.sub s c.pos n in
-    c.pos <- c.pos + n;
-    f
-  in
-  let program_digest = str_field "digest" in
-  let analysis_hash = str_field "analysis-hash" in
-  let section () =
-    let n = read_varint c in
-    let n = check_count n ~avail:(c.lim - c.pos) in
-    Array.init n (fun _ -> read_varint c)
-  in
-  let switches = section () in
-  let clocks = section () in
-  let inputs = section () in
-  let natives = section () in
-  let picks = if c.pos = c.lim then [||] else section () in
-  if c.pos <> c.lim then raise (Format_error "trailing bytes");
-  { program_digest; analysis_hash; switches; clocks; inputs; natives; picks }
 
 (* Byte size of the serialized form, computed arithmetically — no buffer is
    materialized, so statistics on a large trace cost no allocation spike. *)
 let encoded_size (t : t) : int =
-  let section arr =
-    Array.fold_left
-      (fun acc v -> acc + varint_size v)
-      (varint_size (Array.length arr))
-      arr
+  let field s = varint_size (String.length s) + String.length s in
+  let section i arr =
+    if not (written i (Array.length arr)) then 0
+    else
+      Array.fold_left
+        (fun acc v -> acc + varint_size v)
+        (varint_size (Array.length arr))
+        arr
   in
-  String.length magic
-  + varint_size (String.length t.program_digest)
-  + String.length t.program_digest
-  + varint_size (String.length t.analysis_hash)
-  + String.length t.analysis_hash
-  + section t.switches + section t.clocks + section t.inputs
-  + section t.natives
-  + (if Array.length t.picks > 0 then section t.picks else 0)
+  String.length magic + field t.program_digest + field t.analysis_hash
+  + Array.fold_left ( + ) 0 (Array.mapi section (sections t))
 
-(* Write via a temp file and atomic rename: a crash (or cancellation)
-   mid-write never leaves a truncated trace under the final name. *)
-let save path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (to_bytes t))
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
-let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_bytes s
+(* Statistics from per-section element counts, in section order. *)
+let sizes_of_counts counts ~total_bytes =
+  {
+    n_switches = counts.(0);
+    n_clock_reads = counts.(1) / 2;
+    n_inputs = counts.(2);
+    n_native_words = counts.(3);
+    n_picks = counts.(4);
+    total_words = Array.fold_left ( + ) 0 counts;
+    total_bytes;
+  }
 
 let sizes (t : t) : sizes =
-  let total_words =
-    Array.length t.switches + Array.length t.clocks + Array.length t.inputs
-    + Array.length t.natives + Array.length t.picks
-  in
-  {
-    n_switches = Array.length t.switches;
-    n_clock_reads = Array.length t.clocks / 2;
-    n_inputs = Array.length t.inputs;
-    n_native_words = Array.length t.natives;
-    n_picks = Array.length t.picks;
-    total_words;
-    total_bytes = encoded_size t;
-  }
+  sizes_of_counts
+    (Array.map Array.length (sections t))
+    ~total_bytes:(encoded_size t)
 
 let pp_sizes ppf s =
   Fmt.pf ppf
@@ -389,21 +338,16 @@ let pp_sizes ppf s =
 
 (* --- streaming writer -------------------------------------------------- *)
 
-(* The DJVU2 layout prefixes each section with its element count, which is
-   unknown until the run ends — so each tape's sink varint-encodes flushed
-   elements into its stream's in-memory buffer, and [finish] writes header,
-   counts and encoded bytes into [path.tmp] (opened at [create]) and renames
-   it into place. A stream whose buffer passes [cap] bytes appends it to
-   the one scratch file [path.spill], opened on the first spill; [finish]
-   copies the chunks back in order. The result is byte-identical to
-   [to_bytes] of the materialized trace. *)
+(* The one file writer ([save] goes through it too). The DJVU2 layout
+   prefixes each section with its element count, which is unknown until
+   the run ends — so each tape's sink varint-encodes flushed elements into
+   its stream's in-memory buffer, and [finish] writes header, counts and
+   encoded bytes into [path.tmp] (opened at [create]) and renames it into
+   place. A stream whose buffer passes [cap] bytes appends it to the one
+   scratch file [path.spill], opened on the first spill; [finish] copies
+   the chunks back in order. The result is byte-identical to [to_bytes] of
+   the materialized trace. *)
 module Writer = struct
-  (* The first four sections are mandatory in the file; the trailing picks
-     section is stitched in only when non-empty (mirroring [to_bytes]). *)
-  let stream_names = [| "switches"; "clocks"; "inputs"; "natives"; "picks" |]
-
-  let mandatory_streams = 4
-
   type stream = {
     w_buf : Buffer.t; (* encoded elements not yet spilled *)
     mutable w_chunks : (int * int) list;
@@ -452,7 +396,7 @@ module Writer = struct
     let streams =
       Array.map
         (fun _ -> { w_buf = Buffer.create 256; w_chunks = []; w_count = 0 })
-        stream_names
+        section_names
     in
     let w =
       {
@@ -480,7 +424,7 @@ module Writer = struct
               done;
               s.w_count <- s.w_count + len;
               if Buffer.length s.w_buf >= w.cap then spill w s))
-        stream_names
+        section_names
     in
     w.w_tapes <- tapes;
     w
@@ -520,15 +464,11 @@ module Writer = struct
           ~finally:(fun () -> Option.iter close_in_noerr spilled)
           (fun () ->
             let b = Buffer.create 64 in
-            Buffer.add_string b magic;
-            put_varint b (String.length program_digest);
-            Buffer.add_string b program_digest;
-            put_varint b (String.length analysis_hash);
-            Buffer.add_string b analysis_hash;
+            put_header b ~program_digest ~analysis_hash;
             Buffer.output_buffer w.tmp b;
             Array.iteri
               (fun i s ->
-                if i < mandatory_streams || s.w_count > 0 then begin
+                if written i s.w_count then begin
                   Buffer.clear b;
                   put_varint b s.w_count;
                   Buffer.output_buffer w.tmp b;
@@ -553,21 +493,13 @@ module Writer = struct
     in
     if Option.is_some w.spill then remove (spill_path w);
     w.closed <- true;
-    let count i = w.streams.(i).w_count in
-    {
-      n_switches = count 0;
-      n_clock_reads = count 1 / 2;
-      n_inputs = count 2;
-      n_native_words = count 3;
-      n_picks = count 4;
-      total_words = Array.fold_left (fun acc s -> acc + s.w_count) 0 w.streams;
-      total_bytes;
-    }
+    sizes_of_counts (Array.map (fun s -> s.w_count) w.streams) ~total_bytes
 end
 
 (* --- streaming reader -------------------------------------------------- *)
 
-(* Replays a trace file through chunked tapes. [open_file] finds each
+(* The one decoder ([of_bytes] and [load] drain it). It reads through a
+   byte source, a file or a string in memory. [open_source] finds each
    section's byte range [start, stop) in one pass over 64 KiB windows,
    counting varint terminators without decoding; a refill then reads at
    most [9 * chunk_words] bytes of its section into a shared scratch buffer
@@ -576,12 +508,20 @@ end
 module Reader = struct
   type section = { mutable offset : int; stop : int; mutable left : int }
 
+  (* [read_at at buf n] copies the source's [n] bytes at offset [at] into
+     [buf]; the length was measured at open, so running short means a file
+     shrank since. *)
+  type source = {
+    length : int;
+    read_at : int -> Bytes.t -> int -> unit;
+    release : unit -> unit;
+  }
+
   type t = {
-    ic : in_channel;
+    src : source;
     r_digest : string;
     r_hash : string;
     r_tapes : Tape.t array;
-    r_counts : int array;
     mutable r_closed : bool;
   }
 
@@ -589,36 +529,50 @@ module Reader = struct
 
   let window_bytes = 65536
 
-  (* [n] bytes at file offset [at] into [buf]; the file was measured at
-     open, so running short means it shrank since. *)
-  let read_at ic ~at buf n =
-    seek_in ic at;
-    try really_input ic buf 0 n
-    with End_of_file -> raise (Format_error "truncated section")
-
-  let open_file ?(chunk_words = default_chunk_words) path =
-    let chunk_words = max 1 chunk_words in
+  let file_source path =
     let ic = open_in_bin path in
+    let release () = close_in_noerr ic in
+    match in_channel_length ic with
+    | exception e ->
+      release ();
+      raise e
+    | length ->
+      let read_at at buf n =
+        seek_in ic at;
+        try really_input ic buf 0 n
+        with End_of_file -> raise (Format_error "truncated section")
+      in
+      { length; read_at; release }
+
+  let string_source s =
+    let read_at at buf n =
+      if at + n > String.length s then raise (Format_error "truncated section");
+      Bytes.blit_string s at buf 0 n
+    in
+    { length = String.length s; read_at; release = ignore }
+
+  let open_source ?(chunk_words = default_chunk_words) src =
+    let chunk_words = max 1 chunk_words in
     match
-      let file_len = in_channel_length ic in
-      (* the window holds file bytes [off, off + w.lim); [w.pos] is the
+      let src_len = src.length in
+      (* the window holds source bytes [off, off + w.lim); [w.pos] is the
          parse point within it *)
       let w =
-        { buf = Bytes.create (min window_bytes file_len); pos = 0; lim = 0 }
+        { buf = Bytes.create (min window_bytes src_len); pos = 0; lim = 0 }
       in
       let off = ref 0 in
       let at () = !off + w.pos in
       let reload () =
         let a = at () in
-        let n = min (Bytes.length w.buf) (file_len - a) in
-        read_at ic ~at:a w.buf n;
+        let n = min (Bytes.length w.buf) (src_len - a) in
+        src.read_at a w.buf n;
         off := a;
         w.pos <- 0;
         w.lim <- n
       in
       (* make [n] bytes readable at the parse point, or all that remain *)
       let ensure n =
-        if w.lim - w.pos < n && !off + w.lim < file_len then reload ()
+        if w.lim - w.pos < n && !off + w.lim < src_len then reload ()
       in
       let varint () =
         ensure 10;
@@ -631,7 +585,7 @@ module Reader = struct
       w.pos <- ml;
       let str_field what =
         let n = varint () in
-        if n < 0 || n > file_len - at () then
+        if n < 0 || n > src_len - at () then
           raise (Format_error (Fmt.str "bad %s length" what));
         ensure n;
         if n <= w.lim - w.pos then begin
@@ -640,12 +594,12 @@ module Reader = struct
         end
         else begin
           (* longer than the window: read it directly, restart after it *)
-          seek_in ic (at ());
-          let s = really_input_string ic n in
+          let s = Bytes.create n in
+          src.read_at (at ()) s n;
           off := at () + n;
           w.pos <- 0;
           w.lim <- 0;
-          s
+          Bytes.unsafe_to_string s
         end
       in
       let r_digest = str_field "digest" in
@@ -654,7 +608,7 @@ module Reader = struct
          malformed interiors surface as Format_error at refill time *)
       let section () =
         let count = varint () in
-        let count = check_count count ~avail:(file_len - at ()) in
+        let count = check_count count ~avail:(src_len - at ()) in
         let start = at () in
         let left = ref count in
         while !left > 0 do
@@ -671,14 +625,14 @@ module Reader = struct
         (count, { offset = start; stop = at (); left = count })
       in
       let sections =
-        Array.init (Array.length Writer.stream_names) (fun i ->
+        Array.init (Array.length section_names) (fun i ->
             (* the trailing picks section is optional: absent entirely in
                traces from ordinary recordings *)
-            if i < Writer.mandatory_streams || at () < file_len then section ()
+            if i < mandatory_sections || at () < src_len then section ()
             else (0, { offset = at (); stop = at (); left = 0 }))
       in
-      if at () <> file_len then raise (Format_error "trailing bytes");
-      let scratch = Bytes.create (min (9 * chunk_words) file_len) in
+      if at () <> src_len then raise (Format_error "trailing bytes");
+      let scratch = Bytes.create (min (9 * chunk_words) src_len) in
       let r_tapes =
         Array.mapi
           (fun i name ->
@@ -688,7 +642,7 @@ module Reader = struct
                 else begin
                   let k = min chunk_words sec.left in
                   let n = min (9 * k) (sec.stop - sec.offset) in
-                  read_at ic ~at:sec.offset scratch n;
+                  src.read_at sec.offset scratch n;
                   let c = { buf = scratch; pos = 0; lim = n } in
                   if Array.length t.data < k then
                     t.data <- Array.make (min chunk_words count) 0;
@@ -703,15 +657,16 @@ module Reader = struct
                   t.pending <- sec.left;
                   true
                 end))
-          Writer.stream_names
+          section_names
       in
-      let r_counts = Array.map fst sections in
-      { ic; r_digest; r_hash; r_tapes; r_counts; r_closed = false }
+      { src; r_digest; r_hash; r_tapes; r_closed = false }
     with
     | r -> r
     | exception e ->
-      close_in_noerr ic;
+      src.release ();
       raise e
+
+  let open_file ?chunk_words path = open_source ?chunk_words (file_source path)
 
   let program_digest r = r.r_digest
 
@@ -719,11 +674,52 @@ module Reader = struct
 
   let tapes r = r.r_tapes
 
-  let counts r = r.r_counts
-
   let close r =
     if not r.r_closed then begin
       r.r_closed <- true;
-      close_in_noerr r.ic
+      r.src.release ()
     end
 end
+
+(* --- whole traces ------------------------------------------------------ *)
+
+(* Open a reader over [src] and drain every tape into an array. *)
+let read_all src =
+  let r = Reader.open_source src in
+  Fun.protect
+    ~finally:(fun () -> Reader.close r)
+    (fun () ->
+      let a =
+        Array.map
+          (fun tp -> Array.init (Tape.remaining tp) (fun _ -> Tape.read tp))
+          (Reader.tapes r)
+      in
+      {
+        program_digest = Reader.program_digest r;
+        analysis_hash = Reader.analysis_hash r;
+        switches = a.(0);
+        clocks = a.(1);
+        inputs = a.(2);
+        natives = a.(3);
+        picks = a.(4);
+      })
+
+let of_bytes s = read_all (Reader.string_source s)
+
+let load path = read_all (Reader.file_source path)
+
+(* Through the writer: temp file and atomic rename, so a crash mid-write
+   never leaves a truncated trace under the final name. *)
+let save path (t : t) =
+  let w = Writer.create path in
+  match
+    Array.iter2
+      (fun tape sec -> Array.iter (Tape.push tape) sec)
+      (Writer.tapes w) (sections t);
+    Writer.finish w ~program_digest:t.program_digest
+      ~analysis_hash:t.analysis_hash
+  with
+  | _ -> ()
+  | exception e ->
+    Writer.abort w;
+    raise e

@@ -8,17 +8,24 @@
       switches (Figure 2);
     - clocks: (reason, value) pairs for every wall-clock read;
     - inputs: external input values;
-    - natives: native-call outcomes (result and callback parameters).
+    - natives: native-call outcomes (result and callback parameters);
+    - picks: dispatch-override decisions, recorded only under a controlled
+      scheduler (an optional trailing section, absent when empty).
 
     Tapes are flat integer sequences; the file format is a zigzag-varint
     stream with a header carrying the program's structural digest so a
-    trace cannot be replayed against the wrong code. *)
+    trace cannot be replayed against the wrong code.
+
+    Codec contract: {!to_bytes} is the reference encoder; {!Writer} is the
+    one file writer (also behind {!save}); {!Reader} is the one decoder
+    (also behind {!of_bytes} and {!load}). *)
 
 (** Raised when a replay consumes past the end of a tape; the payload is
     the tape name. *)
 exception End_of_tape of string
 
-(** Raised by {!of_bytes} on a malformed trace. *)
+(** Raised on a malformed trace by every decoder: {!of_bytes}, {!load},
+    {!Reader.open_file} and the reader's tape refills, and {!get_varint}. *)
 exception Format_error of string
 
 (** Growable integer sequences with an independent read cursor. A tape can
@@ -123,18 +130,28 @@ val get_varint : string -> int -> int * int
 (** Encoded byte size of one value, without producing the bytes. *)
 val varint_size : int -> int
 
+(** Five fresh growable tapes, in section order: an in-memory recording. *)
+val new_tapes : unit -> Tape.t array
+
+(** The trace's sections as readable tapes, in section order: an
+    in-memory replay. *)
+val tapes : t -> Tape.t array
+
+(** The reference encoder. {!Writer} writes the same bytes. *)
 val to_bytes : t -> string
 
+(** Decode a whole trace held in memory (a drained {!Reader}). *)
 val of_bytes : string -> t
 
 (** Byte size of the serialized form, computed arithmetically (no buffer is
     materialized). Always equals [String.length (to_bytes t)]. *)
 val encoded_size : t -> int
 
-(** Atomic write: temp file + rename, so a crash mid-write never leaves a
-    truncated trace under the final name. *)
+(** Write a trace file through {!Writer}: temp file + atomic rename, so a
+    crash mid-write never leaves a truncated trace under the final name. *)
 val save : string -> t -> unit
 
+(** Read a whole trace file (a drained {!Reader}). *)
 val load : string -> t
 
 val sizes : t -> sizes
@@ -169,9 +186,6 @@ module Writer : sig
   (** High-water mark of words buffered in memory across all tapes. *)
   val peak_buffered_words : t -> int
 
-  (** Words currently buffered in the tapes (bounded by 5 x buf_words). *)
-  val buffered_words : t -> int
-
   (** Flush tails, write the final file, atomic-rename it into place,
       remove the spill file if any; returns the trace statistics (tracked
       incrementally — the trace is never materialized). *)
@@ -182,12 +196,13 @@ module Writer : sig
   val abort : t -> unit
 end
 
-(** Bounded-memory trace reader: parses the header and locates each
+(** The one trace decoder, bounded in memory. It reads a file, or a string
+    in memory for {!of_bytes}: it parses the header and locates each
     section's byte range in one pass over 64 KiB blocks, counting varint
     terminators without decoding, then serves each tape in
-    [chunk_words]-element chunks refilled on demand, one seek and one block
-    read per refill. Resident memory is O(block + chunk), constant in trace
-    length. Raises {!Format_error} on a truncated or corrupted file. *)
+    [chunk_words]-element chunks refilled on demand, one block read per
+    refill. Resident memory is O(block + chunk), constant in trace length.
+    Raises {!Format_error} on a truncated or corrupted trace. *)
 module Reader : sig
   type t
 
@@ -203,9 +218,6 @@ module Reader : sig
       inputs, natives, picks (served empty when the file predates the
       optional picks section). *)
   val tapes : t -> Tape.t array
-
-  (** Per-section element counts from the header scan. *)
-  val counts : t -> int array
 
   val close : t -> unit
 end

@@ -1,9 +1,12 @@
 (* The jobs a farm shard knows how to run. Each runs one VM to completion
    in fuel-bounded slices, polling [ctx.should_stop] between slices so
-   cancellation and deadlines take effect mid-program, and never leaves a
-   partial trace file behind (streaming writer: one temp file, a spill
-   file only past 64 KiB per stream, atomic rename; aborted on any
-   exception).
+   cancellation and deadlines take effect mid-program. Record and replay
+   jobs go through the same cores as [Dejavu.record_to]/[replay_from]:
+   [Dejavu.record_into], the file-record bracket, never leaves a partial
+   trace file behind (one temp file, a spill file only past 64 KiB per
+   stream, atomic rename; aborted on any exception), and
+   [Dejavu.replay_guard] turns a rejected trace or a divergence into a
+   [Fatal] status.
 
    Two ways to get the VM: cold — [Vm.create] per job, the original farm
    behaviour and still the reference the warm path is tested against — or
@@ -14,8 +17,6 @@
    placement policy the dispatcher routes submissions with. *)
 
 module Trace = Dejavu.Trace
-module Session = Dejavu.Session
-module Recorder = Dejavu.Recorder
 module Replayer = Dejavu.Replayer
 
 type spec =
@@ -72,9 +73,6 @@ let find workload =
   | Some e -> e
   | None -> failwith ("unknown workload " ^ workload)
 
-let with_seed seed (config : Vm.Rt.config) =
-  { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-
 (* The replay side always runs under one fixed seed: every environment
    reading comes from the trace, so the seed is inert — but keeping it
    constant makes warm replay VMs trivially baseline-compatible. *)
@@ -87,7 +85,7 @@ let boot_vm ?pool ~config (e : Workloads.Registry.entry) ~seed =
   match pool with
   | Some p -> Warm.acquire p e ~seed
   | None ->
-    let config = with_seed seed config in
+    let config = Dejavu.with_seed seed config in
     Vm.create ~config ~natives:e.natives e.program
 
 (* Run the VM to completion in [slice]-instruction hops, checking for
@@ -127,55 +125,54 @@ let simple ~status ~digest ~words =
     o_flags = 0;
   }
 
-(* Streamed record; returns the finished VM too so roundtrip can compare
-   states without recording twice. *)
+(* Streamed record through the one file-record bracket; returns the
+   finished VM too so roundtrip can compare states without recording
+   twice. *)
 let record_impl ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
     ~seed ~out =
   let vm = boot_vm ?pool ~config e ~seed in
-  let writer = Trace.Writer.create out in
-  match
-    let session = Recorder.attach_stream vm writer in
-    drive ~slice ctx vm;
-    let sizes = Recorder.finish_stream session writer in
-    (Vm.string_of_status (Vm.status vm), sizes)
-  with
-  | status, sizes ->
-    note_size ?est e vm;
-    ( simple ~status
-        ~digest:(Digest.to_hex (Digest.file out))
-        ~words:sizes.Trace.total_words,
-      vm )
-  | exception exn ->
-    Trace.Writer.abort writer;
-    raise exn
+  let status, sizes =
+    Dejavu.record_into vm (Trace.Writer.create out) (fun _ ->
+        drive ~slice ctx vm;
+        Vm.string_of_status (Vm.status vm))
+  in
+  note_size ?est e vm;
+  ( simple ~status
+      ~digest:(Digest.to_hex (Digest.file out))
+      ~words:sizes.Trace.total_words,
+    vm )
 
 let run_record ~slice ~config ?pool ?est ctx e ~seed ~out =
   fst (record_impl ~slice ~config ?pool ?est ctx e ~seed ~out)
 
-let run_replay ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
+(* Streamed replay through the one replay guard; returns the replayed VM's
+   status too, so roundtrip judges it by its type. A rejected trace
+   reports no digest and no leftovers. *)
+let replay_impl ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
     ~trace =
   let vm = boot_vm ?pool ~config e ~seed:replay_seed in
   let reader = Trace.Reader.open_file trace in
-  Fun.protect
-    ~finally:(fun () -> Trace.Reader.close reader)
-    (fun () ->
-      match Replayer.attach_stream vm reader with
-      | exception Session.Divergence msg ->
-        simple
-          ~status:("fatal: replay divergence: " ^ msg)
-          ~digest:"" ~words:0
-      | session ->
-        (try drive ~slice ctx vm with
-        | Session.Divergence msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
-        | Vm.Sched.Sched_error msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg));
-        let leftovers = Replayer.check_complete session in
-        note_size ?est e vm;
-        simple
-          ~status:(Vm.string_of_status (Vm.status vm))
-          ~digest:(state_digest_hex vm)
-          ~words:(List.length leftovers))
+  let session, leftovers =
+    Fun.protect
+      ~finally:(fun () -> Trace.Reader.close reader)
+      (fun () ->
+        Dejavu.replay_guard vm
+          ~attach:(fun () -> Replayer.attach_stream vm reader)
+          ~drive:(fun () -> drive ~slice ctx vm))
+  in
+  let status = Vm.string_of_status (Vm.status vm) in
+  let out =
+    match session with
+    | None -> simple ~status ~digest:"" ~words:0
+    | Some _ ->
+      note_size ?est e vm;
+      simple ~status ~digest:(state_digest_hex vm)
+        ~words:(List.length leftovers)
+  in
+  (out, Vm.status vm)
+
+let run_replay ~slice ~config ?pool ?est ctx e ~trace =
+  fst (replay_impl ~slice ~config ?pool ?est ctx e ~trace)
 
 (* Record to a shard-private temp file, replay it back, compare states.
    The temp file never outlives the job. The recorded VM's digest is taken
@@ -191,12 +188,13 @@ let run_roundtrip ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
         record_impl ~slice ~config ?pool ?est ctx e ~seed ~out:tmp
       in
       let rec_vm_digest = state_digest_hex rec_vm in
-      let replayed = run_replay ~slice ~config ?pool ctx e ~trace:tmp in
+      let replayed, status =
+        replay_impl ~slice ~config ?pool ctx e ~trace:tmp
+      in
       let ok =
         replayed.o_words = 0
         && String.equal rec_vm_digest replayed.o_digest
-        && not (String.length replayed.o_status >= 5
-                && String.sub replayed.o_status 0 5 = "fatal")
+        && match status with Vm.Rt.Fatal _ -> false | _ -> true
       in
       simple
         ~status:(if ok then "ok" else "mismatch")

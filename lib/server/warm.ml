@@ -62,9 +62,6 @@ let create ?(cap = 32) ?(config = Vm.Rt.default_config)
     evictions = 0;
   }
 
-let with_seed seed (config : Vm.Rt.config) =
-  { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-
 let evict_lru t =
   let victim =
     Hashtbl.fold
@@ -98,7 +95,7 @@ let acquire t (e : Workloads.Registry.entry) ~seed : Vm.t =
     t.misses <- t.misses + 1;
     t.note ~hit:false;
     if Hashtbl.length t.table >= t.cap then evict_lru t;
-    let config = with_seed seed t.config in
+    let config = Dejavu.with_seed seed t.config in
     let vm = Vm.create ~config ~natives:e.natives e.program in
     (* snapshot before anything runs or draws: this baseline, restored and
        reseeded, must equal a fresh create under any seed *)

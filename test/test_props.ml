@@ -43,6 +43,41 @@ let decodes_or_format_error s =
   | _, pos -> pos <= String.length s
   | exception Dejavu.Trace.Format_error _ -> true
 
+(* The whole-trace decoders on [v] as the one element of the natives
+   section, from memory and from a file with the same bytes: each either
+   decodes or raises Format_error (with [strict], must raise it). *)
+let trace_decoders_on ?(strict = false) v =
+  let empty =
+    {
+      Dejavu.Trace.program_digest = "prop";
+      analysis_hash = "";
+      switches = [||];
+      clocks = [||];
+      inputs = [||];
+      natives = [||];
+      picks = [||];
+    }
+  in
+  let header = Dejavu.Trace.to_bytes empty in
+  (* natives count 0 -> 1 (zigzag 2), then [v] *)
+  let s = String.sub header 0 (String.length header - 1) ^ "\x02" ^ v in
+  let path = Filename.temp_file "dvprop" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc s;
+      close_out oc;
+      List.for_all
+        (fun decode ->
+          match decode () with
+          | _ -> not strict
+          | exception Dejavu.Trace.Format_error _ -> true)
+        [
+          (fun () -> Dejavu.Trace.of_bytes s);
+          (fun () -> Dejavu.Trace.load path);
+        ])
+
 let prop_varint_truncated =
   qtest ~count:500 "truncated varints yield Format_error"
     (QCheck.make ~print:string_of_int extreme_int_gen) (fun v ->
@@ -52,9 +87,10 @@ let prop_varint_truncated =
       (* every proper prefix that still ends mid-value must be rejected *)
       List.for_all
         (fun k ->
-          match Dejavu.Trace.get_varint (String.sub s 0 k) 0 with
+          (match Dejavu.Trace.get_varint (String.sub s 0 k) 0 with
           | exception Dejavu.Trace.Format_error _ -> true
           | _ -> false)
+          && trace_decoders_on ~strict:true (String.sub s 0 k))
         (List.init (String.length s - 1) (fun k -> k)))
 
 let prop_varint_oversized =
@@ -63,9 +99,10 @@ let prop_varint_oversized =
     (fun n ->
       (* n continuation bytes (>= 9 shifts past bit 56) then a terminator *)
       let s = String.make n '\xff' ^ "\x01" in
-      match Dejavu.Trace.get_varint s 0 with
+      (match Dejavu.Trace.get_varint s 0 with
       | exception Dejavu.Trace.Format_error _ -> true
       | _ -> false)
+      && trace_decoders_on ~strict:true s)
 
 let prop_varint_noncanonical =
   qtest ~count:500 "non-canonical trailing 0x00 yields Format_error"
@@ -74,16 +111,17 @@ let prop_varint_noncanonical =
       (* n continuation bytes then a zero final byte: decodes to a value
          the encoder would have written shorter — must be rejected *)
       let s = String.make n '\x81' ^ "\x00" in
-      match Dejavu.Trace.get_varint s 0 with
+      (match Dejavu.Trace.get_varint s 0 with
       | exception Dejavu.Trace.Format_error _ -> true
       | _ -> false)
+      && trace_decoders_on ~strict:true s)
 
 let garbage_gen =
   QCheck.string_gen_of_size (QCheck.Gen.int_range 0 24) QCheck.Gen.char
 
 let prop_varint_garbage_total =
   qtest ~count:2000 "arbitrary bytes: decode or Format_error, never a crash"
-    garbage_gen decodes_or_format_error
+    garbage_gen (fun s -> decodes_or_format_error s && trace_decoders_on s)
 
 let arr_gen = QCheck.(array_of_size (Gen.int_bound 200) int)
 

@@ -25,6 +25,30 @@ let trace_eq a b =
   && a.T.natives = b.T.natives
   && a.T.picks = b.T.picks
 
+let with_tmp f =
+  let path = Filename.temp_file "dvtest" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* A malformed trace must fail with Format_error from memory and from a
+   file holding the same bytes. *)
+let rejects what s =
+  let check decoder decode =
+    match decode () with
+    | exception T.Format_error _ -> ()
+    | _ -> Alcotest.failf "%s accepted by %s" what decoder
+  in
+  check "of_bytes" (fun () -> T.of_bytes s);
+  with_tmp (fun path ->
+      write_file path s;
+      check "load" (fun () -> T.load path))
+
 (* --- Tape --------------------------------------------------------------- *)
 
 let test_tape_push_read () =
@@ -115,16 +139,10 @@ let test_picks_optional_section () =
   Alcotest.(check int)
     "sizes counts picks" 3 (T.sizes with_picks).T.n_picks
 
-let test_bad_magic () =
-  match T.of_bytes "NOPE\nxxxxx" with
-  | exception T.Format_error _ -> ()
-  | _ -> Alcotest.fail "bad magic accepted"
+let test_bad_magic () = rejects "bad magic" "NOPE\nxxxxx"
 
 let test_trailing_bytes () =
-  let s = T.to_bytes (mk ()) ^ "junk" in
-  match T.of_bytes s with
-  | exception T.Format_error _ -> ()
-  | _ -> Alcotest.fail "trailing bytes accepted"
+  rejects "trailing bytes" (T.to_bytes (mk ()) ^ "junk")
 
 let test_truncation () =
   let s = T.to_bytes (mk ~switches:[| 1; 2; 3 |] ()) in
@@ -136,12 +154,8 @@ let test_truncation () =
   Buffer.add_string buf (String.sub header 0 (String.length header - 4));
   T.put_varint buf (1 lsl 40);
   Buffer.add_string buf "\x00\x00\x00\x00";
-  List.iter
-    (fun s ->
-      match T.of_bytes s with
-      | exception T.Format_error _ -> ()
-      | _ -> Alcotest.fail "truncated trace accepted")
-    [ cut; Buffer.contents buf ]
+  rejects "truncated trace" cut;
+  rejects "section count past the end" (Buffer.contents buf)
 
 let test_save_load () =
   let t = mk ~switches:[| 9; 8; 7 |] ~inputs:[| 1 |] () in
@@ -187,12 +201,6 @@ let test_reason_tags () =
   Alcotest.(check string) "name" "sched" (T.reason_name 1)
 
 (* --- streaming writer / reader ----------------------------------------- *)
-
-let with_tmp f =
-  let path = Filename.temp_file "dvtest" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
 
 let sample_trace () =
   mk ~digest:"prog" ~analysis_hash:"audit"
@@ -352,11 +360,6 @@ let test_reader_corrupt () =
 
 (* --- block reader and single-file writer ---------------------------------- *)
 
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 (* every tape of [r] read to its end, in section order *)
 let drain_all r =
   Array.map
@@ -434,7 +437,10 @@ let test_reader_window_edges () =
   Alcotest.(check bool)
     "three windows before natives" true
     (String.length bytes > 3 * window);
-  let expect = sections (T.of_bytes bytes) in
+  let expect = sections t in
+  Alcotest.(check bool)
+    "of_bytes across windows" true
+    (trace_eq t (T.of_bytes bytes));
   (* a reader that loops at a window edge fails here instead of hanging *)
   within_seconds 60 @@ fun () ->
   with_tmp (fun path ->
@@ -446,7 +452,7 @@ let test_reader_window_edges () =
             ~finally:(fun () -> T.Reader.close r)
             (fun () ->
               Alcotest.(check bool)
-                "drained = of_bytes" true
+                "drained = source arrays" true
                 (drain_all r = expect)))
         [ Some 1; Some 7; None ];
       List.iter
