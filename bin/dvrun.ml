@@ -311,7 +311,17 @@ let dump_cmd =
                  (List.length o.Vm.Rt.no_callbacks)
              done
            with Dejavu.Trace.End_of_tape _ | Dejavu.Trace.Format_error _ ->
-             Fmt.pr "(malformed native tape)@."))
+             Fmt.pr "(malformed native tape)@.");
+          (* explorer traces steer the scheduler: one tid per dispatch *)
+          if t.Dejavu.Trace.picks <> [||] then begin
+            Fmt.pr "@.-- dispatch picks --@.";
+            Array.iteri
+              (fun k tid ->
+                Fmt.pr "%6d" tid;
+                if (k + 1) mod 10 = 0 then Fmt.pr "@.")
+              t.Dejavu.Trace.picks;
+            Fmt.pr "@."
+          end)
       $ in_arg)
 
 (* --- lint: static race audit (lockset + thread-escape) --- *)

@@ -7,7 +7,13 @@
    bumped on EVERY instruction (the prohibitive part), and replay compares
    against the recorded target on every instruction. Preemption still takes
    effect at the next yield point, so the identified positions coincide
-   with DejaVu's — only the identification cost differs. *)
+   with DejaVu's — only the identification cost differs.
+
+   The counter rides the per-instruction observer hook, chained after any
+   observer already attached (attach the event-digest observer first).
+   Regions deliver a segment's events before its effects, so the count
+   seen at a yield point always includes the yield instruction itself,
+   exactly as on the stack tier. *)
 
 type mode = Record | Replay
 
@@ -20,6 +26,17 @@ type t = {
   mutable fire : bool; (* replay: the countdown expired *)
   mutable target : int; (* replay: icount value of the next switch *)
 }
+
+(* Run [f] once per instruction, after the observer already attached. *)
+let chain_observer (vm : Vm.Rt.t) f =
+  vm.hooks.h_observe <-
+    (match vm.hooks.h_observe with
+    | None -> Some (fun _vm _tid _uid _pc _tag -> f ())
+    | Some g ->
+      Some
+        (fun vm tid uid pc tag ->
+          g vm tid uid pc tag;
+          f ()))
 
 let attach_record (vm : Vm.Rt.t) : t =
   let session = Dejavu.Session.for_record vm (Dejavu.Trace.new_tapes ()) in
@@ -35,7 +52,7 @@ let attach_record (vm : Vm.Rt.t) : t =
       target = -1;
     }
   in
-  vm.hooks.h_instr <- Some (fun _vm -> b.icount <- b.icount + 1);
+  chain_observer vm (fun () -> b.icount <- b.icount + 1);
   vm.hooks.h_yieldpoint <-
     (fun vm ->
       if vm.preempt_pending then begin
@@ -65,11 +82,9 @@ let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t)
     }
   in
   b.target <- (match Dejavu.Tape.read_opt b.deltas with Some d -> d | None -> -1);
-  vm.hooks.h_instr <-
-    Some
-      (fun _vm ->
-        b.icount <- b.icount + 1;
-        if b.icount = b.target then b.fire <- true);
+  chain_observer vm (fun () ->
+      b.icount <- b.icount + 1;
+      if b.icount = b.target then b.fire <- true);
   vm.hooks.h_yieldpoint <-
     (fun vm ->
       if b.fire then begin

@@ -97,8 +97,9 @@ let roundtrip_switch_map ?(config = Vm.Rt.default_config) ?(natives = [])
 let roundtrip_icount ?(config = Vm.Rt.default_config) ?(natives = [])
     ?(inputs = []) ?(seed = 1) ?limit program =
   let vm = Vm.create ~config:(seeded config seed) ~natives ~inputs program in
-  let b = Icount.attach_record vm in
+  (* the counter chains after the digest observer, so attach that first *)
   let observer = Vm.Observer.attach_digest vm in
+  let b = Icount.attach_record vm in
   ignore (Vm.run ?limit vm);
   let s = Icount.sizes b in
   let recorded =
@@ -108,8 +109,8 @@ let roundtrip_icount ?(config = Vm.Rt.default_config) ?(natives = [])
   let trace = Dejavu.Session.to_trace b.session (Bytecode.Decl.digest program) in
   let deltas = Icount.deltas_array b in
   let vm2 = Vm.create ~config:(seeded config (seed + 77777)) ~natives program in
-  let b2 = Icount.attach_replay vm2 trace deltas in
   let observer2 = Vm.Observer.attach_digest vm2 in
+  let b2 = Icount.attach_replay vm2 trace deltas in
   (try ignore (Vm.run ?limit vm2)
    with Icount.Divergence msg ->
      vm2.Vm.Rt.status <- Vm.Rt.Fatal ("icount divergence: " ^ msg));

@@ -632,26 +632,15 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
     t.t_pc <- pc + 1;
     vm.hooks.h_yieldpoint vm
 
-(* Advance the environment clock for one executed instruction and latch a
-   timer fire into the preemption bit. *)
-let clock_instr (vm : Rt.t) =
-  (* open-coded [Env.tick] fast path: strictly inside the precomputed
-     horizon a tick is two counter bumps, and this duplicate keeps it free
-     of the cross-module call (semantically identical — [tick] runs the
-     very same branch first) *)
-  let e = vm.env in
-  if e.Env.h_valid && e.Env.h_pending + 1 < e.Env.h_count then begin
-    e.Env.h_pending <- e.Env.h_pending + 1;
-    e.Env.ticks <- e.Env.ticks + 1
-  end
-  else if Env.tick e then begin
-    vm.preempt_pending <- true;
-    vm.stats.n_preempt_req <- vm.stats.n_preempt_req + 1
-  end
-
-(* [clock_instr] for [n] instructions of a region segment at once: one stub
-   call, same draws, every fire latched and counted as n ticks would. *)
-let clock_batch (vm : Rt.t) n =
+(* Advance the environment clock for [n] executed instructions and latch
+   any timer fire into the preemption bit: one stub call, the same draws
+   and fire count as [n] single ticks. Inlined into the dispatch loop
+   (n = 1, once per stack-tier instruction) and into [tick_segment]. *)
+let[@inline] clock_batch (vm : Rt.t) n =
+  (* open-coded [Env.tick_batch] fast path: strictly inside the
+     precomputed horizon a tick is two counter bumps, and this duplicate
+     keeps it free of the cross-module call (semantically identical —
+     [tick_batch] runs the very same branch first) *)
   let e = vm.env in
   if e.Env.h_valid && e.Env.h_pending + n < e.Env.h_count then begin
     e.Env.h_pending <- e.Env.h_pending + n;
@@ -666,6 +655,35 @@ let clock_batch (vm : Rt.t) n =
 
 (* --- the register tier -------------------------------------------------- *)
 
+(* Open the tick segment at op [i] of a region: report its [n] canonical
+   pcs to an attached observer, in order, then pay their ticks. The
+   segment starts at the region entry (still in [t_pc]) or right after
+   the previous segment's final op — the lowering closes every segment
+   with one, and only a risky, yield or monitor final lets the region
+   go on. *)
+let tick_segment (vm : Rt.t) (t : Rt.thread) (ops : Rt.rop array) i n =
+  (match vm.hooks.h_observe with
+  | Some f ->
+    let pc =
+      if i = 0 then t.t_pc
+      else
+        match ops.(i - 1) with
+        | Rt.RDivRem (_, pc, _) | RGetfield (_, pc, _) | RPutfield (_, pc, _)
+        | RGetstatic (_, _, pc, _) | RPutstatic (_, _, pc, _)
+        | RNewobj (_, pc, _) | RNewarray (_, pc, _) | RAload (pc, _)
+        | RAstore (pc, _) | RArraylength (pc, _) | RCheckcast (_, pc, _)
+        | RPrints (pc, _) -> pc + 1
+        | RYield (npc, _) | RMonEnter (npc, _) | RMonExit (npc, _) -> npc
+        | _ -> fatal "region tick not after a segment end"
+    in
+    let meth = t.t_meth in
+    let code = (Rt.compiled meth).k_code in
+    for p = pc to pc + n - 1 do
+      f vm t.tid meth.uid p (Rt.tag_of_cinstr code.(p))
+    done
+  | None -> ());
+  clock_batch vm n
+
 (* Execute one lowered region on thread [t], then *chain*: when the region
    ends in a same-frame control transfer (branch, goto, fall-through) whose
    target opens another region that still fits in the remaining fuel, keep
@@ -674,9 +692,11 @@ let clock_batch (vm : Rt.t) n =
    [executed] before its terminal runs, so the fuel guard in [chain] is
    strictly decreasing. Regions that end in a call or return never chain —
    those change the method, and [regions] indexes the current method only.
-   Only the fast loop dispatches regions (no per-instruction hooks can be
-   attached), and it has already checked that the first region's full
-   instruction count fits in the remaining fuel.
+   The caller has checked that the first region fits the remaining fuel.
+   [RTick n] also serves an attached observer ([tick_segment]): it reports
+   the segment's [n] canonical pcs before the tick and the segment's
+   effects — the stack tier's exact events. Unobserved, that costs one
+   hook test per tick.
 
    Frame slots are addressed through a cached absolute base into the heap
    array; both caches are refreshed after anything that can allocate (GC
@@ -720,7 +740,7 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
       match Array.unsafe_get ops i with
       | Rt.RTick n ->
         executed := !executed + n;
-        clock_batch vm n;
+        tick_segment vm t ops i n;
         go (i + 1) heap base
       | Rt.RConst (d, v) ->
         Array.unsafe_set heap (base + d) v;
@@ -973,19 +993,23 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
 (* The batched hot path: run up to [fuel] instructions before returning.
 
    The outer loop re-reads everything a dispatch segment depends on — the
-   current thread, its compiled body, and which hooks are attached — then a
-   tight inner loop dispatches until the segment dies: a call, return, or
-   unwind changes the method; a yield point or blocking operation switches
+   current thread, its compiled body, and the observer — then a tight
+   inner loop dispatches until the segment dies: a call, return, or unwind
+   changes the method; a yield point or blocking operation switches
    threads; the machine leaves Running_; or the fuel runs out. Yield points
    that do NOT switch (the overwhelmingly common case: one per guest loop
    iteration vs. one switch per scheduling quantum) stay inside the loop.
 
-   [n_instr] is committed in one batched store per call, including the
-   faulting instruction when an exception unwinds. The segment loop is
-   specialized once per segment for the no-observer/no-instr-hook case —
-   attaching or detaching those hooks takes effect at the next segment
-   boundary, never mid-segment (all stock instrumentation attaches before
-   the run starts). *)
+   Each step runs a register region when one starts at the pc and fits the
+   remaining fuel — same ticks, PRNG draws, instruction counts and observer
+   events as its instructions (DESIGN.md sections 7 and 10) — otherwise
+   the canonical instruction: observe, clock, dispatch. Pcs without a
+   region (excluded instructions, and region interiors reached when a
+   region no longer fits or left off part-way at a switch or class init)
+   run one instruction at a time. [n_instr] is committed in one batched
+   store per call, including the faulting instruction when an exception
+   unwinds. An observer attached mid-segment is seen at the latest at the
+   next segment boundary (stock instrumentation attaches before the run). *)
 let exec_batch (vm : Rt.t) ~fuel =
   let executed = ref 0 in
   let commit () = vm.stats.n_instr <- vm.stats.n_instr + !executed in
@@ -995,59 +1019,30 @@ let exec_batch (vm : Rt.t) ~fuel =
       let t = vm.threads.(tid) in
       let meth = t.t_meth in
       let comp = Rt.compiled meth in
-      let code = comp.k_code in
-      match (vm.hooks.h_instr, vm.hooks.h_observe) with
-      | None, None ->
-        (* fast loop: a register region when one starts at the pc and
-           fits in the remaining fuel, otherwise the canonical
-           instruction — fetch, clock, dispatch, nothing else. Regions
-           pay the same ticks, PRNG draws and instruction counts as the
-           instructions they cover (DESIGN.md section 10). Pcs without
-           a region — excluded instructions, and region interiors reached
-           when a region no longer fits the fuel or left off part-way (a
-           switch at a yield or monitor, a class-init re-execution) — run
-           one instruction at a time. *)
-        let regions = comp.k_regions in
-        let live = ref true in
-        while !live do
-          let pc = t.t_pc in
-          (match Array.unsafe_get regions pc with
-          | Some r when fuel - !executed >= r.Rt.r_n ->
-            let before = !executed in
-            exec_region vm t r regions ~fuel executed;
-            vm.stats.n_regir_instr <-
-              vm.stats.n_regir_instr + (!executed - before)
-          | _ ->
-            incr executed;
-            clock_instr vm;
-            dispatch vm t pc code.(pc));
-          if
-            vm.current <> tid || t.t_meth != meth
-            || vm.status <> Rt.Running_ || !executed >= fuel
-          then live := false
-        done
-      | hi, ho ->
-        (* observed loop: the instruction hook and the observer fire once
-           per instruction, before its clock tick and dispatch. The hook
-           closures and the segment-constant event fields are hoisted; a
-           hook attached mid-segment is seen at the next boundary. *)
-        let otid = t.tid and ouid = meth.uid in
-        let live = ref true in
-        while !live do
-          let pc = t.t_pc in
+      let code = comp.k_code and regions = comp.k_regions in
+      let observe = vm.hooks.h_observe in
+      let live = ref true in
+      while !live do
+        let pc = t.t_pc in
+        (match Array.unsafe_get regions pc with
+        | Some r when fuel - !executed >= r.Rt.r_n ->
+          let before = !executed in
+          exec_region vm t r regions ~fuel executed;
+          vm.stats.n_regir_instr <-
+            vm.stats.n_regir_instr + (!executed - before)
+        | _ ->
           let ins = code.(pc) in
           incr executed;
-          (match hi with Some f -> f vm | None -> ());
-          (match ho with
-          | Some f -> f vm otid ouid pc (Rt.tag_of_cinstr ins)
+          (match observe with
+          | Some f -> f vm tid meth.uid pc (Rt.tag_of_cinstr ins)
           | None -> ());
-          clock_instr vm;
-          dispatch vm t pc ins;
-          if
-            vm.current <> tid || t.t_meth != meth
-            || vm.status <> Rt.Running_ || !executed >= fuel
-          then live := false
-        done
+          clock_batch vm 1;
+          dispatch vm t pc ins);
+        if
+          vm.current <> tid || t.t_meth != meth
+          || vm.status <> Rt.Running_ || !executed >= fuel
+        then live := false
+      done
     done;
     commit ()
   with

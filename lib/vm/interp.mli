@@ -3,13 +3,13 @@
     unwinding, and the yield-point hook through which all thread switching
     happens. See the implementation header for the GC invariants.
 
-    The hook-free fast loop runs a register region ([Rt.compiled
-    .k_regions]) wherever one starts at the current pc, and otherwise the
-    canonical [k_code]; regions batch their clock ticks through
-    [Env.tick_batch] while preserving instruction counts, PRNG draws,
-    stack writes, and fault points bit-for-bit ({e the parity contract},
-    DESIGN.md sections 7 and 10). The observed loop (any instruction hook
-    or observer attached) executes [k_code] one instruction at a time. *)
+    The dispatch loop runs a register region ([Rt.compiled .k_regions])
+    wherever one starts at the current pc, and otherwise the canonical
+    [k_code]; regions batch their clock ticks through [Env.tick_batch]
+    while preserving instruction counts, PRNG draws, stack writes, fault
+    points and observer events bit-for-bit ({e the parity contract},
+    DESIGN.md sections 7 and 10). An attached observer is served on both
+    tiers and never decides which one runs. *)
 
 exception Fatal of string
 

@@ -4,7 +4,7 @@
    that matter when debugging the dispatch pipeline: monitorenter/exit
    wrapping from sync expansion, injected yield points, pre-resolved
    callees. The listing shows the canonical stream the stack tier runs,
-   followed by the register regions the fast loop runs where they start;
+   followed by the register regions the loop runs where they start;
    virtual call/spawn sites are marked [ic] (each carries an inline
    cache), and injected yield points are marked so safe-point placement
    can be read off the listing. *)

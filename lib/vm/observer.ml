@@ -1,13 +1,8 @@
-(* Execution observers: capture or digest the event sequence (one event per
-   executed instruction, including yield points). The paper defines two
-   executions as identical when their event sequences and per-event states
-   agree; observers are how the tests and benches check exactly that.
-
-   Both observer kinds fold the SAME rolling hash over the events they see,
-   so a collecting observer's digest is comparable with a digesting one's
-   for the same run — and stays exact even past the collection cap, which
-   only bounds how many events are *kept*, never how many are counted or
-   hashed. *)
+(* Execution observers; the event contract is in observer.mli. Both kinds
+   fold the SAME rolling hash over the events they see, so a collecting
+   observer's digest is comparable with a digesting one's for the same run
+   — and stays exact past the collection cap, which only bounds how many
+   events are *kept*, never how many are counted or hashed. *)
 
 let hash_seed = 0x3bf29ce484222325
 

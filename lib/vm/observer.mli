@@ -1,7 +1,13 @@
 (** Execution observers: capture or digest the event sequence (one event
     per executed instruction, yield points included). The paper defines
     two executions as identical when their event sequences and per-event
-    states agree; observers are how tests and benches check exactly that. *)
+    states agree; observers are how tests and benches check exactly that.
+
+    Both tiers serve [Rt.hooks.h_observe] with the same events: a register
+    region reports a segment's instructions in canonical pc order before
+    that segment's effects. So an observer may read only its arguments and
+    static method data, never the guest heap, stack or clock. Attaching
+    replaces any previous observer. *)
 
 type t
 

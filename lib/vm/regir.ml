@@ -5,7 +5,7 @@
    frame slots. A region starts at any pc the stack tier could branch to
    (entry, barrier) and extends until the next barrier, excluded
    instruction, or terminal (branch / call / return); it is executed by
-   [Interp.exec_region] from the fast dispatch loop.
+   [Interp.exec_region] from the dispatch loop, observed or not.
 
    Parity with the stack tier (DESIGN.md section 7) rests on four
    invariants:
@@ -15,7 +15,9 @@
      source of truth; regions are a sidecar indexed by entry pc);
    - every instruction still pays one logical-clock tick, batched per
      *segment* (a maximal fault-free prefix) through [Env.tick_batch],
-     which draws the identical PRNG stream;
+     which draws the identical PRNG stream; a segment covers the pcs
+     after the previous segment's final op (which carries its pc), so
+     [Interp.tick_segment] can name the instructions each tick pays for;
    - every canonical operand-stack WRITE is materialized — the state
      digest hashes dead stack slots — except when a later write in the
      same fault-free segment overwrites the slot before any possible

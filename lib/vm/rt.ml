@@ -382,13 +382,13 @@ and hooks = {
   mutable h_input : t -> int;
   mutable h_native : t -> native -> int array -> native_outcome;
   mutable h_observe : (t -> int -> int -> int -> int -> unit) option;
-      (* tid, method uid, pc, instruction tag — unboxed so the hot loop
-         never allocates an event record; Observer builds [obs] values
-         only when it keeps them *)
+      (* the one per-instruction hook: tid, method uid, pc, instruction
+         tag, unboxed (no event record per instruction). Regions report
+         a segment's events before its effects, so an observer may read
+         only its arguments and static method data (observer.mli) *)
   mutable h_heap_read : (t -> int -> int -> unit) option; (* addr, slot *)
   mutable h_heap_write : (t -> int -> int -> unit) option;
   mutable h_switch : (t -> int -> int -> unit) option; (* from tid, to tid *)
-  mutable h_instr : (t -> unit) option; (* per instruction retired *)
   mutable h_pick : (t -> int -> int) option;
       (* dispatch override: given the scheduler's FIFO choice, return the
          tid that must run instead (must be Ready). Used by replay schemes

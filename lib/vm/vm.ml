@@ -64,7 +64,6 @@ let live_hooks () : Rt.hooks =
     h_heap_read = None;
     h_heap_write = None;
     h_switch = None;
-    h_instr = None;
     h_pick = None;
     h_spawn = None;
     h_lock = None;
@@ -87,7 +86,6 @@ let install_live_hooks (vm : Rt.t) =
   hk.h_heap_read <- None;
   hk.h_heap_write <- None;
   hk.h_switch <- None;
-  hk.h_instr <- None;
   hk.h_pick <- None;
   hk.h_spawn <- None;
   hk.h_lock <- None;

@@ -1,7 +1,8 @@
-(* Dispatch-loop specialization checks: the interpreter picks a fast loop
-   when no observer is attached and an observed loop when one is, and the
-   two must be semantically indistinguishable — same outputs, same state
-   digests, same recorded traces, same event sequences. *)
+(* Dispatch-loop checks: the interpreter has one loop, which runs a
+   register region wherever one fits and serves an attached observer from
+   inside it. Observing must not change the execution — same outputs,
+   state digests, recorded traces and register-tier coverage — and the
+   register and stack tiers must report the same event sequences. *)
 
 open Tutil
 
@@ -13,7 +14,7 @@ let seeded seed =
     Vm.Rt.env_cfg = { Vm.Rt.default_config.Vm.Rt.env_cfg with Vm.Env.seed };
   }
 
-(* Live run under the observed loop: attach an observer before booting. *)
+(* Observed live run: attach an observer before booting. *)
 let run_observed ?max_events ~natives ~seed program =
   let vm = Vm.create ~config:(seeded seed) ~natives program in
   let obs =
@@ -24,8 +25,8 @@ let run_observed ?max_events ~natives ~seed program =
   ignore (Vm.run vm);
   (vm, obs)
 
-(* Fast loop vs observed loop: a hook that only reads events must not
-   change the execution it observes. *)
+(* Unobserved vs observed: a hook that only reads events must not change
+   the execution it observes, nor which tier runs it. *)
 let test_fast_vs_observed_live () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
@@ -42,11 +43,14 @@ let test_fast_vs_observed_live () =
             (Vm.digest obs_vm);
           Alcotest.(check int)
             (ctx ^ " one event per instruction")
-            (Vm.stats obs_vm).n_instr (Vm.Observer.count obs))
+            (Vm.stats obs_vm).n_instr (Vm.Observer.count obs);
+          Alcotest.(check int)
+            (ctx ^ " observing keeps the register tier")
+            (Vm.stats fast).n_regir_instr (Vm.stats obs_vm).n_regir_instr)
         [ 1; 3 ])
     (all ())
 
-(* Record/replay under the observed loop: the roundtrip's event digests
+(* Observed record/replay: the roundtrip's event digests
    must agree for every catalogued workload. *)
 let test_roundtrip_digests_observed () =
   List.iter
@@ -58,10 +62,9 @@ let test_roundtrip_digests_observed () =
       Alcotest.(check bool) (e.name ^ " roundtrip ok") true (Dejavu.ok rt))
     (all ())
 
-(* Cross-loop recording: a trace recorded under the fast loop (observer
-   detached) must be byte-identical to one recorded under the observed
-   loop, and replaying it with an observer must reproduce the observed
-   recording's event digest. *)
+(* A trace recorded without an observer must be byte-identical to one
+   recorded with it, and replaying it with an observer must reproduce the
+   observed recording's event digest. *)
 let test_fast_recorded_trace_matches () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
@@ -127,8 +130,8 @@ let test_step_matches_run () =
   Alcotest.(check int) "state digest" (Vm.digest ran) (Vm.digest stepped)
 
 (* Register tier vs stack tier: [cfg.regir] only decides whether verified
-   methods additionally carry register-IR regions and whether the fast
-   loop dispatches into them; every observable — status, output, state
+   methods additionally carry register-IR regions and whether the loop
+   dispatches into them; every observable — status, output, state
    digest, instruction count, trace bytes, event digests — must be
    identical across the whole catalogue, and traces recorded under one
    tier must replay under the other. *)
@@ -156,41 +159,48 @@ let test_regir_vs_stack_live () =
         [ 1; 3 ])
     (all ())
 
+(* Observed recordings on both tiers: the register tier serves the
+   observer from inside its regions, so the event sequences must agree
+   with the stack tier's one-instruction-at-a-time report. *)
 let test_regir_vs_stack_traces () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
-      let rr, rt = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-      let sr, st =
-        Dejavu.record ~config:noregir ~natives:e.natives ~seed:1 e.program
-      in
-      Alcotest.(check string)
-        (e.name ^ " trace bytes")
-        (Dejavu.Trace.to_bytes st) (Dejavu.Trace.to_bytes rt);
-      Alcotest.(check int) (e.name ^ " event digest") sr.Dejavu.obs_digest
-        rr.Dejavu.obs_digest;
-      Alcotest.(check int) (e.name ^ " event count") sr.Dejavu.obs_count
-        rr.Dejavu.obs_count;
-      (* cross-replay: a trace recorded on the register tier replays on the
-         stack tier, and back *)
-      let rep_s, left_s =
-        Dejavu.replay ~config:noregir ~natives:e.natives e.program rt
-      in
-      Alcotest.(check (list string))
-        (e.name ^ " regir->stack consumed")
-        [] left_s;
-      Alcotest.(check int)
-        (e.name ^ " regir->stack events")
-        rr.Dejavu.obs_digest rep_s.Dejavu.obs_digest;
-      let rep_r, left_r = Dejavu.replay ~natives:e.natives e.program st in
-      Alcotest.(check (list string))
-        (e.name ^ " stack->regir consumed")
-        [] left_r;
-      Alcotest.(check int)
-        (e.name ^ " stack->regir events")
-        sr.Dejavu.obs_digest rep_r.Dejavu.obs_digest;
-      Alcotest.(check int)
-        (e.name ^ " replay state digest")
-        rep_s.Dejavu.state_digest rep_r.Dejavu.state_digest)
+      List.iter
+        (fun seed ->
+          let ctx = Fmt.str "%s/%d" e.name seed in
+          let rr, rt = Dejavu.record ~natives:e.natives ~seed e.program in
+          let sr, st =
+            Dejavu.record ~config:noregir ~natives:e.natives ~seed e.program
+          in
+          Alcotest.(check string)
+            (ctx ^ " trace bytes")
+            (Dejavu.Trace.to_bytes st) (Dejavu.Trace.to_bytes rt);
+          Alcotest.(check int) (ctx ^ " event digest") sr.Dejavu.obs_digest
+            rr.Dejavu.obs_digest;
+          Alcotest.(check int) (ctx ^ " event count") sr.Dejavu.obs_count
+            rr.Dejavu.obs_count;
+          (* cross-replay: a trace recorded on the register tier replays on
+             the stack tier, and back *)
+          let rep_s, left_s =
+            Dejavu.replay ~config:noregir ~natives:e.natives e.program rt
+          in
+          Alcotest.(check (list string))
+            (ctx ^ " regir->stack consumed")
+            [] left_s;
+          Alcotest.(check int)
+            (ctx ^ " regir->stack events")
+            rr.Dejavu.obs_digest rep_s.Dejavu.obs_digest;
+          let rep_r, left_r = Dejavu.replay ~natives:e.natives e.program st in
+          Alcotest.(check (list string))
+            (ctx ^ " stack->regir consumed")
+            [] left_r;
+          Alcotest.(check int)
+            (ctx ^ " stack->regir events")
+            sr.Dejavu.obs_digest rep_r.Dejavu.obs_digest;
+          Alcotest.(check int)
+            (ctx ^ " replay state digest")
+            rep_s.Dejavu.state_digest rep_r.Dejavu.state_digest)
+        [ 1; 3 ])
     (all ())
 
 (* One virtual call site in a loop over receivers cycling through [k]
@@ -449,10 +459,7 @@ let test_interrupt_at_monitor_op () =
         (ctx ^ " output")
         (Fmt.str "%d\n" (3 * iters))
         rr.Dejavu.output;
-      (* coverage is checked on a live (unobserved) run: the observed
-         loop recording uses dispatches canonically, outside regions *)
-      let live, _ = run ~config:cfg ~seed p in
-      let stats = Vm.stats live in
+      let stats = Vm.stats rr.Dejavu.vm in
       Alcotest.(check bool)
         (ctx ^ " preemptions arrived")
         true
