@@ -6,7 +6,6 @@
 
    Run:  dune exec bench/main.exe                (all experiments)
          dune exec bench/main.exe -- E7 E9       (a subset)
-         dune exec bench/main.exe -- micro       (bechamel microbenchmarks)
          dune exec bench/main.exe -- regir-smoke (register-tier speed floor)
 
    The steady end-to-end benchmark is perfbench/ (BENCHMARK.json); the
@@ -326,56 +325,6 @@ let e11 () =
     [ ("symmetric (DejaVu)", 0); ("asymmetric (+32w alloc)", 32);
       ("asymmetric (+1w alloc)", 1) ]
 
-(* ------------------------------------------------- bechamel micro bench *)
-
-let micro () =
-  section "MICRO" "bechamel microbenchmarks (ns per whole-program run)";
-  let open Bechamel in
-  let open Toolkit in
-  let e = entry "fig1cd" in
-  let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"dejavu"
-      [
-        mk "live-run" (fun () -> ignore (Vm.execute ~natives:e.natives ~seed:1 e.program));
-        mk "record-run" (fun () -> ignore (Dejavu.record ~natives:e.natives ~seed:1 e.program));
-        mk "replay-run" (fun () -> ignore (Dejavu.replay ~natives:e.natives e.program trace));
-        mk "crew-record" (fun () ->
-            let vm = Vm.create ~natives:e.natives e.program in
-            ignore (Baselines.Crew.attach vm);
-            ignore (Vm.run vm));
-        mk "icount-record" (fun () ->
-            let vm = Vm.create ~natives:e.natives e.program in
-            ignore (Baselines.Icount.attach_record vm);
-            ignore (Vm.run vm));
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "%-24s %12.0f ns/run@." name est
-          | _ -> Fmt.pr "%-24s (no estimate)@." name)
-        tbl)
-    results
-
 (* ------------------------------------------------------------------ E13 *)
 
 let rm_rf dir =
@@ -574,8 +523,9 @@ let e14 () =
         (match on.Explore.Driver.rp_first_failure_at with
         | Some k -> string_of_int k
         | None -> "-")
-        (t_first *. 1e3) on.Explore.Driver.rp_digests
-        off.Explore.Driver.rp_digests)
+        (t_first *. 1e3)
+        (List.length on.Explore.Driver.rp_digests)
+        (List.length off.Explore.Driver.rp_digests))
     [ "atomicity"; "lock-cycle" ]
 
 (* -------------------------------------------------------------- driver *)
@@ -594,7 +544,6 @@ let all : (string * string * (unit -> unit)) list =
     ("E11", "symmetry ablation", e11);
     ("E13", "sustained-load serving (open-loop clients)", e13);
     ("E14", "systematic schedule exploration (DPOR vs unpruned)", e14);
-    ("micro", "bechamel microbenches", micro);
     ("regir-smoke", "CI: register-tier live and record speed floor",
      regir_smoke);
   ]
@@ -603,9 +552,7 @@ let () =
   let want = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
   let selected =
     if want = [] then
-      List.filter
-        (fun (id, _, _) -> id <> "micro" && id <> "regir-smoke")
-        all
+      List.filter (fun (id, _, _) -> id <> "regir-smoke") all
     else List.filter (fun (id, _, _) -> List.mem id want) all
   in
   if selected = [] then begin

@@ -11,8 +11,7 @@ type recorded = {
   detail : string;
 }
 
-let seeded config seed =
-  { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
+let seeded seed = Dejavu.with_seed seed Vm.Rt.default_config
 
 let finish vm observer ~trace_words ~detail =
   {
@@ -27,22 +26,20 @@ let finish vm observer ~trace_words ~detail =
 
 (* --- record-only schemes ---------------------------------------------- *)
 
-let record_crew ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
-    ?(seed = 1) ?limit program =
-  let vm = Vm.create ~config:(seeded config seed) ~natives ~inputs program in
+let record_crew ?(natives = []) ?(seed = 1) program =
+  let vm = Vm.create ~config:(seeded seed) ~natives program in
   let b = Crew.attach vm in
   let observer = Vm.Observer.attach_digest vm in
-  ignore (Vm.run ?limit vm);
+  ignore (Vm.run vm);
   let s = Crew.sizes b in
   finish vm observer ~trace_words:s.trace_words
     ~detail:(Fmt.str "reads=%d writes=%d" s.n_reads s.n_writes)
 
-let record_read_log ?(config = Vm.Rt.default_config) ?(natives = [])
-    ?(inputs = []) ?(seed = 1) ?limit program =
-  let vm = Vm.create ~config:(seeded config seed) ~natives ~inputs program in
+let record_read_log ?(natives = []) ?(seed = 1) program =
+  let vm = Vm.create ~config:(seeded seed) ~natives program in
   let b = Read_log.attach vm in
   let observer = Vm.Observer.attach_digest vm in
-  ignore (Vm.run ?limit vm);
+  ignore (Vm.run vm);
   let s = Read_log.sizes b in
   finish vm observer ~trace_words:s.trace_words
     ~detail:(Fmt.str "reads=%d" s.n_reads)
@@ -59,12 +56,11 @@ type roundtrip = {
 
 let ok rt = rt.outputs_equal && rt.states_equal && rt.events_equal
 
-let roundtrip_switch_map ?(config = Vm.Rt.default_config) ?(natives = [])
-    ?(inputs = []) ?(seed = 1) ?limit program =
-  let vm = Vm.create ~config:(seeded config seed) ~natives ~inputs program in
+let roundtrip_switch_map ?(natives = []) ?(seed = 1) program =
+  let vm = Vm.create ~config:(seeded seed) ~natives program in
   let b = Switch_map.attach_record vm in
   let observer = Vm.Observer.attach_digest vm in
-  ignore (Vm.run ?limit vm);
+  ignore (Vm.run vm);
   let s = Switch_map.sizes b in
   let recorded =
     finish vm observer ~trace_words:s.trace_words
@@ -73,10 +69,10 @@ let roundtrip_switch_map ?(config = Vm.Rt.default_config) ?(natives = [])
   in
   let trace = Dejavu.Session.to_trace b.session (Bytecode.Decl.digest program) in
   let entries = Switch_map.entries_array b in
-  let vm2 = Vm.create ~config:(seeded config (seed + 77777)) ~natives program in
+  let vm2 = Vm.create ~config:(seeded (seed + 77777)) ~natives program in
   let b2 = Switch_map.attach_replay vm2 trace entries in
   let observer2 = Vm.Observer.attach_digest vm2 in
-  (try ignore (Vm.run ?limit vm2)
+  (try ignore (Vm.run vm2)
    with Switch_map.Divergence msg ->
      vm2.Vm.Rt.status <- Vm.Rt.Fatal ("switch-map divergence: " ^ msg));
   let s2 = Switch_map.sizes b2 in
@@ -94,13 +90,12 @@ let roundtrip_switch_map ?(config = Vm.Rt.default_config) ?(natives = [])
       && recorded.obs_count = replayed.obs_count;
   }
 
-let roundtrip_icount ?(config = Vm.Rt.default_config) ?(natives = [])
-    ?(inputs = []) ?(seed = 1) ?limit program =
-  let vm = Vm.create ~config:(seeded config seed) ~natives ~inputs program in
+let roundtrip_icount ?(natives = []) ?(seed = 1) program =
+  let vm = Vm.create ~config:(seeded seed) ~natives program in
   (* the counter chains after the digest observer, so attach that first *)
   let observer = Vm.Observer.attach_digest vm in
   let b = Icount.attach_record vm in
-  ignore (Vm.run ?limit vm);
+  ignore (Vm.run vm);
   let s = Icount.sizes b in
   let recorded =
     finish vm observer ~trace_words:s.trace_words
@@ -108,10 +103,10 @@ let roundtrip_icount ?(config = Vm.Rt.default_config) ?(natives = [])
   in
   let trace = Dejavu.Session.to_trace b.session (Bytecode.Decl.digest program) in
   let deltas = Icount.deltas_array b in
-  let vm2 = Vm.create ~config:(seeded config (seed + 77777)) ~natives program in
+  let vm2 = Vm.create ~config:(seeded (seed + 77777)) ~natives program in
   let observer2 = Vm.Observer.attach_digest vm2 in
   let b2 = Icount.attach_replay vm2 trace deltas in
-  (try ignore (Vm.run ?limit vm2)
+  (try ignore (Vm.run vm2)
    with Icount.Divergence msg ->
      vm2.Vm.Rt.status <- Vm.Rt.Fatal ("icount divergence: " ^ msg));
   ignore b2;

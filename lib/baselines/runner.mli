@@ -13,20 +13,14 @@ type recorded = {
 }
 
 val record_crew :
-  ?config:Vm.Rt.config ->
   ?natives:Vm.Native.spec list ->
-  ?inputs:int list ->
   ?seed:int ->
-  ?limit:int ->
   Bytecode.Decl.program ->
   recorded
 
 val record_read_log :
-  ?config:Vm.Rt.config ->
   ?natives:Vm.Native.spec list ->
-  ?inputs:int list ->
   ?seed:int ->
-  ?limit:int ->
   Bytecode.Decl.program ->
   recorded
 
@@ -41,19 +35,13 @@ type roundtrip = {
 val ok : roundtrip -> bool
 
 val roundtrip_switch_map :
-  ?config:Vm.Rt.config ->
   ?natives:Vm.Native.spec list ->
-  ?inputs:int list ->
   ?seed:int ->
-  ?limit:int ->
   Bytecode.Decl.program ->
   roundtrip
 
 val roundtrip_icount :
-  ?config:Vm.Rt.config ->
   ?natives:Vm.Native.spec list ->
-  ?inputs:int list ->
   ?seed:int ->
-  ?limit:int ->
   Bytecode.Decl.program ->
   roundtrip

@@ -40,7 +40,7 @@ type report = {
   rp_pruned : int; (* branches DPOR suppressed (bounds allowed them) *)
   rp_aborted : int; (* schedules cut short by an unready forced pick *)
   rp_frontier_left : int; (* prefixes still queued when the cap hit *)
-  rp_digests : int; (* distinct outcome digests *)
+  rp_digests : int list; (* the distinct outcome digests, sorted *)
   rp_baseline : int; (* the root schedule's outcome digest *)
   rp_failures : failure list; (* execution order *)
   rp_first_failure_at : int option; (* explored-count of the first fault *)
@@ -200,7 +200,7 @@ let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?(pb = 2)
   in
   let stack = ref [ [||] ] in
   let explored = ref 0 and pruned = ref 0 and aborted = ref 0 in
-  let digests = Hashtbl.create 64 in
+  let digests = ref [] in
   let baseline = ref 0 in
   let failures = ref [] in
   let artifacts = ref 0 in
@@ -218,7 +218,7 @@ let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?(pb = 2)
          else begin
            incr explored;
            if !explored = 1 then baseline := oc.Control.oc_digest;
-           Hashtbl.replace digests oc.Control.oc_digest ();
+           digests := oc.Control.oc_digest :: !digests;
            let children, fresh_pruned =
              expand ~fresh_from:(Array.length prefix) oc
            in
@@ -256,7 +256,7 @@ let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?(pb = 2)
     rp_pruned = !pruned;
     rp_aborted = !aborted;
     rp_frontier_left = List.length !stack;
-    rp_digests = Hashtbl.length digests;
+    rp_digests = List.sort_uniq compare !digests;
     rp_baseline = !baseline;
     rp_failures = List.rev !failures;
     rp_first_failure_at = !first_fail;
@@ -274,40 +274,12 @@ let signature (r : report) =
   List.iter (fun d -> h := Control.mix !h d) digs;
   !h
 
-(* The distinct outcome digests a bounded exploration reaches — the set
-   the DPOR soundness pin compares between pruned and unpruned search.
-   Recomputed by re-running (reports don't carry the set), so tests use
-   small bounds. *)
-let digest_set ?config ?seed ?limit ?pb ?db ?(dpor = true) ?max_schedules
-    ?oracle (e : Workloads.Registry.entry) : int list =
-  let stack = ref [ [||] ] in
-  let seen = Hashtbl.create 64 in
-  let budget = match max_schedules with Some m -> m | None -> 2000 in
-  let n = ref 0 in
-  let oracle =
-    match oracle with Some o -> o | None -> Oracle.for_entry e
-  in
-  let pb = Option.value pb ~default:2 and db = Option.value db ~default:1 in
-  while !stack <> [] && !n < budget do
-    match !stack with
-    | [] -> assert false
-    | prefix :: rest ->
-      stack := rest;
-      let oc = Control.run ?config ?seed ?limit ~pb ~db ~dpor ~oracle ~prefix e in
-      incr n;
-      if not oc.Control.oc_aborted then begin
-        Hashtbl.replace seen oc.Control.oc_digest ();
-        let children, _ = expand ~fresh_from:(Array.length prefix) oc in
-        stack := children @ !stack
-      end
-  done;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
-
 let pp_report ppf (r : report) =
   Fmt.pf ppf
     "explore %s: %d schedules explored, %d pruned, %d aborted, %d distinct \
      outcomes, %d failures%s%s@."
-    r.rp_workload r.rp_explored r.rp_pruned r.rp_aborted r.rp_digests
+    r.rp_workload r.rp_explored r.rp_pruned r.rp_aborted
+    (List.length r.rp_digests)
     (List.length r.rp_failures)
     (match r.rp_first_failure_at with
     | Some k -> Fmt.str " (first fault at schedule %d)" k

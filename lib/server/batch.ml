@@ -2,7 +2,7 @@
    workload") across N shards and fold the per-job digests — in submission
    order, so the aggregate is shard-count-invariant — into one digest the
    tests compare against a sequential run. Jobs run warm by default (shard
-   pools of baseline-reset VMs, size-aware placement); [~warm:false] keeps
+   pools of baseline-reset VMs, warm-affinity placement); [~warm:false] keeps
    the original cold boot per job, which the warm path must match
    byte-for-byte. *)
 

@@ -28,7 +28,7 @@ type report = {
 }
 
 (** [warm] (default true) runs jobs on shard pools of baseline-reset VMs
-    with size-aware placement; [~warm:false] cold-boots a VM per job (the
+    with warm-affinity placement; [~warm:false] cold-boots a VM per job (the
     reference the warm path must match byte-for-byte). [config] is the
     base VM config for every job's VM (per-job seeds override its
     environment seed; default [Vm.Rt.default_config]). *)

@@ -24,11 +24,10 @@ exception Deadline_exceeded
 type ctx = { shard : int; seq : int; should_stop : unit -> unit }
 
 (* Placement decision for one submission. [Shared]: any idle shard takes
-   it — the right lane for jobs with no size estimate (their first run is
-   the measurement) and for extra-large jobs, which would otherwise make
-   every small job queued behind them on a local queue wait out the whole
-   trace. [Shard i]: pinned to one shard's local queue, the warm-VM
-   affinity lane. *)
+   it — the lane for jobs that gain nothing from a warm VM on one shard
+   (lint) or that arrive in bursts one shard would serialize (explore).
+   [Shard i]: pinned to one shard's local queue, the warm-VM affinity
+   lane; it never migrates. *)
 type place = Shared | Shard of int
 
 type 'r outcome =

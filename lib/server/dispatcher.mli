@@ -25,9 +25,9 @@ type ctx = {
 }
 
 (** Placement decision for one submission: [Shared] — any idle shard
-    steals it (the lane for unestimated and extra-large jobs); [Shard i] —
-    pinned to shard [i]'s local queue (the warm-VM affinity lane;
-    reduced mod the shard count). *)
+    takes it (the farm's lane for lint and explore jobs); [Shard i] —
+    pinned to shard [i]'s local queue (the warm-VM affinity lane, for
+    record/replay/roundtrip; reduced mod the shard count). *)
 type place = Shared | Shard of int
 
 type 'r outcome =

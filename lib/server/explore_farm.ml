@@ -47,7 +47,7 @@ let run ?(shards = 4) ?(config = Vm.Rt.default_config) ?slice ?(seed = 1)
   in
   let explored = ref 0 and pruned = ref 0 and aborted = ref 0 in
   let frontier_left = ref 0 in
-  let digests = Hashtbl.create 64 in
+  let digests = ref [] in
   let baseline = ref 0 in
   let interesting = ref [] in (* (prefix, fault?) in completion order *)
   let first_fail = ref None in
@@ -67,7 +67,7 @@ let run ?(shards = 4) ?(config = Vm.Rt.default_config) ?slice ?(seed = 1)
           (* results arrive in submission order, so the first Done IS the
              root schedule: the baseline every divergence is judged by *)
           if !explored = 1 then baseline := dig;
-          Hashtbl.replace digests dig ();
+          digests := dig :: !digests;
           pruned := !pruned + o.Job.o_pruned;
           let fault = o.Job.o_flags land Job.explore_fault_bit <> 0 in
           if fault && !first_fail = None then first_fail := Some !explored;
@@ -112,7 +112,7 @@ let run ?(shards = 4) ?(config = Vm.Rt.default_config) ?slice ?(seed = 1)
     rp_pruned = !pruned;
     rp_aborted = !aborted;
     rp_frontier_left = !frontier_left;
-    rp_digests = Hashtbl.length digests;
+    rp_digests = List.sort_uniq compare !digests;
     rp_baseline = !baseline;
     rp_failures = failures;
     rp_first_failure_at = !first_fail;

@@ -12,9 +12,8 @@
    behaviour and still the reference the warm path is tested against — or
    warm, from a shard's {!Warm} pool, which resets a persistent VM to its
    baseline snapshot instead of re-booting. [runner] packages the warm
-   path: per-shard pools (never shared across domains), a farm-wide
-   {!Estimate} table measured from completed jobs, and the size-aware
-   placement policy the dispatcher routes submissions with. *)
+   path: per-shard pools (never shared across domains) and the placement
+   policy the dispatcher routes submissions with. *)
 
 module Trace = Dejavu.Trace
 module Replayer = Dejavu.Replayer
@@ -106,12 +105,6 @@ let drive ~slice (ctx : Dispatcher.ctx) (vm : Vm.t) =
   in
   go ()
 
-(* A completed run's measured size feeds the placement policy. *)
-let note_size ?est (e : Workloads.Registry.entry) (vm : Vm.t) =
-  match est with
-  | None -> ()
-  | Some est -> Estimate.note est e.name vm.Vm.Rt.stats.Vm.Rt.n_instr
-
 let state_digest_hex vm = Fmt.str "%016x" (Vm.digest vm land max_int)
 
 (* Non-explore jobs never fan out. *)
@@ -128,27 +121,23 @@ let simple ~status ~digest ~words =
 (* Streamed record through the one file-record bracket; returns the
    finished VM too so roundtrip can compare states without recording
    twice. *)
-let record_impl ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
-    ~seed ~out =
+let record_impl ~slice ~config ?pool ctx (e : Workloads.Registry.entry) ~seed
+    ~out =
   let vm = boot_vm ?pool ~config e ~seed in
   let status, sizes =
     Dejavu.record_into vm (Trace.Writer.create out) (fun _ ->
         drive ~slice ctx vm;
         Vm.string_of_status (Vm.status vm))
   in
-  note_size ?est e vm;
   ( simple ~status
       ~digest:(Digest.to_hex (Digest.file out))
       ~words:sizes.Trace.total_words,
     vm )
 
-let run_record ~slice ~config ?pool ?est ctx e ~seed ~out =
-  fst (record_impl ~slice ~config ?pool ?est ctx e ~seed ~out)
-
 (* Streamed replay through the one replay guard; returns the replayed VM's
    status too, so roundtrip judges it by its type. A rejected trace
    reports no digest and no leftovers. *)
-let replay_impl ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
+let replay_impl ~slice ~config ?pool ctx (e : Workloads.Registry.entry)
     ~trace =
   let vm = boot_vm ?pool ~config e ~seed:replay_seed in
   let reader = Trace.Reader.open_file trace in
@@ -165,27 +154,23 @@ let replay_impl ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
     match session with
     | None -> simple ~status ~digest:"" ~words:0
     | Some _ ->
-      note_size ?est e vm;
       simple ~status ~digest:(state_digest_hex vm)
         ~words:(List.length leftovers)
   in
   (out, Vm.status vm)
 
-let run_replay ~slice ~config ?pool ?est ctx e ~trace =
-  fst (replay_impl ~slice ~config ?pool ?est ctx e ~trace)
-
 (* Record to a shard-private temp file, replay it back, compare states.
    The temp file never outlives the job. The recorded VM's digest is taken
    BEFORE the replay runs: under warm reuse both halves draw from the same
    pool slot, so starting the replay resets the recorded VM. *)
-let run_roundtrip ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
+let run_roundtrip ~slice ~config ?pool ctx (e : Workloads.Registry.entry)
     ~seed =
   let tmp = Filename.temp_file "dvfarm" ".trace" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
       let recorded, rec_vm =
-        record_impl ~slice ~config ?pool ?est ctx e ~seed ~out:tmp
+        record_impl ~slice ~config ?pool ctx e ~seed ~out:tmp
       in
       let rec_vm_digest = state_digest_hex rec_vm in
       let replayed, status =
@@ -211,8 +196,8 @@ let run_lint (e : Workloads.Registry.entry) =
    driver feeds them back as new Explore jobs (frontier fan-out). Runs on
    the warm pool like any record job; the oracle is memoized per workload
    across shards. *)
-let run_explore ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
-    ~seed ~prefix ~pb ~db ~dpor =
+let run_explore ~slice ~config ?pool ctx (e : Workloads.Registry.entry) ~seed
+    ~prefix ~pb ~db ~dpor =
   let oracle = Explore.Oracle.for_entry e in
   let vm = boot_vm ?pool ~config e ~seed in
   let oc =
@@ -220,7 +205,6 @@ let run_explore ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
       ~driver:(fun vm -> drive ~slice ctx vm)
       ~pb ~db ~dpor ~oracle ~prefix e
   in
-  note_size ?est e vm;
   let children, pruned =
     if oc.Explore.Control.oc_aborted then ([], 0)
     else Explore.Driver.expand ~fresh_from:(Array.length prefix) oc
@@ -241,19 +225,19 @@ let run_explore ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
       lor if oc.Explore.Control.oc_aborted then explore_aborted_bit else 0;
   }
 
-let dispatch ~slice ~config ?pool ?est (ctx : Dispatcher.ctx) (spec : spec) :
+let dispatch ~slice ~config ?pool (ctx : Dispatcher.ctx) (spec : spec) :
     output =
   match spec with
   | Record { workload; seed; out } ->
-    run_record ~slice ~config ?pool ?est ctx (find workload) ~seed ~out
+    fst (record_impl ~slice ~config ?pool ctx (find workload) ~seed ~out)
   | Replay { workload; trace } ->
-    run_replay ~slice ~config ?pool ?est ctx (find workload) ~trace
+    fst (replay_impl ~slice ~config ?pool ctx (find workload) ~trace)
   | Roundtrip { workload; seed } ->
-    run_roundtrip ~slice ~config ?pool ?est ctx (find workload) ~seed
+    run_roundtrip ~slice ~config ?pool ctx (find workload) ~seed
   | Lint { workload } -> run_lint (find workload)
   | Explore { workload; seed; prefix; pb; db; dpor } ->
-    run_explore ~slice ~config ?pool ?est ctx (find workload) ~seed ~prefix
-      ~pb ~db ~dpor
+    run_explore ~slice ~config ?pool ctx (find workload) ~seed ~prefix ~pb ~db
+      ~dpor
 
 (* Cold entry point: one fresh VM per job. Still the reference semantics —
    the warm runner below must be indistinguishable from it. *)
@@ -261,70 +245,41 @@ let run ?(slice = 50_000) ?(config = Vm.Rt.default_config)
     (ctx : Dispatcher.ctx) (spec : spec) : output =
   dispatch ~slice ~config ctx spec
 
-(* --- the warm runner: pools + estimates + placement --- *)
+(* --- the warm runner: pools + placement --- *)
 
 type runner = {
   run : Dispatcher.ctx -> spec -> output;
   place : spec -> Dispatcher.place;
-  estimates : Estimate.t;
   warm_stats : unit -> Warm.stats; (* all shards folded; call after join *)
 }
 
-(* Jobs at or above this many instructions count as extra-large for
-   placement (the registry's -XL workloads sit far above, the rest far
-   below). *)
-let default_xl_cutoff = 2_000_000
-
-(* Placement. Extra-large jobs go to the shared queue, where any idle
-   shard picks them up: pinned to a local queue they would make every
-   small job queued behind them wait out the whole trace, which is
-   precisely the p99 failure mode size-aware dispatch exists to prevent.
-   "Extra-large" comes from the measured estimate when one exists, else
-   from the registry's naming convention (the "-XL" suffix is the only
-   size metadata the catalogue carries). Lint jobs run no VM, so warm
-   affinity buys them nothing — shared as well. Everything else is pinned
-   to its workload's affinity shard from the very first (unestimated) run,
-   so the VM booted for a workload's first job is the VM every repeat job
-   finds warm; that first run doubles as the size measurement. *)
-let place_policy ~estimates ~shards ~xl_cutoff (spec : spec) :
-    Dispatcher.place =
+(* Placement: two rules. Lint jobs run no VM, so warm affinity buys them
+   nothing, and exploration frontiers are bursty — hundreds of small
+   same-workload jobs at once that one affinity shard would serialize — so
+   both go to the shared queue, where any idle shard picks them up (its
+   warm pool still serves Explore). Record, Replay and Roundtrip jobs are
+   pinned to their workload's affinity shard from the first run on, so the
+   VM booted for a workload's first job is the VM every repeat job finds
+   warm. *)
+let place_policy ~shards (spec : spec) : Dispatcher.place =
   match spec with
-  | Lint _ -> Dispatcher.Shared
-  (* exploration frontiers are bursty — hundreds of small same-workload
-     jobs at once; pinning them to one affinity shard would serialize the
-     whole search, so they go shared and any idle shard's warm pool still
-     serves them *)
-  | Explore _ -> Dispatcher.Shared
-  | Record _ | Replay _ | Roundtrip _ -> (
-    let name = workload_of spec in
-    let xl_by_name () =
-      String.length name >= 3
-      && String.sub name (String.length name - 3) 3 = "-XL"
-    in
-    match Estimate.find estimates name with
-    | Some n when n >= xl_cutoff -> Dispatcher.Shared
-    | None when xl_by_name () -> Dispatcher.Shared
-    | Some _ | None -> Dispatcher.Shard (Hashtbl.hash name mod shards))
+  | Lint _ | Explore _ -> Dispatcher.Shared
+  | Record _ | Replay _ | Roundtrip _ ->
+    Dispatcher.Shard (Hashtbl.hash (workload_of spec) mod shards)
 
-let runner ?(slice = 50_000) ?(config = Vm.Rt.default_config)
-    ?(warm_cap = 32) ?(xl_cutoff = default_xl_cutoff) ?stats ~shards () :
-    runner =
+let runner ?(slice = 50_000) ?(config = Vm.Rt.default_config) ?stats ~shards
+    () : runner =
   if shards < 1 then invalid_arg "Job.runner: shards < 1";
   let note ~hit =
     match stats with None -> () | Some s -> Stats.on_warm s ~hit
   in
-  let pools =
-    Array.init shards (fun _ -> Warm.create ~cap:warm_cap ~config ~note ())
-  in
-  let estimates = Estimate.create () in
+  let pools = Array.init shards (fun _ -> Warm.create ~config ~note ()) in
   let run (ctx : Dispatcher.ctx) spec =
-    let pool = pools.(ctx.Dispatcher.shard) in
-    dispatch ~slice ~config ~pool ~est:estimates ctx spec
+    dispatch ~slice ~config ~pool:pools.(ctx.Dispatcher.shard) ctx spec
   in
   {
     run;
-    place = place_policy ~estimates ~shards ~xl_cutoff;
-    estimates;
+    place = place_policy ~shards;
     warm_stats =
       (fun () ->
         Array.fold_left

@@ -4,9 +4,8 @@
     partial trace file behind on any exit path.
 
     {!run} is the cold path (one fresh VM per job); {!runner} is the warm
-    path — per-shard {!Warm} pools, a measured {!Estimate} table, and the
-    size-aware placement policy — whose results are byte-identical to the
-    cold path's (tested registry-wide). *)
+    path — per-shard {!Warm} pools and the placement policy — whose results
+    are byte-identical to the cold path's (tested registry-wide). *)
 
 type spec =
   | Record of { workload : string; seed : int; out : string }
@@ -59,27 +58,25 @@ val run : ?slice:int -> ?config:Vm.Rt.config -> Dispatcher.ctx -> spec -> output
 (** The warm execution package for one dispatcher: [run] to pass as the
     dispatcher's run function (routes each job through its shard's warm
     pool — [ctx.shard] must be < [shards]), [place] as its placement
-    policy, the live [estimates] table, and [warm_stats] to fold every
-    shard pool's counters (call only after the shard domains are
-    joined). *)
+    policy, and [warm_stats] to fold every shard pool's counters (call
+    only after the shard domains are joined).
+
+    [place] has two rules: Lint and Explore jobs go to
+    {!Dispatcher.Shared}; Record, Replay and Roundtrip jobs go to
+    [Shard (Hashtbl.hash workload mod shards)], the workload's warm
+    affinity shard. *)
 type runner = {
   run : Dispatcher.ctx -> spec -> output;
   place : spec -> Dispatcher.place;
-  estimates : Estimate.t;
   warm_stats : unit -> Warm.stats;
 }
 
 (** Build a warm runner for [shards] shard domains. [config] is the base
     VM config every pool boot uses (default [Vm.Rt.default_config]);
-    [warm_cap] bounds resident VMs per shard (default 32); jobs measuring
-    at least [xl_cutoff] instructions (default 2M) are placed on the
-    shared queue instead of a warm-affinity local queue; [stats] receives
-    warm hit/boot counts when supplied. *)
+    [stats] receives warm hit/boot counts when supplied. *)
 val runner :
   ?slice:int ->
   ?config:Vm.Rt.config ->
-  ?warm_cap:int ->
-  ?xl_cutoff:int ->
   ?stats:Stats.t ->
   shards:int ->
   unit ->

@@ -101,7 +101,7 @@ let create ?(shards = 4) ?slice ~socket_path ~out_dir () : t =
    with Invalid_argument _ -> ());
   (* warm shards: each serve worker keeps its pool of baseline-reset VMs
      across connections — exactly the long-lived process the warm path is
-     for — with the runner's size-aware placement routing submissions *)
+     for — with the runner's placement policy routing submissions *)
   let stats = Stats.create () in
   let runner = Job.runner ?slice ~stats ~shards () in
   {

@@ -21,7 +21,7 @@
    its owner, so there is no lock. The [stats] snapshot is read by the
    submitting domain after the shard domains are joined, which is the
    synchronization point. Capacity is bounded (default 32 resident VMs
-   ≈ 256 MB of heap arrays, enough for the whole 21-workload registry on
+   ≈ 256 MB of heap arrays, enough for the whole 23-workload registry on
    one shard); eviction is least-recently-used, whole-VM. *)
 
 type slot = {

@@ -295,14 +295,7 @@ let compile (vm : Rt.t) (m : Rt.rmethod) : Rt.compiled =
        off every pc simply stays on the stack tier *)
     let regions =
       if vm.cfg.regir then begin
-        try
-          let r =
-            Regir.lower ~nlocals:m.rm_nlocals ~max_stack code handlers maps
-          in
-          if vm.cfg.audit then
-            Regir.check m code handlers maps ~nlocals:m.rm_nlocals ~max_stack
-              r;
-          r
+        try Regir.lower ~nlocals:m.rm_nlocals ~max_stack code handlers maps
         with Regir.Error msg -> error "regir: %s" msg
       end
       else Array.make (Array.length code) None

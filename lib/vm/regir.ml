@@ -463,20 +463,22 @@ let lower ~nlocals ~max_stack (code : Rt.cinstr array)
 
 (* ------------------------------------------------------------- audit *)
 
-(* Static audit run after lowering: every region must cover only
-   includable, barrier-free pcs, pay exactly one tick per covered
-   instruction, carry canonical pcs and fault-time sp slots that agree
-   with the reference maps, and agree with [k_code] operand-for-operand —
-   including physical equality of the shared inline-cache cells. *)
-let check (m : Rt.rmethod) (code : Rt.cinstr array)
-    (handlers : Rt.rhandler array) (maps : Rt.refmap array) ~nlocals
-    ~max_stack (regions : Rt.region option array) =
+(* Static audit of a compiled method's region table: every region must
+   cover only includable, barrier-free pcs, pay exactly one tick per
+   covered instruction, carry canonical pcs and fault-time sp slots that
+   agree with the reference maps, and agree with [k_code]
+   operand-for-operand — including physical equality of the shared
+   inline-cache cells. *)
+let check (m : Rt.rmethod) =
+  let c = Rt.compiled m in
+  let code = c.Rt.k_code and regions = c.Rt.k_regions and maps = c.Rt.k_maps in
+  let nlocals = m.Rt.rm_nlocals and max_stack = c.Rt.k_max_stack in
   let n = Array.length code in
   let name = m.Rt.rm_name in
   if Array.length regions <> n then
     error "%s: region table has %d entries for %d instructions" name
       (Array.length regions) n;
-  let barrier = barriers code handlers in
+  let barrier = barriers code c.Rt.k_handlers in
   let nslots = nlocals + max_stack in
   let depth_at pc = maps.(pc).Rt.map_depth in
   let slot_ok s = s >= 0 && s < nslots in

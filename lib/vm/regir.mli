@@ -20,17 +20,11 @@ val lower :
   Rt.refmap array ->
   Rt.region option array
 
-(** Static audit of a lowered region table against the canonical code,
-    run when [cfg.audit] is set. Checks extents, tick
-    totals, slot bounds, fault-time sp slots against the reference maps,
-    operand agreement with [k_code], and physical sharing of inline-cache
-    cells. Raises [Error] on any violation. *)
-val check :
-  Rt.rmethod ->
-  Rt.cinstr array ->
-  Rt.rhandler array ->
-  Rt.refmap array ->
-  nlocals:int ->
-  max_stack:int ->
-  Rt.region option array ->
-  unit
+(** Static audit of a compiled method's region table ([Rt.compiled m])
+    against its canonical code. Checks extents, tick totals, slot bounds,
+    fault-time sp slots against the reference maps, operand agreement
+    with [k_code], and physical sharing of inline-cache cells. Raises
+    [Error] on any violation, and [Invalid_argument] if [m] is not
+    compiled. The compiler never runs it; the test suite does, on every
+    method of the registry. *)
+val check : Rt.rmethod -> unit

@@ -415,12 +415,6 @@ and config = {
       (* no effect: the VM has no superinstruction fusion. Kept only so
          the frozen perfbench harness, which sets it, still compiles *)
   regir : bool; (* register-IR tier in the compiler (k_regions) *)
-  audit : bool;
-      (* re-check the lowered region table against the canonical code
-         at compile time. A belt-and-braces pass for the test suite: it
-         can only reject compiler bugs, never change behavior, and on
-         sub-millisecond workloads its wall cost rivals the run itself —
-         so production configs leave it off *)
   env_cfg : Env.config;
 }
 
@@ -514,7 +508,6 @@ let default_config =
     instr_limit = 200_000_000;
     fuse = true;
     regir = true;
-    audit = false;
     env_cfg = Env.default_config;
   }
 

@@ -1,8 +1,8 @@
 (* Warm-VM reuse: the parity contract (a baseline-reset VM is
    indistinguishable from a cold boot — traces and digests byte-identical,
-   registry-wide), the pool's LRU accounting, the size-aware placement
-   policy, and the two dispatcher fixes that ride along: retry backoff
-   re-enqueues instead of sleeping on the shard domain, and an entry whose
+   registry-wide), the pool's LRU accounting, the placement policy, and
+   the two dispatcher fixes that ride along: retry backoff re-enqueues
+   instead of sleeping on the shard domain, and an entry whose
    deadline has passed at dequeue completes as Timed_out without ever
    touching a VM. *)
 
@@ -289,23 +289,26 @@ let test_placement_policy () =
   let record w = Server.Job.Record { workload = w; seed = 1; out = "/dev/null" } in
   Alcotest.check place_testable "lint is shared" D.Shared
     (r.Server.Job.place (Server.Job.Lint { workload = "fig1ab" }));
-  Alcotest.check place_testable "unmeasured -XL is shared by name" D.Shared
-    (r.Server.Job.place (record "primes-XL"));
+  Alcotest.check place_testable "explore is shared" D.Shared
+    (r.Server.Job.place
+       (Server.Job.Explore
+          {
+            workload = "fig1ab";
+            seed = 1;
+            prefix = [||];
+            pb = 1;
+            db = 0;
+            dpor = true;
+          }));
   let affinity = D.Shard (Hashtbl.hash "fig1ab" mod 4) in
-  Alcotest.check place_testable "unmeasured small job pins to affinity"
-    affinity
+  Alcotest.check place_testable "record pins to affinity" affinity
     (r.Server.Job.place (record "fig1ab"));
   Alcotest.check place_testable "same affinity across ops" affinity
     (r.Server.Job.place
        (Server.Job.Replay { workload = "fig1ab"; trace = "x" }));
-  (* measurement overrides both defaults *)
-  Server.Estimate.note r.Server.Job.estimates "fig1ab" 5_000_000;
-  Alcotest.check place_testable "measured XL moves to shared" D.Shared
-    (r.Server.Job.place (record "fig1ab"));
-  Server.Estimate.note r.Server.Job.estimates "primes-XL" 100;
-  Alcotest.check place_testable "measured small -XL pins to affinity"
-    (D.Shard (Hashtbl.hash "primes-XL" mod 4))
-    (r.Server.Job.place (record "primes-XL"))
+  Alcotest.check place_testable "roundtrip shares it" affinity
+    (r.Server.Job.place
+       (Server.Job.Roundtrip { workload = "fig1ab"; seed = 2 }))
 
 (* --- dispatcher: the two scheduling bugfixes ----------------------------- *)
 

@@ -33,18 +33,19 @@ let test_catalogue_checks_clean () =
     (all ())
 
 let test_catalogue_verifies () =
-  (* every method of every workload passes the dataflow verifier, and —
-     with the compile-time audit on — the lowered region table re-checks
-     against the canonical code. Production configs skip the audit for
-     wall time; this is where it runs. *)
-  let config = { Vm.Rt.default_config with Vm.Rt.audit = true } in
+  (* every method of every workload passes the dataflow verifier, and its
+     lowered region table re-checks against the canonical code (the
+     compiler never runs that audit; this is where it runs) *)
   List.iter
     (fun (e : Workloads.Registry.entry) ->
-      let vm = Vm.create ~config ~natives:e.natives e.program in
+      let vm = Vm.create ~natives:e.natives e.program in
       Array.iter
         (fun (m : Vm.Rt.rmethod) ->
           match Vm.Compile.compile vm m with
-          | _ -> ()
+          | _ -> (
+            try Vm.Regir.check m
+            with Vm.Regir.Error msg ->
+              Alcotest.failf "%s: %s region audit: %s" e.name m.rm_name msg)
           | exception Vm.Verify.Error msg ->
             Alcotest.failf "%s: %s rejected: %s" e.name m.rm_name msg)
         vm.Vm.Rt.methods)
