@@ -1,6 +1,6 @@
 # Convenience targets; everything below is plain dune.
 
-.PHONY: all build test smoke batch-smoke regir-smoke explore-smoke perfbench-smoke bench lint clean
+.PHONY: all build test smoke batch-smoke serve-smoke regir-smoke explore-smoke perfbench-smoke bench lint clean
 
 all: build
 
@@ -28,6 +28,29 @@ batch-smoke:
 	    echo "$$left"; exit 1; fi
 	dune exec bin/dvrun.exe -- replay bank -i _batch/bank.trace
 	dune exec bin/dvrun.exe -- replay racy-counter -i _batch/racy-counter.trace
+
+# Socket farm gate: start `dvrun serve` for one connection on a socket in
+# a temp dir, wait for the socket file, submit three roundtrip jobs with
+# `dvrun submit`, then wait for the server to exit. Fails if submit exits
+# non-zero (a job failed, or a roundtrip's replay did not match its
+# recording), if the server never opens its socket, or if it exits non-zero.
+DVRUN = _build/default/bin/dvrun.exe
+
+serve-smoke:
+	dune build $(DVRUN)
+	@dir=$$(mktemp -d); sock=$$dir/dv.sock; \
+	  $(DVRUN) serve --shards 2 --max-conns 1 --socket $$sock \
+	    --out $$dir/out & pid=$$!; \
+	  n=0; while [ ! -S $$sock ]; do \
+	    n=$$((n + 1)); \
+	    if [ $$n -gt 600 ] || ! kill -0 $$pid 2>/dev/null; then \
+	      echo "serve-smoke: server never opened $$sock"; \
+	      kill $$pid 2>/dev/null; rm -rf $$dir; exit 1; fi; \
+	    sleep 0.1; done; \
+	  $(DVRUN) submit --socket $$sock roundtrip bank racy-counter timed; \
+	  rc=$$?; wait $$pid; src=$$?; rm -rf $$dir; \
+	  if [ $$rc -ne 0 ]; then echo "serve-smoke: submit exited $$rc"; exit 1; fi; \
+	  if [ $$src -ne 0 ]; then echo "serve-smoke: serve exited $$src"; exit 1; fi
 
 # Register-tier speed floor: run every registry workload live with the
 # register-IR tier on and off and fail if any workload of >= 200k

@@ -369,7 +369,6 @@ let serve_load ~shards ~clients ~per_client ~rate_hz =
                      q_seed = 1;
                      q_trace = "";
                      q_deadline_ms = 0;
-                     q_max_retries = 0;
                    });
               flush oc;
               Unix.sleepf gap

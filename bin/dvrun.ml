@@ -585,11 +585,6 @@ let batch_cmd =
       & opt (some float) None
       & info [ "deadline" ] ~docv:"SECS" ~doc:"per-job deadline in seconds")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N" ~doc:"retry budget per job")
-  in
   let rounds_arg =
     Arg.(
       value & opt int 1
@@ -604,17 +599,16 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const (fun shards seed no_regir out_dir deadline_s max_retries rounds
-                cold ->
+      const (fun shards seed no_regir out_dir deadline_s rounds cold ->
           let config = config_of_flags no_regir in
           let rep =
             Server.Batch.run_registry ~shards ~config ~seed ?deadline_s
-              ~max_retries ~warm:(not cold) ~rounds ~out_dir ()
+              ~warm:(not cold) ~rounds ~out_dir ()
           in
           Fmt.pr "%a@." Server.Batch.pp_report rep;
           if not rep.Server.Batch.ok then Stdlib.exit 1)
       $ shards_arg $ seed_arg $ no_regir_arg $ out_dir_arg $ deadline_arg
-      $ retries_arg $ rounds_arg $ cold_arg)
+      $ rounds_arg $ cold_arg)
 
 let socket_arg =
   Arg.(
@@ -677,14 +671,9 @@ let submit_cmd =
       value & opt int 0
       & info [ "deadline-ms" ] ~docv:"MS" ~doc:"per-job deadline (0 = none)")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N" ~doc:"retry budget per job")
-  in
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
-      const (fun socket_path op workloads seed trace deadline_ms retries ->
+      const (fun socket_path op workloads seed trace deadline_ms ->
           let workloads =
             if workloads <> [] then workloads
             else Workloads.Registry.names ()
@@ -699,7 +688,6 @@ let submit_cmd =
                     q_seed = seed;
                     q_trace = trace;
                     q_deadline_ms = deadline_ms;
-                    q_max_retries = retries;
                   })
               workloads
           in
@@ -707,7 +695,14 @@ let submit_cmd =
           let failed = ref 0 in
           List.iter
             (fun (r : Server.Protocol.reply) ->
-              if r.p_outcome <> 0 then incr failed;
+              (* a roundtrip's status is the farm's replay verdict: "ok",
+                 or "mismatch" when the replay ended fatal, left trace
+                 words unconsumed, or reached a different state digest *)
+              if
+                r.p_outcome <> 0
+                || r.p_op = Server.Protocol.Op_roundtrip
+                   && r.p_status <> "ok"
+              then incr failed;
               Fmt.pr "%-24s %-9s %-10s %2d att  %7.1f ms  %s %s@."
                 r.p_workload
                 (Server.Protocol.string_of_op r.p_op)
@@ -724,7 +719,7 @@ let submit_cmd =
             replies;
           if !failed > 0 then Stdlib.exit 1)
       $ socket_arg $ op_arg $ workloads_arg $ seed_arg $ trace_arg
-      $ deadline_ms_arg $ retries_arg)
+      $ deadline_ms_arg)
 
 let main_cmd =
   let doc = "DejaVu replay platform driver (simulated Jalapeño VM)" in

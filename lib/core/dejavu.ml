@@ -126,20 +126,17 @@ let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
 (* Record straight into a trace file through the streaming writer: bounded
    recorder-side memory. *)
 let record_to ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
-    ?(seed = 1) ?limit ?(observe = true) ?buf_words ~path program :
-    run * Trace.sizes =
+    ?(seed = 1) ?limit ?(observe = true) ~path program : run * Trace.sizes =
   let vm = Vm.create ~config:(with_seed seed config) ~natives ~inputs program in
-  record_into vm
-    (Trace.Writer.create ?buf_words path)
-    (run_recording ~limit ~observe vm)
+  record_into vm (Trace.Writer.create path) (run_recording ~limit ~observe vm)
 
 (* Replay from a trace file through the streaming reader: O(chunk) replay-
    side trace memory. Raises Trace.Format_error on a malformed file. *)
 let replay_from ?(config = Vm.Rt.default_config) ?(natives = [])
-    ?(seed = 424242) ?limit ?(observe = true) ?chunk_words ~path program :
+    ?(seed = 424242) ?limit ?(observe = true) ~path program :
     run * string list =
   let vm = Vm.create ~config:(with_seed seed config) ~natives program in
-  let reader = Trace.Reader.open_file ?chunk_words path in
+  let reader = Trace.Reader.open_file path in
   Fun.protect
     ~finally:(fun () -> Trace.Reader.close reader)
     (fun () ->

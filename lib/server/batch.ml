@@ -73,8 +73,8 @@ let aggregate_of rows =
     rows;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let run_specs ?(shards = 4) ?config ?deadline_s ?max_retries ?slice
-    ?(warm = true) specs : report =
+let run_specs ?(shards = 4) ?config ?deadline_s ?slice ?(warm = true) specs :
+    report =
   Job.preload ();
   let t0 = Unix.gettimeofday () in
   let stats = Stats.create () in
@@ -89,7 +89,7 @@ let run_specs ?(shards = 4) ?config ?deadline_s ?max_retries ?slice
       Dispatcher.create ~shards ~stats ~run:(Job.run ?slice ?config) ()
   in
   let deadline = Option.map (fun s -> t0 +. s) deadline_s in
-  List.iter (fun spec -> ignore (Dispatcher.submit d ?deadline ?max_retries spec)) specs;
+  List.iter (fun spec -> ignore (Dispatcher.submit d ?deadline spec)) specs;
   let results = Dispatcher.drain d in
   let wall_s = Unix.gettimeofday () -. t0 in
   let rows = List.map row_of_result results in
@@ -114,8 +114,8 @@ let run_specs ?(shards = 4) ?config ?deadline_s ?max_retries ?slice
    workload's first resets a pooled VM instead of booting; later rounds'
    traces land in NAME-rK.trace so rounds never overwrite each other
    mid-digest). *)
-let run_registry ?shards ?config ?(seed = 1) ?deadline_s ?max_retries ?slice
-    ?warm ?(rounds = 1) ~out_dir () : report =
+let run_registry ?shards ?config ?(seed = 1) ?deadline_s ?slice ?warm
+    ?(rounds = 1) ~out_dir () : report =
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   let names = Workloads.Registry.names () in
   let specs =
@@ -132,7 +132,7 @@ let run_registry ?shards ?config ?(seed = 1) ?deadline_s ?max_retries ?slice
           names)
       (List.init rounds Fun.id)
   in
-  run_specs ?shards ?config ?deadline_s ?max_retries ?slice ?warm specs
+  run_specs ?shards ?config ?deadline_s ?slice ?warm specs
 
 let pp_row ppf r =
   Fmt.pf ppf "%-24s %-9s shard %d  %2d att  %7.1f ms  %-10s %s" r.b_name r.b_op

@@ -36,7 +36,6 @@ val run_specs :
   ?shards:int ->
   ?config:Vm.Rt.config ->
   ?deadline_s:float ->
-  ?max_retries:int ->
   ?slice:int ->
   ?warm:bool ->
   Job.spec list ->
@@ -50,7 +49,6 @@ val run_registry :
   ?config:Vm.Rt.config ->
   ?seed:int ->
   ?deadline_s:float ->
-  ?max_retries:int ->
   ?slice:int ->
   ?warm:bool ->
   ?rounds:int ->

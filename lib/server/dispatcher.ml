@@ -10,9 +10,9 @@
    - pull entries off the queues and run them through the caller's [run]
      function, handing it a [ctx] whose [should_stop] raises on
      cancellation or an elapsed deadline (polled between VM slices);
-   - bounded retry with exponential backoff on failure — by re-enqueueing
-     the entry with a [not_before] timestamp, never by sleeping on the
-     worker domain, so a failing job's backoff stalls nobody behind it;
+   - run each entry at most once: a job is a pure function of its spec and
+     its input files, so one that raised would raise again on every retry
+     — its failure is final and reported once;
    - emit exactly one result per submission, delivered to the consumer in
      submission order through a reorder buffer (workers complete out of
      order; [next] blocks until the next sequence number lands). *)
@@ -32,7 +32,7 @@ type place = Shared | Shard of int
 
 type 'r outcome =
   | Done of 'r
-  | Failed of string (* after the retry budget is spent *)
+  | Failed of string (* the job raised; jobs are deterministic, so final *)
   | Timed_out
   | Cancelled_
 
@@ -40,7 +40,7 @@ type ('a, 'r) result = {
   r_seq : int;
   r_payload : 'a;
   r_outcome : 'r outcome;
-  r_attempts : int; (* executions performed (0 if never started) *)
+  r_attempts : int; (* 1 if the job ran, 0 if it ended while queued *)
   r_latency : float; (* submission -> completion, seconds *)
   r_shard : int;
 }
@@ -61,9 +61,7 @@ type ('a, 'r) t = {
 
 let now () = Unix.gettimeofday ()
 
-(* Run one attempt. [None] means the entry was re-enqueued for a backed-off
-   retry and owes no result yet; [Some r] is the entry's terminal result. *)
-let execute t shard (e : 'a Jobq.entry) : ('a, 'r) result option =
+let execute t shard (e : 'a Jobq.entry) : ('a, 'r) result =
   let should_stop () =
     if Jobq.is_cancelled e then raise Cancelled;
     match e.deadline with
@@ -71,39 +69,28 @@ let execute t shard (e : 'a Jobq.entry) : ('a, 'r) result option =
     | _ -> ()
   in
   let ctx = { shard; seq = e.seq; should_stop } in
-  let finish outcome =
-    Some
-      {
-        r_seq = e.seq;
-        r_payload = e.payload;
-        r_outcome = outcome;
-        r_attempts = e.attempts;
-        r_latency = now () -. e.submitted_at;
-        r_shard = shard;
-      }
+  let finish attempts outcome =
+    {
+      r_seq = e.seq;
+      r_payload = e.payload;
+      r_outcome = outcome;
+      r_attempts = attempts;
+      r_latency = now () -. e.submitted_at;
+      r_shard = shard;
+    }
   in
   (* Deadline/cancellation check BEFORE touching any VM: an entry that
-     expired or was cancelled while queued completes right here with
-     [attempts] untouched (0 unless a previous attempt ran). *)
+     expired or was cancelled while queued completes right here with zero
+     attempts. *)
   match should_stop () with
-  | exception Cancelled -> finish Cancelled_
-  | exception Deadline_exceeded -> finish Timed_out
+  | exception Cancelled -> finish 0 Cancelled_
+  | exception Deadline_exceeded -> finish 0 Timed_out
   | () -> (
-    e.attempts <- e.attempts + 1;
     match t.run ctx e.payload with
-    | r -> finish (Done r)
-    | exception Cancelled -> finish Cancelled_
-    | exception Deadline_exceeded -> finish Timed_out
-    | exception exn ->
-      if e.attempts > e.max_retries then finish (Failed (Printexc.to_string exn))
-      else begin
-        (* hand the entry back to its home queue with the backoff encoded
-           as an earliest-start time; this shard takes other work *)
-        Stats.on_retry t.stats;
-        let delay = e.backoff *. (2. ** float_of_int (e.attempts - 1)) in
-        Jobq.requeue t.queue e ~not_before:(now () +. delay);
-        None
-      end)
+    | r -> finish 1 (Done r)
+    | exception Cancelled -> finish 1 Cancelled_
+    | exception Deadline_exceeded -> finish 1 Timed_out
+    | exception exn -> finish 1 (Failed (Printexc.to_string exn)))
 
 let post t (r : ('a, 'r) result) =
   Stats.on_complete t.stats
@@ -122,7 +109,7 @@ let worker t shard () =
     match Jobq.pop_shard t.queue ~shard with
     | None -> ()
     | Some e ->
-      (match execute t shard e with Some r -> post t r | None -> ());
+      post t (execute t shard e);
       loop ()
   in
   loop ()
@@ -157,14 +144,14 @@ let queue_depth t = Jobq.depth t.queue
    complete the entry before this domain runs another instruction, and
    [on_complete] decrementing depth below zero would corrupt the
    depth/peak_depth gauges. The closed-queue error path undoes the count. *)
-let submit t ?deadline ?max_retries ?backoff payload =
+let submit t ?deadline payload =
   Stats.on_submit t.stats;
   let shard =
     match t.place payload with
     | Shared -> -1
     | Shard i -> ((i mod t.shards) + t.shards) mod t.shards
   in
-  match Jobq.submit t.queue ?deadline ?max_retries ?backoff ~shard payload with
+  match Jobq.submit t.queue ?deadline ~shard payload with
   | e -> e
   | exception exn ->
     Stats.on_submit_rejected t.stats;

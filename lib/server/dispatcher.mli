@@ -32,7 +32,8 @@ type place = Shared | Shard of int
 
 type 'r outcome =
   | Done of 'r
-  | Failed of string  (** after the retry budget is spent *)
+  | Failed of string
+      (** [run] raised; jobs are deterministic, so this is final *)
   | Timed_out
   | Cancelled_
 
@@ -40,22 +41,23 @@ type ('a, 'r) result = {
   r_seq : int;
   r_payload : 'a;
   r_outcome : 'r outcome;
-  r_attempts : int;  (** executions performed (0 if never started) *)
+  r_attempts : int;
+      (** 1 if [run] was called, 0 if the entry ended while queued *)
   r_latency : float;  (** submission to completion, seconds *)
   r_shard : int;
 }
 
 type ('a, 'r) t
 
-(** Spawn [shards] worker domains (default 4) running [run]. [run] may
-    raise: generic exceptions consume the retry budget (exponential
-    backoff via re-enqueue with an earliest-start time — the worker domain
-    never sleeps), {!Cancelled}/{!Deadline_exceeded} terminate the job
-    with the matching outcome. An entry whose deadline has already passed
-    when dequeued completes as [Timed_out] without [run] being called
-    (its [r_attempts] stays 0). [place] routes each submission (default:
-    everything Shared); [stats] lets the caller share a stats block with
-    other layers (default: fresh). *)
+(** Spawn [shards] worker domains (default 4) running [run], at most once
+    per entry. [run] may raise: {!Cancelled}/{!Deadline_exceeded}
+    terminate the job with the matching outcome, any other exception with
+    [Failed] — there are no retries, since a job is a pure function of its
+    spec and inputs and would raise again. An entry whose deadline has
+    already passed (or that was cancelled) when dequeued completes without
+    [run] being called (its [r_attempts] is 0). [place] routes each
+    submission (default: everything Shared); [stats] lets the caller share
+    a stats block with other layers (default: fresh). *)
 val create :
   ?shards:int ->
   ?place:('a -> place) ->
@@ -70,17 +72,9 @@ val stats : ('a, 'r) t -> Stats.t
 
 val queue_depth : ('a, 'r) t -> int
 
-(** Enqueue a job. [deadline] is absolute Unix time; [max_retries] extra
-    attempts after the first failure (default 0); [backoff] base seconds,
-    doubled per failed attempt (default 0.05). Returns the entry, usable
-    with {!cancel}. *)
-val submit :
-  ('a, 'r) t ->
-  ?deadline:float ->
-  ?max_retries:int ->
-  ?backoff:float ->
-  'a ->
-  'a Jobq.entry
+(** Enqueue a job. [deadline] is absolute Unix time. Returns the entry,
+    usable with {!cancel}. *)
+val submit : ('a, 'r) t -> ?deadline:float -> 'a -> 'a Jobq.entry
 
 val cancel : 'a Jobq.entry -> unit
 

@@ -1,21 +1,15 @@
 (** The farm's work queues: one shared queue any shard may steal from,
     plus one local queue per shard that only its owner pops (warm-VM
     affinity work never migrates). Entries carry scheduling metadata
-    (absolute deadline, retry budget, backoff base, earliest-start time,
-    cancellation flag); the dispatcher enforces the policy, re-enqueueing
-    retries with a [not_before] timestamp instead of sleeping on the
-    worker domain. *)
+    (absolute deadline, cancellation flag); the dispatcher enforces the
+    policy. Each entry is popped exactly once: jobs are deterministic, so
+    a failure is final and nothing is re-enqueued. *)
 
 type 'a entry = {
   seq : int;  (** submission order; also the results-channel position *)
   payload : 'a;
   deadline : float option;  (** absolute Unix time *)
-  max_retries : int;  (** extra attempts after the first failure *)
-  backoff : float;  (** base seconds, doubled per failed attempt *)
   submitted_at : float;
-  home : int;  (** owning shard's local queue, or -1 = shared *)
-  mutable attempts : int;
-  mutable not_before : float;  (** absolute; 0. = poppable immediately *)
   cancelled : bool Atomic.t;
       (** set by the submitter, polled by the worker domain running the
           entry *)
@@ -31,19 +25,7 @@ val shards : 'a t -> int
 (** Enqueue onto [shard]'s local queue, or the shared queue when [shard]
     is negative (the default). Raises [Invalid_argument] on a closed
     queue or an out-of-range shard. *)
-val submit :
-  'a t ->
-  ?deadline:float ->
-  ?max_retries:int ->
-  ?backoff:float ->
-  ?shard:int ->
-  'a ->
-  'a entry
-
-(** Put a popped entry back on its home queue, poppable again at
-    [not_before] — the non-blocking retry backoff. Permitted on a closed
-    queue (draining still serves requeued retries). *)
-val requeue : 'a t -> 'a entry -> not_before:float -> unit
+val submit : 'a t -> ?deadline:float -> ?shard:int -> 'a -> 'a entry
 
 (** Cooperative cancellation: a queued entry is reported cancelled when
     popped; a running one stops at its next poll. *)
@@ -52,14 +34,11 @@ val cancel : 'a entry -> unit
 val is_cancelled : 'a entry -> bool
 
 (** Block until an entry [shard] may run is available — its own local
-    queue first, then the shared queue; [None] once the queue is closed
-    and nothing poppable by this shard remains. Entries still backing off
-    are skipped until due; cancelled or deadline-expired entries are
-    returned immediately (the dispatcher emits their result slot). *)
+    queue first, then the shared queue, each in FIFO order; [None] once
+    the queue is closed and nothing poppable by this shard remains.
+    Cancelled or deadline-expired entries are returned like any other
+    (the dispatcher emits their result slot). *)
 val pop_shard : 'a t -> shard:int -> 'a entry option
-
-(** [pop_shard ~shard:0] — the single-queue view. *)
-val pop : 'a t -> 'a entry option
 
 val close : 'a t -> unit
 

@@ -40,7 +40,6 @@ type request =
       q_seed : int;
       q_trace : string; (* server-side trace path for replay; "" otherwise *)
       q_deadline_ms : int; (* relative to receipt; 0 = none *)
-      q_max_retries : int;
     }
   | Finish (* no more submissions; server streams remaining replies, closes *)
 
@@ -73,8 +72,7 @@ let get_int s off =
   (v, off)
 
 let encode_request = function
-  | Submit { q_op; q_workload; q_seed; q_trace; q_deadline_ms; q_max_retries }
-    ->
+  | Submit { q_op; q_workload; q_seed; q_trace; q_deadline_ms } ->
     let b = Buffer.create 64 in
     Trace.put_varint b 0;
     Trace.put_varint b (int_of_op q_op);
@@ -82,7 +80,6 @@ let encode_request = function
     Trace.put_varint b q_seed;
     put_string b q_trace;
     Trace.put_varint b q_deadline_ms;
-    Trace.put_varint b q_max_retries;
     Buffer.contents b
   | Finish ->
     let b = Buffer.create 4 in
@@ -98,18 +95,10 @@ let decode_request s =
     let q_seed, off = get_int s off in
     let q_trace, off = get_string s off in
     let q_deadline_ms, off = get_int s off in
-    let q_max_retries, off = get_int s off in
     if off <> String.length s then
       raise (Trace.Format_error "trailing bytes in request frame");
     Submit
-      {
-        q_op = op_of_int opi;
-        q_workload;
-        q_seed;
-        q_trace;
-        q_deadline_ms;
-        q_max_retries;
-      }
+      { q_op = op_of_int opi; q_workload; q_seed; q_trace; q_deadline_ms }
   | 1 ->
     if off <> String.length s then
       raise (Trace.Format_error "trailing bytes in request frame");

@@ -20,7 +20,6 @@ type request =
       q_trace : string;
           (** server-side trace path for replay; [""] otherwise *)
       q_deadline_ms : int;  (** relative to receipt; 0 = none *)
-      q_max_retries : int;
     }
   | Finish
       (** no more submissions; the server streams remaining replies in

@@ -152,9 +152,7 @@ let handle_conn t fd =
             let seq = t.next_name in
             t.next_name <- seq + 1;
             let spec = spec_of_submit t ~seq req in
-            ignore
-              (Dispatcher.submit t.dispatcher ?deadline
-                 ~max_retries:q.q_max_retries spec);
+            ignore (Dispatcher.submit t.dispatcher ?deadline spec);
             incr submitted;
             read_loop ()
         in

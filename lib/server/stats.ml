@@ -10,7 +10,6 @@ type t = {
   mutable submitted : int;
   mutable succeeded : int;
   mutable failed : int;
-  mutable retried : int; (* retry attempts performed, not jobs *)
   mutable cancelled : int;
   mutable timed_out : int;
   mutable depth : int; (* jobs submitted but not yet completed *)
@@ -28,7 +27,6 @@ type view = {
   v_submitted : int;
   v_succeeded : int;
   v_failed : int;
-  v_retried : int;
   v_cancelled : int;
   v_timed_out : int;
   v_depth : int;
@@ -47,7 +45,6 @@ let create () =
     submitted = 0;
     succeeded = 0;
     failed = 0;
-    retried = 0;
     cancelled = 0;
     timed_out = 0;
     depth = 0;
@@ -87,8 +84,6 @@ let on_submit_rejected t =
   locked t (fun () ->
       t.submitted <- t.submitted - 1;
       t.depth <- t.depth - 1)
-
-let on_retry t = locked t (fun () -> t.retried <- t.retried + 1)
 
 (* A job acquired its VM: [hit] = reset from a warm baseline, not booted. *)
 let on_warm t ~hit =
@@ -138,7 +133,6 @@ let view t : view =
         v_submitted = t.submitted;
         v_succeeded = t.succeeded;
         v_failed = t.failed;
-        v_retried = t.retried;
         v_cancelled = t.cancelled;
         v_timed_out = t.timed_out;
         v_depth = t.depth;
@@ -153,10 +147,9 @@ let view t : view =
 
 let pp_view ppf v =
   Fmt.pf ppf
-    "jobs: %d submitted, %d ok, %d failed, %d timed out, %d cancelled (%d \
-     retries)@\n\
+    "jobs: %d submitted, %d ok, %d failed, %d timed out, %d cancelled@\n\
      queue depth: %d now, %d peak; warm VMs: %d resets, %d boots@\n\
      latency: mean %.1f ms, p50 <= %.1f ms, p99 <= %.1f ms, max %.1f ms"
     v.v_submitted v.v_succeeded v.v_failed v.v_timed_out v.v_cancelled
-    v.v_retried v.v_depth v.v_peak_depth v.v_warm_hits v.v_warm_misses
+    v.v_depth v.v_peak_depth v.v_warm_hits v.v_warm_misses
     (v.v_mean *. 1e3) (v.v_p50 *. 1e3) (v.v_p99 *. 1e3) (v.v_max *. 1e3)

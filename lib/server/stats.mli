@@ -9,7 +9,6 @@ type view = {
   v_submitted : int;
   v_succeeded : int;
   v_failed : int;
-  v_retried : int;  (** retry attempts performed, not jobs *)
   v_cancelled : int;
   v_timed_out : int;
   v_depth : int;  (** jobs submitted but not yet completed *)
@@ -30,8 +29,6 @@ val on_submit : t -> unit
 
 (** Undo an [on_submit] whose enqueue was refused (e.g. closed queue). *)
 val on_submit_rejected : t -> unit
-
-val on_retry : t -> unit
 
 (** A job acquired its VM: [hit] = reset from a warm baseline rather than
     booted. *)

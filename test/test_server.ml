@@ -1,4 +1,4 @@
-(* The replay farm: work queue, dispatcher (ordering / retry / deadline /
+(* The replay farm: work queue, dispatcher (ordering / deadline /
    cancellation), wire protocol, streamed-vs-materialized equivalence over
    the whole registry, shard-count-invariant batch digests, and an
    end-to-end serve/submit conversation over a Unix socket. *)
@@ -17,7 +17,7 @@ let test_jobq_fifo () =
   Alcotest.(check int) "depth" 3 (Server.Jobq.depth q);
   Alcotest.(check int) "submitted" 3 (Server.Jobq.submitted q);
   let pop () =
-    match Server.Jobq.pop q with
+    match Server.Jobq.pop_shard q ~shard:0 with
     | Some e -> (e.Server.Jobq.seq, e.Server.Jobq.payload)
     | None -> Alcotest.fail "queue empty"
   in
@@ -25,7 +25,8 @@ let test_jobq_fifo () =
   Alcotest.(check (pair int int)) "second" (1, 11) (pop ());
   Alcotest.(check (pair int int)) "third" (2, 12) (pop ());
   Server.Jobq.close q;
-  Alcotest.(check bool) "drained" true (Server.Jobq.pop q = None);
+  Alcotest.(check bool) "drained" true
+    (Server.Jobq.pop_shard q ~shard:0 = None);
   match Server.Jobq.submit q 13 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "submit on closed queue"
@@ -35,7 +36,7 @@ let test_jobq_cancel () =
   let e = Server.Jobq.submit q 1 in
   Server.Jobq.cancel e;
   (* cancelled entries still pop: every submission gets a result slot *)
-  match Server.Jobq.pop q with
+  match Server.Jobq.pop_shard q ~shard:0 with
   | Some e' ->
     Alcotest.(check bool) "flagged" true (Server.Jobq.is_cancelled e')
   | None -> Alcotest.fail "cancelled entry vanished"
@@ -66,38 +67,6 @@ let test_dispatcher_order () =
       | D.Done v -> Alcotest.(check int) "result" (r.D.r_payload * 2) v
       | _ -> Alcotest.fail "job did not complete")
     rs
-
-let test_dispatcher_retry () =
-  let m = Mutex.create () in
-  let tries = Hashtbl.create 8 in
-  let d =
-    D.create ~shards:2
-      ~run:(fun ctx fail_first ->
-        let n =
-          Mutex.protect m (fun () ->
-              let n = 1 + Option.value ~default:0 (Hashtbl.find_opt tries ctx.D.seq) in
-              Hashtbl.replace tries ctx.D.seq n;
-              n)
-        in
-        if n <= fail_first then failwith "flaky" else n)
-      ()
-  in
-  (* succeeds on attempt 3 with budget 3; exhausts budget 1 *)
-  ignore (D.submit d ~max_retries:3 ~backoff:0.001 2);
-  ignore (D.submit d ~max_retries:1 ~backoff:0.001 5);
-  match D.drain d with
-  | [ a; b ] ->
-    (match a.D.r_outcome with
-    | D.Done 3 -> ()
-    | _ -> Alcotest.fail "retried job should succeed on 3rd attempt");
-    Alcotest.(check int) "attempts counted" 3 a.D.r_attempts;
-    (match b.D.r_outcome with
-    | D.Failed msg ->
-      Alcotest.(check bool) "failure message" true
-        (String.length msg > 0)
-    | _ -> Alcotest.fail "budget-exhausted job should fail");
-    Alcotest.(check int) "budget spent" 2 b.D.r_attempts
-  | rs -> Alcotest.fail (Fmt.str "expected 2 results, got %d" (List.length rs))
 
 let test_dispatcher_deadline () =
   let d =
@@ -184,7 +153,6 @@ let sample_submit =
       q_seed = 7;
       q_trace = "/tmp/x.trace";
       q_deadline_ms = 1500;
-      q_max_retries = 2;
     }
 
 let sample_reply =
@@ -202,13 +170,11 @@ let sample_reply =
 
 let test_protocol_roundtrip () =
   (match P.decode_request (P.encode_request sample_submit) with
-  | P.Submit { q_workload; q_seed; q_trace; q_deadline_ms; q_max_retries; _ }
-    ->
+  | P.Submit { q_workload; q_seed; q_trace; q_deadline_ms; _ } ->
     Alcotest.(check string) "workload" "fig1ab" q_workload;
     Alcotest.(check int) "seed" 7 q_seed;
     Alcotest.(check string) "trace" "/tmp/x.trace" q_trace;
-    Alcotest.(check int) "deadline" 1500 q_deadline_ms;
-    Alcotest.(check int) "retries" 2 q_max_retries
+    Alcotest.(check int) "deadline" 1500 q_deadline_ms
   | P.Finish -> Alcotest.fail "decoded as Finish");
   (match P.decode_request (P.encode_request P.Finish) with
   | P.Finish -> ()
@@ -391,7 +357,6 @@ let test_serve_end_to_end () =
                 q_seed = 1;
                 q_trace = "";
                 q_deadline_ms = 0;
-                q_max_retries = 0;
               })
           [
             (P.Op_record, "fig1ab");
@@ -434,7 +399,6 @@ let test_serve_poisoned_conn_isolated () =
             q_seed = 1;
             q_trace = "";
             q_deadline_ms = 0;
-            q_max_retries = 0;
           }
       in
       (* connection 1: two real submissions, then a frame with an unknown
@@ -471,7 +435,6 @@ let () =
       ( "dispatcher",
         [
           quick "in-order results" test_dispatcher_order;
-          quick "retry with backoff" test_dispatcher_retry;
           quick "deadline" test_dispatcher_deadline;
           quick "cancellation" test_dispatcher_cancel;
           quick "stats counters" test_stats_counters;

@@ -1,10 +1,9 @@
 (* Warm-VM reuse: the parity contract (a baseline-reset VM is
    indistinguishable from a cold boot — traces and digests byte-identical,
    registry-wide), the pool's LRU accounting, the placement policy, and
-   the two dispatcher fixes that ride along: retry backoff re-enqueues
-   instead of sleeping on the shard domain, and an entry whose
-   deadline has passed at dequeue completes as Timed_out without ever
-   touching a VM. *)
+   two dispatcher rules: a failing job runs once and stalls nobody queued
+   behind it, and an entry whose deadline has passed at dequeue completes
+   as Timed_out without ever touching a VM. *)
 
 module D = Server.Dispatcher
 
@@ -310,39 +309,44 @@ let test_placement_policy () =
     (r.Server.Job.place
        (Server.Job.Roundtrip { workload = "fig1ab"; seed = 2 }))
 
-(* --- dispatcher: the two scheduling bugfixes ----------------------------- *)
+(* --- dispatcher: scheduling rules ---------------------------------------- *)
 
-(* Retry backoff must not block the shard: with ONE shard, a failing job
-   with a long backoff is re-enqueued with an earliest-start time, and the
-   small jobs queued behind it run during the backoff window instead of
-   waiting it out. *)
-let test_backoff_does_not_block_shard () =
+(* A failure is final: a job is a pure function of its spec and inputs, so
+   the dispatcher calls a raising [run] exactly once and reports Failed
+   with one attempt. On ONE shard, the jobs queued behind it all still run
+   to Done — a failing job stalls nobody. *)
+let test_failure_is_final () =
+  let calls = Atomic.make 0 in
   let d =
     D.create ~shards:1
-      ~run:(fun _ctx fail -> if fail then failwith "boom" else ())
+      ~run:(fun _ctx fail ->
+        if fail then begin
+          Atomic.incr calls;
+          failwith "boom"
+        end)
       ()
   in
-  ignore (D.submit d ~max_retries:2 ~backoff:0.15 true);
+  ignore (D.submit d true);
   for _ = 1 to 5 do
     ignore (D.submit d false)
   done;
   match D.drain d with
-  | flaky :: fast ->
-    (match flaky.D.r_outcome with
-    | D.Failed _ -> ()
-    | _ -> Alcotest.fail "flaky job should exhaust its budget");
-    Alcotest.(check int) "budget spent" 3 flaky.D.r_attempts;
-    Alcotest.(check bool)
-      (Fmt.str "flaky waited out both backoffs (%.3fs)" flaky.D.r_latency)
-      true
-      (flaky.D.r_latency >= 0.4);
+  | failing :: rest ->
+    Alcotest.(check int) "run called once" 1 (Atomic.get calls);
+    (match failing.D.r_outcome with
+    | D.Failed msg ->
+      Alcotest.(check string) "failure message"
+        (Printexc.to_string (Failure "boom"))
+        msg
+    | _ -> Alcotest.fail "raising job should report Failed");
+    Alcotest.(check int) "one attempt" 1 failing.D.r_attempts;
+    Alcotest.(check int) "five jobs behind it" 5 (List.length rest);
     List.iter
       (fun r ->
-        Alcotest.(check bool)
-          (Fmt.str "small job ran during the backoff (%.3fs)" r.D.r_latency)
-          true
-          (r.D.r_latency < 0.1))
-      fast
+        match r.D.r_outcome with
+        | D.Done () -> ()
+        | _ -> Alcotest.fail "job behind the failure did not complete")
+      rest
   | [] -> Alcotest.fail "no results"
 
 (* An entry whose deadline passed while it sat in the queue completes as
@@ -360,49 +364,6 @@ let test_deadline_expired_at_dequeue () =
     Alcotest.(check int) "never attempted" 0 r.D.r_attempts
   | _ -> Alcotest.fail "expected 1 result");
   Alcotest.(check bool) "run fn never invoked" false !ran
-
-(* --- jobq: not_before scheduling ----------------------------------------- *)
-
-let test_jobq_requeue_not_before () =
-  let q = Server.Jobq.create ~shards:1 () in
-  let a = Server.Jobq.submit q ~shard:0 "a" in
-  ignore (Server.Jobq.submit q "b");
-  (match Server.Jobq.pop_shard q ~shard:0 with
-  | Some e when e.Server.Jobq.payload = "a" -> ()
-  | _ -> Alcotest.fail "local queue should pop first");
-  let due_at = Unix.gettimeofday () +. 0.08 in
-  Server.Jobq.requeue q a ~not_before:due_at;
-  (* the backing-off entry is skipped; the shared entry pops instead *)
-  (match Server.Jobq.pop_shard q ~shard:0 with
-  | Some e -> Alcotest.(check string) "steals past it" "b" e.Server.Jobq.payload
-  | None -> Alcotest.fail "shared entry vanished");
-  (* then pop blocks until the entry is due *)
-  (match Server.Jobq.pop_shard q ~shard:0 with
-  | Some e ->
-    Alcotest.(check string) "requeued entry" "a" e.Server.Jobq.payload;
-    Alcotest.(check bool) "not early" true
-      (Unix.gettimeofday () >= due_at -. 0.01)
-  | None -> Alcotest.fail "requeued entry vanished");
-  Server.Jobq.close q;
-  Alcotest.(check bool) "drained" true (Server.Jobq.pop_shard q ~shard:0 = None)
-
-(* Cancellation makes a backing-off entry immediately poppable: its result
-   slot must not wait out the backoff. *)
-let test_jobq_cancel_overrides_not_before () =
-  let q = Server.Jobq.create ~shards:1 () in
-  let a = Server.Jobq.submit q ~shard:0 "a" in
-  (match Server.Jobq.pop_shard q ~shard:0 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "pop");
-  Server.Jobq.requeue q a ~not_before:(Unix.gettimeofday () +. 30.);
-  Server.Jobq.cancel a;
-  let t0 = Unix.gettimeofday () in
-  (match Server.Jobq.pop_shard q ~shard:0 with
-  | Some e ->
-    Alcotest.(check bool) "flagged" true (Server.Jobq.is_cancelled e);
-    Alcotest.(check bool) "immediate" true (Unix.gettimeofday () -. t0 < 1.)
-  | None -> Alcotest.fail "cancelled entry vanished");
-  Server.Jobq.close q
 
 (* --- batch: warm vs cold aggregate --------------------------------------- *)
 
@@ -457,13 +418,8 @@ let () =
       ("placement", [ quick "policy" test_placement_policy ]);
       ( "dispatcher",
         [
-          quick "backoff frees the shard" test_backoff_does_not_block_shard;
+          quick "failure is final" test_failure_is_final;
           quick "deadline expired at dequeue" test_deadline_expired_at_dequeue;
-        ] );
-      ( "jobq",
-        [
-          quick "requeue honours not_before" test_jobq_requeue_not_before;
-          quick "cancel overrides not_before" test_jobq_cancel_overrides_not_before;
         ] );
       ("batch", [ quick "warm aggregate = cold" test_batch_warm_equals_cold ]);
     ]
