@@ -29,17 +29,20 @@ batch-smoke:
 	dune exec bin/dvrun.exe -- replay bank -i _batch/bank.trace
 	dune exec bin/dvrun.exe -- replay racy-counter -i _batch/racy-counter.trace
 
-# Socket farm gate: start `dvrun serve` for one connection on a socket in
-# a temp dir, wait for the socket file, submit three roundtrip jobs with
-# `dvrun submit`, then wait for the server to exit. Fails if submit exits
-# non-zero (a job failed, or a roundtrip's replay did not match its
-# recording), if the server never opens its socket, or if it exits non-zero.
+# Socket farm gate: start `dvrun serve` for three connections on a socket
+# in a temp dir and wait for the socket file. Submit three roundtrip jobs
+# with `dvrun submit`; record `bank` locally and submit a replay of it,
+# which must pass; then submit a replay of `racy-counter` against the bank
+# trace, which must fail (a program-digest divergence ends the replay
+# fatal, and submit must exit non-zero on it). Then wait for the server to
+# exit. Fails if a passing step exits non-zero, if the negative step exits
+# zero, if the server never opens its socket, or if it exits non-zero.
 DVRUN = _build/default/bin/dvrun.exe
 
 serve-smoke:
 	dune build $(DVRUN)
 	@dir=$$(mktemp -d); sock=$$dir/dv.sock; \
-	  $(DVRUN) serve --shards 2 --max-conns 1 --socket $$sock \
+	  $(DVRUN) serve --shards 2 --max-conns 3 --socket $$sock \
 	    --out $$dir/out & pid=$$!; \
 	  n=0; while [ ! -S $$sock ]; do \
 	    n=$$((n + 1)); \
@@ -48,8 +51,18 @@ serve-smoke:
 	      kill $$pid 2>/dev/null; rm -rf $$dir; exit 1; fi; \
 	    sleep 0.1; done; \
 	  $(DVRUN) submit --socket $$sock roundtrip bank racy-counter timed; \
-	  rc=$$?; wait $$pid; src=$$?; rm -rf $$dir; \
+	  rc=$$?; \
+	  $(DVRUN) record bank -o $$dir/bank.trace >/dev/null && \
+	  $(DVRUN) submit --socket $$sock replay bank --trace $$dir/bank.trace; \
+	  prc=$$?; \
+	  $(DVRUN) submit --socket $$sock replay racy-counter \
+	    --trace $$dir/bank.trace; \
+	  nrc=$$?; wait $$pid; src=$$?; rm -rf $$dir; \
 	  if [ $$rc -ne 0 ]; then echo "serve-smoke: submit exited $$rc"; exit 1; fi; \
+	  if [ $$prc -ne 0 ]; then echo "serve-smoke: bank replay exited $$prc"; exit 1; fi; \
+	  if [ $$nrc -eq 0 ]; then \
+	    echo "serve-smoke: replay of racy-counter against a bank trace exited 0"; \
+	    exit 1; fi; \
 	  if [ $$src -ne 0 ]; then echo "serve-smoke: serve exited $$src"; exit 1; fi
 
 # Register-tier speed floor: run every registry workload live with the
@@ -62,10 +75,18 @@ regir-smoke:
 # Exploration gate: the bounded DPOR search must find the seeded
 # atomicity bug, and every emitted failure trace must replay through the
 # stock replayer to the identical status/output/state digest (exit 1
-# otherwise — --expect-failure inverts the usual success criterion).
+# otherwise — --expect-failure inverts the usual success criterion). Then
+# the same search on 2 farm shards must print the same summary line: the
+# report does not depend on which runner ran the schedules.
 explore-smoke:
 	rm -rf _explore && dune exec bin/dvrun.exe -- explore atomicity \
 	  --out _explore --expect-failure
+	@one=$$(dune exec bin/dvrun.exe -- explore atomicity | head -1); \
+	  two=$$(dune exec bin/dvrun.exe -- explore atomicity --shards 2 | head -1); \
+	  echo "$$two"; \
+	  if [ "$$one" != "$$two" ]; then \
+	    echo "explore-smoke: 2-shard summary differs from 1-shard:"; \
+	    echo "$$one"; exit 1; fi
 
 # End-to-end benchmark gate: one short run of each perfbench workload
 # (record, replay and the farm, every operation checked against its own

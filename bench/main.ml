@@ -479,7 +479,7 @@ let regir_smoke () =
 
 (* ------------------------------------------------------------------ E14 *)
 
-(* Systematic schedule exploration (lib/explore): DFS throughput, the
+(* Systematic schedule exploration (lib/explore): search throughput, the
    DPOR pruning ratio against the unpruned bounded search, and time to
    the first fault. Wall-clock, not CPU time — a search is a sequence of
    whole-VM runs and the headline number a user waits on. *)
@@ -489,7 +489,7 @@ let wall_time f =
   (r, Unix.gettimeofday () -. t0)
 
 let explore_measure (e : Workloads.Registry.entry) =
-  (* the oracle is memoized per workload; build it outside the timers *)
+  (* the audit behind the oracle is memoized; build it outside the timers *)
   ignore (Explore.Oracle.for_entry e);
   let on, t_on =
     wall_time (fun () -> Explore.Driver.run ~pb:2 ~db:1 ~dpor:true e)
@@ -509,7 +509,7 @@ let cut_ratio (on : Explore.Driver.report) (off : Explore.Driver.report) =
      /. float_of_int (max 1 off.Explore.Driver.rp_explored)
 
 let e14 () =
-  section "E14" "Systematic schedule exploration: DPOR vs unpruned DFS";
+  section "E14" "Systematic schedule exploration: DPOR vs unpruned search";
   List.iter
     (fun name ->
       let on, t_on, off, t_off, t_first = explore_measure (entry name) in

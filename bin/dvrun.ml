@@ -482,13 +482,12 @@ let explore name seed pb db no_dpor max_schedules max_artifacts out shards
   let config = config_of_flags no_regir in
   let out = if out = "" then None else Some out in
   let dpor = not no_dpor in
+  let runner =
+    if shards <= 1 then None else Some (Server.Explore_farm.runner ~shards)
+  in
   let rep =
-    if shards <= 1 then
-      Explore.Driver.run ~config ~seed ~pb ~db ~dpor ~max_schedules
-        ~max_artifacts ?out e
-    else
-      Server.Explore_farm.run ~shards ~config ~seed ~pb ~db ~dpor
-        ~max_schedules ~max_artifacts ?out e
+    Explore.Driver.run ~config ~seed ~pb ~db ~dpor ~max_schedules
+      ~max_artifacts ?out ?runner e
   in
   Fmt.pr "%a" Explore.Driver.pp_report rep;
   if expect_failure then begin
@@ -549,7 +548,9 @@ let explore_cmd =
     Arg.(
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
-          ~doc:"fan the frontier out across N farm shards (1 = sequential)")
+          ~doc:
+            "run schedules on N farm shards (1 = in this process); the \
+             report is the same for any N")
   in
   let expect_failure_arg =
     Arg.(
@@ -646,14 +647,12 @@ let submit_cmd =
       [ ("record", Server.Protocol.Op_record);
         ("replay", Server.Protocol.Op_replay);
         ("roundtrip", Server.Protocol.Op_roundtrip);
-        ("lint", Server.Protocol.Op_lint);
-        ("explore", Server.Protocol.Op_explore) ]
+        ("lint", Server.Protocol.Op_lint) ]
     in
     Arg.(
       required
       & pos 0 (some (enum ops)) None
-      & info [] ~docv:"OP"
-          ~doc:"record | replay | roundtrip | lint | explore")
+      & info [] ~docv:"OP" ~doc:"record | replay | roundtrip | lint")
   in
   let workloads_arg =
     Arg.(
@@ -697,11 +696,16 @@ let submit_cmd =
             (fun (r : Server.Protocol.reply) ->
               (* a roundtrip's status is the farm's replay verdict: "ok",
                  or "mismatch" when the replay ended fatal, left trace
-                 words unconsumed, or reached a different state digest *)
+                 words unconsumed, or reached a different state digest; a
+                 replay fails as `dvrun replay` does, on a fatal end (a
+                 divergence or a rejected trace) or on leftover words *)
               if
                 r.p_outcome <> 0
                 || r.p_op = Server.Protocol.Op_roundtrip
                    && r.p_status <> "ok"
+                || r.p_op = Server.Protocol.Op_replay
+                   && (String.starts_with ~prefix:"fatal" r.p_status
+                      || r.p_words > 0)
               then incr failed;
               Fmt.pr "%-24s %-9s %-10s %2d att  %7.1f ms  %s %s@."
                 r.p_workload

@@ -16,7 +16,7 @@
    Decision slots are numbered in execution order; a schedule is the
    vector of values taken. [run ~prefix] forces the first |prefix| slots
    and takes defaults beyond (continue / FIFO), logging every slot with
-   the alternatives still admissible under the bounds — the DFS driver
+   the alternatives still admissible under the bounds — the driver
    re-runs with extended prefixes to visit them. Because execution up to
    slot k is a pure function of decisions 0..k-1, slot numbering is stable
    across runs sharing a prefix.
@@ -94,18 +94,17 @@ let counters (vm : Vm.Rt.t) =
     vm.Vm.Rt.n_threads,
     Buffer.length vm.Vm.Rt.output )
 
-let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?vm ?driver ~pb
-    ~db ~dpor ~(oracle : Oracle.t) ~(prefix : int array)
-    (e : Workloads.Registry.entry) : outcome =
+(* [vm], when given, is a VM already booted for [e] under [seed] (a farm
+   shard's warm one); otherwise a fresh one is created from [config]. *)
+let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?vm ~pb ~db ~dpor
+    ~(oracle : Oracle.t) ~(prefix : int array) (e : Workloads.Registry.entry) :
+    outcome =
   let vm =
     match vm with
     | Some vm -> vm
     | None ->
-      let config =
-        { config with
-          Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-      in
-      Vm.create ~config ~natives:e.natives e.program
+      Vm.create ~config:(Dejavu.with_seed seed config) ~natives:e.natives
+        e.program
   in
   let session = Recorder.attach vm in
   (* conflict-site bitmaps, lazily resolved per method uid *)
@@ -208,10 +207,7 @@ let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?vm ?driver ~pb
         Trace.Tape.push session.Session.picks chosen;
         chosen);
   let aborted = ref false in
-  (try
-     match driver with
-     | Some d -> d vm
-     | None -> ignore (Vm.run ?limit vm)
+  (try ignore (Vm.run vm)
    with Vm.Sched.Sched_error _ ->
      (* a forced pick named a thread that is not ready here: the witness
         does not fit this program point — a dead branch, counted pruned *)

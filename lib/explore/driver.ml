@@ -1,6 +1,6 @@
-(* The systematic explorer: depth-first search over the schedule tree the
-   controlled scheduler exposes, under preemption/delay bounds, with the
-   DPOR-style pruning Control implements per segment.
+(* The systematic explorer: a breadth-first search over the schedule tree
+   the controlled scheduler exposes, under preemption/delay bounds, with
+   the DPOR-style pruning Control implements per segment.
 
    Each explored schedule is a full recorded session. The root schedule
    (empty prefix: never preempt, always FIFO) fixes the baseline outcome
@@ -11,10 +11,21 @@
    - DIVERGENCE: a clean finish whose outcome digest differs from the
      baseline — the schedule-dependent outcomes a racy program exhibits.
 
-   Both kinds are emitted (capped) as replayable DJVU2 trace files plus a
-   compact witness — the decision vector, human-readable — and each
-   emitted trace is immediately replayed back from its file to confirm it
-   reproduces the identical failure (status, output, and state digest). *)
+   One loop serves every runner. The frontier is a FIFO queue of compact
+   children — (parent decision vector, shared by all its siblings; slot;
+   alternative) — that become prefix arrays only when submitted. A runner
+   ([in_process], or the farm's shard pool) keeps up to its [pi_width]
+   submissions in flight and returns their probes in submission order, so
+   the submission sequence (the root, then each consumed schedule's
+   children in turn) and with it the whole report are the same whatever
+   the runner. The [max_schedules] cap counts submissions.
+
+   Failure records are built after the frontier drains, by re-running each
+   interesting schedule locally. With [out], the first [max_artifacts] are
+   emitted as replayable DJVU2 trace files plus a compact witness — the
+   decision vector, human-readable — and each emitted trace is immediately
+   replayed back from its file to confirm it reproduces the identical
+   failure (status, output, and state digest). *)
 
 module Trace = Dejavu.Trace
 
@@ -39,12 +50,45 @@ type report = {
   rp_explored : int; (* schedules run to completion *)
   rp_pruned : int; (* branches DPOR suppressed (bounds allowed them) *)
   rp_aborted : int; (* schedules cut short by an unready forced pick *)
-  rp_frontier_left : int; (* prefixes still queued when the cap hit *)
+  rp_frontier_left : int; (* prefixes queued or in flight at the end *)
   rp_digests : int list; (* the distinct outcome digests, sorted *)
   rp_baseline : int; (* the root schedule's outcome digest *)
-  rp_failures : failure list; (* execution order *)
+  rp_failures : failure list; (* submission order *)
   rp_first_failure_at : int option; (* explored-count of the first fault *)
 }
+
+(* What one schedule tells the search, wherever it ran. *)
+type probe = {
+  pr_aborted : bool; (* a forced pick named a non-ready thread *)
+  pr_fault : bool;
+  pr_digest : int; (* outcome digest *)
+  pr_decisions : int array; (* the full vector: its children's parent *)
+  pr_children : (int * int) list; (* fresh (slot, alternative), deepest first *)
+  pr_pruned : int; (* fresh branches DPOR suppressed *)
+}
+
+(* What a runner needs to run schedules: the workload, seed and base config
+   (to boot VMs, or keep warm ones), and the probe of one prefix — on [vm]
+   when given, a VM booted for [j_entry] under [j_seed], else on a fresh
+   one. *)
+type job = {
+  j_entry : Workloads.Registry.entry;
+  j_config : Vm.Rt.config;
+  j_seed : int;
+  j_probe : ?vm:Vm.t -> int array -> probe;
+}
+
+(* The runner's side of the search loop: up to [pi_width] submitted
+   prefixes in flight; [pi_next] returns the oldest one's probe. *)
+type pipe = {
+  pi_width : int;
+  pi_submit : int array -> unit;
+  pi_next : unit -> probe;
+}
+
+(* A runner opens a pipe for a job, hands it to the loop, and tears it
+   down when the loop returns. *)
+type runner = job -> (pipe -> unit) -> unit
 
 let kind_name = function Fault -> "fault" | Divergence -> "divergence"
 
@@ -75,28 +119,56 @@ let status_label (oc : Control.outcome) =
   then s ^ " (thread death)"
   else s
 
-(* Children of a completed schedule: for every decision slot the run
-   discovered (at or beyond its forced prefix), one extended prefix per
-   admissible untaken alternative. Returned deepest-first so a stack
-   consumer explores depth-first; also folds the run's fresh pruned
-   count (slots inside the prefix were expanded by an earlier run). *)
-let expand ~fresh_from (oc : Control.outcome) : int array list * int =
-  let dec = Control.decisions oc in
-  let children = ref [] in
-  let pruned = ref 0 in
-  Array.iteri
-    (fun i (n : Control.node) ->
-      if i >= fresh_from then begin
-        pruned := !pruned + n.Control.nd_pruned;
-        List.iter
-          (fun alt ->
-            children :=
-              Array.init (i + 1) (fun j -> if j = i then alt else dec.(j))
-              :: !children)
-          n.Control.nd_alts
-      end)
-    oc.Control.oc_log;
-  (!children, !pruned)
+(* Run one schedule and reduce it to its probe. Children are the slots the
+   run discovered at or beyond its forced prefix (slots inside it were
+   expanded by an earlier run), one per admissible untaken alternative,
+   deepest slot first: a deep alternative changes only the tail of the
+   run and exposes few fresh slots of its own, so a capped search keeps
+   its frontier near one schedule's width. The pruned count is folded
+   over the same fresh slots. *)
+let probe ~config ~seed ~pb ~db ~dpor ~oracle e ?vm prefix : probe =
+  let oc = Control.run ~config ~seed ?vm ~pb ~db ~dpor ~oracle ~prefix e in
+  let children = ref [] and pruned = ref 0 in
+  if not oc.Control.oc_aborted then
+    for i = Array.length prefix to Array.length oc.Control.oc_log - 1 do
+      let n = oc.Control.oc_log.(i) in
+      pruned := !pruned + n.Control.nd_pruned;
+      List.iter (fun alt -> children := (i, alt) :: !children) n.Control.nd_alts
+    done;
+  {
+    pr_aborted = oc.Control.oc_aborted;
+    pr_fault =
+      (not oc.Control.oc_aborted)
+      && is_fault oc.Control.oc_status oc.Control.oc_output;
+    pr_digest = oc.Control.oc_digest;
+    pr_decisions = Control.decisions oc;
+    pr_children = !children;
+    pr_pruned = !pruned;
+  }
+
+(* The default runner: one schedule at a time, on a fresh VM in this
+   domain, run when the loop asks for its probe. *)
+let in_process : runner =
+ fun job k ->
+  let pending = Queue.create () in
+  k
+    {
+      pi_width = 1;
+      pi_submit = (fun prefix -> Queue.push prefix pending);
+      pi_next = (fun () -> job.j_probe (Queue.pop pending));
+    }
+
+(* A frontier entry: [parent]'s decisions up to [slot], which takes [alt]
+   instead. The root is slot -1 of an empty parent. *)
+type child = { parent : int array; slot : int; alt : int }
+
+let prefix_of c =
+  if c.slot < 0 then [||]
+  else begin
+    let p = Array.sub c.parent 0 (c.slot + 1) in
+    p.(c.slot) <- c.alt;
+    p
+  end
 
 (* --- the witness sidecar: a one-line schedule, human-readable --- *)
 
@@ -171,7 +243,7 @@ let emit ~dir ~config ~seed ~pb ~db ~dpor ~idx ~kind
     in
     (Some tpath, Some wpath, Some ok)
 
-let failure_of ?out ~config ~seed ~pb ~db ~dpor ~idx ~kind
+let failure_of ~out ~config ~seed ~pb ~db ~dpor ~idx ~kind
     (e : Workloads.Registry.entry) (oc : Control.outcome) : failure =
   let tpath, wpath, replay_ok =
     match out with
@@ -189,64 +261,81 @@ let failure_of ?out ~config ~seed ~pb ~db ~dpor ~idx ~kind
     fl_replay_ok = replay_ok;
   }
 
-(* --- the sequential DFS --- *)
+(* --- the search loop --- *)
 
-let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?(pb = 2)
-    ?(db = 1) ?(dpor = true) ?(max_schedules = 2000) ?(max_artifacts = 4)
-    ?out ?(stop_on_failure = false) ?oracle
+let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?(pb = 2) ?(db = 1)
+    ?(dpor = true) ?(max_schedules = 2000) ?(max_artifacts = 4) ?out
+    ?(stop_on_failure = false) ?(runner = in_process)
     (e : Workloads.Registry.entry) : report =
-  let oracle =
-    match oracle with Some o -> o | None -> Oracle.for_entry e
-  in
-  let stack = ref [ [||] ] in
+  let oracle = Oracle.for_entry e in
+  let frontier = Queue.create () in
+  Queue.push { parent = [||]; slot = -1; alt = 0 } frontier;
+  let in_flight = Queue.create () in
+  let submitted = ref 0 in
   let explored = ref 0 and pruned = ref 0 and aborted = ref 0 in
   let digests = ref [] in
   let baseline = ref 0 in
-  let failures = ref [] in
-  let artifacts = ref 0 in
+  let interesting = ref [] in (* (child, fault?), newest first *)
   let first_fail = ref None in
-  (try
-     while !stack <> [] && !explored + !aborted < max_schedules do
-       match !stack with
-       | [] -> assert false
-       | prefix :: rest ->
-         stack := rest;
-         let oc =
-           Control.run ~config ~seed ?limit ~pb ~db ~dpor ~oracle ~prefix e
-         in
-         if oc.Control.oc_aborted then incr aborted
-         else begin
-           incr explored;
-           if !explored = 1 then baseline := oc.Control.oc_digest;
-           digests := oc.Control.oc_digest :: !digests;
-           let children, fresh_pruned =
-             expand ~fresh_from:(Array.length prefix) oc
-           in
-           pruned := !pruned + fresh_pruned;
-           stack := children @ !stack;
-           let fault = is_fault oc.Control.oc_status oc.Control.oc_output in
-           let divergent =
-             (not fault) && !explored > 1
-             && oc.Control.oc_digest <> !baseline
-           in
-           if fault || divergent then begin
-             let kind = if fault then Fault else Divergence in
-             let idx = List.length !failures in
-             let out =
-               if !artifacts < max_artifacts then out else None
-             in
-             if out <> None then incr artifacts;
-             failures :=
-               failure_of ?out ~config ~seed ~pb ~db ~dpor ~idx ~kind e oc
-               :: !failures
-           end;
-           if fault && !first_fail = None then begin
-             first_fail := Some !explored;
-             if stop_on_failure then raise Exit
-           end
-         end
-     done
-   with Exit -> ());
+  let consume c (p : probe) =
+    if p.pr_aborted then incr aborted
+    else begin
+      incr explored;
+      if !explored = 1 then baseline := p.pr_digest;
+      digests := p.pr_digest :: !digests;
+      pruned := !pruned + p.pr_pruned;
+      List.iter
+        (fun (slot, alt) ->
+          Queue.push { parent = p.pr_decisions; slot; alt } frontier)
+        p.pr_children;
+      let divergent =
+        (not p.pr_fault) && !explored > 1 && p.pr_digest <> !baseline
+      in
+      if p.pr_fault || divergent then
+        interesting := (c, p.pr_fault) :: !interesting;
+      if p.pr_fault && !first_fail = None then first_fail := Some !explored
+    end
+  in
+  let job =
+    {
+      j_entry = e;
+      j_config = config;
+      j_seed = seed;
+      j_probe = probe ~config ~seed ~pb ~db ~dpor ~oracle e;
+    }
+  in
+  runner job (fun pipe ->
+      let rec loop () =
+        while
+          Queue.length in_flight < pipe.pi_width
+          && (not (Queue.is_empty frontier))
+          && !submitted < max_schedules
+        do
+          let c = Queue.pop frontier in
+          pipe.pi_submit (prefix_of c);
+          Queue.push c in_flight;
+          incr submitted
+        done;
+        if not (Queue.is_empty in_flight) then begin
+          consume (Queue.pop in_flight) (pipe.pi_next ());
+          if not (stop_on_failure && !first_fail <> None) then loop ()
+        end
+      in
+      loop ());
+  (* re-run each interesting schedule locally to record, emit and
+     replay-verify it *)
+  let failures =
+    List.mapi
+      (fun idx (c, fault) ->
+        let oc =
+          Control.run ~config ~seed ~pb ~db ~dpor ~oracle ~prefix:(prefix_of c)
+            e
+        in
+        let kind = if fault then Fault else Divergence in
+        let out = if idx < max_artifacts then out else None in
+        failure_of ~out ~config ~seed ~pb ~db ~dpor ~idx ~kind e oc)
+      (List.rev !interesting)
+  in
   {
     rp_workload = e.name;
     rp_pb = pb;
@@ -255,24 +344,12 @@ let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?(pb = 2)
     rp_explored = !explored;
     rp_pruned = !pruned;
     rp_aborted = !aborted;
-    rp_frontier_left = List.length !stack;
+    rp_frontier_left = Queue.length frontier + Queue.length in_flight;
     rp_digests = List.sort_uniq compare !digests;
     rp_baseline = !baseline;
-    rp_failures = List.rev !failures;
+    rp_failures = failures;
     rp_first_failure_at = !first_fail;
   }
-
-(* A stable fingerprint of an exploration — what the determinism tests
-   compare across runs and shard counts (failure order is execution order
-   sequentially but completion order on the farm, so failures fold in
-   sorted order). *)
-let signature (r : report) =
-  let h = ref (Control.mix 0x5eed (Hashtbl.hash (r.rp_explored, r.rp_aborted))) in
-  let digs =
-    List.sort compare (List.map (fun f -> f.fl_digest) r.rp_failures)
-  in
-  List.iter (fun d -> h := Control.mix !h d) digs;
-  !h
 
 let pp_report ppf (r : report) =
   Fmt.pf ppf

@@ -30,7 +30,6 @@ type t = {
   sites : (string, unit) Hashtbl.t; (* "Class.method:srcpc" *)
   n_sites : int;
   time_sensitive : bool;
-  report : Report.t;
 }
 
 let time_sensitive_instr (ins : Bytecode.Instr.t) =
@@ -49,38 +48,19 @@ let program_time_sensitive (p : Bytecode.Decl.program) =
         c.Bytecode.Decl.cd_methods)
     p.Bytecode.Decl.classes
 
-(* Build the oracle from a (possibly memoized) audit report. *)
-let of_report (report : Report.t) (program : Bytecode.Decl.program) : t =
+(* The audit report is the one trace headers are stamped with, memoized by
+   program digest (and shared by every farm shard) in [Dejavu.Audit]; the
+   oracle itself is a cheap read-only view of it. *)
+let for_entry (e : Workloads.Registry.entry) : t =
   let sites = Hashtbl.create 16 in
   List.iter
     (fun (site, _field) -> Hashtbl.replace sites site ())
-    (Report.branch_points report);
+    (Report.branch_points (Dejavu.Audit.report_for e.program));
   {
     sites;
     n_sites = Hashtbl.length sites;
-    time_sensitive = program_time_sensitive program;
-    report;
+    time_sensitive = program_time_sensitive e.program;
   }
-
-let build ~name (program : Bytecode.Decl.program) : t =
-  of_report (Analysis.run ~name program) program
-
-(* Oracles are shared read-only across farm shards; memoize per workload
-   name under a mutex so concurrent jobs build each one exactly once. *)
-let memo : (string, t) Hashtbl.t = Hashtbl.create 8
-let memo_mu = Mutex.create ()
-
-let for_entry (e : Workloads.Registry.entry) : t =
-  Mutex.lock memo_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_mu)
-    (fun () ->
-      match Hashtbl.find_opt memo e.name with
-      | Some o -> o
-      | None ->
-        let o = build ~name:e.name e.program in
-        Hashtbl.add memo e.name o;
-        o)
 
 (* Per-method conflict bitmap over compiled pcs, resolved against [vm]'s
    compiled tier for method [uid]. Returns [||] for uncompiled methods

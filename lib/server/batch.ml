@@ -35,7 +35,6 @@ let row_of_result (r : (Job.spec, Job.output) Dispatcher.result) : row =
     | Job.Replay _ -> "replay"
     | Job.Roundtrip _ -> "roundtrip"
     | Job.Lint _ -> "lint"
-    | Job.Explore _ -> "explore"
   in
   let outcome, status, digest, words =
     match r.r_outcome with

@@ -25,7 +25,8 @@ type ctx = { shard : int; seq : int; should_stop : unit -> unit }
 
 (* Placement decision for one submission. [Shared]: any idle shard takes
    it — the lane for jobs that gain nothing from a warm VM on one shard
-   (lint) or that arrive in bursts one shard would serialize (explore).
+   (lint) or that arrive in bursts one shard would serialize (explore
+   schedules).
    [Shard i]: pinned to one shard's local queue, the warm-VM affinity
    lane; it never migrates. *)
 type place = Shared | Shard of int

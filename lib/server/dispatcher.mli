@@ -25,7 +25,7 @@ type ctx = {
 }
 
 (** Placement decision for one submission: [Shared] — any idle shard
-    takes it (the farm's lane for lint and explore jobs); [Shard i] —
+    takes it (the farm's lane for lint jobs and explore schedules); [Shard i] —
     pinned to shard [i]'s local queue (the warm-VM affinity lane, for
     record/replay/roundtrip; reduced mod the shard count). *)
 type place = Shared | Shard of int

@@ -1,7 +1,9 @@
-(** The jobs a farm shard runs. Each job drives one VM in fuel-bounded
-    slices, polling the dispatcher's [should_stop] between slices so
-    cancellation and deadlines take effect mid-program, and leaves no
-    partial trace file behind on any exit path.
+(** The jobs a farm shard runs: record, replay, roundtrip and lint. Each
+    job drives one VM in fuel-bounded slices, polling the dispatcher's
+    [should_stop] between slices so cancellation and deadlines take effect
+    mid-program, and leaves no partial trace file behind on any exit path.
+    Schedule exploration is not a job kind: {!Explore_farm} runs schedules
+    on a dispatcher of its own.
 
     {!run} is the cold path (one fresh VM per job); {!runner} is the warm
     path — per-shard {!Warm} pools and the placement policy — whose results
@@ -12,30 +14,18 @@ type spec =
   | Replay of { workload : string; trace : string }
   | Roundtrip of { workload : string; seed : int }
   | Lint of { workload : string }
-  | Explore of {
-      workload : string;
-      seed : int;
-      prefix : int array;
-          (** forced decision vector; [[||]] is the root schedule *)
-      pb : int;  (** preemption bound *)
-      db : int;  (** delay (non-FIFO pick) bound *)
-      dpor : bool;
-    }
 
 type output = {
   o_status : string;  (** final VM status ("ok" for lint) *)
   o_digest : string;  (** hex: trace file / VM state / analysis summary *)
   o_words : int;  (** trace words written / leftovers / racy findings *)
-  o_children : int array list;
-      (** explore only: fresh alternative schedule prefixes — the first
-          job kind that generates further jobs (the frontier fan-out) *)
-  o_pruned : int;  (** explore only: branches DPOR suppressed *)
-  o_flags : int;  (** explore only: {!explore_fault_bit} / aborted bit *)
+  o_children : int array list;  (** always [[]] *)
+  o_pruned : int;  (** always 0 *)
+  o_flags : int;
+      (** always 0. No job kind fans out; the three fields are kept only
+          so the frozen perfbench harness, which builds [output] literals,
+          still compiles. *)
 }
-
-val explore_fault_bit : int
-
-val explore_aborted_bit : int
 
 (** "record:NAME" etc., for labels and wire replies. *)
 val describe : spec -> string
@@ -61,8 +51,7 @@ val run : ?slice:int -> ?config:Vm.Rt.config -> Dispatcher.ctx -> spec -> output
     policy, and [warm_stats] to fold every shard pool's counters (call
     only after the shard domains are joined).
 
-    [place] has two rules: Lint and Explore jobs go to
-    {!Dispatcher.Shared}; Record, Replay and Roundtrip jobs go to
+    [place] has two rules: Lint jobs go to {!Dispatcher.Shared}; Record, Replay and Roundtrip jobs go to
     [Shard (Hashtbl.hash workload mod shards)], the workload's warm
     affinity shard. *)
 type runner = {

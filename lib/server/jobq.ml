@@ -1,7 +1,7 @@
 (* The farm's work queues: one shared queue any shard may pop, plus one
    local queue per shard that only its owner pops. The dispatcher's
    placement policy decides which queue a submission lands on (shard-local
-   for warm-VM affinity, shared for lint and explore jobs); an
+   for warm-VM affinity, shared for lint jobs and explore schedules); an
    idle shard whose local queue is empty steals from the shared queue, so
    no shard sits idle while shared work waits — and local entries never
    migrate, so per-shard warm state stays per-shard.

@@ -9,21 +9,19 @@ module Trace = Dejavu.Trace
 
 let max_frame = 16 * 1024 * 1024 (* refuse absurd lengths before allocating *)
 
-type op = Op_record | Op_replay | Op_roundtrip | Op_lint | Op_explore
+type op = Op_record | Op_replay | Op_roundtrip | Op_lint
 
 let int_of_op = function
   | Op_record -> 0
   | Op_replay -> 1
   | Op_roundtrip -> 2
   | Op_lint -> 3
-  | Op_explore -> 4
 
 let op_of_int = function
   | 0 -> Op_record
   | 1 -> Op_replay
   | 2 -> Op_roundtrip
   | 3 -> Op_lint
-  | 4 -> Op_explore
   | n -> raise (Trace.Format_error (Fmt.str "unknown op tag %d" n))
 
 let string_of_op = function
@@ -31,7 +29,6 @@ let string_of_op = function
   | Op_replay -> "replay"
   | Op_roundtrip -> "roundtrip"
   | Op_lint -> "lint"
-  | Op_explore -> "explore"
 
 type request =
   | Submit of {

@@ -3,7 +3,7 @@
     varint(length) + bytes). Malformed frames raise [Trace.Format_error],
     exactly like malformed trace files. *)
 
-type op = Op_record | Op_replay | Op_roundtrip | Op_lint | Op_explore
+type op = Op_record | Op_replay | Op_roundtrip | Op_lint
 
 val int_of_op : op -> int
 

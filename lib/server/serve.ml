@@ -33,7 +33,6 @@ let reply_of_result (r : (Job.spec, Job.output) Dispatcher.result) :
     | Job.Replay _ -> Protocol.Op_replay
     | Job.Roundtrip _ -> Protocol.Op_roundtrip
     | Job.Lint _ -> Protocol.Op_lint
-    | Job.Explore _ -> Protocol.Op_explore
   in
   let status, digest, words =
     match r.r_outcome with
@@ -74,21 +73,7 @@ let spec_of_submit t ~seq (s : Protocol.request) : Job.spec =
       Job.Replay { workload = q.q_workload; trace = q.q_trace }
     | Protocol.Op_roundtrip ->
       Job.Roundtrip { workload = q.q_workload; seed = q.q_seed }
-    | Protocol.Op_lint -> Job.Lint { workload = q.q_workload }
-    (* one submitted explore job runs the ROOT schedule only: the socket
-       protocol has no fan-out channel, so remote exploration is a probe —
-       the full frontier search runs through [Explore_farm] (dvrun
-       explore --shards) where children feed back into the dispatcher *)
-    | Protocol.Op_explore ->
-      Job.Explore
-        {
-          workload = q.q_workload;
-          seed = q.q_seed;
-          prefix = [||];
-          pb = 2;
-          db = 1;
-          dpor = true;
-        })
+    | Protocol.Op_lint -> Job.Lint { workload = q.q_workload })
 
 let create ?(shards = 4) ?slice ~socket_path ~out_dir () : t =
   Job.preload ();

@@ -107,7 +107,9 @@ let on_complete t terminal ~latency =
       t.lat_sum <- t.lat_sum +. latency;
       if latency > t.lat_max then t.lat_max <- latency)
 
-(* Quantile over the histogram (call under the mutex). *)
+(* Quantile over the histogram (call under the mutex), clamped to the
+   largest latency seen: a bucket's upper edge can lie far above every
+   sample in it, and a bound above the max would put p99 over max. *)
 let quantile_locked t p =
   if t.lat_n = 0 then 0.
   else begin
@@ -124,7 +126,7 @@ let quantile_locked t p =
          end
        done
      with Exit -> ());
-    !found
+    Float.min !found t.lat_max
   end
 
 let view t : view =

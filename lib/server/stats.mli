@@ -1,5 +1,6 @@
 (** Observability for the replay farm: counters, a queue-depth gauge, and a
-    log2-bucketed latency histogram (p50/p99 report a bucket upper bound).
+    log2-bucketed latency histogram (p50/p99 report a bucket upper bound,
+    clamped to the max, so p50 <= p99 <= max).
     All operations are thread/domain-safe. *)
 
 type t
@@ -17,7 +18,7 @@ type view = {
   v_warm_misses : int;  (** jobs that booted a VM *)
   v_mean : float;  (** seconds *)
   v_max : float;
-  v_p50 : float;  (** bucket upper bound, seconds *)
+  v_p50 : float;  (** bucket upper bound clamped to [v_max], seconds *)
   v_p99 : float;
 }
 

@@ -143,6 +143,24 @@ let test_stats_counters () =
   Alcotest.(check bool) "p99 >= p50" true
     (v.Server.Stats.v_p99 >= v.Server.Stats.v_p50)
 
+(* A quantile reports its bucket's upper edge, which for three completions
+   of 29, 30 and 37 ms lies well above the max: it must be clamped so that
+   p50 <= p99 <= max. *)
+let test_stats_quantiles_bounded () =
+  let st = Server.Stats.create () in
+  List.iter
+    (fun ms ->
+      Server.Stats.on_submit st;
+      Server.Stats.on_complete st Server.Stats.Succeeded ~latency:(ms /. 1e3))
+    [ 29.; 30.; 36.7 ];
+  let v = Server.Stats.view st in
+  Alcotest.(check bool)
+    (Fmt.str "p50 %.1f <= p99 %.1f <= max %.1f ms" (v.Server.Stats.v_p50 *. 1e3)
+       (v.Server.Stats.v_p99 *. 1e3) (v.Server.Stats.v_max *. 1e3))
+    true
+    (v.Server.Stats.v_p50 <= v.Server.Stats.v_p99
+    && v.Server.Stats.v_p99 <= v.Server.Stats.v_max)
+
 (* --- Protocol ----------------------------------------------------------- *)
 
 let sample_submit =
@@ -197,6 +215,23 @@ let test_protocol_malformed () =
   match P.decode_request "\xff\xff\xff" with
   | exception T.Format_error _ -> ()
   | _ -> Alcotest.fail "accepted garbage"
+
+(* The ops are tags 0-3: a Submit frame whose op tag is 4 is malformed,
+   while the same frame with tag 3 decodes, so only the tag is at fault. *)
+let test_protocol_unknown_op () =
+  let frame op =
+    let b = Buffer.create 16 in
+    List.iter (T.put_varint b) [ 0; op; String.length "atomicity" ];
+    Buffer.add_string b "atomicity";
+    List.iter (T.put_varint b) [ 1; 0; 0 ];
+    Buffer.contents b
+  in
+  (match P.decode_request (frame 3) with
+  | P.Submit { q_op = P.Op_lint; _ } -> ()
+  | _ -> Alcotest.fail "op tag 3 is not lint");
+  match P.decode_request (frame 4) with
+  | exception T.Format_error _ -> ()
+  | _ -> Alcotest.fail "accepted op tag 4"
 
 let test_frame_truncation () =
   let path = Filename.temp_file "dvframe" ".bin" in
@@ -438,11 +473,13 @@ let () =
           quick "deadline" test_dispatcher_deadline;
           quick "cancellation" test_dispatcher_cancel;
           quick "stats counters" test_stats_counters;
+          quick "stats quantiles within max" test_stats_quantiles_bounded;
         ] );
       ( "protocol",
         [
           quick "roundtrip" test_protocol_roundtrip;
           quick "malformed payloads" test_protocol_malformed;
+          quick "op tag 4 refused" test_protocol_unknown_op;
           quick "truncated frame" test_frame_truncation;
         ] );
       ( "streaming",

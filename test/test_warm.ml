@@ -288,17 +288,6 @@ let test_placement_policy () =
   let record w = Server.Job.Record { workload = w; seed = 1; out = "/dev/null" } in
   Alcotest.check place_testable "lint is shared" D.Shared
     (r.Server.Job.place (Server.Job.Lint { workload = "fig1ab" }));
-  Alcotest.check place_testable "explore is shared" D.Shared
-    (r.Server.Job.place
-       (Server.Job.Explore
-          {
-            workload = "fig1ab";
-            seed = 1;
-            prefix = [||];
-            pb = 1;
-            db = 0;
-            dpor = true;
-          }));
   let affinity = D.Shard (Hashtbl.hash "fig1ab" mod 4) in
   Alcotest.check place_testable "record pins to affinity" affinity
     (r.Server.Job.place (record "fig1ab"));
