@@ -19,8 +19,11 @@ smoke:
 # fail unless every job completes (the aggregate digest is checked against
 # a sequential run by test_server's shard-count invariance), or if any
 # writer left its scratch files (*.tmp, *.spill) behind. Then replay two of
-# the recorded files through the user-facing CLI; `dvrun replay` exits 1
-# if a replay diverges or leaves trace words unconsumed.
+# the recorded files through the user-facing CLI, which exits by the
+# replay's verdict: 0 reproduced, 1 diverged or trace words left, 2 bad
+# input. Then record and replay examples/progs/oom.djv, whose run ends
+# fatal (out of memory): its replay reproduces that and must exit 0. Last,
+# `dvrun run` of a .djv naming an unknown class must exit 2 (bad input).
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
@@ -28,13 +31,23 @@ batch-smoke:
 	    echo "$$left"; exit 1; fi
 	dune exec bin/dvrun.exe -- replay bank -i _batch/bank.trace
 	dune exec bin/dvrun.exe -- replay racy-counter -i _batch/racy-counter.trace
+	dune exec bin/dvrun.exe -- record examples/progs/oom.djv -o _batch/oom.trace
+	dune exec bin/dvrun.exe -- replay examples/progs/oom.djv -i _batch/oom.trace
+	@dir=$$(mktemp -d); \
+	  printf 'class T {\n  method main() locals 1 {\n    new Nope\n    pop\n    ret\n  }\n}\n' \
+	    > $$dir/unknown.djv; \
+	  dune exec bin/dvrun.exe -- run $$dir/unknown.djv; rc=$$?; rm -rf $$dir; \
+	  if [ $$rc -ne 2 ]; then \
+	    echo "batch-smoke: run of a .djv naming an unknown class exited $$rc, not 2"; \
+	    exit 1; fi
 
 # Socket farm gate: start `dvrun serve` for three connections on a socket
 # in a temp dir and wait for the socket file. Submit three roundtrip jobs
 # with `dvrun submit`; record `bank` locally and submit a replay of it,
 # which must pass; then submit a replay of `racy-counter` against the bank
-# trace, which must fail (a program-digest divergence ends the replay
-# fatal, and submit must exit non-zero on it). Then wait for the server to
+# trace, which must fail (the trace is rejected as another program's, the
+# job fails with that verdict, and submit exits non-zero on any failed
+# job). Then wait for the server to
 # exit. Fails if a passing step exits non-zero, if the negative step exits
 # zero, if the server never opens its socket, or if it exits non-zero.
 DVRUN = _build/default/bin/dvrun.exe

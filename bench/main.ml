@@ -26,13 +26,13 @@ let time f =
 let e1 () =
   section "E1" "Figure 1 (A)/(B): schedule-dependent outcome + exact replay";
   let e = entry "fig1ab" in
-  Fmt.pr "%-6s %-10s %-28s %s@." "seed" "printed" "record=replay?" "trace";
+  Fmt.pr "%-6s %-10s %-28s %s@." "seed" "printed" "replay verdict" "trace";
   List.iter
     (fun seed ->
       let rt = Dejavu.verify_roundtrip ~natives:e.natives ~seed e.program in
       Fmt.pr "%-6d %-10s %-28s %d bytes@." seed
         (String.trim rt.recorded.output)
-        (if Dejavu.ok rt then "yes (events+output+state)" else "NO")
+        (Dejavu.string_of_verdict rt.verdict)
         (Dejavu.Trace.sizes rt.trace).total_bytes)
     [ 1; 2; 3; 4; 5; 6; 7; 8 ];
   let outs =
@@ -48,14 +48,14 @@ let e1 () =
 let e2 () =
   section "E2" "Figure 1 (C)/(D): wall-clock-dependent branch + wait/notify";
   let e = entry "fig1cd" in
-  Fmt.pr "%-6s %-16s %-12s %s@." "seed" "printed" "clock-reads" "replay ok?";
+  Fmt.pr "%-6s %-16s %-12s %s@." "seed" "printed" "clock-reads" "replay verdict";
   List.iter
     (fun seed ->
       let rt = Dejavu.verify_roundtrip ~natives:e.natives ~seed e.program in
       Fmt.pr "%-6d %-16s %-12d %s@." seed
         (String.concat "," (String.split_on_char '\n' (String.trim rt.recorded.output)))
         (Dejavu.Trace.sizes rt.trace).n_clock_reads
-        (if Dejavu.ok rt then "yes" else "NO"))
+        (Dejavu.string_of_verdict rt.verdict))
     [ 1; 2; 3; 4; 5; 6 ]
 
 (* ------------------------------------------------------------------- E3 *)
@@ -65,10 +65,17 @@ let e3 () =
   (* "timed" exercises every event kind: preemptions, scheduler clock
      reads, idle advances — so the symmetric ring buffer sees writes *)
   let e = entry "timed" in
-  let rec_run, trace = Dejavu.record ~natives:e.natives ~seed:2 e.program in
-  let rep_run, leftovers = Dejavu.replay ~natives:e.natives e.program trace in
-  let s_rec = Option.get rec_run.Dejavu.session in
-  let s_rep = Option.get rep_run.Dejavu.session in
+  (* the sessions are the object of study here, so attach by hand *)
+  let vm_for seed =
+    Vm.create ~config:(Dejavu.with_seed seed Vm.Rt.default_config)
+      ~natives:e.natives e.program
+  in
+  let rec_vm = vm_for 2 and rep_vm = vm_for 424242 in
+  let s_rec = Dejavu.Recorder.attach rec_vm in
+  ignore (Vm.run rec_vm);
+  let s_rep = Dejavu.Replayer.attach rep_vm (Dejavu.Recorder.finish s_rec) in
+  ignore (Vm.run rep_vm);
+  let leftovers = Dejavu.Replayer.check_complete s_rep in
   Fmt.pr "%-34s %-12s %-12s@." "" "record" "replay";
   Fmt.pr "%-34s %-12d %-12d@." "yield points seen by Figure-2 hook"
     s_rec.yieldpoints_seen s_rep.yieldpoints_seen;
@@ -78,8 +85,8 @@ let e3 () =
     (Dejavu.Ring.writes s_rec.ring)
     (Dejavu.Ring.writes s_rep.ring);
   Fmt.pr "%-34s %-12d %-12d@." "state digest (incl. DejaVu heap)"
-    (rec_run.Dejavu.state_digest land 0xffffff)
-    (rep_run.Dejavu.state_digest land 0xffffff);
+    (Vm.digest rec_vm land 0xffffff)
+    (Vm.digest rep_vm land 0xffffff);
   Fmt.pr "trace fully consumed at replay end: %s@."
     (if leftovers = [] then "yes" else String.concat "; " leftovers)
 
@@ -129,19 +136,17 @@ let e4 () =
 
 let e5 () =
   section "E5" "Replay accuracy across the workload suite";
-  Fmt.pr "%-24s %-6s %-10s %-8s %-8s %-8s %-10s@." "workload" "seed" "events"
-    "output" "state" "trace" "status";
+  Fmt.pr "%-24s %-6s %-10s %-20s %s@." "workload" "seed" "events" "status"
+    "verdict";
   List.iter
     (fun (e : Workloads.Registry.entry) ->
       List.iter
         (fun seed ->
           let rt = Dejavu.verify_roundtrip ~natives:e.natives ~seed e.program in
-          Fmt.pr "%-24s %-6d %-10s %-8s %-8s %-8s %-10s@." e.name seed
-            (if rt.events_equal then Fmt.str "=%d" rt.recorded.obs_count else "DIFFER")
-            (if rt.outputs_equal then "equal" else "DIFFER")
-            (if rt.states_equal then "equal" else "DIFFER")
-            (if rt.replay_complete then "drained" else "LEFT")
-            (Vm.string_of_status rt.recorded.status))
+          Fmt.pr "%-24s %-6d %-10d %-20s %a@." e.name seed
+            rt.recorded.obs_count
+            (Vm.string_of_status rt.recorded.status)
+            Dejavu.pp_verdict rt.verdict)
         [ 1; 2 ])
     (Lazy.force Workloads.Registry.all)
 
@@ -229,7 +234,7 @@ let e9 () =
   section "E9" "Ablations: scheduling quantum and thread-count scaling";
   Fmt.pr "-- quantum sweep (racy-counter, seed 1) --@.";
   Fmt.pr "%-10s %-12s %-12s %-12s %-10s@." "quantum" "switches" "trace bytes"
-    "outcome" "replay ok";
+    "outcome" "verdict";
   List.iter
     (fun quantum ->
       let config =
@@ -240,24 +245,24 @@ let e9 () =
       in
       let e = entry "racy-counter" in
       let rt = Dejavu.verify_roundtrip ~config ~natives:e.natives ~seed:1 e.program in
-      Fmt.pr "%-10d %-12d %-12d %-12s %-10b@." quantum
+      Fmt.pr "%-10d %-12d %-12d %-12s %a@." quantum
         (Dejavu.Trace.sizes rt.trace).n_switches
         (Dejavu.Trace.sizes rt.trace).total_bytes
         (String.trim rt.recorded.output)
-        (Dejavu.ok rt))
+        Dejavu.pp_verdict rt.verdict)
     [ 1000; 2000; 4000; 8000; 16000 ];
   Fmt.pr "-- thread scaling (counter with t threads, 1200/t increments) --@.";
   Fmt.pr "%-10s %-12s %-12s %-12s %-10s@." "threads" "switches" "trace bytes"
-    "outcome" "replay ok";
+    "outcome" "verdict";
   List.iter
     (fun threads ->
       let p = Workloads.Counters.racy ~threads ~increments:(1200 / threads) () in
       let rt = Dejavu.verify_roundtrip ~seed:1 p in
-      Fmt.pr "%-10d %-12d %-12d %-12s %-10b@." threads
+      Fmt.pr "%-10d %-12d %-12d %-12s %a@." threads
         (Dejavu.Trace.sizes rt.trace).n_switches
         (Dejavu.Trace.sizes rt.trace).total_bytes
         (String.trim rt.recorded.output)
-        (Dejavu.ok rt))
+        Dejavu.pp_verdict rt.verdict)
     [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ E10 *)

@@ -3,18 +3,36 @@
      dvrun list                         catalogue of workloads
      dvrun run NAME [--seed N]          live run: output, status, stats
      dvrun record NAME -o T [--seed N]  record a run into trace file T
-     dvrun replay NAME -i T             replay a recorded trace (exit 1 if it
-                                        ends fatal or leaves trace words)
+     dvrun replay NAME -i T             replay a recorded trace
+     dvrun verify NAME [--seed N]       record, replay, judge the replay
      dvrun compare NAME --seeds A,B,..  run under several seeds, diff outputs
-     dvrun disasm NAME                  disassemble the workload's bytecode *)
+     dvrun disasm NAME                  disassemble the workload's bytecode
+
+   Exit contract of replay and verify, by the replay's verdict: 0 the
+   replay reproduced the recording; 1 it did not (it diverged, or left
+   trace words unconsumed); 2 bad input (a malformed trace or one recorded
+   for another program, or a .djv that does not parse, link or verify,
+   which every subcommand taking a workload refuses with 2). A recording
+   that ended fatal replays to 0 when the replay ends the same way. *)
 
 open Cmdliner
 
 (* A workload is either a catalogue entry or a path to a .djv assembly file
-   (see lib/bytecode/parser.ml for the language). *)
+   (see lib/bytecode/parser.ml for the language). A .djv is checked whole
+   before anything runs: it must parse, link, and every method must verify
+   and compile, so a bad program is refused as input (exit 2) rather than
+   ending a run fatal. *)
 let find_workload name =
   if Filename.check_suffix name ".djv" then begin
-    match Bytecode.Parser.parse_file name with
+    let refuse fmt =
+      Fmt.kstr (fun msg -> Fmt.epr "%s@." msg; Stdlib.exit 2) fmt
+    in
+    match
+      let program = Bytecode.Parser.parse_file name in
+      let vm = Vm.create program in
+      Array.iter (fun m -> ignore (Vm.Compile.compile vm m)) vm.Vm.Rt.methods;
+      program
+    with
     | program ->
       {
         Workloads.Registry.name;
@@ -23,11 +41,11 @@ let find_workload name =
         natives = [];
       }
     | exception Bytecode.Parser.Error (msg, line) ->
-      Fmt.epr "%s:%d: %s@." name line msg;
-      Stdlib.exit 2
-    | exception Sys_error msg ->
-      Fmt.epr "%s@." msg;
-      Stdlib.exit 2
+      refuse "%s:%d: %s" name line msg
+    | exception Vm.Link.Error msg -> refuse "%s: link: %s" name msg
+    | exception Vm.Verify.Error msg -> refuse "%s: verify: %s" name msg
+    | exception Vm.Compile.Error msg -> refuse "%s: compile: %s" name msg
+    | exception Sys_error msg -> refuse "%s" msg
   end
   else
     match Workloads.Registry.find name with
@@ -36,6 +54,12 @@ let find_workload name =
       Fmt.epr "unknown workload %S; try a .djv file or: %s@." name
         (String.concat ", " (Workloads.Registry.names ()));
       Stdlib.exit 2
+
+(* The exit contract above. *)
+let exit_by_verdict = function
+  | Dejavu.Ok -> ()
+  | Dejavu.Diverged _ | Dejavu.Incomplete _ -> Stdlib.exit 1
+  | Dejavu.Rejected _ -> Stdlib.exit 2
 
 (* Malformed trace files are user error, not an internal failure. *)
 let load_trace path =
@@ -203,8 +227,9 @@ let record_cmd =
 
 let replay_cmd =
   let doc =
-    "replay a recorded trace; exits 1 if the replay ends fatal (a divergence) \
-     or leaves trace words unconsumed"
+    "replay a recorded trace; exits 0 when the replay reproduces the \
+     recording, 1 when it diverges or leaves trace words unconsumed, 2 on a \
+     malformed or foreign trace or a bad .djv"
   in
   let in_arg =
     Arg.(
@@ -218,32 +243,27 @@ let replay_cmd =
           let e = find_workload name in
           let config = config_of_flags no_regir in
           (* streamed: O(chunk) trace memory during replay *)
-          let run, leftovers =
+          let run, _ =
             match
               Dejavu.replay_from ~config ~natives:e.natives ~path:inp e.program
             with
             | r -> r
-            | exception Dejavu.Trace.Format_error msg ->
-              Fmt.epr "%s: malformed trace (%s)@." inp msg;
-              Stdlib.exit 2
             | exception Sys_error msg ->
               Fmt.epr "%s@." msg;
               Stdlib.exit 2
           in
           Fmt.pr "--- output ---@.%s--- status: %s ---@." run.Dejavu.output
             (Vm.string_of_status run.status);
-          if leftovers <> [] then
-            Fmt.pr "warning: %s@." (String.concat "; " leftovers);
+          Fmt.pr "verdict: %a@." Dejavu.pp_verdict run.verdict;
           if verbose then Fmt.pr "%a@." pp_stats (Vm.stats run.vm);
-          (* a divergence ends the run Fatal; like verify, fail on it and
-             on unconsumed trace words *)
-          match run.status with
-          | Vm.Rt.Fatal _ -> Stdlib.exit 1
-          | _ -> if leftovers <> [] then Stdlib.exit 1)
+          exit_by_verdict run.verdict)
       $ name_arg $ in_arg $ no_regir_arg $ verbose_arg)
 
 let verify_cmd =
-  let doc = "record then replay, checking the accuracy criterion" in
+  let doc =
+    "record then replay, judging the replay against the recording (exit \
+     codes as for replay)"
+  in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
       const (fun name seed ->
@@ -252,7 +272,7 @@ let verify_cmd =
             Dejavu.verify_roundtrip ~natives:e.natives ~seed e.program
           in
           Fmt.pr "%a@." Dejavu.pp_roundtrip rt;
-          if not (Dejavu.ok rt) then Stdlib.exit 1)
+          exit_by_verdict rt.verdict)
       $ name_arg $ seed_arg)
 
 let emit_cmd =
@@ -694,19 +714,9 @@ let submit_cmd =
           let failed = ref 0 in
           List.iter
             (fun (r : Server.Protocol.reply) ->
-              (* a roundtrip's status is the farm's replay verdict: "ok",
-                 or "mismatch" when the replay ended fatal, left trace
-                 words unconsumed, or reached a different state digest; a
-                 replay fails as `dvrun replay` does, on a fatal end (a
-                 divergence or a rejected trace) or on leftover words *)
-              if
-                r.p_outcome <> 0
-                || r.p_op = Server.Protocol.Op_roundtrip
-                   && r.p_status <> "ok"
-                || r.p_op = Server.Protocol.Op_replay
-                   && (String.starts_with ~prefix:"fatal" r.p_status
-                      || r.p_words > 0)
-              then incr failed;
+              (* a replay or roundtrip whose verdict is not ok is a
+                 failed job, its verdict the reply's status *)
+              if r.p_outcome <> 0 then incr failed;
               Fmt.pr "%-24s %-9s %-10s %2d att  %7.1f ms  %s %s@."
                 r.p_workload
                 (Server.Protocol.string_of_op r.p_op)

@@ -8,7 +8,9 @@
 
    Record and replay each have one driver core, shared in memory and on
    file, and with the farm's jobs: [record_into] is the file-record
-   bracket, [replay_guard] the replay guard. *)
+   bracket, [replay_guard] the replay guard. Whether a replay passed is
+   one [verdict], decided by [replay_guard] and refined by [judge]; every
+   consumer reads it. *)
 
 module Trace = Trace
 module Tape = Trace.Tape
@@ -22,33 +24,70 @@ module Symmetry = Symmetry
 
 exception Divergence = Session.Divergence
 
+(* The one replay verdict. [replay_guard] decides it from how the replay
+   itself went, never from the VM's final status: a recording that ended
+   [Fatal] replays [Ok] when the replay ends the same way. [judge] refines
+   [Ok] against the run the replay should reproduce. *)
+type verdict =
+  | Ok
+  | Rejected of string (* a foreign header or malformed trace bytes *)
+  | Diverged of string (* the replay departed from the recording *)
+  | Incomplete of string list (* trace words left unconsumed *)
+
+let pp_verdict ppf = function
+  | Ok -> Fmt.string ppf "ok"
+  | Rejected msg -> Fmt.pf ppf "rejected: %s" msg
+  | Diverged msg -> Fmt.pf ppf "diverged: %s" msg
+  | Incomplete left -> Fmt.pf ppf "incomplete: %s" (String.concat "; " left)
+
+let string_of_verdict v = Fmt.str "%a" pp_verdict v
+
 type run = {
   vm : Vm.t;
   status : Vm.Rt.status;
   output : string;
   state_digest : int;
-  obs_digest : int; (* digest of the full event sequence *)
+  obs_digest : int; (* digest of the full event sequence; 0 unobserved *)
   obs_count : int;
-  session : Session.t option; (* None when the trace was rejected outright *)
+  verdict : verdict; (* [Ok] for a recording *)
 }
 
 (* [config] with the environment seed replaced. *)
 let with_seed seed (config : Vm.Rt.config) =
   { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
 
-(* [session] is None when replay rejected the trace at attach: nothing ran,
-   so there is no state digest. *)
-let finish_run vm session observer =
+let finish_run ?observer vm verdict =
   let obs f = match observer with Some o -> f o | None -> 0 in
   {
     vm;
     status = Vm.status vm;
     output = Vm.output vm;
-    state_digest = (if Option.is_none session then 0 else Vm.digest vm);
+    state_digest = Vm.digest vm;
     obs_digest = obs Vm.Observer.digest;
     obs_count = obs Vm.Observer.count;
-    session;
+    verdict;
   }
+
+(* Refine an [Ok] replay against the run it should reproduce: the first of
+   status, output, state digest and event sequence that differs makes it
+   [Diverged]. Unobserved runs carry event digest and count 0, so judge
+   two runs made with the same [observe]. Any other verdict stands. *)
+let judge ~expected replayed =
+  let differs =
+    if replayed.status <> expected.status then Some "status"
+    else if not (String.equal replayed.output expected.output) then
+      Some "output"
+    else if replayed.state_digest <> expected.state_digest then
+      Some "state digest"
+    else if
+      replayed.obs_digest <> expected.obs_digest
+      || replayed.obs_count <> expected.obs_count
+    then Some "event sequence"
+    else None
+  in
+  match (replayed.verdict, differs) with
+  | Ok, Some field -> Diverged (field ^ " differs from the recorded run")
+  | v, _ -> v
 
 (* [observe] attaches the event-sequence digest observer the roundtrip
    check compares; it costs a per-instruction hash fold, so overhead
@@ -56,10 +95,10 @@ let finish_run vm session observer =
 let observer_for ~observe vm =
   if observe then Some (Vm.Observer.attach_digest vm) else None
 
-let run_recording ~limit ~observe vm session =
+let run_recording ~limit ~observe vm =
   let observer = observer_for ~observe vm in
   ignore (Vm.run ?limit vm);
-  finish_run vm (Some session) observer
+  finish_run ?observer vm Ok
 
 (* The one file-record bracket, serving [record_to] and the farm's record
    job: attach the recorder to [writer]'s tapes, [run] the VM, seal the
@@ -77,35 +116,59 @@ let record_into (vm : Vm.t) writer run =
     raise e
 
 (* The one replay guard, serving [replay], [replay_from] and the farm's
-   replay job. [attach] checks the trace header and installs the replay
-   hooks; a trace it rejects, or a [Divergence] or [Sched_error] while
-   [drive] runs the VM, ends the run with a [Fatal] status instead of an
-   exception. Returns the
-   session (None when the trace was rejected) and the warnings: the
-   unconsumed trace words, or the rejection. *)
+   replay job, and the one place a replay's verdict is decided. [attach]
+   reads the trace header and installs the replay hooks; [drive] runs the
+   VM. A header refusal or malformed trace bytes, at attach or mid-run,
+   is [Rejected]; a [Divergence] or [Sched_error] while driving is
+   [Diverged] (Sched_error: a picks-bearing trace steered dispatch to a
+   thread that is not ready here); unconsumed trace words are
+   [Incomplete]. A rejection or divergence also ends the VM [Fatal].
+   Returns the verdict and the warnings: the unconsumed trace words, or
+   the rejection. *)
 let replay_guard (vm : Vm.t) ~attach ~drive =
-  let fatal msg =
-    vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
+  let stop verdict =
+    vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay " ^ string_of_verdict verdict);
+    verdict
   in
   match attach () with
-  | exception Session.Divergence msg ->
-    fatal msg;
-    (None, [ msg ])
+  | exception (Session.Divergence msg | Trace.Format_error msg) ->
+    (stop (Rejected msg), [ msg ])
   | session ->
-    (* Sched_error: a picks-bearing trace steered dispatch to a thread that
-       is not ready here — the schedule does not fit this program/state *)
-    (try drive () with Session.Divergence msg | Vm.Sched.Sched_error msg ->
-       fatal msg);
-    (Some session, Replayer.check_complete session)
+    let verdict =
+      match drive () with
+      | () -> Ok
+      | exception (Session.Divergence msg | Vm.Sched.Sched_error msg) ->
+        stop (Diverged msg)
+      | exception Trace.Format_error msg -> stop (Rejected msg)
+    in
+    let leftovers = Replayer.check_complete session in
+    match (verdict, leftovers) with
+    | Ok, _ :: _ -> (Incomplete leftovers, leftovers)
+    | v, _ -> (v, leftovers)
 
-let run_replay ~limit ~observe vm attach =
+let run_replay ~observe vm ~attach ~drive =
   let observer = ref None in
-  let session, leftovers =
+  let verdict, leftovers =
     replay_guard vm ~attach ~drive:(fun () ->
         observer := observer_for ~observe vm;
-        ignore (Vm.run ?limit vm))
+        drive ())
   in
-  (finish_run vm session !observer, leftovers)
+  (finish_run ?observer:!observer vm verdict, leftovers)
+
+(* Replay [vm] from the trace file at [path] through the streaming reader
+   (O(chunk) replay-side trace memory), [drive] running it. The file is
+   opened inside the guard, so a malformed header is a [Rejected] verdict
+   like any other trace error; only a missing or unreadable file raises
+   ([Sys_error]). *)
+let replay_file ~observe vm ~path ~drive =
+  let reader = ref None in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Trace.Reader.close !reader)
+    (fun () ->
+      run_replay ~observe vm ~drive ~attach:(fun () ->
+          let r = Trace.Reader.open_file path in
+          reader := Some r;
+          Replayer.attach_stream vm r))
 
 (* Run a program in record mode. The environment (seed) supplies the
    non-determinism being captured. *)
@@ -113,7 +176,7 @@ let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
     ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t =
   let vm = Vm.create ~config:(with_seed seed config) ~natives ~inputs program in
   let session = Recorder.attach vm in
-  let run = run_recording ~limit ~observe vm session in
+  let run = run_recording ~limit ~observe vm in
   (run, Recorder.finish session)
 
 (* Replay a trace. The seed deliberately defaults to something different
@@ -121,69 +184,45 @@ let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
 let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
     ?limit ?(observe = true) program (trace : Trace.t) : run * string list =
   let vm = Vm.create ~config:(with_seed seed config) ~natives program in
-  run_replay ~limit ~observe vm (fun () -> Replayer.attach vm trace)
+  run_replay ~observe vm
+    ~attach:(fun () -> Replayer.attach vm trace)
+    ~drive:(fun () -> ignore (Vm.run ?limit vm))
 
 (* Record straight into a trace file through the streaming writer: bounded
    recorder-side memory. *)
 let record_to ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
     ?(seed = 1) ?limit ?(observe = true) ~path program : run * Trace.sizes =
   let vm = Vm.create ~config:(with_seed seed config) ~natives ~inputs program in
-  record_into vm (Trace.Writer.create path) (run_recording ~limit ~observe vm)
+  record_into vm (Trace.Writer.create path) (fun _ ->
+      run_recording ~limit ~observe vm)
 
 (* Replay from a trace file through the streaming reader: O(chunk) replay-
-   side trace memory. Raises Trace.Format_error on a malformed file. *)
+   side trace memory. A malformed file is a [Rejected] verdict; a missing
+   one raises Sys_error. *)
 let replay_from ?(config = Vm.Rt.default_config) ?(natives = [])
     ?(seed = 424242) ?limit ?(observe = true) ~path program :
     run * string list =
   let vm = Vm.create ~config:(with_seed seed config) ~natives program in
-  let reader = Trace.Reader.open_file path in
-  Fun.protect
-    ~finally:(fun () -> Trace.Reader.close reader)
-    (fun () ->
-      run_replay ~limit ~observe vm (fun () ->
-          Replayer.attach_stream vm reader))
+  replay_file ~observe vm ~path ~drive:(fun () -> ignore (Vm.run ?limit vm))
 
 type roundtrip = {
   recorded : run;
   replayed : run;
   trace : Trace.t;
-  outputs_equal : bool;
-  states_equal : bool;
-  events_equal : bool;
-  replay_complete : bool;
-  leftovers : string list;
+  verdict : verdict; (* the replay judged against the recording *)
 }
 
-let ok rt =
-  rt.outputs_equal && rt.states_equal && rt.events_equal && rt.replay_complete
-
-(* Record with [seed], replay with an unrelated seed, compare everything. *)
+(* Record with [seed], replay with an unrelated seed, judge the replay. *)
 let verify_roundtrip ?config ?natives ?inputs ?(seed = 1) ?limit program :
     roundtrip =
   let recorded, trace = record ?config ?natives ?inputs ~seed ?limit program in
-  let replayed, leftovers =
+  let replayed, _ =
     replay ?config ?natives ~seed:(seed + 99991) ?limit program trace
   in
-  {
-    recorded;
-    replayed;
-    trace;
-    outputs_equal = String.equal recorded.output replayed.output;
-    states_equal = recorded.state_digest = replayed.state_digest;
-    events_equal =
-      recorded.obs_digest = replayed.obs_digest
-      && recorded.obs_count = replayed.obs_count;
-    replay_complete = leftovers = [];
-    leftovers;
-  }
+  { recorded; replayed; trace; verdict = judge ~expected:recorded replayed }
 
 let pp_roundtrip ppf rt =
-  Fmt.pf ppf
-    "events: %s (%d vs %d) output: %s state: %s trace-consumed: %s status: %s/%s"
-    (if rt.events_equal then "EQUAL" else "DIFFER")
-    rt.recorded.obs_count rt.replayed.obs_count
-    (if rt.outputs_equal then "EQUAL" else "DIFFER")
-    (if rt.states_equal then "EQUAL" else "DIFFER")
-    (if rt.replay_complete then "yes" else String.concat "; " rt.leftovers)
+  Fmt.pf ppf "verdict: %a (events %d vs %d, status %s/%s)" pp_verdict
+    rt.verdict rt.recorded.obs_count rt.replayed.obs_count
     (Vm.string_of_status rt.recorded.status)
     (Vm.string_of_status rt.replayed.status)

@@ -47,6 +47,17 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
       if nat_id <> nat.nat_id then
         Session.divergence_at vm
           "native mismatch: recorded id %d, executing %s" nat_id nat.nat_name;
+      (* the interpreter pushes each callback's frame unchecked *)
+      let malformed fmt = Fmt.kstr (fun s -> raise (Trace.Format_error s)) fmt in
+      List.iter
+        (fun (uid, args) ->
+          if uid < 0 || uid >= Array.length vm.methods then
+            malformed "callback uid %d out of range" uid;
+          let cb = vm.methods.(uid) in
+          if cb.rm_nargs <> Array.length args then
+            malformed "callback %s given %d arguments" cb.rm_name
+              (Array.length args))
+        outcome.no_callbacks;
       Ring.put s.ring nat.nat_id;
       outcome)
 

@@ -164,11 +164,16 @@ let read_native_outcome tape : int * Vm.Rt.native_outcome =
     | 0 -> None
     | k -> raise (Format_error (Fmt.str "bad has_result %d" k))
   in
-  let ncb = Tape.read tape in
+  let count what =
+    match Tape.read tape with
+    | n when n < 0 -> raise (Format_error (Fmt.str "negative %s %d" what n))
+    | n -> n
+  in
+  let ncb = count "callback count" in
   let no_callbacks =
     List.init ncb (fun _ ->
         let uid = Tape.read tape in
-        let n = Tape.read tape in
+        let n = count "callback arity" in
         (uid, Array.init n (fun _ -> Tape.read tape)))
   in
   (nat_id, { Vm.Rt.no_result; no_callbacks })

@@ -109,6 +109,9 @@ val reason_name : int -> string
     [id; has_result; result?; n_callbacks; (uid; nargs; args...)*]. *)
 val push_native_outcome : Tape.t -> int -> Vm.Rt.native_outcome -> unit
 
+(** Read one native outcome record back. Raises {!Format_error} on a bad
+    [has_result] flag or a negative callback count or arity, and
+    {!End_of_tape} when the record runs past the tape. *)
 val read_native_outcome : Tape.t -> int * Vm.Rt.native_outcome
 
 type sizes = {

@@ -223,29 +223,35 @@ let stopped_here (d : t) : stop_reason option =
   | None -> (
     match hit_breakpoint d with Some b -> Some (Hit b) | None -> None)
 
+(* One replayed instruction, then [next ()]; or [Diverged] when the replay
+   cannot go on: a divergence, a recorded schedule that does not fit, or
+   trace bytes that turn out malformed mid-replay. *)
+let step_then (d : t) next : stop_reason =
+  match step1 d with
+  | () -> next ()
+  | exception
+      ( Dejavu.Divergence msg
+      | Vm.Sched.Sched_error msg
+      | Dejavu.Trace.Format_error msg ) ->
+    Diverged msg
+
 (* Execute up to [n] instructions; stop early on a break/watch or end. *)
 let step (d : t) n : stop_reason =
   let rec go left =
     if not (running d) then Finished (Vm.status d.vm)
     else if left = 0 then Step_done
-    else begin
-      match step1 d with
-      | () -> (
-        match stopped_here d with Some r -> r | None -> go (left - 1))
-      | exception Dejavu.Divergence msg -> Diverged msg
-    end
+    else
+      step_then d (fun () ->
+          match stopped_here d with Some r -> r | None -> go (left - 1))
   in
   go n
 
 let continue_ (d : t) : stop_reason =
   let rec go () =
     if not (running d) then Finished (Vm.status d.vm)
-    else begin
-      match step1 d with
-      | () -> (
-        match stopped_here d with Some r -> r | None -> go ())
-      | exception Dejavu.Divergence msg -> Diverged msg
-    end
+    else
+      step_then d (fun () ->
+          match stopped_here d with Some r -> r | None -> go ())
   in
   go ()
 
@@ -262,11 +268,7 @@ let goto_step (d : t) n : stop_reason =
   let rec go left =
     if not (running d) then Finished (Vm.status d.vm)
     else if left = 0 then Step_done
-    else begin
-      match step1 d with
-      | () -> go (left - 1)
-      | exception Dejavu.Divergence msg -> Diverged msg
-    end
+    else step_then d (fun () -> go (left - 1))
   in
   let r = go want in
   resync_watchpoints d;

@@ -209,8 +209,8 @@ let decisions_of_witness (s : string) : int array =
     |> Array.of_list
 
 (* Emit trace + witness for one schedule and replay the trace BACK FROM
-   ITS FILE, checking it reproduces the identical failure: same status,
-   same output, same state digest, every tape fully consumed. *)
+   ITS FILE, judging it against the explored outcome: the replay must be
+   [Ok] with the same status, output and state digest. *)
 let emit ~dir ~config ~seed ~pb ~db ~dpor ~idx ~kind
     (e : Workloads.Registry.entry) (oc : Control.outcome) :
     string option * string option * bool option =
@@ -232,14 +232,19 @@ let emit ~dir ~config ~seed ~pb ~db ~dpor ~idx ~kind
       match Trace.load tpath with
       | exception _ -> false
       | trace' ->
-        let run, leftovers =
+        let run, _ =
           Dejavu.replay ~config ~natives:e.natives ~observe:false e.program
             trace'
         in
-        leftovers = []
-        && run.Dejavu.status = oc.Control.oc_status
-        && String.equal run.Dejavu.output oc.Control.oc_output
-        && run.Dejavu.state_digest = oc.Control.oc_state
+        let expected =
+          {
+            run with
+            Dejavu.status = oc.Control.oc_status;
+            output = oc.Control.oc_output;
+            state_digest = oc.Control.oc_state;
+          }
+        in
+        Dejavu.judge ~expected run = Dejavu.Ok
     in
     (Some tpath, Some wpath, Some ok)
 

@@ -7,8 +7,14 @@
    [Dejavu.record_into], the file-record bracket, never leaves a partial
    trace file behind (one temp file, a spill file only past 64 KiB per
    stream, atomic rename; aborted on any exception), and
-   [Dejavu.replay_guard] turns a rejected trace or a divergence into a
-   [Fatal] status.
+   [Dejavu.replay_guard] decides the replay's verdict. A replay or
+   roundtrip whose verdict is not [Ok] (a rejected trace, a divergence,
+   unconsumed trace words, or for roundtrip a replay that [Dejavu.judge]
+   finds different from the recording) raises, so the dispatcher reports
+   it [Failed] with the verdict as its message. A [Fatal] VM status is
+   not a failed replay: a recording that ended [Fatal] replays [Ok] when
+   the replay ends the same way, and every job's [o_status] is the final
+   VM status.
 
    Two ways to get the VM: cold — [Vm.create] per job, the original farm
    behaviour and still the reference the warm path is tested against — or
@@ -18,7 +24,6 @@
    policy the dispatcher routes submissions with. *)
 
 module Trace = Dejavu.Trace
-module Replayer = Dejavu.Replayer
 
 type spec =
   | Record of { workload : string; seed : int; out : string }
@@ -29,7 +34,7 @@ type spec =
 type output = {
   o_status : string; (* final VM status ("ok" for lint) *)
   o_digest : string; (* hex: trace file / VM state / analysis summary *)
-  o_words : int; (* trace words written / leftovers / racy findings *)
+  o_words : int; (* trace words written / 0 for replay / racy findings *)
   o_children : int array list;
   o_pruned : int;
   o_flags : int;
@@ -94,8 +99,6 @@ let drive ~slice (ctx : Dispatcher.ctx) (vm : Vm.t) =
   in
   go ()
 
-let state_digest_hex vm = Fmt.str "%016x" (Vm.digest vm land max_int)
-
 let simple ~status ~digest ~words =
   {
     o_status = status;
@@ -122,35 +125,33 @@ let record_impl ~slice ~config ?pool ctx (e : Workloads.Registry.entry) ~seed
       ~words:sizes.Trace.total_words,
     vm )
 
-(* Streamed replay through the one replay guard; returns the replayed VM's
-   status too, so roundtrip judges it by its type. A rejected trace
-   reports no digest and no leftovers. *)
+(* Streamed replay through the one replay guard. *)
 let replay_impl ~slice ~config ?pool ctx (e : Workloads.Registry.entry)
     ~trace =
   let vm = boot_vm ?pool ~config e ~seed:replay_seed in
-  let reader = Trace.Reader.open_file trace in
-  let session, leftovers =
-    Fun.protect
-      ~finally:(fun () -> Trace.Reader.close reader)
-      (fun () ->
-        Dejavu.replay_guard vm
-          ~attach:(fun () -> Replayer.attach_stream vm reader)
-          ~drive:(fun () -> drive ~slice ctx vm))
-  in
-  let status = Vm.string_of_status (Vm.status vm) in
-  let out =
-    match session with
-    | None -> simple ~status ~digest:"" ~words:0
-    | Some _ ->
-      simple ~status ~digest:(state_digest_hex vm)
-        ~words:(List.length leftovers)
-  in
-  (out, Vm.status vm)
+  fst
+    (Dejavu.replay_file ~observe:false vm ~path:trace ~drive:(fun () ->
+         drive ~slice ctx vm))
 
-(* Record to a shard-private temp file, replay it back, compare states.
-   The temp file never outlives the job. The recorded VM's digest is taken
-   BEFORE the replay runs: under warm reuse both halves draw from the same
-   pool slot, so starting the replay resets the recorded VM. *)
+(* A replay or roundtrip whose verdict is not [Ok] raises, so the
+   dispatcher's [Failed] carries the verdict. *)
+let require_ok = function
+  | Dejavu.Ok -> ()
+  | v -> failwith (Dejavu.string_of_verdict v)
+
+let run_replay ~slice ~config ?pool ctx e ~trace =
+  let replayed = replay_impl ~slice ~config ?pool ctx e ~trace in
+  require_ok replayed.Dejavu.verdict;
+  simple
+    ~status:(Vm.string_of_status replayed.status)
+    ~digest:(Fmt.str "%016x" (replayed.state_digest land max_int))
+    ~words:0
+
+(* Record to a shard-private temp file, replay it back, judge the replay
+   against the recorded VM. The temp file never outlives the job. The
+   recorded run is taken BEFORE the replay runs: under warm reuse both
+   halves draw from the same pool slot, so starting the replay resets the
+   recorded VM. *)
 let run_roundtrip ~slice ~config ?pool ctx (e : Workloads.Registry.entry)
     ~seed =
   let tmp = Filename.temp_file "dvfarm" ".trace" in
@@ -160,18 +161,10 @@ let run_roundtrip ~slice ~config ?pool ctx (e : Workloads.Registry.entry)
       let recorded, rec_vm =
         record_impl ~slice ~config ?pool ctx e ~seed ~out:tmp
       in
-      let rec_vm_digest = state_digest_hex rec_vm in
-      let replayed, status =
-        replay_impl ~slice ~config ?pool ctx e ~trace:tmp
-      in
-      let ok =
-        replayed.o_words = 0
-        && String.equal rec_vm_digest replayed.o_digest
-        && match status with Vm.Rt.Fatal _ -> false | _ -> true
-      in
-      simple
-        ~status:(if ok then "ok" else "mismatch")
-        ~digest:recorded.o_digest ~words:recorded.o_words)
+      let expected = Dejavu.finish_run rec_vm Dejavu.Ok in
+      let replayed = replay_impl ~slice ~config ?pool ctx e ~trace:tmp in
+      require_ok (Dejavu.judge ~expected replayed);
+      recorded)
 
 let run_lint (e : Workloads.Registry.entry) =
   let r = Analysis.run ~name:e.name e.program in
@@ -184,7 +177,7 @@ let dispatch ~slice ~config ?pool (ctx : Dispatcher.ctx) (spec : spec) :
   | Record { workload; seed; out } ->
     fst (record_impl ~slice ~config ?pool ctx (find workload) ~seed ~out)
   | Replay { workload; trace } ->
-    fst (replay_impl ~slice ~config ?pool ctx (find workload) ~trace)
+    run_replay ~slice ~config ?pool ctx (find workload) ~trace
   | Roundtrip { workload; seed } ->
     run_roundtrip ~slice ~config ?pool ctx (find workload) ~seed
   | Lint { workload } -> run_lint (find workload)

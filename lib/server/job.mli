@@ -18,7 +18,9 @@ type spec =
 type output = {
   o_status : string;  (** final VM status ("ok" for lint) *)
   o_digest : string;  (** hex: trace file / VM state / analysis summary *)
-  o_words : int;  (** trace words written / leftovers / racy findings *)
+  o_words : int;
+      (** trace words written (record, roundtrip) / 0 (replay) / racy
+          findings (lint) *)
   o_children : int array list;  (** always [[]] *)
   o_pruned : int;  (** always 0 *)
   o_flags : int;
@@ -40,8 +42,9 @@ val preload : unit -> unit
 (** Run one job cold (fresh VM). [slice] is the cancellation-poll
     granularity in instructions (default 50_000); [config] is the base VM
     config (per-job seeds override its environment seed; default
-    [Vm.Rt.default_config]). Raises [Failure] on unknown workloads,
-    [Trace.Format_error] on malformed trace files, and lets
+    [Vm.Rt.default_config]). Raises [Failure] on unknown workloads and
+    on a replay or roundtrip whose {!Dejavu.verdict} is not [Ok] (the
+    message is the verdict), [Sys_error] on a missing trace file, and lets
     {!Dispatcher.Cancelled}/{!Dispatcher.Deadline_exceeded} propagate. *)
 val run : ?slice:int -> ?config:Vm.Rt.config -> Dispatcher.ctx -> spec -> output
 

@@ -45,7 +45,8 @@ type reply = {
   p_op : op;
   p_workload : string;
   p_outcome : int; (* 0 done / 1 failed / 2 timed out / 3 cancelled *)
-  p_status : string; (* VM status, or the failure message *)
+  p_status : string; (* VM status, or the failure message (a replay
+                         verdict that is not ok fails its job) *)
   p_digest : string;
   p_attempts : int;
   p_latency_us : int;

@@ -30,7 +30,10 @@ type reply = {
   p_op : op;
   p_workload : string;
   p_outcome : int;  (** 0 done / 1 failed / 2 timed out / 3 cancelled *)
-  p_status : string;  (** VM status, or the failure message *)
+  p_status : string;
+      (** final VM status ("ok" for lint), or the failure message of a
+          failed job; a replay or roundtrip whose replay verdict is not ok
+          fails with the verdict as its message *)
   p_digest : string;
   p_attempts : int;
   p_latency_us : int;

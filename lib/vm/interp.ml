@@ -990,6 +990,17 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
   in
   run_region r0
 
+(* The errors that end a run [Fatal] instead of escaping it: the heap is
+   exhausted, a method fails to verify or compile (each is checked when
+   first compiled, [main] at boot included), or an interpreter invariant
+   breaks. Anything else (a replay divergence, a cancellation) re-raises. *)
+let end_fatal (vm : Rt.t) = function
+  | Heap.Out_of_memory -> vm.status <- Rt.Fatal "OutOfMemoryError"
+  | Verify.Error msg -> vm.status <- Rt.Fatal ("verify: " ^ msg)
+  | Compile.Error msg -> vm.status <- Rt.Fatal ("compile: " ^ msg)
+  | Fatal msg -> vm.status <- Rt.Fatal msg
+  | e -> raise e
+
 (* The batched hot path: run up to [fuel] instructions before returning.
 
    The outer loop re-reads everything a dispatch segment depends on — the
@@ -1049,22 +1060,10 @@ let exec_batch (vm : Rt.t) ~fuel =
   | Rt.Vm_exception name ->
     commit ();
     throw_by_name vm name
-  | Heap.Out_of_memory ->
-    commit ();
-    vm.status <- Rt.Fatal "OutOfMemoryError"
-  | Verify.Error msg ->
-    commit ();
-    vm.status <- Rt.Fatal ("verify: " ^ msg)
-  | Compile.Error msg ->
-    commit ();
-    vm.status <- Rt.Fatal ("compile: " ^ msg)
-  | Fatal msg ->
-    commit ();
-    vm.status <- Rt.Fatal msg
   | e ->
-    (* divergence signals etc.: keep the count exact, let it propagate *)
+    (* keep the count exact; divergence signals etc. propagate *)
     commit ();
-    raise e
+    end_fatal vm e
 
 (* One instruction of the current thread: the batched loop with one unit of
    fuel. No region fits (every region retires at least two instructions),
@@ -1072,22 +1071,28 @@ let exec_batch (vm : Rt.t) ~fuel =
    tick, exception conversion and [n_instr] accounting as a full run. *)
 let step (vm : Rt.t) = exec_batch vm ~fuel:1
 
-(* Create the main thread and queue main-class initialization. *)
+(* Create the main thread and queue main-class initialization. [main] is
+   compiled here, outside [exec_batch], so its verify and compile errors
+   end the run [Fatal] through the same rule as every other method's. *)
 let boot (vm : Rt.t) =
-  let main_cid = Rt.class_id vm vm.program.main_class in
-  let main_uid =
-    match Hashtbl.find_opt vm.classes.(main_cid).rc_method_of "main" with
-    | Some uid -> uid
-    | None -> fatal "no main method in %s" vm.program.main_class
-  in
-  let main = vm.methods.(main_uid) in
-  let cc = Compile.compile vm main in
-  let stack_addr = Heap.alloc_stack_array vm ~len:(thread_stack_size vm main cc) in
-  let tid = create_thread vm ~name:"main" main ~stack_addr ~args:[||] in
-  Sched.ready vm tid;
-  Sched.dispatch vm;
-  ignore (ensure_initialized vm main_cid);
-  vm.status <- Rt.Running_
+  try
+    let main_cid = Rt.class_id vm vm.program.main_class in
+    let main_uid =
+      match Hashtbl.find_opt vm.classes.(main_cid).rc_method_of "main" with
+      | Some uid -> uid
+      | None -> fatal "no main method in %s" vm.program.main_class
+    in
+    let main = vm.methods.(main_uid) in
+    let cc = Compile.compile vm main in
+    let stack_addr =
+      Heap.alloc_stack_array vm ~len:(thread_stack_size vm main cc)
+    in
+    let tid = create_thread vm ~name:"main" main ~stack_addr ~args:[||] in
+    Sched.ready vm tid;
+    Sched.dispatch vm;
+    ignore (ensure_initialized vm main_cid);
+    vm.status <- Rt.Running_
+  with e -> end_fatal vm e
 
 let run ?limit (vm : Rt.t) =
   let limit = match limit with Some l -> l | None -> vm.cfg.instr_limit in

@@ -433,7 +433,7 @@ let test_fast_path_preserves_trace () =
 
 let test_trace_carries_audit_hash () =
   let rt = Dejavu.verify_roundtrip ~config:big_config skip_prog in
-  Alcotest.(check bool) "roundtrip ok" true (Dejavu.ok rt);
+  Alcotest.check verdict "roundtrip ok" Dejavu.Ok rt.Dejavu.verdict;
   Alcotest.(check string) "stamped hash"
     (Dejavu.Audit.hash_for skip_prog)
     rt.Dejavu.trace.Dejavu.Trace.analysis_hash
@@ -444,7 +444,8 @@ let test_replay_rejects_other_audit () =
   let run, leftovers =
     Dejavu.replay ~config:big_config skip_prog tampered
   in
-  Alcotest.(check bool) "rejected" true (run.Dejavu.session = None);
+  Alcotest.(check bool) "rejected" true
+    (match run.Dejavu.verdict with Dejavu.Rejected _ -> true | _ -> false);
   Alcotest.(check bool) "names the audit" true
     (List.exists (fun m -> contains m "different race audit") leftovers)
 

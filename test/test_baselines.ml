@@ -12,8 +12,9 @@ let entry name =
 
 let check_rt name (rt : Baselines.Runner.roundtrip) =
   if not (Baselines.Runner.ok rt) then
-    Alcotest.failf "%s: outputs %b states %b events %b (rec %s, rep %s)" name
-      rt.outputs_equal rt.states_equal rt.events_equal
+    Alcotest.failf "%s: outputs %S vs %S, states %d vs %d (rec %s, rep %s)"
+      name rt.recorded.output rt.replayed.output rt.recorded.state_digest
+      rt.replayed.state_digest
       (Vm.string_of_status rt.recorded.status)
       (Vm.string_of_status rt.replayed.status)
 

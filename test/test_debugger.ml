@@ -190,6 +190,49 @@ let test_protocol_locals () =
   let out = exec d "locals 2" in
   Alcotest.(check bool) "locals rendered" true (contains out "t2")
 
+(* Every way a replay can fail mid-run stops the session with [Diverged],
+   through each of step, continue and goto: a recorded callback the
+   program cannot take (malformed trace bytes) and a recorded schedule
+   that picks a thread that is not ready. *)
+let test_replay_errors_diverge () =
+  let record name =
+    let e = entry name in
+    (e, snd (Dejavu.record ~natives:e.natives ~seed:1 e.program))
+  in
+  let native, native_trace = record "native" in
+  let fig, fig_trace = record "fig1ab" in
+  List.iter
+    (fun (what, (e : Workloads.Registry.entry), trace, needle) ->
+      List.iter
+        (fun (how, go) ->
+          let d =
+            Debugger.Session.start ~natives:e.natives ~checkpoint_interval:0
+              e.program trace
+          in
+          match go d with
+          | Debugger.Session.Diverged msg ->
+            Alcotest.(check bool)
+              (Fmt.str "%s via %s: %s" what how msg)
+              true (contains msg needle)
+          | r ->
+            Alcotest.failf "%s via %s: %s" what how
+              (Debugger.Protocol.string_of_stop d r))
+        [
+          ("step", fun d -> Debugger.Session.step d max_int);
+          ("continue", Debugger.Session.continue_);
+          ("goto", fun d -> Debugger.Session.goto_step d max_int);
+        ])
+    [
+      ( "bad callback",
+        native,
+        tamper_first_callback (fun (_, args) -> (100_000, args)) native_trace,
+        "out of range" );
+      ( "bad pick",
+        fig,
+        { fig_trace with Dejavu.Trace.picks = [| 0; 99 |] },
+        "not ready" );
+    ]
+
 let () =
   Alcotest.run "debugger"
     [
@@ -206,6 +249,7 @@ let () =
           quick "replay unperturbed by debugging" test_replay_equals_undebugged;
           quick "time travel deterministic" test_time_travel_deterministic;
           quick "goto forward" test_goto_forward;
+          quick "replay errors diverge" test_replay_errors_diverge;
         ] );
       ( "protocol",
         [

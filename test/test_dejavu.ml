@@ -13,7 +13,7 @@ let entry name =
   | None -> Alcotest.failf "no workload %s" name
 
 let check_rt name rt =
-  if not (Dejavu.ok rt) then
+  if rt.Dejavu.verdict <> Dejavu.Ok then
     Alcotest.failf "%s: %s" name (Fmt.str "%a" Dejavu.pp_roundtrip rt)
 
 (* --- accuracy across the whole catalogue ------------------------------- *)
@@ -136,10 +136,11 @@ let test_wrong_program_rejected () =
   let e1 = entry "fig1ab" and e2 = entry "fig1cd" in
   let _, trace = Dejavu.record ~natives:e1.natives ~seed:1 e1.program in
   let r, _ = Dejavu.replay ~natives:e2.natives e2.program trace in
-  match r.Dejavu.status with
-  | Vm.Rt.Fatal msg ->
-    Alcotest.(check bool) "mentions divergence" true (contains msg "divergence")
-  | st -> Alcotest.failf "accepted wrong program: %s" (Vm.string_of_status st)
+  match r.Dejavu.verdict with
+  | Dejavu.Rejected msg ->
+    Alcotest.(check bool) "names the program" true
+      (contains msg "different program")
+  | v -> Alcotest.failf "accepted wrong program: %a" Dejavu.pp_verdict v
 
 let test_tampered_clock_detected () =
   let e = entry "fig1cd" in
@@ -175,6 +176,87 @@ let test_truncated_switch_tape () =
       ||
       match rep.Dejavu.status with Vm.Rt.Fatal _ -> true | _ -> false)
   end
+
+(* A recorded callback the program cannot take is a malformed trace, not a
+   crash: replay rejects it before the interpreter pushes the frame. *)
+let test_native_callback_rejected () =
+  let e = entry "native" in
+  let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
+  List.iter
+    (fun (what, f, needle) ->
+      let r, _ =
+        Dejavu.replay ~natives:e.natives e.program (tamper_first_callback f trace)
+      in
+      match r.Dejavu.verdict with
+      | Dejavu.Rejected msg ->
+        Alcotest.(check bool) (what ^ ": " ^ msg) true (contains msg needle)
+      | v -> Alcotest.failf "%s: %a" what Dejavu.pp_verdict v)
+    [
+      ("uid out of range", (fun (_, args) -> (100_000, args)), "out of range");
+      ("negative uid", (fun (_, args) -> (-3, args)), "out of range");
+      ( "wrong arity",
+        (fun (uid, args) -> (uid, Array.append args [| 7 |])),
+        "arguments" );
+    ]
+
+(* --- one verdict for a recording that ends fatal ------------------------- *)
+
+(* Allocates until the heap is exhausted: the run ends Fatal, and a replay
+   that ends the same way reproduces it. *)
+let oom_program =
+  Bytecode.Parser.parse_string
+    {|class Node {
+        field next: Node
+      }
+      class Oom {
+        static head: Node
+        method main() locals 1 {
+          loop:
+            new Node
+            store 0
+            load 0
+            getstatic Oom.head
+            putfield Node.next
+            load 0
+            putstatic Oom.head
+            goto loop
+        }
+      }|}
+
+let test_fatal_recording_replays_ok () =
+  let config = { Vm.Rt.default_config with heap_words = 20_000 } in
+  let path = Filename.temp_file "dvoom" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let recorded, _ = Dejavu.record_to ~config ~path oom_program in
+      Alcotest.(check string) "recording ends fatal" "fatal: OutOfMemoryError"
+        (Vm.string_of_status recorded.Dejavu.status);
+      let replayed, leftovers = Dejavu.replay_from ~config ~path oom_program in
+      Alcotest.check verdict "replay_from" Dejavu.Ok replayed.Dejavu.verdict;
+      Alcotest.(check (list string)) "trace consumed" [] leftovers;
+      Alcotest.check verdict "judged" Dejavu.Ok
+        (Dejavu.judge ~expected:recorded replayed);
+      Alcotest.check verdict "verify_roundtrip" Dejavu.Ok
+        (Dejavu.verify_roundtrip ~config oom_program).Dejavu.verdict)
+
+(* [judge] names the first field that differs. *)
+let test_judge_names_field () =
+  let e = entry "fig1ab" in
+  let rt = roundtrip ~seed:1 e in
+  let replayed = rt.Dejavu.replayed in
+  List.iter
+    (fun (field, expected) ->
+      match Dejavu.judge ~expected replayed with
+      | Dejavu.Diverged msg ->
+        Alcotest.(check bool) msg true (contains msg field)
+      | v -> Alcotest.failf "%s: %a" field Dejavu.pp_verdict v)
+    [
+      ("status", { replayed with Dejavu.status = Vm.Rt.Deadlocked });
+      ("output", { replayed with Dejavu.output = "x" });
+      ("state digest", { replayed with Dejavu.state_digest = 1 });
+      ("event sequence", { replayed with Dejavu.obs_count = 1 });
+    ]
 
 (* --- symmetry -------------------------------------------------------------- *)
 
@@ -253,6 +335,12 @@ let () =
           quick "wrong program rejected" test_wrong_program_rejected;
           quick "tampered clock detected" test_tampered_clock_detected;
           quick "truncated switches detected" test_truncated_switch_tape;
+          quick "native callback rejected" test_native_callback_rejected;
+          quick "judge names the field" test_judge_names_field;
+        ] );
+      ( "verdict",
+        [
+          quick "fatal recording replays ok" test_fatal_recording_replays_ok;
         ] );
       ( "symmetry",
         [

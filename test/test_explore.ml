@@ -80,7 +80,7 @@ let test_atomicity_bug_found () =
         Alcotest.failf "emitted trace did not replay identically (%s)"
           (match v with
           | None -> "not emitted"
-          | Some false -> "mismatch"
+          | Some false -> "verdict not ok"
           | Some true -> assert false));
       (* the witness sidecar parses back to the decision vector *)
       match first.Driver.fl_witness with

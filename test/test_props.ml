@@ -2,7 +2,8 @@
    against an OCaml reference evaluator, execution determinism, replay
    accuracy on randomly generated multithreaded programs, GC transparency,
    and a fuzzer asserting the VM never crashes at the OCaml level — random
-   programs are either rejected (check/link/verify) or run to a status. *)
+   programs are either rejected (check/link) or run to a status, a verify
+   error ending the run Fatal. *)
 
 open Tutil
 
@@ -346,7 +347,7 @@ let prop_random_programs_roundtrip =
     (fun (nt, iters, bodies) ->
       let p = program_of_tacts nt iters bodies in
       let rt = Dejavu.verify_roundtrip ~seed:(nt + iters) p in
-      Dejavu.ok rt)
+      rt.Dejavu.verdict = Dejavu.Ok)
 
 let prop_random_programs_switch_map =
   qtest ~count:20 "random programs replay under switch-map too" racy_arb
@@ -445,11 +446,46 @@ let prop_vm_never_crashes =
               [ aux; main ];
           ]
       in
+      (* verifier rejections end the run Fatal, [main]'s included *)
       match run ~limit:100_000 p with
       | _vm, _status -> true
-      | exception Vm.Link.Error _ -> true (* static rejection *)
-      | exception Vm.Verify.Error _ -> true (* verifier rejection *)
-      | exception Vm.Compile.Error _ -> true)
+      | exception Vm.Link.Error _ -> true (* static rejection *))
+
+(* The .djv boundary: every single-character mutant of an example program
+   fails to parse or to link, each with its typed error, or runs to a
+   status. Verify and compile errors, [main]'s included, end the run
+   [Fatal]; no other exception escapes. *)
+let djv_sources =
+  lazy
+    (let dir =
+       Filename.concat (Filename.dirname Sys.executable_name)
+         "../examples/progs"
+     in
+     Sys.readdir dir |> Array.to_list |> List.sort compare
+     |> List.filter (fun f -> Filename.check_suffix f ".djv")
+     |> List.map (fun f ->
+            In_channel.with_open_bin (Filename.concat dir f)
+              In_channel.input_all))
+
+let djv_mutant_arb =
+  let gen =
+    QCheck.Gen.(
+      let* src = oneofl (Lazy.force djv_sources) in
+      let* pos = int_bound (String.length src - 1) in
+      let+ c = map (String.get "0123456789-azAZ{}():;\"_ \n") (int_bound 24) in
+      String.mapi (fun i x -> if i = pos then c else x) src)
+  in
+  QCheck.make ~print:Fun.id gen
+
+let prop_djv_mutants_typed =
+  qtest ~count:400 "single-character .djv mutants: typed rejection or a status"
+    djv_mutant_arb (fun src ->
+      match Bytecode.Parser.parse_string src with
+      | exception Bytecode.Parser.Error _ -> true
+      | p -> (
+        match Vm.create p with
+        | exception Vm.Link.Error _ -> true
+        | vm -> Vm.run ~limit:100_000 vm <> Vm.Rt.Running_))
 
 let prop_fuzzed_gc_agrees =
   qtest ~count:200 "accepted random programs: heap size is transparent"
@@ -494,10 +530,8 @@ let prop_fuzzed_replay =
           ]
       in
       match Dejavu.verify_roundtrip ~limit:100_000 ~seed:5 p with
-      | rt -> Dejavu.ok rt
-      | exception Vm.Link.Error _ -> true
-      | exception Vm.Verify.Error _ -> true
-      | exception Vm.Compile.Error _ -> true)
+      | rt -> rt.Dejavu.verdict = Dejavu.Ok
+      | exception Vm.Link.Error _ -> true)
 
 let prop_snapshot_transparent =
   qtest ~count:40 "snapshot/restore preserves the timeline" racy_arb
@@ -861,6 +895,6 @@ let () =
       ( "fuzz",
         [
           prop_vm_never_crashes; prop_fuzzed_gc_agrees; prop_fuzzed_replay;
-          prop_fuzzed_emit_roundtrip;
+          prop_fuzzed_emit_roundtrip; prop_djv_mutants_typed;
         ] );
     ]

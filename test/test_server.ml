@@ -371,6 +371,46 @@ let test_batch_shard_invariance () =
           Alcotest.(check int) "row count" (List.length r1.Server.Batch.rows)
             (List.length r4.Server.Batch.rows)))
 
+(* --- jobs read the one replay verdict ------------------------------------ *)
+
+(* A recording that ends fatal is reproduced, not failed: under a tiny
+   instruction limit [primes] ends "fatal: instruction limit", and a cold
+   Replay and Roundtrip of it are both Done with that status. A Replay
+   against another program's trace is Failed, with the rejection as its
+   message. *)
+let test_jobs_share_the_verdict () =
+  with_tmp_dir (fun dir ->
+      let config = { Vm.Rt.default_config with instr_limit = 20_000 } in
+      let trace = Filename.concat dir "primes.trace" in
+      let ctx = { D.shard = 0; seq = 0; should_stop = ignore } in
+      let recorded =
+        Server.Job.run ~config ctx
+          (Server.Job.Record { workload = "primes"; seed = 1; out = trace })
+      in
+      let status = recorded.Server.Job.o_status in
+      Alcotest.(check bool) ("recording hits the limit: " ^ status) true
+        (Tutil.contains status "instruction limit");
+      let rep =
+        Server.Batch.run_specs ~warm:false ~config
+          [
+            Server.Job.Replay { workload = "primes"; trace };
+            Server.Job.Roundtrip { workload = "primes"; seed = 1 };
+            Server.Job.Replay { workload = "racy-counter"; trace };
+          ]
+      in
+      match rep.Server.Batch.rows with
+      | [ replay; roundtrip; foreign ] ->
+        List.iter
+          (fun (what, (r : Server.Batch.row)) ->
+            Alcotest.(check string) (what ^ " done") "done" r.b_outcome;
+            Alcotest.(check string) (what ^ " status") status r.b_status)
+          [ ("replay", replay); ("roundtrip", roundtrip) ];
+        Alcotest.(check bool) foreign.Server.Batch.b_outcome true
+          (String.starts_with ~prefix:"failed" foreign.b_outcome
+          && Tutil.contains foreign.b_outcome "different program");
+        Alcotest.(check bool) "batch not ok" false rep.Server.Batch.ok
+      | _ -> Alcotest.fail "row shape")
+
 (* --- serve over a Unix socket ------------------------------------------- *)
 
 let test_serve_end_to_end () =
@@ -488,7 +528,11 @@ let () =
           quick "replay equivalence" test_stream_replay_equivalence;
           quick "truncated trace" test_stream_replay_truncated;
         ] );
-      ("batch", [ quick "shard-count invariance" test_batch_shard_invariance ]);
+      ( "batch",
+        [
+          quick "shard-count invariance" test_batch_shard_invariance;
+          quick "jobs share the verdict" test_jobs_share_the_verdict;
+        ] );
       ( "serve",
         [
           quick "end to end" test_serve_end_to_end;

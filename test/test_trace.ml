@@ -181,6 +181,20 @@ let test_native_outcome_codec () =
   Alcotest.(check bool) "o2" true (got2 = o2);
   Alcotest.(check int) "consumed" 0 (T.Tape.remaining tape)
 
+(* Counts decoded from a tape are checked before they size anything: a
+   negative callback count or arity is malformed input. *)
+let test_native_outcome_negative_counts () =
+  List.iter
+    (fun (what, words) ->
+      match T.read_native_outcome (T.Tape.of_array "n" words) with
+      | exception T.Format_error _ -> ()
+      | _ -> Alcotest.failf "accepted a negative %s" what)
+    [
+      ("callback count", [| 4; 1; 2; -1 |]);
+      ("callback count", [| 4; 0; min_int |]);
+      ("callback arity", [| 4; 1; 2; 1; 3; -2 |]);
+    ]
+
 let test_sizes () =
   let t =
     mk ~switches:[| 1; 2 |] ~clocks:[| 0; 1; 1; 2 |] ~inputs:[| 3 |]
@@ -594,6 +608,8 @@ let () =
           quick "truncation" test_truncation;
           quick "save/load" test_save_load;
           quick "native outcomes" test_native_outcome_codec;
+          quick "native outcome negative counts"
+            test_native_outcome_negative_counts;
           quick "sizes" test_sizes;
           quick "reason tags" test_reason_tags;
         ] );

@@ -80,7 +80,7 @@ let test_webserver_conservation () =
 let test_webserver_replay () =
   let p = Workloads.Webserver.program () in
   let rt = Dejavu.verify_roundtrip ~seed:9 p in
-  Alcotest.(check bool) "roundtrip" true (Dejavu.ok rt)
+  Alcotest.(check bool) "roundtrip" true (rt.Dejavu.verdict = Dejavu.Ok)
 
 let test_catalogue_distinct_names () =
   let names = Workloads.Registry.names () in
