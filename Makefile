@@ -22,8 +22,12 @@ smoke:
 # the recorded files through the user-facing CLI, which exits by the
 # replay's verdict: 0 reproduced, 1 diverged or trace words left, 2 bad
 # input. Then record and replay examples/progs/oom.djv, whose run ends
-# fatal (out of memory): its replay reproduces that and must exit 0. Last,
-# `dvrun run` of a .djv naming an unknown class must exit 2 (bad input).
+# fatal (out of memory): its replay reproduces that and must exit 0. Then
+# drive the replay debugger (`dvrun debug`) through a batch session that
+# watches, continues, travels back and quits, which must exit 0. Last,
+# bad input must exit 2 from `dvrun run` and `dvrun debug` alike: a .djv
+# naming an unknown class, and (debug) a trace recorded for another
+# program or cut to 40 bytes.
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
@@ -33,13 +37,22 @@ batch-smoke:
 	dune exec bin/dvrun.exe -- replay racy-counter -i _batch/racy-counter.trace
 	dune exec bin/dvrun.exe -- record examples/progs/oom.djv -o _batch/oom.trace
 	dune exec bin/dvrun.exe -- replay examples/progs/oom.djv -i _batch/oom.trace
+	dune exec bin/dvrun.exe -- debug racy-counter \
+	  --batch "watch Racy.count; continue; goto 10; continue; quit"
 	@dir=$$(mktemp -d); \
 	  printf 'class T {\n  method main() locals 1 {\n    new Nope\n    pop\n    ret\n  }\n}\n' \
 	    > $$dir/unknown.djv; \
-	  dune exec bin/dvrun.exe -- run $$dir/unknown.djv; rc=$$?; rm -rf $$dir; \
-	  if [ $$rc -ne 2 ]; then \
-	    echo "batch-smoke: run of a .djv naming an unknown class exited $$rc, not 2"; \
-	    exit 1; fi
+	  head -c 40 _batch/bank.trace > $$dir/cut.trace; \
+	  bad=0; \
+	  for cmd in "run $$dir/unknown.djv" \
+	    "debug $$dir/unknown.djv --batch continue" \
+	    "debug racy-counter -i _batch/bank.trace --batch continue" \
+	    "debug bank -i $$dir/cut.trace --batch continue"; do \
+	    dune exec bin/dvrun.exe -- $$cmd; rc=$$?; \
+	    if [ $$rc -ne 2 ]; then \
+	      echo "batch-smoke: dvrun $$cmd exited $$rc, not 2"; bad=1; fi; \
+	  done; \
+	  rm -rf $$dir; exit $$bad
 
 # Socket farm gate: start `dvrun serve` for three connections on a socket
 # in a temp dir and wait for the socket file. Submit three roundtrip jobs

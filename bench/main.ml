@@ -98,7 +98,9 @@ let e4 () =
   let rec_run, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
   ignore rec_run;
   (* replay and pause midway; inspect heavily through both interfaces *)
-  let d = Debugger.Session.start ~natives:e.natives e.program trace in
+  let d =
+    Result.get_ok (Debugger.Session.start ~natives:e.natives e.program trace)
+  in
   ignore (Debugger.Session.step d 5000);
   let before = Debugger.Session.state_digest d in
   let sp = Debugger.Session.space d in
@@ -272,8 +274,9 @@ let e10 () =
   let e = entry "racy-counter" in
   let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
   let open_session interval =
-    Debugger.Session.start ~natives:e.natives ~checkpoint_interval:interval
-      e.program trace
+    Result.get_ok
+      (Debugger.Session.start ~natives:e.natives ~checkpoint_interval:interval
+         e.program trace)
   in
   let with_ck = open_session 20_000 in
   let without_ck = open_session 0 in

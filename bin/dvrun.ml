@@ -7,13 +7,16 @@
      dvrun verify NAME [--seed N]       record, replay, judge the replay
      dvrun compare NAME --seeds A,B,..  run under several seeds, diff outputs
      dvrun disasm NAME                  disassemble the workload's bytecode
+     dvrun debug NAME [-i T] [--batch CMDS]  replay debugger ("help")
 
    Exit contract of replay and verify, by the replay's verdict: 0 the
    replay reproduced the recording; 1 it did not (it diverged, or left
    trace words unconsumed); 2 bad input (a malformed trace or one recorded
    for another program, or a .djv that does not parse, link or verify,
    which every subcommand taking a workload refuses with 2). A recording
-   that ended fatal replays to 0 when the replay ends the same way. *)
+   that ended fatal replays to 0 when the replay ends the same way. debug
+   keeps the same contract for bad input; a --batch session whose replay
+   reached its end exits by the verdict, and any other session exits 0. *)
 
 open Cmdliner
 
@@ -56,10 +59,12 @@ let find_workload name =
       Stdlib.exit 2
 
 (* The exit contract above. *)
-let exit_by_verdict = function
-  | Dejavu.Ok -> ()
-  | Dejavu.Diverged _ | Dejavu.Incomplete _ -> Stdlib.exit 1
-  | Dejavu.Rejected _ -> Stdlib.exit 2
+let exit_by_verdict v =
+  Stdlib.exit
+    (match v with
+    | Dejavu.Ok -> 0
+    | Dejavu.Diverged _ | Dejavu.Incomplete _ -> 1
+    | Dejavu.Rejected _ -> 2)
 
 (* Malformed trace files are user error, not an internal failure. *)
 let load_trace path =
@@ -119,6 +124,8 @@ let no_regir_arg =
 
 let name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
+
+let trace_in = Arg.info [ "i"; "input" ] ~docv:"TRACE" ~doc:"trace file to read"
 
 let list_cmd =
   let doc = "list available workloads" in
@@ -231,12 +238,7 @@ let replay_cmd =
      recording, 1 when it diverges or leaves trace words unconsumed, 2 on a \
      malformed or foreign trace or a bad .djv"
   in
-  let in_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "i"; "input" ] ~docv:"TRACE" ~doc:"trace file to read")
-  in
+  let in_arg = Arg.(required & opt (some string) None & trace_in) in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
       const (fun name inp no_regir verbose ->
@@ -343,6 +345,81 @@ let dump_cmd =
             Fmt.pr "@."
           end)
       $ in_arg)
+
+(* --- debug: the replay debugger --- *)
+
+(* Open a debugger session on [inp]'s trace, or on a fresh recording under
+   [seed], and feed it commands: [batch]'s, echoed, or stdin's at a
+   prompt, until they run out or one is "quit". *)
+let debug name inp seed batch =
+  let e = find_workload name in
+  let d =
+    match inp with
+    | Some path -> (
+      match
+        Debugger.Session.start ~natives:e.natives e.program (load_trace path)
+      with
+      | Ok d -> d
+      | Error v ->
+        Fmt.pr "verdict: %a@." Dejavu.pp_verdict v;
+        exit_by_verdict v)
+    | None ->
+      let d, run =
+        Debugger.Session.record_and_start ~natives:e.natives ~seed e.program
+      in
+      Fmt.pr "recorded %s under seed %d: %s@." name seed
+        (Vm.string_of_status run.Dejavu.status);
+      d
+  in
+  let next =
+    match batch with
+    | Some script ->
+      let cmds =
+        ref
+          (String.split_on_char ';' script
+          |> List.map String.trim
+          |> List.filter (fun s -> s <> ""))
+      in
+      fun () ->
+        (match !cmds with
+        | [] -> None
+        | cmd :: rest ->
+          cmds := rest;
+          Fmt.pr "(dejavu) %s@." cmd;
+          Some cmd)
+    | None ->
+      Fmt.pr "replay session open; type 'help' for commands@.";
+      fun () ->
+        print_string "(dejavu) ";
+        flush stdout;
+        In_channel.input_line stdin
+  in
+  let rec loop () =
+    match Option.map (Debugger.Protocol.execute d) (next ()) with
+    | Some (Debugger.Protocol.Reply s) ->
+      if s <> "" then print_endline s;
+      loop ()
+    | Some Debugger.Protocol.Quit | None -> ()
+  in
+  loop ();
+  if batch <> None then Option.iter exit_by_verdict (Debugger.Session.verdict d)
+
+let debug_cmd =
+  let doc =
+    "replay debugger: breakpoints, watchpoints, stepping and time travel \
+     over a replay of the trace given with -i, or of a fresh recording \
+     under --seed; type 'help' for commands"
+  in
+  let in_arg = Arg.(value & opt (some string) None & trace_in) in
+  let batch_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "batch" ] ~docv:"CMDS"
+          ~doc:"run semicolon-separated commands non-interactively")
+  in
+  Cmd.v (Cmd.info "debug" ~doc)
+    Term.(const debug $ name_arg $ in_arg $ seed_arg $ batch_arg)
 
 (* --- lint: static race audit (lockset + thread-escape) --- *)
 
@@ -740,8 +817,8 @@ let main_cmd =
   Cmd.group (Cmd.info "dvrun" ~doc)
     [
       list_cmd; run_cmd; disasm_cmd; emit_cmd; compare_cmd; record_cmd;
-      replay_cmd; verify_cmd; dump_cmd; lint_cmd; explore_cmd; batch_cmd;
-      serve_cmd; submit_cmd;
+      replay_cmd; verify_cmd; debug_cmd; dump_cmd; lint_cmd; explore_cmd;
+      batch_cmd; serve_cmd; submit_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -9,8 +9,9 @@
    Record and replay each have one driver core, shared in memory and on
    file, and with the farm's jobs: [record_into] is the file-record
    bracket, [replay_guard] the replay guard. Whether a replay passed is
-   one [verdict], decided by [replay_guard] and refined by [judge]; every
-   consumer reads it. *)
+   one [verdict], decided by [classify] and [replay_end] (the phases
+   [replay_guard] is built from, and the debugger's) and refined by
+   [judge]; every consumer reads it. *)
 
 module Trace = Trace
 module Tape = Trace.Tape
@@ -115,36 +116,53 @@ let record_into (vm : Vm.t) writer run =
     Trace.Writer.abort writer;
     raise e
 
-(* The one replay guard, serving [replay], [replay_from] and the farm's
-   replay job, and the one place a replay's verdict is decided. [attach]
-   reads the trace header and installs the replay hooks; [drive] runs the
-   VM. A header refusal or malformed trace bytes, at attach or mid-run,
-   is [Rejected]; a [Divergence] or [Sched_error] while driving is
+(* The one classifier of replay exceptions: [f ()]'s result, or the
+   verdict the exception it raised makes. Malformed trace bytes are
+   [Rejected], and so is a [Divergence] while [opening] (the trace header
+   refuses this program); a [Divergence] or [Sched_error] while driving is
    [Diverged] (Sched_error: a picks-bearing trace steered dispatch to a
-   thread that is not ready here); unconsumed trace words are
-   [Incomplete]. A rejection or divergence also ends the VM [Fatal].
-   Returns the verdict and the warnings: the unconsumed trace words, or
-   the rejection. *)
-let replay_guard (vm : Vm.t) ~attach ~drive =
+   thread that is not ready here). A rejection or divergence also ends the
+   VM [Fatal]. Any other exception propagates. *)
+let classify ~opening (vm : Vm.t) f =
   let stop verdict =
     vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay " ^ string_of_verdict verdict);
-    verdict
+    Error verdict
   in
-  match attach () with
-  | exception (Session.Divergence msg | Trace.Format_error msg) ->
-    (stop (Rejected msg), [ msg ])
-  | session ->
-    let verdict =
-      match drive () with
-      | () -> Ok
-      | exception (Session.Divergence msg | Vm.Sched.Sched_error msg) ->
-        stop (Diverged msg)
-      | exception Trace.Format_error msg -> stop (Rejected msg)
-    in
-    let leftovers = Replayer.check_complete session in
-    match (verdict, leftovers) with
-    | Ok, _ :: _ -> (Incomplete leftovers, leftovers)
-    | v, _ -> (v, leftovers)
+  match f () with
+  | x -> Result.Ok x
+  | exception Trace.Format_error msg -> stop (Rejected msg)
+  | exception Session.Divergence msg when opening -> stop (Rejected msg)
+  | exception (Session.Divergence msg | Vm.Sched.Sched_error msg) ->
+    stop (Diverged msg)
+
+(* A replay in three phases, for drivers that pause it (the debugger):
+   [replay_open] runs [attach], which reads the trace header and installs
+   the replay hooks, and returns the session or a [Rejected] verdict;
+   [replay_advance] runs [drive] for any stretch of the replay and returns
+   [Ok] or how it failed; [replay_end] takes the last advance's verdict
+   and makes unconsumed trace words [Incomplete], returning the verdict
+   and those words. *)
+let replay_open vm attach = classify ~opening:true vm attach
+
+let replay_advance vm drive =
+  match classify ~opening:false vm drive with
+  | Result.Ok () -> Ok
+  | Error verdict -> verdict
+
+let replay_end session verdict =
+  let leftovers = Replayer.check_complete session in
+  match (verdict, leftovers) with
+  | Ok, _ :: _ -> (Incomplete leftovers, leftovers)
+  | v, _ -> (v, leftovers)
+
+(* The one replay guard, serving [replay], [replay_from] and the farm's
+   replay job: the three phases in one go, [drive] running the VM to its
+   end. Returns the verdict and the warnings: the unconsumed trace words,
+   or the rejection. *)
+let replay_guard vm ~attach ~drive =
+  match replay_open vm attach with
+  | Error verdict -> (verdict, [ string_of_verdict verdict ])
+  | Result.Ok session -> replay_end session (replay_advance vm drive)
 
 let run_replay ~observe vm ~attach ~drive =
   let observer = ref None in

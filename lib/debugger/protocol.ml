@@ -2,7 +2,7 @@
    JVM talking to the debugger over TCP with small text packets; this module
    is that protocol layer (DESIGN.md documents the substitution): a textual
    command in, a textual reply out, carrying data rather than pixels. Any
-   front end — the interactive CLI in bin/dvdebug.ml, a test, a socket — can
+   front end — the interactive CLI of `dvrun debug`, a test, a socket — can
    drive a session through [execute]. *)
 
 type outcome = Reply of string | Quit
@@ -44,8 +44,9 @@ let string_of_stop (d : Session.t) (r : Session.stop_reason) =
         (match line with Some l -> Fmt.str " line %d" l | None -> "")
         d.steps
     | None -> "stopped")
-  | Session.Finished st -> Fmt.str "execution %s" (Vm.string_of_status st)
-  | Session.Diverged msg -> Fmt.str "REPLAY DIVERGENCE: %s" msg
+  | Session.Ended Dejavu.Ok ->
+    Fmt.str "execution %s; verdict: ok" (Vm.string_of_status (Vm.status d.vm))
+  | Session.Ended v -> Fmt.str "verdict: %a" Dejavu.pp_verdict v
 
 let parse_loc = function
   | None -> Breakpoint.Any_pc

@@ -1,7 +1,7 @@
 (** The tool front end: a textual command in, a textual reply out. This is
     the replacement for the paper's Swing-GUI-over-TCP third tier (see
-    DESIGN.md section 6) — any front end (the interactive CLI in
-    bin/dvdebug.ml, a test, a socket server) drives a session through
+    DESIGN.md section 6) — any front end (the interactive CLI of
+    [dvrun debug], a test, a socket server) drives a session through
     {!execute}. Type ["help"] for the command list. *)
 
 type outcome = Reply of string | Quit

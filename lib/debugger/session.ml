@@ -2,15 +2,15 @@
    one instruction at a time; the tool side inspects the paused VM only
    through remote reflection (an Address_space), so stopping, stepping,
    querying, and resuming perturb nothing — and because the replay is
-   deterministic, the session can also travel *backwards* by restarting the
-   replay and stopping earlier. *)
+   deterministic, the session can also travel *backwards* by restoring a
+   checkpoint and replaying forward to an earlier step. Whether the
+   replay passed is Dejavu's verdict, decided by its replay phases. *)
 
 type stop_reason =
   | Hit of Breakpoint.t
   | Watch_fired of watchpoint * int * int (* watchpoint, old, new *)
   | Step_done
-  | Finished of Vm.Rt.status
-  | Diverged of string
+  | Ended of Dejavu.verdict (* the replay reached its end *)
 
 (* Watchpoints observe a static slot and stop the replay when its value
    changes — deterministically: the same watch fires at the same step on
@@ -32,13 +32,11 @@ type checkpoint = {
 }
 
 type t = {
-  program : Bytecode.Decl.program;
-  natives : Vm.Native.spec list;
-  config : Vm.Rt.config;
   trace : Dejavu.Trace.t;
-  mutable vm : Vm.t;
-  mutable session : Dejavu.Session.t;
-  mutable space : Remote_reflection.Address_space.t;
+  vm : Vm.t;
+  session : Dejavu.Session.t;
+  space : Remote_reflection.Address_space.t;
+  mutable advanced : Dejavu.verdict; (* how the last advance went *)
   mutable breakpoints : Breakpoint.t list;
   mutable next_bp_id : int;
   mutable steps : int; (* instructions replayed so far *)
@@ -50,63 +48,73 @@ type t = {
   mutable next_watch_id : int;
 }
 
-let fresh_vm (d : t) =
-  let vm = Vm.create ~config:d.config ~natives:d.natives d.program in
-  let session = Dejavu.Replayer.attach vm d.trace in
-  Vm.boot vm;
-  d.vm <- vm;
-  d.session <- session;
-  d.space <- Remote_reflection.Address_space.of_vm vm;
-  d.steps <- 0;
-  (* checkpoints belong to the discarded VM instance *)
-  d.checkpoints <- []
+let running (d : t) = Vm.status d.vm = Vm.Rt.Running_
 
-(* Snapshot step 0, so backwards travel never needs a fresh replay and the
-   checkpoint cache is never discarded. *)
-let take_checkpoint_initial (d : t) =
-  d.checkpoints <-
-    [
-      {
-        ck_step = 0;
-        ck_vm = Vm.Snapshot.save d.vm;
-        ck_session = Dejavu.Session.snapshot d.session;
-      };
-    ]
+(* The replay's verdict once it has ended; [None] while it runs. *)
+let verdict (d : t) =
+  if running d then None
+  else Some (fst (Dejavu.replay_end d.session d.advanced))
 
-(* Start a session from a program and a recorded trace.
-   [checkpoint_interval] is the automatic checkpoint period in replayed
-   instructions (0 disables; time travel then replays from the start). *)
+(* Snapshot the current position, unless the replay has ended (a restored
+   checkpoint resumes a running replay) or this step already has one:
+   replay is deterministic, so a checkpoint for this step may exist from a
+   previous pass over this part of the timeline. *)
+let take_checkpoint (d : t) =
+  if running d && not (List.exists (fun ck -> ck.ck_step = d.steps) d.checkpoints)
+  then
+    d.checkpoints <-
+      List.sort
+        (fun a b -> compare b.ck_step a.ck_step)
+        ({
+           ck_step = d.steps;
+           ck_vm = Vm.Snapshot.save d.vm;
+           ck_session = Dejavu.Session.snapshot d.session;
+         }
+        :: d.checkpoints)
+
+(* Open a replay of [trace] on a fresh VM and boot it, through Dejavu's
+   replay phases: a trace the program refuses is the [Rejected] verdict,
+   and a boot that departs from the recording ends the replay at step 0.
+   Step 0 is always checkpointed, so backwards travel restores it rather
+   than opening the replay again. [checkpoint_interval] is the automatic
+   checkpoint period in replayed instructions (0 disables; time travel
+   then replays from step 0). *)
 let start ?(config = Vm.Rt.default_config) ?(natives = [])
-    ?(checkpoint_interval = 25_000) program trace : t =
+    ?(checkpoint_interval = 25_000) program trace : (t, Dejavu.verdict) result
+    =
   let vm = Vm.create ~config ~natives program in
-  let session = Dejavu.Replayer.attach vm trace in
-  Vm.boot vm;
-  {
-    program;
-    natives;
-    config;
-    trace;
-    vm;
-    session;
-    space = Remote_reflection.Address_space.of_vm vm;
-    breakpoints = [];
-    next_bp_id = 1;
-    steps = 0;
-    checkpoint_interval;
-    checkpoints = [];
-    restores = 0;
-    watchpoints = [];
-    next_watch_id = 1;
-  }
-  |> fun d ->
-  if checkpoint_interval > 0 then take_checkpoint_initial d;
-  d
+  match Dejavu.replay_open vm (fun () -> Dejavu.Replayer.attach vm trace) with
+  | Error verdict -> Error verdict
+  | Ok session ->
+    let d =
+      {
+        trace;
+        vm;
+        session;
+        space = Remote_reflection.Address_space.of_vm vm;
+        advanced = Dejavu.replay_advance vm (fun () -> Vm.boot vm);
+        breakpoints = [];
+        next_bp_id = 1;
+        steps = 0;
+        checkpoint_interval;
+        checkpoints = [];
+        restores = 0;
+        watchpoints = [];
+        next_watch_id = 1;
+      }
+    in
+    take_checkpoint d;
+    Ok d
 
 (* Record a fresh execution (with [seed]) and open a session on its trace. *)
 let record_and_start ?(config = Vm.Rt.default_config) ?(natives = [])
     ?(seed = 1) program : t * Dejavu.run =
   let run, trace = Dejavu.record ~config ~natives ~seed program in
-  (start ~config ~natives program trace, run)
+  match start ~config ~natives program trace with
+  | Ok d -> (d, run)
+  | Error v ->
+    (* the header of a fresh recording names this very program *)
+    invalid_arg ("record_and_start: " ^ Dejavu.string_of_verdict v)
 
 (* Resolve a static to its globals slot. *)
 let resolve_static (d : t) ~cls ~field =
@@ -167,8 +175,6 @@ let add_breakpoint (d : t) ~cls ~meth loc : Breakpoint.t =
 let remove_breakpoint (d : t) id =
   d.breakpoints <- List.filter (fun b -> b.Breakpoint.bp_id <> id) d.breakpoints
 
-let running (d : t) = Vm.status d.vm = Vm.Rt.Running_
-
 let position (d : t) : (Vm.Rt.rmethod * int) option =
   if running d then
     let t = Vm.Rt.cur d.vm in
@@ -181,25 +187,12 @@ let hit_breakpoint (d : t) : Breakpoint.t option =
   | Some (meth, pc) ->
     List.find_opt (fun b -> Breakpoint.matches b d.vm meth pc) d.breakpoints
 
-(* --- checkpoints --------------------------------------------------------- *)
-
-let take_checkpoint (d : t) =
-  (* replay is deterministic, so a checkpoint for this step may already
-     exist from a previous pass over this part of the timeline *)
-  if not (List.exists (fun ck -> ck.ck_step = d.steps) d.checkpoints) then
-    d.checkpoints <-
-      List.sort
-        (fun a b -> compare b.ck_step a.ck_step)
-        ({
-           ck_step = d.steps;
-           ck_vm = Vm.Snapshot.save d.vm;
-           ck_session = Dejavu.Session.snapshot d.session;
-         }
-        :: d.checkpoints)
+(* --- checkpoints and replay ----------------------------------------- *)
 
 let restore_checkpoint (d : t) (ck : checkpoint) =
   Vm.Snapshot.restore d.vm ck.ck_vm;
   Dejavu.Session.restore d.session ck.ck_session;
+  d.advanced <- Dejavu.Ok (* checkpoints are taken only while running *);
   d.steps <- ck.ck_step;
   d.restores <- d.restores + 1
 
@@ -207,14 +200,15 @@ let restore_checkpoint (d : t) (ck : checkpoint) =
 let checkpoint_before (d : t) n =
   List.find_opt (fun ck -> ck.ck_step <= n) d.checkpoints
 
+(* One replayed instruction, through Dejavu's replay phases: a failure
+   ends the VM [Fatal] and leaves its verdict in [advanced]. *)
 let step1 (d : t) =
-  Vm.step d.vm;
-  d.steps <- d.steps + 1;
-  if
-    d.checkpoint_interval > 0
-    && d.steps mod d.checkpoint_interval = 0
-    && Vm.status d.vm = Vm.Rt.Running_
-  then take_checkpoint d
+  d.advanced <- Dejavu.replay_advance d.vm (fun () -> Vm.step d.vm);
+  if d.advanced = Dejavu.Ok then begin
+    d.steps <- d.steps + 1;
+    if d.checkpoint_interval > 0 && d.steps mod d.checkpoint_interval = 0
+    then take_checkpoint d
+  end
 
 (* One stop check after a step: watchpoints first, then breakpoints. *)
 let stopped_here (d : t) : stop_reason option =
@@ -223,54 +217,32 @@ let stopped_here (d : t) : stop_reason option =
   | None -> (
     match hit_breakpoint d with Some b -> Some (Hit b) | None -> None)
 
-(* One replayed instruction, then [next ()]; or [Diverged] when the replay
-   cannot go on: a divergence, a recorded schedule that does not fit, or
-   trace bytes that turn out malformed mid-replay. *)
-let step_then (d : t) next : stop_reason =
-  match step1 d with
-  | () -> next ()
-  | exception
-      ( Dejavu.Divergence msg
-      | Vm.Sched.Sched_error msg
-      | Dejavu.Trace.Format_error msg ) ->
-    Diverged msg
+(* The one replay loop: up to [left] instructions, stopping early at the
+   end of the replay with its verdict or, when [stops], at a watchpoint
+   or breakpoint. *)
+let rec advance (d : t) ~stops left : stop_reason =
+  match verdict d with
+  | Some v -> Ended v
+  | None when left <= 0 -> Step_done
+  | None -> (
+    step1 d;
+    match if stops && d.advanced = Dejavu.Ok then stopped_here d else None with
+    | Some r -> r
+    | None -> advance d ~stops (left - 1))
 
 (* Execute up to [n] instructions; stop early on a break/watch or end. *)
-let step (d : t) n : stop_reason =
-  let rec go left =
-    if not (running d) then Finished (Vm.status d.vm)
-    else if left = 0 then Step_done
-    else
-      step_then d (fun () ->
-          match stopped_here d with Some r -> r | None -> go (left - 1))
-  in
-  go n
+let step (d : t) n = advance d ~stops:true n
 
-let continue_ (d : t) : stop_reason =
-  let rec go () =
-    if not (running d) then Finished (Vm.status d.vm)
-    else
-      step_then d (fun () ->
-          match stopped_here d with Some r -> r | None -> go ())
-  in
-  go ()
+let continue_ (d : t) = advance d ~stops:true max_int
 
 (* Deterministic time travel to absolute step [n]: restore the newest
-   checkpoint at or before [n] — both for backwards travel and to shortcut
-   long forward jumps — then re-execute forward. Falls back to a fresh
-   replay only when no checkpoint helps (e.g. checkpointing disabled). *)
+   checkpoint at or before [n] — for backwards travel and to shortcut
+   long forward jumps — then re-execute forward. *)
 let goto_step (d : t) n : stop_reason =
   (match checkpoint_before d n with
   | Some ck when n < d.steps || ck.ck_step > d.steps -> restore_checkpoint d ck
-  | Some _ -> () (* already between the best checkpoint and the target *)
-  | None -> if n < d.steps then fresh_vm d);
-  let want = n - d.steps in
-  let rec go left =
-    if not (running d) then Finished (Vm.status d.vm)
-    else if left = 0 then Step_done
-    else step_then d (fun () -> go (left - 1))
-  in
-  let r = go want in
+  | _ -> ());
+  let r = advance d ~stops:false (n - d.steps) in
   resync_watchpoints d;
   r
 

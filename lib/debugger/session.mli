@@ -3,15 +3,16 @@
     remote reflection, so stopping, stepping, querying, and resuming
     perturb nothing. Determinism also buys {e time travel}: [goto_step]
     lands on any earlier point of the same execution, accelerated by
-    periodic whole-machine checkpoints ([Vm.Snapshot]). *)
+    periodic whole-machine checkpoints ([Vm.Snapshot]). Whether the replay
+    passed is Dejavu's {!Dejavu.verdict}, decided by its replay phases
+    ({!Dejavu.replay_open}, {!Dejavu.replay_advance}, {!Dejavu.replay_end}). *)
 
 type stop_reason =
   | Hit of Breakpoint.t
   | Watch_fired of watchpoint * int * int
       (** a watched static changed: watchpoint, old value, new value *)
   | Step_done
-  | Finished of Vm.Rt.status
-  | Diverged of string
+  | Ended of Dejavu.verdict  (** the replay reached its end *)
 
 (** Watchpoints observe a static slot and stop the replay when its value
     changes — deterministically: the same watch fires at the same step on
@@ -31,13 +32,11 @@ type checkpoint = {
 }
 
 type t = {
-  program : Bytecode.Decl.program;
-  natives : Vm.Native.spec list;
-  config : Vm.Rt.config;
   trace : Dejavu.Trace.t;
-  mutable vm : Vm.t;
-  mutable session : Dejavu.Session.t;
-  mutable space : Remote_reflection.Address_space.t;
+  vm : Vm.t;
+  session : Dejavu.Session.t;
+  space : Remote_reflection.Address_space.t;
+  mutable advanced : Dejavu.verdict;  (** how the last advance went *)
   mutable breakpoints : Breakpoint.t list;
   mutable next_bp_id : int;
   mutable steps : int;  (** instructions replayed so far *)
@@ -48,16 +47,18 @@ type t = {
   mutable next_watch_id : int;
 }
 
-(** Open a session on a recorded trace. [checkpoint_interval] is the
-    automatic checkpoint period in replayed instructions (default 25000;
-    0 disables, making backwards travel replay from the start). *)
+(** Open a session on a recorded trace, or the [Rejected] verdict of a
+    trace this program refuses. Step 0 is always checkpointed.
+    [checkpoint_interval] is the automatic checkpoint period in replayed
+    instructions (default 25000; 0 disables, making backwards travel
+    replay from step 0). *)
 val start :
   ?config:Vm.Rt.config ->
   ?natives:Vm.Native.spec list ->
   ?checkpoint_interval:int ->
   Bytecode.Decl.program ->
   Dejavu.Trace.t ->
-  t
+  (t, Dejavu.verdict) result
 
 (** Record a fresh execution under [seed], then open a session on it. *)
 val record_and_start :
@@ -78,10 +79,15 @@ val remove_watchpoint : t -> int -> unit
 
 val running : t -> bool
 
+(** The replay's verdict once it has ended ([Ended]'s), [None] while it
+    runs. *)
+val verdict : t -> Dejavu.verdict option
+
 (** Current method and compiled pc, when running. *)
 val position : t -> (Vm.Rt.rmethod * int) option
 
-(** Execute up to [n] instructions; stops early on a breakpoint or end. *)
+(** Execute up to [n] instructions; stops early on a breakpoint, a
+    watchpoint or the end of the replay. *)
 val step : t -> int -> stop_reason
 
 (** Run to the next breakpoint or the end of the replay. *)
@@ -91,7 +97,8 @@ val continue_ : t -> stop_reason
     nearest checkpoint at or before [n] and re-executes. *)
 val goto_step : t -> int -> stop_reason
 
-(** Take a checkpoint of the current position explicitly. *)
+(** Take a checkpoint of the current position explicitly (none once the
+    replay has ended). *)
 val take_checkpoint : t -> unit
 
 (** {1 Inspection — reads only, through the address space} *)

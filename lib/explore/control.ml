@@ -107,22 +107,13 @@ let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?vm ~pb ~db ~dpor
         e.program
   in
   let session = Recorder.attach vm in
-  (* conflict-site bitmaps, lazily resolved per method uid *)
-  let bitmaps : (int, bool array) Hashtbl.t = Hashtbl.create 16 in
   let touched = ref false in
   if oracle.Oracle.n_sites > 0 && not oracle.Oracle.time_sensitive then
     vm.Vm.Rt.hooks.Vm.Rt.h_observe <-
       Some
-        (fun vm _tid uid pc _tag ->
+        (fun _vm _tid uid pc _tag ->
           if not !touched then begin
-            let bm =
-              match Hashtbl.find_opt bitmaps uid with
-              | Some bm -> bm
-              | None ->
-                let bm = Oracle.bitmap oracle vm uid in
-                Hashtbl.add bitmaps uid bm;
-                bm
-            in
+            let bm = oracle.Oracle.bitmaps.(uid) in
             if pc < Array.length bm && bm.(pc) then touched := true
           end);
   let depth = ref 0 in

@@ -190,23 +190,37 @@ let witness_string ~workload ~seed ~pb ~db ~dpor (oc : Control.outcome) =
   Buffer.add_char b '\n';
   Buffer.contents b
 
+exception Bad_witness of string
+
 (* Parse a witness back to the decision vector (tokens keep the slot kind
-   for the reader; positionally the kinds are implied by the execution). *)
+   for the reader; positionally the kinds are implied by the execution).
+   The decisions line holds only [y0]/[y1] and [p<tid>] tokens in
+   decimal; a missing line or any other token raises [Bad_witness] naming
+   it, so a corrupted witness never re-drives a different schedule. *)
 let decisions_of_witness (s : string) : int array =
-  let line =
-    List.find_opt
-      (fun l -> String.length l > 10 && String.sub l 0 10 = "decisions ")
-      (String.split_on_char '\n' s)
+  let bad fmt = Fmt.kstr (fun msg -> raise (Bad_witness msg)) fmt in
+  let decision tok =
+    let digits = String.sub tok 1 (String.length tok - 1) in
+    let value =
+      if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+      then int_of_string_opt digits
+      else None
+    in
+    match (tok.[0], value) with
+    | 'y', Some ((0 | 1) as v) | 'p', Some v -> v
+    | _ -> bad "bad witness token %S" tok
   in
-  match line with
-  | None -> [||]
-  | Some l ->
-    String.sub l 10 (String.length l - 10)
-    |> String.split_on_char ' '
-    |> List.filter_map (fun tok ->
-           if tok = "" then None
-           else int_of_string_opt (String.sub tok 1 (String.length tok - 1)))
-    |> Array.of_list
+  match
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "decisions" :: toks -> Some toks
+        | _ -> None)
+      (String.split_on_char '\n' s)
+  with
+  | None -> bad "witness has no decisions line"
+  | Some toks ->
+    List.filter (fun t -> t <> "") toks |> List.map decision |> Array.of_list
 
 (* Emit trace + witness for one schedule and replay the trace BACK FROM
    ITS FILE, judging it against the explored outcome: the replay must be

@@ -9,12 +9,13 @@
    so the controlled scheduler can ask, one array index per retired
    instruction, "did this instruction touch a conflict site?".
 
-   The bitmap is resolved against a live VM because compiled pcs only
-   exist after the JIT runs; [Rt.compiled.k_src_pc] maps them back to the
-   source pcs the analysis named. Method uids are assigned at link time
-   from the program's declaration order, so a bitmap computed against one
-   VM is valid for every VM of the same program — callers may cache per
-   uid across runs (Control keeps such a cache per exploration).
+   Compiled pcs only exist after the JIT runs, so [for_entry] compiles
+   every method on a scratch VM; [Rt.compiled.k_src_pc] maps compiled pcs
+   back to the source pcs the analysis named. Method uids are assigned at
+   link time from the program's declaration order, and the canonical
+   compiled stream depends on neither the VM nor the register tier, so the
+   bitmaps are valid for every VM of the program. They are read-only once
+   built: every schedule, and every farm shard, reads the same array.
 
    Time sensitivity: the segment-commutation argument behind DPOR pruning
    (see Control) breaks when a program reads the environment clock — the
@@ -27,9 +28,11 @@
 module Report = Analysis.Report
 
 type t = {
-  sites : (string, unit) Hashtbl.t; (* "Class.method:srcpc" *)
-  n_sites : int;
+  n_sites : int; (* distinct "Class.method:srcpc" branch points *)
   time_sensitive : bool;
+  bitmaps : bool array array;
+      (* per method uid, over compiled pcs: a conflict site? [||] for a
+         method that does not compile (it never runs) *)
 }
 
 let time_sensitive_instr (ins : Bytecode.Instr.t) =
@@ -50,29 +53,30 @@ let program_time_sensitive (p : Bytecode.Decl.program) =
 
 (* The audit report is the one trace headers are stamped with, memoized by
    program digest (and shared by every farm shard) in [Dejavu.Audit]; the
-   oracle itself is a cheap read-only view of it. *)
+   oracle resolves its branch points once per exploration. *)
 let for_entry (e : Workloads.Registry.entry) : t =
   let sites = Hashtbl.create 16 in
   List.iter
     (fun (site, _field) -> Hashtbl.replace sites site ())
     (Report.branch_points (Dejavu.Audit.report_for e.program));
+  let vm =
+    Vm.create
+      ~config:{ Vm.Rt.default_config with Vm.Rt.regir = false }
+      ~natives:e.natives e.program
+  in
+  let bitmap (m : Vm.Rt.rmethod) =
+    match Vm.Compile.compile vm m with
+    | exception (Vm.Verify.Error _ | Vm.Compile.Error _) -> [||]
+    | c ->
+      let key =
+        vm.Vm.Rt.classes.(m.Vm.Rt.rm_cid).Vm.Rt.rc_name ^ "." ^ m.Vm.Rt.rm_name
+      in
+      Array.map
+        (fun src -> Hashtbl.mem sites (key ^ ":" ^ string_of_int src))
+        c.Vm.Rt.k_src_pc
+  in
   {
-    sites;
     n_sites = Hashtbl.length sites;
     time_sensitive = program_time_sensitive e.program;
+    bitmaps = Array.map bitmap vm.Vm.Rt.methods;
   }
-
-(* Per-method conflict bitmap over compiled pcs, resolved against [vm]'s
-   compiled tier for method [uid]. Returns [||] for uncompiled methods
-   (the interpreter compiles on first call, so a method being executed is
-   always compiled by the time h_observe fires for it). *)
-let bitmap (o : t) (vm : Vm.Rt.t) (uid : int) : bool array =
-  let m = Vm.Rt.the_method vm uid in
-  match m.Vm.Rt.rm_compiled with
-  | None -> [||]
-  | Some c ->
-    let cls = vm.Vm.Rt.classes.(m.Vm.Rt.rm_cid) in
-    let key = cls.Vm.Rt.rc_name ^ "." ^ m.Vm.Rt.rm_name in
-    Array.map
-      (fun src -> Hashtbl.mem o.sites (key ^ ":" ^ string_of_int src))
-      c.Vm.Rt.k_src_pc

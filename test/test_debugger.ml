@@ -34,14 +34,19 @@ let test_step_counts () =
 let test_continue_to_end () =
   let d = fresh_session () in
   match Debugger.Session.continue_ d with
-  | Debugger.Session.Finished Vm.Rt.Finished -> ()
+  | Debugger.Session.Ended Dejavu.Ok when Vm.status d.vm = Vm.Rt.Finished ->
+    Alcotest.check
+      Alcotest.(option verdict)
+      "verdict after the end" (Some Dejavu.Ok) (Debugger.Session.verdict d)
   | r -> Alcotest.failf "unexpected %s" (Debugger.Protocol.string_of_stop d r)
 
 let test_replay_equals_undebugged () =
   (* stepping + heavy inspection must not change the replayed outcome *)
   let e = entry "fig1ab" in
   let run_rec, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-  let d = Debugger.Session.start ~natives:e.natives e.program trace in
+  let d =
+    Result.get_ok (Debugger.Session.start ~natives:e.natives e.program trace)
+  in
   ignore (Debugger.Session.add_breakpoint d ~cls:"Fig1AB" ~meth:"t1" Debugger.Breakpoint.Any_pc);
   ignore (Debugger.Session.continue_ d);
   (* inspect a lot *)
@@ -94,7 +99,7 @@ let test_remove_breakpoint () =
   let b = Debugger.Session.add_breakpoint d ~cls:"Fig1AB" ~meth:"t2" Debugger.Breakpoint.Any_pc in
   Debugger.Session.remove_breakpoint d b.bp_id;
   match Debugger.Session.continue_ d with
-  | Debugger.Session.Finished _ -> ()
+  | Debugger.Session.Ended Dejavu.Ok -> ()
   | r -> Alcotest.failf "should run to end: %s" (Debugger.Protocol.string_of_stop d r)
 
 let test_watchpoint_fires () =
@@ -129,7 +134,9 @@ let test_watchpoint_resync_after_goto () =
 let test_set_static_breaks_symmetry () =
   let e = entry "racy-counter" in
   let run_rec, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-  let d = Debugger.Session.start ~natives:e.natives e.program trace in
+  let d =
+    Result.get_ok (Debugger.Session.start ~natives:e.natives e.program trace)
+  in
   (* stop near the end so the poke survives to the final print *)
   ignore (Debugger.Session.step d (run_rec.Dejavu.obs_count - 10));
   Alcotest.(check bool) "not perturbed yet" false (Debugger.Session.perturbed d);
@@ -190,11 +197,19 @@ let test_protocol_locals () =
   let out = exec d "locals 2" in
   Alcotest.(check bool) "locals rendered" true (contains out "t2")
 
-(* Every way a replay can fail mid-run stops the session with [Diverged],
-   through each of step, continue and goto: a recorded callback the
-   program cannot take (malformed trace bytes) and a recorded schedule
-   that picks a thread that is not ready. *)
-let test_replay_errors_diverge () =
+(* A verdict's constructor. *)
+let kind = function
+  | Dejavu.Ok -> "ok"
+  | Dejavu.Rejected _ -> "rejected"
+  | Dejavu.Diverged _ -> "diverged"
+  | Dejavu.Incomplete _ -> "incomplete"
+
+(* Every way a replay can fail mid-run ends the session with the verdict
+   [Dejavu.replay] reaches on the same trace, through each of step,
+   continue and goto: a recorded callback the program cannot take is
+   malformed trace bytes ([Rejected]), and a recorded schedule that picks
+   a thread that is not ready is [Diverged]. *)
+let test_replay_errors_verdict () =
   let record name =
     let e = entry name in
     (e, snd (Dejavu.record ~natives:e.natives ~seed:1 e.program))
@@ -202,18 +217,29 @@ let test_replay_errors_diverge () =
   let native, native_trace = record "native" in
   let fig, fig_trace = record "fig1ab" in
   List.iter
-    (fun (what, (e : Workloads.Registry.entry), trace, needle) ->
+    (fun (what, (e : Workloads.Registry.entry), trace, expected_kind, needle) ->
+      let expected =
+        (fst (Dejavu.replay ~natives:e.natives e.program trace)).Dejavu.verdict
+      in
+      Alcotest.(check string) (what ^ ": replay") expected_kind (kind expected);
+      Alcotest.(check bool)
+        (Fmt.str "%s: %a" what Dejavu.pp_verdict expected)
+        true
+        (contains (Dejavu.string_of_verdict expected) needle);
       List.iter
         (fun (how, go) ->
           let d =
-            Debugger.Session.start ~natives:e.natives ~checkpoint_interval:0
-              e.program trace
+            Result.get_ok
+              (Debugger.Session.start ~natives:e.natives
+                 ~checkpoint_interval:0 e.program trace)
           in
           match go d with
-          | Debugger.Session.Diverged msg ->
-            Alcotest.(check bool)
-              (Fmt.str "%s via %s: %s" what how msg)
-              true (contains msg needle)
+          | Debugger.Session.Ended v ->
+            Alcotest.check verdict (Fmt.str "%s via %s" what how) expected v;
+            Alcotest.check
+              Alcotest.(option verdict)
+              (Fmt.str "%s via %s: verdict" what how)
+              (Some expected) (Debugger.Session.verdict d)
           | r ->
             Alcotest.failf "%s via %s: %s" what how
               (Debugger.Protocol.string_of_stop d r))
@@ -226,11 +252,88 @@ let test_replay_errors_diverge () =
       ( "bad callback",
         native,
         tamper_first_callback (fun (_, args) -> (100_000, args)) native_trace,
+        "rejected",
         "out of range" );
       ( "bad pick",
         fig,
         { fig_trace with Dejavu.Trace.picks = [| 0; 99 |] },
+        "diverged",
         "not ready" );
+    ]
+
+(* The debugger reaches the verdict [Dejavu.replay_from] (what [dvrun
+   replay] runs) reaches, on each bad input: the same constructor from
+   both. What never reaches a replay is refused by the input stage both
+   share in dvrun, with the exit code of [Rejected]: trace bytes that do
+   not load, and a program that does not link. *)
+let test_same_verdict_as_replay () =
+  let record (e : Workloads.Registry.entry) =
+    snd (Dejavu.record ~natives:e.natives ~seed:1 e.program)
+  in
+  let bytes = Dejavu.Trace.to_bytes in
+  let bank = bytes (record (entry "bank")) in
+  let fig = record (entry "fig1ab") and native = record (entry "native") in
+  let unknown_class =
+    {
+      Workloads.Registry.name = "unknown.djv";
+      description = "names an unknown class";
+      natives = [];
+      program =
+        Bytecode.Parser.parse_string
+          "class T {\n  method main() locals 1 {\n    new Nope\n    pop\n    \
+           ret\n  }\n}\n";
+    }
+  in
+  let refused f =
+    match f () with
+    | v -> kind v
+    | exception (Dejavu.Trace.Format_error _ | Vm.Link.Error _) -> "rejected"
+  in
+  List.iter
+    (fun (what, (e : Workloads.Registry.entry), trace_bytes, expected) ->
+      let path = Filename.temp_file "dvdebug" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc trace_bytes);
+          let replayed =
+            refused (fun () ->
+                (fst (Dejavu.replay_from ~natives:e.natives ~path e.program))
+                  .Dejavu.verdict)
+          in
+          let debugged =
+            refused (fun () ->
+                match
+                  Debugger.Session.start ~natives:e.natives e.program
+                    (Dejavu.Trace.load path)
+                with
+                | Error v -> v
+                | Ok d -> (
+                  match Debugger.Session.continue_ d with
+                  | Debugger.Session.Ended v -> v
+                  | r ->
+                    Alcotest.failf "%s: %s" what
+                      (Debugger.Protocol.string_of_stop d r)))
+          in
+          Alcotest.(check string) (what ^ ": dvrun replay") expected replayed;
+          Alcotest.(check string) (what ^ ": debugger") expected debugged))
+    [
+      ("foreign trace", entry "racy-counter", bank, "rejected");
+      ("truncated trace", entry "bank", String.sub bank 0 40, "rejected");
+      ("unknown class", unknown_class, bank, "rejected");
+      ( "extra input word",
+        entry "fig1ab",
+        bytes { fig with inputs = Array.append fig.inputs [| 7 |] },
+        "incomplete" );
+      ( "bad native flag",
+        entry "native",
+        bytes
+          {
+            native with
+            natives = Array.mapi (fun i w -> if i = 1 then 5 else w) native.natives;
+          },
+        "rejected" );
     ]
 
 let () =
@@ -249,7 +352,8 @@ let () =
           quick "replay unperturbed by debugging" test_replay_equals_undebugged;
           quick "time travel deterministic" test_time_travel_deterministic;
           quick "goto forward" test_goto_forward;
-          quick "replay errors diverge" test_replay_errors_diverge;
+          quick "replay errors end with the verdict" test_replay_errors_verdict;
+          quick "same verdict as dvrun replay" test_same_verdict_as_replay;
         ] );
       ( "protocol",
         [

@@ -248,6 +248,61 @@ let prop_witness_redrive =
          let c = run (Control.decisions a) in
          c.Control.oc_digest = a.Control.oc_digest))
 
+(* --- witness parser ------------------------------------------------------ *)
+
+(* Every single-character mutant of an emitted atomicity fault witness —
+   one character flipped, inserted or deleted — parses to a decision
+   vector or raises [Bad_witness], never another exception. *)
+let prop_witness_mutants =
+  let witness =
+    lazy
+      (let e = find "atomicity" in
+       let rep = Driver.run ~pb:2 ~db:1 e in
+       let fault =
+         List.find
+           (fun (f : Driver.failure) -> f.Driver.fl_kind = Driver.Fault)
+           rep.Driver.rp_failures
+       in
+       let oc =
+         Control.run ~pb:2 ~db:1 ~dpor:true ~oracle:(Oracle.for_entry e)
+           ~prefix:fault.Driver.fl_decisions e
+       in
+       Driver.witness_string ~workload:e.name ~seed:1 ~pb:2 ~db:1 ~dpor:true oc)
+  in
+  QCheck.Test.make ~name:"explore: witness mutants parse or raise Bad_witness"
+    ~count:3000
+    QCheck.(triple (int_bound 2) (int_bound 100_000) (int_bound 255))
+    (fun (op, pos, byte) ->
+      let mutant = Tutil.mutate (Lazy.force witness) op pos byte in
+      match Driver.decisions_of_witness mutant with
+      | _ -> true
+      | exception Driver.Bad_witness _ -> true)
+
+(* The parser names the first token that is not y0, y1 or p<tid>. *)
+let test_bad_witness_token () =
+  List.iter
+    (fun (line, token) ->
+      match Driver.decisions_of_witness ("workload atomicity\n" ^ line ^ "\n") with
+      | d ->
+        Alcotest.failf "%S parsed to [%s]" line
+          (String.concat "; " (Array.to_list (Array.map string_of_int d)))
+      | exception Driver.Bad_witness msg ->
+        Alcotest.(check bool) (line ^ ": " ^ msg) true
+          (Driver.has_substr msg token))
+    [
+      ("decisions y0 yx p2 q7 y", "\"yx\"");
+      ("decisions y0 y2", "\"y2\"");
+      ("decisions p-1", "\"p-1\"");
+      ("decisions p0x1", "\"p0x1\"");
+      ("decisions y0 p", "\"p\"");
+      ("decision y0", "no decisions line");
+    ];
+  Alcotest.(check (array int))
+    "well-formed" [| 0; 1; 2; 17 |]
+    (Driver.decisions_of_witness "decisions y0 y1  p2 p17\n");
+  Alcotest.(check (array int)) "empty" [||]
+    (Driver.decisions_of_witness "decisions\n")
+
 let () =
   Alcotest.run "explore"
     [
@@ -271,5 +326,10 @@ let () =
           quick "same report for every runner" test_runners_agree;
           quick "frontier children stay compact" test_frontier_compact;
         ] );
-      ("props", [ QCheck_alcotest.to_alcotest prop_witness_redrive ]);
+      ("witness", [ quick "bad tokens named" test_bad_witness_token ]);
+      ( "props",
+        [
+          QCheck_alcotest.to_alcotest prop_witness_redrive;
+          QCheck_alcotest.to_alcotest prop_witness_mutants;
+        ] );
     ]

@@ -251,6 +251,45 @@ let test_frame_truncation () =
           | exception T.Format_error _ -> ()
           | _ -> Alcotest.fail "accepted truncated frame"))
 
+(* Bytes through a pipe: [write] fills its write end, [read] drains its
+   read end. Frames are far below the pipe's buffer size. *)
+let through_pipe write read =
+  let r, w = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr w in
+  write oc;
+  close_out oc;
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
+
+(* Every single-byte flip, insertion and deletion of an encoded Submit,
+   Finish or reply frame (length prefix included) read back through
+   [read_frame] either decodes or raises [Format_error]: no other
+   exception escapes the wire boundary. *)
+let prop_frame_mutants =
+  let frames =
+    List.map
+      (fun (payload, decode) ->
+        (through_pipe (fun oc -> P.write_frame oc payload) In_channel.input_all,
+         decode))
+      [
+        (P.encode_request sample_submit, fun s -> ignore (P.decode_request s));
+        (P.encode_request P.Finish, fun s -> ignore (P.decode_request s));
+        (P.encode_reply sample_reply, fun s -> ignore (P.decode_reply s));
+      ]
+  in
+  QCheck.Test.make ~name:"protocol: frame mutants decode or raise Format_error"
+    ~count:3000
+    QCheck.(quad (int_bound 2) (int_bound 2) (int_bound 1000) (int_bound 255))
+    (fun (which, op, pos, byte) ->
+      let frame, decode = List.nth frames which in
+      match
+        through_pipe
+          (fun oc -> output_string oc (Tutil.mutate frame op pos byte))
+          (fun ic -> Option.iter decode (P.read_frame ic))
+      with
+      | () -> true
+      | exception T.Format_error _ -> true)
+
 (* --- streamed record/replay vs materialized ----------------------------- *)
 
 (* for every registry workload: recording through the streaming writer must
@@ -521,6 +560,7 @@ let () =
           quick "malformed payloads" test_protocol_malformed;
           quick "op tag 4 refused" test_protocol_unknown_op;
           quick "truncated frame" test_frame_truncation;
+          QCheck_alcotest.to_alcotest prop_frame_mutants;
         ] );
       ( "streaming",
         [

@@ -79,8 +79,8 @@ let test_checkpointed_time_travel_matches_replay_from_scratch () =
   let e = Option.get (Workloads.Registry.find "racy-counter") in
   let _, trace = Dejavu.record ~natives:e.natives ~seed:2 e.program in
   (* session A: checkpoints every 10k steps; session B: none *)
-  let a = Debugger.Session.start ~natives:e.natives ~checkpoint_interval:10_000 e.program trace in
-  let b = Debugger.Session.start ~natives:e.natives ~checkpoint_interval:0 e.program trace in
+  let a = Result.get_ok (Debugger.Session.start ~natives:e.natives ~checkpoint_interval:10_000 e.program trace) in
+  let b = Result.get_ok (Debugger.Session.start ~natives:e.natives ~checkpoint_interval:0 e.program trace) in
   ignore (Debugger.Session.step a 60_000);
   ignore (Debugger.Session.step b 60_000);
   (* travel back *)
@@ -102,7 +102,7 @@ let test_session_snapshot_tapes () =
      same events after a rollback *)
   let e = Option.get (Workloads.Registry.find "timed") in
   let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-  let d = Debugger.Session.start ~natives:e.natives ~checkpoint_interval:100 e.program trace in
+  let d = Result.get_ok (Debugger.Session.start ~natives:e.natives ~checkpoint_interval:100 e.program trace) in
   ignore (Debugger.Session.step d 300);
   let clocks_cursor (s : Dejavu.Session.t) = s.clocks.Dejavu.Tape.rd in
   let cur_at_300 = clocks_cursor d.session in

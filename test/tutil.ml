@@ -75,6 +75,25 @@ let tiny_config =
     stack_max = 4096;
   }
 
+(* [s] with one byte changed, for mutant properties: [op] 0 flips byte
+   [pos] (xor a nonzero mask), 1 inserts [byte] before it, 2 deletes it;
+   [pos] wraps around the string. *)
+let mutate s op pos byte =
+  let n = String.length s in
+  match op with
+  | 0 ->
+    let pos = pos mod n in
+    String.mapi
+      (fun i c ->
+        if i = pos then Char.chr (Char.code c lxor (1 + (byte mod 255))) else c)
+      s
+  | 1 ->
+    let pos = pos mod (n + 1) in
+    String.sub s 0 pos ^ String.make 1 (Char.chr byte) ^ String.sub s pos (n - pos)
+  | _ ->
+    let pos = pos mod n in
+    String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
