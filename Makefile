@@ -1,6 +1,6 @@
 # Convenience targets; everything below is plain dune.
 
-.PHONY: all build test smoke batch-smoke serve-smoke regir-smoke explore-smoke perfbench-smoke bench lint clean
+.PHONY: all build test smoke batch-smoke serve-smoke regir-smoke bench-smoke explore-smoke perfbench-smoke bench lint clean
 
 all: build
 
@@ -97,6 +97,13 @@ serve-smoke:
 # invisible to replay is checked by test_dispatch under dune runtest.)
 regir-smoke:
 	dune exec bench/main.exe -- regir-smoke
+
+# Baseline-scheme gate: the paper experiments that run the section-5
+# comparators (E7 trace sizes, E8 instruction counting, E11 symmetry
+# ablation). E8 exits 1 unless every instruction-count roundtrip's
+# verdict is ok.
+bench-smoke:
+	dune exec bench/main.exe -- E7 E8 E11
 
 # Exploration gate: the bounded DPOR search must find the seeded
 # atomicity bug, and every emitted failure trace must replay through the

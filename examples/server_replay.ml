@@ -45,14 +45,21 @@ let () =
   (* 4. what the same session would have cost under the other schemes *)
   Fmt.pr "@.--- trace cost comparison (words) ---@.";
   let dv_words = (Dejavu.Trace.sizes trace).total_words in
-  let sm =
-    let vm = Vm.create program in
-    let b = Baselines.Switch_map.attach_record vm in
+  let recorded attach =
+    let config = Dejavu.with_seed 20260705 Vm.Rt.default_config in
+    let vm = Vm.create ~config program in
+    let b = attach vm in
     ignore (Vm.run vm);
-    (Baselines.Switch_map.sizes b).trace_words
+    b
   in
-  let crew = (Baselines.Runner.record_crew ~seed:20260705 program).trace_words in
-  let rl = (Baselines.Runner.record_read_log ~seed:20260705 program).trace_words in
+  let sm =
+    (Baselines.Switch_map.sizes (recorded Baselines.Switch_map.attach_record))
+      .trace_words
+  in
+  let crew = (Baselines.Crew.sizes (recorded Baselines.Crew.attach)).trace_words in
+  let rl =
+    (Baselines.Read_log.sizes (recorded Baselines.Read_log.attach)).trace_words
+  in
   Fmt.pr "dejavu     : %6d@." dv_words;
   Fmt.pr "switch-map : %6d (Russinovich-Cogswell: every switch + thread map)@." sm;
   Fmt.pr "read-log   : %6d (Recap/PPD: value of every shared read)@." rl;

@@ -2,30 +2,22 @@
     "will work, but the overhead is prohibitive"). Identical to DejaVu
     except switch points are identified by the retired-instruction count: a
     counter is bumped on every instruction, and replay compares it against
-    the recorded target on every instruction. Full record and replay. *)
+    the recorded target on every instruction. Full record and replay; the
+    deltas fill the trace's switches section. The counter chains onto
+    [h_observe], so attach any observer first. *)
 
-type mode = Record | Replay
+(** Record the instruction count at every preemption on the session's
+    switches tape, plus the IO capture. *)
+val attach_record : Vm.Rt.t -> Dejavu.Session.t
 
-type t = {
-  vm : Vm.Rt.t;
-  mode : mode;
-  session : Dejavu.Session.t;
-  deltas : Dejavu.Tape.t;  (** retired instructions between switches *)
-  mutable icount : int;
-  mutable fire : bool;
-  mutable target : int;
-}
+(** Replay the trace's IO events and force switches at the recorded
+    instruction counts. A foreign header raises [Dejavu.Divergence]. *)
+val attach_replay : Vm.Rt.t -> Dejavu.Trace.t -> Dejavu.Session.t
 
-exception Divergence of string
-
-val attach_record : Vm.Rt.t -> t
-
-(** [attach_replay vm trace deltas]: replay [trace]'s IO events and force
-    switches at the recorded instruction counts. *)
-val attach_replay : Vm.Rt.t -> Dejavu.Trace.t -> int array -> t
-
-val deltas_array : t -> int array
-
-type sizes = { trace_words : int; n_switches : int }
-
-val sizes : t -> sizes
+(** {!Dejavu.roundtrip_with} over this scheme: record with [seed]
+    (default 1), replay with an unrelated one, judge the replay. *)
+val roundtrip :
+  ?natives:Vm.Native.spec list ->
+  ?seed:int ->
+  Bytecode.Decl.program ->
+  Dejavu.roundtrip

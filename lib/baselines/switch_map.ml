@@ -12,7 +12,7 @@
      - "this entails maintaining a mapping between the thread executing
        during record and during replay", consulted on every switch.
 
-   Record entries, on one tape:
+   Record entries, on the trace's switches tape:
      preemptive switch:  [0; nyp-delta; next-tid]
      voluntary switch:   [1; next-tid]
 
@@ -20,13 +20,8 @@
    scheduler through the h_pick dispatch override, translating recorded
    tids through the thread map (built from spawn order). *)
 
-type mode = Record | Replay
-
 type t = {
-  vm : Vm.Rt.t;
-  mode : mode;
   session : Dejavu.Session.t;
-  entries : Dejavu.Tape.t;
   mutable nyp : int; (* yield points since the last switch *)
   mutable pending_delta : int; (* record: delta for the in-flight preempt *)
   mutable pending_kind : int; (* -1 none, 0 preempt, 1 voluntary *)
@@ -38,15 +33,11 @@ type t = {
   mutable next_tid : int;
   mutable booted : bool;
   mutable forcing : bool; (* replay: inside a forced preemptive switch *)
-  mutable map_lookups : int;
 }
 
-let base vm mode session entries =
+let base session =
   {
-    vm;
-    mode;
     session;
-    entries;
     nyp = 0;
     pending_delta = 0;
     pending_kind = -1;
@@ -57,15 +48,15 @@ let base vm mode session entries =
     next_tid = -1;
     booted = false;
     forcing = false;
-    map_lookups = 0;
   }
 
 (* --- record ----------------------------------------------------------- *)
 
-let attach_record (vm : Vm.Rt.t) : t =
+let attach_record (vm : Vm.Rt.t) =
   let session = Dejavu.Session.for_record vm (Dejavu.Trace.new_tapes ()) in
   Dejavu.Recorder.attach_io vm session;
-  let b = base vm Record session (Dejavu.Tape.create "switch-map") in
+  let b = base session in
+  let entries = session.switches in
   vm.hooks.h_yieldpoint <-
     (fun vm ->
       b.nyp <- b.nyp + 1;
@@ -81,40 +72,42 @@ let attach_record (vm : Vm.Rt.t) : t =
         if vm.status = Vm.Rt.Running_ then begin
           (match b.pending_kind with
           | 0 ->
-            Dejavu.Tape.push b.entries 0;
-            Dejavu.Tape.push b.entries b.pending_delta;
-            Dejavu.Tape.push b.entries to_
+            Dejavu.Tape.push entries 0;
+            Dejavu.Tape.push entries b.pending_delta;
+            Dejavu.Tape.push entries to_
           | _ ->
-            Dejavu.Tape.push b.entries 1;
-            Dejavu.Tape.push b.entries to_);
+            Dejavu.Tape.push entries 1;
+            Dejavu.Tape.push entries to_);
           b.pending_kind <- -1;
           b.nyp <- 0
         end);
-  b
+  session
 
 (* --- replay ----------------------------------------------------------- *)
 
-exception Divergence = Dejavu.Session.Divergence
+let divergence fmt = Dejavu.Session.divergence ("switch-map: " ^^ fmt)
 
 let next_entry (b : t) =
-  match Dejavu.Tape.read_opt b.entries with
+  let entries = b.session.switches in
+  let field () =
+    try Dejavu.Tape.read entries
+    with Dejavu.Trace.End_of_tape _ -> divergence "truncated entry"
+  in
+  match Dejavu.Tape.read_opt entries with
   | None -> b.next_kind <- -1
   | Some 0 ->
     b.next_kind <- 0;
-    b.next_delta <- Dejavu.Tape.read b.entries;
-    b.next_tid <- Dejavu.Tape.read b.entries
+    b.next_delta <- field ();
+    b.next_tid <- field ()
   | Some 1 ->
     b.next_kind <- 1;
-    b.next_tid <- Dejavu.Tape.read b.entries
-  | Some k -> raise (Divergence (Fmt.str "switch-map: bad entry kind %d" k))
+    b.next_tid <- field ()
+  | Some k -> divergence "bad entry kind %d" k
 
 let map_tid (b : t) record_tid =
-  b.map_lookups <- b.map_lookups + 1;
   if record_tid < 0 || record_tid >= b.n_mapped
      || b.thread_map.(record_tid) < 0
-  then
-    raise
-      (Divergence (Fmt.str "switch-map: unmapped record tid %d" record_tid));
+  then divergence "unmapped record tid %d" record_tid;
   b.thread_map.(record_tid)
 
 let register_thread (b : t) replay_tid =
@@ -128,12 +121,12 @@ let register_thread (b : t) replay_tid =
   b.thread_map.(b.n_mapped) <- replay_tid;
   b.n_mapped <- b.n_mapped + 1
 
-let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t)
-    (entries : int array) : t =
-  Dejavu.Replayer.check_digest vm trace;
+let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t) =
+  Dejavu.Replayer.check_header vm ~program_digest:trace.program_digest
+    ~analysis_hash:trace.analysis_hash;
   let session = Dejavu.Session.for_replay vm (Dejavu.Trace.tapes trace) in
   Dejavu.Replayer.attach_io vm session;
-  let b = base vm Replay session (Dejavu.Tape.of_array "switch-map" entries) in
+  let b = base session in
   next_entry b;
   vm.hooks.h_spawn <- Some (fun _vm tid -> register_thread b tid);
   vm.hooks.h_yieldpoint <-
@@ -155,41 +148,34 @@ let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t)
         end
         else begin
           (match (b.next_kind, b.forcing) with
-          | -1, _ ->
-            raise (Divergence "switch-map: switch beyond the recorded trace")
+          | -1, _ -> divergence "switch beyond the recorded trace"
           | 0, false ->
-            raise
-              (Divergence
-                 "switch-map: voluntary switch where a preemption was recorded")
+            divergence "voluntary switch where a preemption was recorded"
           | 1, true ->
-            raise
-              (Divergence
-                 "switch-map: preemption where a voluntary switch was recorded")
+            divergence "preemption where a voluntary switch was recorded"
           | _ -> ());
           let want = map_tid b b.next_tid in
           next_entry b;
           b.nyp <- 0;
           want
         end);
-  b
+  session
+
+let roundtrip ?natives ?seed program =
+  Dejavu.roundtrip_with ~attach_record ~attach_replay ?natives ?seed program
 
 (* --- sizes ------------------------------------------------------------ *)
 
-type sizes = {
-  trace_words : int;
-  n_preemptive : int;
-  n_voluntary : int;
-  map_lookups : int;
-}
+type sizes = { trace_words : int; n_preemptive : int; n_voluntary : int }
 
-let sizes (b : t) : sizes =
+let sizes (s : Dejavu.Session.t) : sizes =
   let io =
-    Dejavu.Tape.length b.session.clocks
-    + Dejavu.Tape.length b.session.inputs
-    + Dejavu.Tape.length b.session.natives
+    Dejavu.Tape.length s.clocks
+    + Dejavu.Tape.length s.inputs
+    + Dejavu.Tape.length s.natives
   in
   (* count entry kinds *)
-  let arr = Dejavu.Tape.to_array b.entries in
+  let arr = Dejavu.Tape.to_array s.switches in
   let p = ref 0 and v = ref 0 in
   let i = ref 0 in
   while !i < Array.length arr do
@@ -202,11 +188,4 @@ let sizes (b : t) : sizes =
       i := !i + 2
     end
   done;
-  {
-    trace_words = Array.length arr + io;
-    n_preemptive = !p;
-    n_voluntary = !v;
-    map_lookups = b.map_lookups;
-  }
-
-let entries_array (b : t) = Dejavu.Tape.to_array b.entries
+  { trace_words = Array.length arr + io; n_preemptive = !p; n_voluntary = !v }

@@ -3,44 +3,28 @@
     (paper, section 5) the recording must log {e every} switch — voluntary
     ones included — together with the chosen next thread, and replay must
     steer the scheduler through an external record-to-replay thread map.
-    Full record and replay. *)
+    Full record and replay; the entries (preemptive: [0; delta; tid],
+    voluntary: [1; tid]) fill the trace's switches section. *)
 
-type mode = Record | Replay
+(** Record every switch on the session's switches tape, plus the IO
+    capture. Attach before [Vm.boot]. *)
+val attach_record : Vm.Rt.t -> Dejavu.Session.t
 
-type t = {
-  vm : Vm.Rt.t;
-  mode : mode;
-  session : Dejavu.Session.t;
-  entries : Dejavu.Tape.t;
-      (** preemptive: [0; delta; tid] — voluntary: [1; tid] *)
-  mutable nyp : int;
-  mutable pending_delta : int;
-  mutable pending_kind : int;
-  mutable thread_map : int array;  (** record tid -> replay tid *)
-  mutable n_mapped : int;
-  mutable next_kind : int;
-  mutable next_delta : int;
-  mutable next_tid : int;
-  mutable booted : bool;
-  mutable forcing : bool;
-  mutable map_lookups : int;  (** per-switch map consultations (a cost) *)
-}
+(** Replay the trace's IO events and steer the scheduler (via the [h_pick]
+    dispatch override) through the recorded switches. A foreign header
+    raises [Dejavu.Divergence] here; a departure from the schedule raises
+    it during the run. *)
+val attach_replay : Vm.Rt.t -> Dejavu.Trace.t -> Dejavu.Session.t
 
-exception Divergence of string
+(** {!Dejavu.roundtrip_with} over this scheme: record with [seed]
+    (default 1), replay with an unrelated one, judge the replay. *)
+val roundtrip :
+  ?natives:Vm.Native.spec list ->
+  ?seed:int ->
+  Bytecode.Decl.program ->
+  Dejavu.roundtrip
 
-val attach_record : Vm.Rt.t -> t
+type sizes = { trace_words : int; n_preemptive : int; n_voluntary : int }
 
-(** [attach_replay vm trace entries] steers the scheduler (via the
-    [h_pick] dispatch override) to reproduce the recorded schedule. *)
-val attach_replay : Vm.Rt.t -> Dejavu.Trace.t -> int array -> t
-
-val entries_array : t -> int array
-
-type sizes = {
-  trace_words : int;
-  n_preemptive : int;
-  n_voluntary : int;
-  map_lookups : int;
-}
-
-val sizes : t -> sizes
+(** Sizes of a recording session. *)
+val sizes : Dejavu.Session.t -> sizes

@@ -11,7 +11,10 @@
    bracket, [replay_guard] the replay guard. Whether a replay passed is
    one [verdict], decided by [classify] and [replay_end] (the phases
    [replay_guard] is built from, and the debugger's) and refined by
-   [judge]; every consumer reads it. *)
+   [judge]; every consumer reads it. The in-memory drivers take the
+   scheme's attach functions ([record_with], [replay_with],
+   [roundtrip_with]), so the baseline schemes of lib/baselines replay
+   through the same guard and are judged the same way. *)
 
 module Trace = Trace
 module Tape = Trace.Tape
@@ -92,14 +95,11 @@ let judge ~expected replayed =
 
 (* [observe] attaches the event-sequence digest observer the roundtrip
    check compares; it costs a per-instruction hash fold, so overhead
-   measurements turn it off. *)
+   measurements turn it off. It goes on before a scheme's hooks, record
+   and replay alike: it replaces [h_observe], which a scheme may chain
+   onto (Baselines.Icount counts instructions there). *)
 let observer_for ~observe vm =
   if observe then Some (Vm.Observer.attach_digest vm) else None
-
-let run_recording ~limit ~observe vm =
-  let observer = observer_for ~observe vm in
-  ignore (Vm.run ?limit vm);
-  finish_run ?observer vm Ok
 
 (* The one file-record bracket, serving [record_to] and the farm's record
    job: attach the recorder to [writer]'s tapes, [run] the VM, seal the
@@ -167,9 +167,9 @@ let replay_guard vm ~attach ~drive =
 let run_replay ~observe vm ~attach ~drive =
   let observer = ref None in
   let verdict, leftovers =
-    replay_guard vm ~attach ~drive:(fun () ->
+    replay_guard vm ~drive ~attach:(fun () ->
         observer := observer_for ~observe vm;
-        drive ())
+        attach ())
   in
   (finish_run ?observer:!observer vm verdict, leftovers)
 
@@ -188,31 +188,43 @@ let replay_file ~observe vm ~path ~drive =
           reader := Some r;
           Replayer.attach_stream vm r))
 
-(* Run a program in record mode. The environment (seed) supplies the
+(* Run a program in record mode, [attach] installing the scheme's hooks
+   and returning its session. The environment (seed) supplies the
    non-determinism being captured. *)
-let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
-    ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t =
+let record_with ~attach ?(config = Vm.Rt.default_config) ?(natives = [])
+    ?(inputs = []) ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t
+    =
   let vm = Vm.create ~config:(with_seed seed config) ~natives ~inputs program in
-  let session = Recorder.attach vm in
-  let run = run_recording ~limit ~observe vm in
-  (run, Recorder.finish session)
+  let observer = observer_for ~observe vm in
+  let session = attach vm in
+  ignore (Vm.run ?limit vm);
+  (finish_run ?observer vm Ok, Recorder.finish session)
 
-(* Replay a trace. The seed deliberately defaults to something different
-   from any recording seed: replay must not depend on the environment. *)
-let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
-    ?limit ?(observe = true) program (trace : Trace.t) : run * string list =
+(* Replay a trace through the one replay guard, [attach] installing the
+   scheme's hooks over it. The seed deliberately defaults to something
+   different from any recording seed: replay must not depend on the
+   environment. *)
+let replay_with ~attach ?(config = Vm.Rt.default_config) ?(natives = [])
+    ?(seed = 424242) ?limit ?(observe = true) program (trace : Trace.t) :
+    run * string list =
   let vm = Vm.create ~config:(with_seed seed config) ~natives program in
   run_replay ~observe vm
-    ~attach:(fun () -> Replayer.attach vm trace)
+    ~attach:(fun () -> attach vm trace)
     ~drive:(fun () -> ignore (Vm.run ?limit vm))
+
+let record = record_with ~attach:Recorder.attach
+
+let replay = replay_with ~attach:Replayer.attach
 
 (* Record straight into a trace file through the streaming writer: bounded
    recorder-side memory. *)
 let record_to ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
     ?(seed = 1) ?limit ?(observe = true) ~path program : run * Trace.sizes =
   let vm = Vm.create ~config:(with_seed seed config) ~natives ~inputs program in
+  let observer = observer_for ~observe vm in
   record_into vm (Trace.Writer.create path) (fun _ ->
-      run_recording ~limit ~observe vm)
+      ignore (Vm.run ?limit vm);
+      finish_run ?observer vm Ok)
 
 (* Replay from a trace file through the streaming reader: O(chunk) replay-
    side trace memory. A malformed file is a [Rejected] verdict; a missing
@@ -230,14 +242,23 @@ type roundtrip = {
   verdict : verdict; (* the replay judged against the recording *)
 }
 
-(* Record with [seed], replay with an unrelated seed, judge the replay. *)
-let verify_roundtrip ?config ?natives ?inputs ?(seed = 1) ?limit program :
-    roundtrip =
-  let recorded, trace = record ?config ?natives ?inputs ~seed ?limit program in
+(* The one roundtrip, for DejaVu and the baseline schemes alike: record
+   with [seed] under [attach_record], replay with an unrelated seed under
+   [attach_replay], judge the replay. *)
+let roundtrip_with ~attach_record ~attach_replay ?config ?natives ?inputs
+    ?(seed = 1) ?limit program : roundtrip =
+  let recorded, trace =
+    record_with ~attach:attach_record ?config ?natives ?inputs ~seed ?limit
+      program
+  in
   let replayed, _ =
-    replay ?config ?natives ~seed:(seed + 99991) ?limit program trace
+    replay_with ~attach:attach_replay ?config ?natives ~seed:(seed + 99991)
+      ?limit program trace
   in
   { recorded; replayed; trace; verdict = judge ~expected:recorded replayed }
+
+let verify_roundtrip =
+  roundtrip_with ~attach_record:Recorder.attach ~attach_replay:Replayer.attach
 
 let pp_roundtrip ppf rt =
   Fmt.pf ppf "verdict: %a (events %d vs %d, status %s/%s)" pp_verdict

@@ -41,6 +41,11 @@ let record (s : Session.t) (vm : Vm.Rt.t) =
   end;
   if s.switch_bit then perform_switch s
 
+(* replayThreadSwitch(): the yield points until the next recorded switch,
+   or never once the schedule is spent *)
+let next_switch (s : Session.t) =
+  match Trace.Tape.read_opt s.switches with Some d -> d | None -> max_int
+
 let replay (s : Session.t) (_vm : Vm.Rt.t) =
   s.yieldpoints_seen <- s.yieldpoints_seen + 1;
   if s.liveclock then begin
@@ -48,10 +53,7 @@ let replay (s : Session.t) (_vm : Vm.Rt.t) =
     s.nyp <- s.nyp - 1;
     if s.nyp = 0 then begin
       (* the recorded run switched at this yield point *)
-      s.nyp <-
-        (match Trace.Tape.read_opt s.switches with
-        | Some d -> d
-        | None -> max_int);
+      s.nyp <- next_switch s;
       s.switch_bit <- true
     end;
     s.liveclock <- true

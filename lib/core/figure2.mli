@@ -10,5 +10,9 @@
 (** Record-mode yield-point hook (install as [h_yieldpoint]). *)
 val record : Session.t -> Vm.Rt.t -> unit
 
+(** The next recorded switch delta ([max_int] past the last): replay primes
+    [nyp] with it before the run, and reloads it at every switch. *)
+val next_switch : Session.t -> int
+
 (** Replay-mode yield-point hook. *)
 val replay : Session.t -> Vm.Rt.t -> unit

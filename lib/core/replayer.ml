@@ -79,10 +79,6 @@ let check_header (vm : Vm.Rt.t) ~program_digest ~analysis_hash =
         analysis_hash own_hash
   end
 
-let check_digest (vm : Vm.Rt.t) (trace : Trace.t) =
-  check_header vm ~program_digest:trace.program_digest
-    ~analysis_hash:trace.analysis_hash
-
 (* Re-drive recorded dispatch overrides. A trace with a picks section was
    recorded under a controlled scheduler whose [h_pick] steered dispatch
    away from FIFO order; replay must install the same overrides or the
@@ -112,6 +108,8 @@ let attach_tapes (vm : Vm.Rt.t) ~program_digest ~analysis_hash tapes :
   let s = Session.for_replay vm tapes in
   attach_io vm s;
   attach_picks vm s;
+  (* nyp counts down to the first recorded switch *)
+  s.nyp <- Figure2.next_switch s;
   vm.hooks.h_yieldpoint <- Figure2.replay s;
   s
 

@@ -14,11 +14,9 @@ val attach_io : Vm.Rt.t -> Session.t -> unit
 val check_header :
   Vm.Rt.t -> program_digest:string -> analysis_hash:string -> unit
 
-(** {!check_header} of a trace in memory. *)
-val check_digest : Vm.Rt.t -> Trace.t -> unit
-
 (** Full DejaVu replay attachment: digest check, {!attach_io}, and the
-    Figure-2 replay yield-point hook. *)
+    Figure-2 replay yield-point hook, its [nyp] primed with the first
+    recorded switch delta. *)
 val attach : Vm.Rt.t -> Trace.t -> Session.t
 
 (** {!attach} over a streaming reader's tapes and header: replay-side

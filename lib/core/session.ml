@@ -32,7 +32,8 @@ type t = {
   vm : Vm.Rt.t;
   mode : mode;
   ring : Ring.t;
-  switches : Trace.Tape.t;
+  switches : Trace.Tape.t; (* the schedule: Figure-2 deltas, or a baseline
+                              scheme's own encoding *)
   clocks : Trace.Tape.t;
   inputs : Trace.Tape.t;
   natives : Trace.Tape.t;
@@ -73,14 +74,7 @@ let create vm mode (tapes : Trace.Tape.t array) =
 
 let for_record vm tapes = create vm Record tapes
 
-let for_replay vm tapes =
-  let s = create vm Replay tapes in
-  (* nyp counts down to the first recorded switch *)
-  s.nyp <-
-    (match Trace.Tape.read_opt s.switches with
-    | Some d -> d
-    | None -> max_int);
-  s
+let for_replay vm tapes = create vm Replay tapes
 
 let tapes s = [| s.switches; s.clocks; s.inputs; s.natives; s.picks |]
 

@@ -21,6 +21,8 @@ type t = {
   mode : mode;
   ring : Ring.t;
   switches : Trace.Tape.t;
+      (** the schedule: Figure-2 deltas, or a baseline scheme's own
+          encoding *)
   clocks : Trace.Tape.t;
   inputs : Trace.Tape.t;
   natives : Trace.Tape.t;
@@ -42,8 +44,8 @@ val for_record : Vm.Rt.t -> Trace.Tape.t array -> t
 
 (** The replay-mode session over five tapes in section order:
     {!Trace.tapes} of a trace in memory, [Trace.Reader.tapes] to stream
-    from a file. Same initialization as {!for_record}, then primes [nyp]
-    with the first recorded switch delta. *)
+    from a file. Same initialization as {!for_record}; the scheme that
+    reads the switches tape primes its own clock from it. *)
 val for_replay : Vm.Rt.t -> Trace.Tape.t array -> t
 
 (** True when any tape is sink- or refill-wired; such sessions refuse

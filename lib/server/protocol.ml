@@ -150,18 +150,32 @@ let write_frame oc payload =
   flush oc
 
 (* None at a clean EOF (no frame started); Format_error on a truncated or
-   oversized frame. *)
+   oversized frame. The payload is read in bounded chunks, so a peer that
+   claims a large frame and hangs up costs what it sent, not the claim. *)
 let read_frame ic =
-  match input_binary_int ic with
-  | exception End_of_file -> None
-  | n ->
+  let truncated where =
+    raise (Trace.Format_error ("frame truncated mid-" ^ where))
+  in
+  let hdr = Bytes.create 4 in
+  match input ic hdr 0 4 with
+  | 0 -> None
+  | k ->
+    (try really_input ic hdr k (4 - k) with End_of_file -> truncated "length");
+    let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
     if n < 0 || n > max_frame then
       raise (Trace.Format_error (Fmt.str "bad frame length %d" n));
-    let buf = Bytes.create n in
-    (try really_input ic buf 0 n
-     with End_of_file ->
-       raise (Trace.Format_error "frame truncated mid-payload"));
-    Some (Bytes.unsafe_to_string buf)
+    let chunk = 64 * 1024 in
+    let buf = Buffer.create (min n chunk) in
+    let rec fill left =
+      if left > 0 then begin
+        let k = min left chunk in
+        (try Buffer.add_channel buf ic k
+         with End_of_file -> truncated "payload");
+        fill (left - k)
+      end
+    in
+    fill n;
+    Some (Buffer.contents buf)
 
 let write_request oc r = write_frame oc (encode_request r)
 

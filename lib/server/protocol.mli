@@ -48,7 +48,9 @@ val encode_reply : reply -> string
 
 val decode_reply : string -> reply
 
-(** [None] at a clean EOF; [Trace.Format_error] on truncation. *)
+(** [None] at a clean EOF, before any byte of a frame; [Trace.Format_error]
+    on a truncated or oversized frame. Memory follows the bytes received,
+    not the length the header claims. *)
 val read_frame : in_channel -> string option
 
 val write_frame : out_channel -> string -> unit

@@ -1,7 +1,7 @@
 (* The section-5 comparator schemes: Russinovich-Cogswell switch-map replay
-   and instruction-count replay must reproduce executions; Instant Replay
-   (CREW) and shared-read logging must show the trace-size blowup the paper
-   attributes to them. *)
+   and instruction-count replay must reproduce executions, judged by the
+   same verdict as DejaVu's; Instant Replay (CREW) and shared-read logging
+   must show the trace-size blowup the paper attributes to them. *)
 
 open Tutil
 
@@ -10,55 +10,119 @@ let entry name =
   | Some e -> e
   | None -> Alcotest.failf "no workload %s" name
 
-let check_rt name (rt : Baselines.Runner.roundtrip) =
-  if not (Baselines.Runner.ok rt) then
-    Alcotest.failf "%s: outputs %S vs %S, states %d vs %d (rec %s, rep %s)"
-      name rt.recorded.output rt.replayed.output rt.recorded.state_digest
-      rt.replayed.state_digest
+let check_rt name (rt : Dejavu.roundtrip) =
+  if rt.verdict <> Dejavu.Ok then
+    Alcotest.failf "%s: %a (rec %s, rep %s)" name Dejavu.pp_verdict
+      rt.verdict
       (Vm.string_of_status rt.recorded.status)
       (Vm.string_of_status rt.replayed.status)
 
-let workloads_for_replay =
-  [ "fig1ab"; "fig1cd"; "racy-counter"; "synced-counter"; "producer-consumer";
-    "philosophers"; "bank"; "timed"; "exceptions"; "native" ]
-
-let test_switch_map_roundtrips () =
+let check_registry scheme roundtrip =
   List.iter
-    (fun name ->
-      let e = entry name in
+    (fun (e : Workloads.Registry.entry) ->
       List.iter
         (fun seed ->
           check_rt
-            (Fmt.str "switch-map %s/%d" name seed)
-            (Baselines.Runner.roundtrip_switch_map ~natives:e.natives ~seed
-               e.program))
-        [ 1; 3 ])
-    workloads_for_replay
+            (Fmt.str "%s %s/%d" scheme e.name seed)
+            (roundtrip ~natives:e.natives ~seed e.program))
+        [ 1; 2; 3 ])
+    (Lazy.force Workloads.Registry.all)
+
+let test_switch_map_roundtrips () =
+  check_registry "switch-map" (fun ~natives ~seed p ->
+      Baselines.Switch_map.roundtrip ~natives ~seed p)
 
 let test_icount_roundtrips () =
-  List.iter
-    (fun name ->
-      let e = entry name in
-      check_rt
-        (Fmt.str "icount %s" name)
-        (Baselines.Runner.roundtrip_icount ~natives:e.natives ~seed:2 e.program))
-    workloads_for_replay
+  check_registry "icount" (fun ~natives ~seed p ->
+      Baselines.Icount.roundtrip ~natives ~seed p)
+
+(* Record [name] under switch-map at seed 1, replay an edited copy of its
+   trace, and judge the replay against the recording. *)
+let replay_edited name edit =
+  let e = entry name in
+  let recorded, trace =
+    Dejavu.record_with ~attach:Baselines.Switch_map.attach_record
+      ~natives:e.natives ~seed:1 e.program
+  in
+  let replayed, _ =
+    Dejavu.replay_with ~attach:Baselines.Switch_map.attach_replay
+      ~natives:e.natives e.program (edit trace)
+  in
+  Dejavu.judge ~expected:recorded replayed
+
+(* Start offsets of the switch-map entries: preemptive [0; delta; tid],
+   voluntary [1; tid]. *)
+let entry_starts (entries : int array) =
+  let rec go i acc =
+    if i >= Array.length entries then List.rev acc
+    else go (i + if entries.(i) = 0 then 3 else 2) (i :: acc)
+  in
+  go 0 []
+
+let entry_length (entries : int array) i = if entries.(i) = 0 then 3 else 2
+
+let test_extra_clock_word_incomplete () =
+  let v =
+    replay_edited "timed" (fun t ->
+        { t with clocks = Array.append t.clocks [| 0 |] })
+  in
+  match v with
+  | Dejavu.Incomplete [ left ] ->
+    Alcotest.(check string) "leftover" "1 unconsumed clocks words" left
+  | v -> Alcotest.failf "expected incomplete, got %a" Dejavu.pp_verdict v
+
+let test_changed_tid_diverges () =
+  let v =
+    replay_edited "producer-consumer" (fun t ->
+        let s = Array.copy t.switches in
+        let i = List.hd (entry_starts s) in
+        let tid = i + entry_length s i - 1 in
+        s.(tid) <- (if s.(tid) = 0 then 1 else 0);
+        { t with switches = s })
+  in
+  match v with
+  | Dejavu.Diverged _ -> ()
+  | v -> Alcotest.failf "expected diverged, got %a" Dejavu.pp_verdict v
+
+let test_dropped_entry_fails () =
+  let v =
+    replay_edited "producer-consumer" (fun t ->
+        let s = t.switches in
+        let starts = entry_starts s in
+        let i = List.nth starts (List.length starts / 2) in
+        let n = entry_length s i in
+        let switches =
+          Array.append (Array.sub s 0 i)
+            (Array.sub s (i + n) (Array.length s - i - n))
+        in
+        { t with switches })
+  in
+  match v with
+  | Dejavu.Diverged _ | Dejavu.Incomplete _ -> ()
+  | v ->
+    Alcotest.failf "expected diverged or incomplete, got %a" Dejavu.pp_verdict
+      v
 
 let test_switch_map_voluntary_entries () =
   (* workloads with blocking ops must log voluntary switches too *)
   let e = entry "producer-consumer" in
   let vm = Vm.create ~natives:e.natives e.program in
-  let b = Baselines.Switch_map.attach_record vm in
+  let session = Baselines.Switch_map.attach_record vm in
   ignore (Vm.run vm);
-  let s = Baselines.Switch_map.sizes b in
+  let s = Baselines.Switch_map.sizes session in
   Alcotest.(check bool) "voluntary > 0" true (s.n_voluntary > 0);
   Alcotest.(check bool) "preemptive > 0" true (s.n_preemptive > 0)
 
-let test_crew_counts_accesses () =
-  let e = entry "racy-counter" in
+(* Run [e] at seed 1 with [attach]'s scheme recording; returns the VM and
+   the scheme's state. *)
+let recorded (e : Workloads.Registry.entry) attach =
   let vm = Vm.create ~natives:e.natives e.program in
-  let b = Baselines.Crew.attach vm in
+  let b = attach vm in
   ignore (Vm.run vm);
+  (vm, b)
+
+let test_crew_counts_accesses () =
+  let _, b = recorded (entry "racy-counter") Baselines.Crew.attach in
   let s = Baselines.Crew.sizes b in
   (* every iteration does one static read and one static write *)
   Alcotest.(check bool) "reads" true (s.n_reads >= 8000);
@@ -67,10 +131,7 @@ let test_crew_counts_accesses () =
     (s.trace_words >= 2 * (s.n_reads + s.n_writes))
 
 let test_read_log_counts () =
-  let e = entry "racy-counter" in
-  let vm = Vm.create ~natives:e.natives e.program in
-  let b = Baselines.Read_log.attach vm in
-  ignore (Vm.run vm);
+  let _, b = recorded (entry "racy-counter") Baselines.Read_log.attach in
   let s = Baselines.Read_log.sizes b in
   Alcotest.(check bool) "reads" true (s.n_reads >= 8000);
   Alcotest.(check bool) "one word per read" true (s.trace_words >= s.n_reads)
@@ -79,31 +140,33 @@ let test_trace_size_ordering () =
   (* the shape of section 5: DejaVu < switch-map < shared-read < CREW on a
      shared-memory-heavy workload *)
   let e = entry "racy-counter" in
-  let seed = 1 in
-  let _, dv_trace = Dejavu.record ~natives:e.natives ~seed e.program in
+  let _, dv_trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
   let dv_words = (Dejavu.Trace.sizes dv_trace).Dejavu.Trace.total_words in
   let sm =
-    (Baselines.Runner.roundtrip_switch_map ~natives:e.natives ~seed e.program)
-      .recorded
+    (Baselines.Switch_map.sizes
+       (snd (recorded e Baselines.Switch_map.attach_record)))
+      .trace_words
   in
-  let crew = Baselines.Runner.record_crew ~natives:e.natives ~seed e.program in
-  let rl = Baselines.Runner.record_read_log ~natives:e.natives ~seed e.program in
+  let crew =
+    (Baselines.Crew.sizes (snd (recorded e Baselines.Crew.attach))).trace_words
+  in
+  let rl =
+    (Baselines.Read_log.sizes (snd (recorded e Baselines.Read_log.attach)))
+      .trace_words
+  in
   Alcotest.(check bool)
-    (Fmt.str "dejavu (%d) < switch-map (%d)" dv_words sm.trace_words)
-    true (dv_words < sm.trace_words);
+    (Fmt.str "dejavu (%d) < switch-map (%d)" dv_words sm)
+    true (dv_words < sm);
   Alcotest.(check bool)
-    (Fmt.str "switch-map (%d) < read-log (%d)" sm.trace_words rl.trace_words)
-    true (sm.trace_words < rl.trace_words);
+    (Fmt.str "switch-map (%d) < read-log (%d)" sm rl)
+    true (sm < rl);
   Alcotest.(check bool)
-    (Fmt.str "read-log (%d) < crew (%d)" rl.trace_words crew.trace_words)
-    true (rl.trace_words < crew.trace_words)
+    (Fmt.str "read-log (%d) < crew (%d)" rl crew)
+    true (rl < crew)
 
 let test_icount_deltas_bounded () =
-  let e = entry "primes" in
-  let vm = Vm.create ~natives:e.natives e.program in
-  let b = Baselines.Icount.attach_record vm in
-  ignore (Vm.run vm);
-  let deltas = Baselines.Icount.deltas_array b in
+  let vm, session = recorded (entry "primes") Baselines.Icount.attach_record in
+  let deltas = Dejavu.Tape.to_array session.switches in
   let sum = Array.fold_left ( + ) 0 deltas in
   Alcotest.(check bool) "positive deltas" true (Array.for_all (fun d -> d > 0) deltas);
   Alcotest.(check bool) "sum <= instructions" true
@@ -114,10 +177,11 @@ let test_baselines_record_like_live () =
   let e = entry "bank" in
   let vm_live = Vm.create ~natives:e.natives e.program in
   ignore (Vm.run vm_live);
-  let crew_rec = Baselines.Runner.record_crew ~natives:e.natives ~seed:1 e.program in
-  let rl_rec = Baselines.Runner.record_read_log ~natives:e.natives ~seed:1 e.program in
-  Alcotest.(check string) "crew output" (Vm.output vm_live) crew_rec.output;
-  Alcotest.(check string) "read-log output" (Vm.output vm_live) rl_rec.output
+  let crew_vm, _ = recorded e Baselines.Crew.attach in
+  let rl_vm, _ = recorded e Baselines.Read_log.attach in
+  Alcotest.(check string) "crew output" (Vm.output vm_live) (Vm.output crew_vm);
+  Alcotest.(check string) "read-log output" (Vm.output vm_live)
+    (Vm.output rl_vm)
 
 let () =
   Alcotest.run "baselines"
@@ -127,6 +191,10 @@ let () =
           quick "switch-map roundtrips" test_switch_map_roundtrips;
           quick "icount roundtrips" test_icount_roundtrips;
           quick "voluntary entries logged" test_switch_map_voluntary_entries;
+          quick "extra clock word is incomplete"
+            test_extra_clock_word_incomplete;
+          quick "changed schedule tid diverges" test_changed_tid_diverges;
+          quick "dropped schedule entry fails" test_dropped_entry_fails;
         ] );
       ( "recording",
         [

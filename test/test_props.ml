@@ -353,7 +353,7 @@ let prop_random_programs_switch_map =
   qtest ~count:20 "random programs replay under switch-map too" racy_arb
     (fun (nt, iters, bodies) ->
       let p = program_of_tacts nt iters bodies in
-      Baselines.Runner.ok (Baselines.Runner.roundtrip_switch_map ~seed:7 p))
+      (Baselines.Switch_map.roundtrip ~seed:7 p).verdict = Dejavu.Ok)
 
 (* --- GC transparency --------------------------------------------------------- *)
 
@@ -558,7 +558,7 @@ let prop_random_programs_icount =
   qtest ~count:15 "random programs replay under instruction counting" racy_arb
     (fun (nt, iters, bodies) ->
       let p = program_of_tacts nt iters bodies in
-      Baselines.Runner.ok (Baselines.Runner.roundtrip_icount ~seed:11 p))
+      (Baselines.Icount.roundtrip ~seed:11 p).verdict = Dejavu.Ok)
 
 (* --- the register-IR tier is invisible ------------------------------------- *)
 

@@ -261,10 +261,29 @@ let through_pipe write read =
   let ic = Unix.in_channel_of_descr r in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
 
+(* A header claiming a frame just under [max_frame], then 3 bytes and a
+   hang-up: reading it must cost about the bytes sent, not the claim. *)
+let test_frame_claim_bounded () =
+  let before = Gc.allocated_bytes () in
+  (match
+     through_pipe
+       (fun oc ->
+         output_binary_int oc ((16 * 1024 * 1024) - 1);
+         output_string oc "abc")
+       P.read_frame
+   with
+  | exception T.Format_error _ -> ()
+  | _ -> Alcotest.fail "accepted truncated frame");
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated > 1024. *. 1024. then
+    Alcotest.failf "allocated %.0f bytes for a 3-byte payload" allocated
+
 (* Every single-byte flip, insertion and deletion of an encoded Submit,
    Finish or reply frame (length prefix included) read back through
    [read_frame] either decodes or raises [Format_error]: no other
-   exception escapes the wire boundary. *)
+   exception escapes the wire boundary. A proper prefix (op 3) is a
+   clean EOF when empty and must raise [Format_error] otherwise, the
+   length prefix cut short included. *)
 let prop_frame_mutants =
   let frames =
     List.map
@@ -279,16 +298,21 @@ let prop_frame_mutants =
   in
   QCheck.Test.make ~name:"protocol: frame mutants decode or raise Format_error"
     ~count:3000
-    QCheck.(quad (int_bound 2) (int_bound 2) (int_bound 1000) (int_bound 255))
+    QCheck.(quad (int_bound 2) (int_bound 3) (int_bound 1000) (int_bound 255))
     (fun (which, op, pos, byte) ->
       let frame, decode = List.nth frames which in
+      let bytes =
+        if op = 3 then String.sub frame 0 (pos mod String.length frame)
+        else Tutil.mutate frame op pos byte
+      in
       match
         through_pipe
-          (fun oc -> output_string oc (Tutil.mutate frame op pos byte))
-          (fun ic -> Option.iter decode (P.read_frame ic))
+          (fun oc -> output_string oc bytes)
+          (fun ic -> Option.map decode (P.read_frame ic))
       with
-      | () -> true
-      | exception T.Format_error _ -> true)
+      | None -> op <> 3 || bytes = ""
+      | Some () -> op <> 3
+      | exception T.Format_error _ -> op <> 3 || bytes <> "")
 
 (* --- streamed record/replay vs materialized ----------------------------- *)
 
@@ -560,6 +584,7 @@ let () =
           quick "malformed payloads" test_protocol_malformed;
           quick "op tag 4 refused" test_protocol_unknown_op;
           quick "truncated frame" test_frame_truncation;
+          quick "frame claim costs the bytes sent" test_frame_claim_bounded;
           QCheck_alcotest.to_alcotest prop_frame_mutants;
         ] );
       ( "streaming",
