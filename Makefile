@@ -54,8 +54,11 @@ batch-smoke:
 	  done; \
 	  rm -rf $$dir; exit $$bad
 
-# Socket farm gate: start `dvrun serve` for three connections on a socket
-# in a temp dir and wait for the socket file. Submit three roundtrip jobs
+# Socket farm gate: start `dvrun serve` for four connections on a socket
+# in a temp dir and wait for the socket file. First send one malformed
+# request frame whose workload string claims 2^62-1 bytes, and wait for
+# the server to hang up: it must refuse that conversation as a protocol
+# error and keep serving. Submit three roundtrip jobs
 # with `dvrun submit`; record `bank` locally and submit a replay of it,
 # which must pass; then submit a replay of `racy-counter` against the bank
 # trace, which must fail (the trace is rejected as another program's, the
@@ -68,7 +71,7 @@ DVRUN = _build/default/bin/dvrun.exe
 serve-smoke:
 	dune build $(DVRUN)
 	@dir=$$(mktemp -d); sock=$$dir/dv.sock; \
-	  $(DVRUN) serve --shards 2 --max-conns 3 --socket $$sock \
+	  $(DVRUN) serve --shards 2 --max-conns 4 --socket $$sock \
 	    --out $$dir/out & pid=$$!; \
 	  n=0; while [ ! -S $$sock ]; do \
 	    n=$$((n + 1)); \
@@ -76,6 +79,10 @@ serve-smoke:
 	      echo "serve-smoke: server never opened $$sock"; \
 	      kill $$pid 2>/dev/null; rm -rf $$dir; exit 1; fi; \
 	    sleep 0.1; done; \
+	  python3 -c 'import socket, struct, sys; \
+	    p = b"\0\0\xfe" + b"\xff" * 7 + b"\x7f"; \
+	    s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); \
+	    s.sendall(struct.pack(">i", len(p)) + p); s.recv(1); s.close()' $$sock; \
 	  $(DVRUN) submit --socket $$sock roundtrip bank racy-counter timed; \
 	  rc=$$?; \
 	  $(DVRUN) record bank -o $$dir/bank.trace >/dev/null && \

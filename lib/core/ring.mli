@@ -16,7 +16,8 @@ type t = {
 
 val default_words : int
 
-(** Allocate the buffer in [vm]'s heap and pin it. *)
+(** Allocate the buffer in [vm]'s heap and pin it; [words] must be at
+    least 1. *)
 val create : Vm.Rt.t -> ?words:int -> unit -> t
 
 (** Write one event word at the current position (wrapping). *)

@@ -20,7 +20,13 @@
    Each codec job exists once: [to_bytes] is the reference encoder,
    [Writer] the one file writer (also behind [save]), [Reader] the one
    decoder (also behind [of_bytes] and [load]); [put_header] serves both
-   encoders. *)
+   encoders. The two encoders share no per-value code: [to_bytes] (and the
+   wire protocol) go value by value through [put_varint], while the writer
+   encodes each flushed tape chunk in one bulk loop ([encode_chunk]), so a
+   test comparing the writer's file with [to_bytes] checks one encoder
+   against the other. The decoder has a single [read_varint] with an
+   unchecked fast path taken when a whole varint's worth of bytes is
+   buffered, so refills, the header scan and the wire all share it. *)
 
 exception End_of_tape of string
 
@@ -199,6 +205,8 @@ let zigzag v = (v lsl 1) lxor (v asr 62)
 
 let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
+(* The reference encoder of one value, behind [to_bytes], the header and
+   the wire protocol. *)
 let put_varint buf v =
   let v = ref (zigzag v) in
   let continue_ = ref true in
@@ -212,6 +220,28 @@ let put_varint buf v =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
+(* A zigzagged 63-bit int spans at most 9 groups of 7 bits. *)
+let max_varint_bytes = 9
+
+(* The writer's bulk encoder: [data.(0 .. len)] into [buf] from [pos] in
+   one loop, returning the end position. The caller checks capacity once
+   for the whole chunk — [len <= Array.length data] and [max_varint_bytes
+   * len] bytes free from [pos] — so no byte write is bounds-checked. It
+   writes the bytes [put_varint] writes for each value. *)
+let encode_chunk buf pos data len =
+  let p = ref pos in
+  for k = 0 to len - 1 do
+    let z = ref (zigzag (Array.unsafe_get data k)) in
+    while !z land lnot 0x7f <> 0 do
+      Bytes.unsafe_set buf !p (Char.unsafe_chr (!z land 0x7f lor 0x80));
+      z := !z lsr 7;
+      incr p
+    done;
+    Bytes.unsafe_set buf !p (Char.unsafe_chr !z);
+    incr p
+  done;
+  !p
+
 (* A decoding position over [buf.[pos .. lim)], with [lim <= Bytes.length
    buf]. *)
 type cursor = { buf : Bytes.t; mutable pos : int; mutable lim : int }
@@ -223,8 +253,14 @@ type cursor = { buf : Bytes.t; mutable pos : int; mutable lim : int }
    0..56; a 10th continuation byte would shift past bit 62, which [lsl]
    leaves unspecified — reject it. A final byte of 0 past the first group
    is a non-canonical encoding [put_varint] never produces; reject it too
-   so every value has exactly one byte representation. *)
-let read_varint c =
+   so every value has exactly one byte representation.
+
+   [read_varint_checked] tests the cursor's limit before every byte.
+   [read_varint] skips those tests when at least 10 bytes remain: the
+   longest valid varint and the byte that proves a 10th group all lie
+   within [lim <= Bytes.length buf], so the fast path reads them
+   unchecked and raises the same [Format_error] at the same position. *)
+let read_varint_checked c =
   let v = ref 0 and shift = ref 0 and continue_ = ref true in
   while !continue_ do
     if c.pos >= c.lim then raise (Format_error "truncated varint");
@@ -241,7 +277,34 @@ let read_varint c =
   done;
   unzigzag !v
 
+(* Byte [i >= 1] of the varint at [pos], [v] holding groups [0 .. i). *)
+let rec read_varint_rest c pos i v =
+  let b = Char.code (Bytes.unsafe_get c.buf (pos + i)) in
+  let v = v lor ((b land 0x7f) lsl (7 * i)) in
+  if b < 0x80 then begin
+    c.pos <- pos + i + 1;
+    if b = 0 then raise (Format_error "non-canonical varint");
+    unzigzag v
+  end
+  else if i = max_varint_bytes - 1 then begin
+    c.pos <- pos + max_varint_bytes;
+    raise (Format_error "oversized varint")
+  end
+  else read_varint_rest c pos (i + 1) v
+
+let read_varint c =
+  let pos = c.pos in
+  if c.lim - pos <= max_varint_bytes then read_varint_checked c
+  else
+    let b = Char.code (Bytes.unsafe_get c.buf pos) in
+    if b < 0x80 then begin
+      c.pos <- pos + 1;
+      unzigzag b
+    end
+    else read_varint_rest c pos 1 (b land 0x7f)
+
 let get_varint s pos =
+  if pos < 0 then invalid_arg "Trace.get_varint: negative position";
   let c = { buf = Bytes.unsafe_of_string s; pos; lim = String.length s } in
   let v = read_varint c in
   (v, c.pos)
@@ -345,13 +408,16 @@ let pp_sizes ppf s =
 
 (* The one file writer ([save] goes through it too). The DJVU2 layout
    prefixes each section with its element count, which is unknown until
-   the run ends — so each tape's sink varint-encodes flushed elements into
-   its stream's in-memory buffer, and [finish] writes header, counts and
+   the run ends — so each tape's sink encodes a flushed chunk in one bulk
+   loop ([encode_chunk]) into the writer's scratch bytes, checking their
+   capacity once per chunk, and appends the result to its stream's
+   in-memory buffer in one copy. [finish] writes header, counts and
    encoded bytes into [path.tmp] (opened at [create]) and renames it into
    place. A stream whose buffer passes [cap] bytes appends it to the one
    scratch file [path.spill], opened on the first spill; [finish] copies
    the chunks back in order. The result is byte-identical to [to_bytes] of
-   the materialized trace. *)
+   the materialized trace, which encodes value by value with
+   [put_varint]. *)
 module Writer = struct
   type stream = {
     w_buf : Buffer.t; (* encoded elements not yet spilled *)
@@ -366,6 +432,7 @@ module Writer = struct
     mutable spill : out_channel option; (* [path.spill], once opened *)
     cap : int; (* encoded bytes a stream buffers before it spills *)
     streams : stream array;
+    mutable scratch : Bytes.t; (* one flushed chunk, encoded *)
     mutable w_tapes : Tape.t array;
     mutable peak_words : int; (* high-water mark of buffered words *)
     mutable closed : bool;
@@ -410,6 +477,7 @@ module Writer = struct
         spill = None;
         cap = 16 * buf_words;
         streams;
+        scratch = Bytes.empty;
         w_tapes = [||];
         peak_words = 0;
         closed = false;
@@ -424,9 +492,12 @@ module Writer = struct
                  buffered total is maximal *)
               w.peak_words <- max w.peak_words (buffered_words w);
               let s = streams.(i) in
-              for k = 0 to len - 1 do
-                put_varint s.w_buf data.(k)
-              done;
+              if len > Array.length data then
+                invalid_arg "Trace.Writer: chunk longer than its tape";
+              if Bytes.length w.scratch < max_varint_bytes * len then
+                w.scratch <- Bytes.create (max_varint_bytes * len);
+              let n = encode_chunk w.scratch 0 data len in
+              Buffer.add_subbytes s.w_buf w.scratch 0 n;
               s.w_count <- s.w_count + len;
               if Buffer.length s.w_buf >= w.cap then spill w s))
         section_names
@@ -508,7 +579,9 @@ end
    section's byte range [start, stop) in one pass over 64 KiB windows,
    counting varint terminators without decoding; a refill then reads at
    most [9 * chunk_words] bytes of its section into a shared scratch buffer
-   and decodes them into the tape's own array. Resident memory is
+   and decodes them into the tape's own array. Every varint but the last
+   few of a refill (or a window) has 10 bytes buffered behind it, so
+   [read_varint] decodes it on its unchecked fast path. Resident memory is
    O(window + chunk), constant in trace length. *)
 module Reader = struct
   type section = { mutable offset : int; stop : int; mutable left : int }
@@ -551,7 +624,7 @@ module Reader = struct
 
   let string_source s =
     let read_at at buf n =
-      if at + n > String.length s then raise (Format_error "truncated section");
+      if n > String.length s - at then raise (Format_error "truncated section");
       Bytes.blit_string s at buf 0 n
     in
     { length = String.length s; read_at; release = ignore }
@@ -637,7 +710,9 @@ module Reader = struct
             else (0, { offset = at (); stop = at (); left = 0 }))
       in
       if at () <> src_len then raise (Format_error "trailing bytes");
-      let scratch = Bytes.create (min (9 * chunk_words) src_len) in
+      let scratch =
+        Bytes.create (min (max_varint_bytes * chunk_words) src_len)
+      in
       let r_tapes =
         Array.mapi
           (fun i name ->
@@ -646,7 +721,9 @@ module Reader = struct
                 if sec.left = 0 then false
                 else begin
                   let k = min chunk_words sec.left in
-                  let n = min (9 * k) (sec.stop - sec.offset) in
+                  let n =
+                    min (max_varint_bytes * k) (sec.stop - sec.offset)
+                  in
                   src.read_at sec.offset scratch n;
                   let c = { buf = scratch; pos = 0; lim = n } in
                   if Array.length t.data < k then

@@ -16,9 +16,11 @@
     stream with a header carrying the program's structural digest so a
     trace cannot be replayed against the wrong code.
 
-    Codec contract: {!to_bytes} is the reference encoder; {!Writer} is the
-    one file writer (also behind {!save}); {!Reader} is the one decoder
-    (also behind {!of_bytes} and {!load}). *)
+    Codec contract: {!to_bytes} is the reference encoder, value by value
+    through {!put_varint}; {!Writer} is the one file writer (also behind
+    {!save}), with its own bulk encoder of each flushed chunk, so comparing
+    the two compares two encoders; {!Reader} is the one decoder (also
+    behind {!of_bytes} and {!load}). *)
 
 (** Raised when a replay consumes past the end of a tape; the payload is
     the tape name. *)
@@ -125,9 +127,15 @@ type sizes = {
 }
 
 (** Zigzag-varint primitives (exposed for the property tests and the
-    server's wire protocol). *)
+    server's wire protocol). [put_varint] is the reference encoder of one
+    value. *)
 val put_varint : Buffer.t -> int -> unit
 
+(** [get_varint s pos] decodes the varint at [pos], returning it and the
+    position after it; raises {!Format_error} on a truncated, oversized
+    (a 10th group) or non-canonical encoding, and [Invalid_argument] on a
+    negative [pos]. It is the decoder the {!Reader} uses, fast path
+    included. *)
 val get_varint : string -> int -> int * int
 
 (** Encoded byte size of one value, without producing the bytes. *)
@@ -161,8 +169,9 @@ val sizes : t -> sizes
 
 val pp_sizes : Format.formatter -> sizes -> unit
 
-(** Incremental trace encoder: each tape's bounded buffer drains into an
-    in-memory byte buffer of varint-encoded elements; a stream whose
+(** Incremental trace encoder: each tape's bounded buffer drains, one bulk
+    encode per flushed chunk, into an in-memory byte buffer of
+    varint-encoded elements; a stream whose
     buffer passes [16 * buf_words] bytes spills it to one shared scratch
     file, [path ^ ".spill"], opened on the first spill. {!Writer.finish}
     writes the DJVU2 header and sections into [path ^ ".tmp"] (opened by

@@ -59,9 +59,11 @@ let put_string b s =
   Trace.put_varint b (String.length s);
   Buffer.add_string b s
 
+(* [n] is the peer's claim, up to [max_int]: compared against the bytes
+   left, not added to [off], where it would overflow past the check. *)
 let get_string s off =
   let n, off = Trace.get_varint s off in
-  if n < 0 || off + n > String.length s then
+  if n < 0 || n > String.length s - off then
     raise (Trace.Format_error "string runs past frame end");
   (String.sub s off n, off + n)
 

@@ -295,6 +295,30 @@ let test_ring_is_pinned () =
   let config = { Vm.Rt.default_config with heap_words = 5000 } in
   check_rt "pinned ring" (roundtrip ~config ~seed:7 (entry "gc-churn"))
 
+(* The ring is [words] slots of one heap array: the write after the last
+   slot wraps to slot 0, and the object allocated next to the ring keeps
+   its header and contents. A ring has at least one slot. *)
+let test_ring_wraps_in_place () =
+  let vm = Vm.create (entry "fig1ab").program in
+  let ring = Dejavu.Ring.create vm ~words:3 () in
+  let next = Vm.Heap.alloc_array vm ~elem_ref:false ~len:2 in
+  Vm.Layout.set vm next 0 41;
+  Vm.Layout.set vm next 1 42;
+  for v = 1 to 7 do
+    Dejavu.Ring.put ring v
+  done;
+  let addr = Vm.Heap.pinned vm ring.Dejavu.Ring.pin in
+  Alcotest.(check (list int))
+    "slots" [ 7; 5; 6 ]
+    (List.init 3 (Vm.Layout.get vm addr));
+  Alcotest.(check int) "writes" 7 (Dejavu.Ring.writes ring);
+  Alcotest.(check (list int))
+    "neighbour intact" [ 2; 41; 42 ]
+    [ Vm.Layout.len_of vm next; Vm.Layout.get vm next 0; Vm.Layout.get vm next 1 ];
+  match Dejavu.Ring.create vm ~words:0 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a ring of 0 words"
+
 (* --- persistence ------------------------------------------------------------ *)
 
 let test_trace_file_roundtrip () =
@@ -347,5 +371,6 @@ let () =
           quick "state digests symmetric" test_symmetric_state_digests;
           quick "asymmetry is visible" test_asymmetry_is_visible;
           quick "ring pinned across GC" test_ring_is_pinned;
+          quick "ring wraps in place" test_ring_wraps_in_place;
         ] );
     ]

@@ -9,7 +9,11 @@
 
    The table was captured with a plain [Dejavu.record] (default config)
    before the superinstruction and inline-splice layers were deleted, so
-   it also pins that the deletion kept replay exact. Regenerating it is a
+   it also pins that the deletion kept replay exact. Each row is checked
+   twice: [Trace.to_bytes] of the in-memory recording, the reference
+   encoder, and the file [Dejavu.record_to] writes through the streaming
+   writer's bulk encoder, which must also replay [Ok] through
+   [Dejavu.replay_from]. Regenerating it is a
    change to the parity contract: do it only for a reason stated in
    CHANGES.md (a deliberate change to the trace format, clock model or
    instruction semantics), never to make a failure go away. *)
@@ -103,7 +107,18 @@ let check_row (name, seed, md5, digest, n_instr) () =
   Alcotest.(check int) (ctx ^ " state digest") digest run.Dejavu.state_digest;
   Alcotest.(check int)
     (ctx ^ " instructions") n_instr
-    (Vm.stats run.Dejavu.vm).Vm.Rt.n_instr
+    (Vm.stats run.Dejavu.vm).Vm.Rt.n_instr;
+  let path = Filename.temp_file "dvgolden" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let recorded, _ = Dejavu.record_to ~natives:e.natives ~seed ~path e.program in
+      Alcotest.(check string)
+        (ctx ^ " trace file md5") md5
+        (Digest.to_hex (Digest.file path));
+      let replayed, _ = Dejavu.replay_from ~natives:e.natives ~path e.program in
+      Alcotest.check Tutil.verdict (ctx ^ " file replay") Dejavu.Ok
+        (Dejavu.judge ~expected:recorded replayed))
 
 (* The table must cover the whole registry, so a new program cannot slip
    in unpinned. *)

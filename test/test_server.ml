@@ -216,6 +216,31 @@ let test_protocol_malformed () =
   | exception T.Format_error _ -> ()
   | _ -> Alcotest.fail "accepted garbage"
 
+(* A request whose workload length is [n]: tag 0, op 0, then the length
+   and nothing after it. *)
+let huge_length_request n =
+  let b = Buffer.create 16 in
+  List.iter (T.put_varint b) [ 0; 0; n ];
+  Buffer.contents b
+
+(* A string length near [max_int] must not overflow the bounds check into
+   [String.sub]: Format_error, not Invalid_argument, in requests and
+   replies alike. *)
+let test_protocol_huge_length () =
+  List.iter
+    (fun n ->
+      (match P.decode_request (huge_length_request n) with
+      | exception T.Format_error _ -> ()
+      | _ -> Alcotest.failf "request with length %d decoded" n);
+      let b = Buffer.create 16 in
+      (* reply: seq, op, then the workload's length *)
+      List.iter (T.put_varint b) [ 1; 0; n ];
+      Buffer.add_string b "bank";
+      match P.decode_reply (Buffer.contents b) with
+      | exception T.Format_error _ -> ()
+      | _ -> Alcotest.failf "reply with length %d decoded" n)
+    [ max_int; max_int - 2 ]
+
 (* The ops are tags 0-3: a Submit frame whose op tag is 4 is malformed,
    while the same frame with tag 3 decodes, so only the tag is at fault. *)
 let test_protocol_unknown_op () =
@@ -283,26 +308,38 @@ let test_frame_claim_bounded () =
    [read_frame] either decodes or raises [Format_error]: no other
    exception escapes the wire boundary. A proper prefix (op 3) is a
    clean EOF when empty and must raise [Format_error] otherwise, the
-   length prefix cut short included. *)
+   length prefix cut short included. A huge length (op 4) replaces one
+   payload byte by the varint of a value within 255 of [max_int] and is
+   framed anew, so when the byte was a string's length the string claims
+   far more bytes than the frame holds. *)
 let prop_frame_mutants =
-  let frames =
-    List.map
-      (fun (payload, decode) ->
-        (through_pipe (fun oc -> P.write_frame oc payload) In_channel.input_all,
-         decode))
-      [
-        (P.encode_request sample_submit, fun s -> ignore (P.decode_request s));
-        (P.encode_request P.Finish, fun s -> ignore (P.decode_request s));
-        (P.encode_reply sample_reply, fun s -> ignore (P.decode_reply s));
-      ]
+  let frame payload =
+    through_pipe (fun oc -> P.write_frame oc payload) In_channel.input_all
+  in
+  let payloads =
+    [
+      (P.encode_request sample_submit, fun s -> ignore (P.decode_request s));
+      (P.encode_request P.Finish, fun s -> ignore (P.decode_request s));
+      (P.encode_reply sample_reply, fun s -> ignore (P.decode_reply s));
+    ]
+  in
+  let huge payload pos byte =
+    let pos = pos mod String.length payload in
+    let b = Buffer.create 16 in
+    T.put_varint b (max_int - byte);
+    frame
+      (String.sub payload 0 pos ^ Buffer.contents b
+      ^ String.sub payload (pos + 1) (String.length payload - pos - 1))
   in
   QCheck.Test.make ~name:"protocol: frame mutants decode or raise Format_error"
     ~count:3000
-    QCheck.(quad (int_bound 2) (int_bound 3) (int_bound 1000) (int_bound 255))
+    QCheck.(quad (int_bound 2) (int_bound 4) (int_bound 1000) (int_bound 255))
     (fun (which, op, pos, byte) ->
-      let frame, decode = List.nth frames which in
+      let payload, decode = List.nth payloads which in
+      let frame = frame payload in
       let bytes =
         if op = 3 then String.sub frame 0 (pos mod String.length frame)
+        else if op = 4 then huge payload pos byte
         else Tutil.mutate frame op pos byte
       in
       match
@@ -566,6 +603,62 @@ let test_serve_poisoned_conn_isolated () =
         Alcotest.(check int) "own job done" 0 r.P.p_outcome
       | _ -> Alcotest.fail "reply shape")
 
+(* A request frame whose workload claims [max_int] bytes ends its own
+   conversation with a protocol error; the server goes on to serve the
+   next connection. That client waits at most 60 s for its reply, so a
+   server that died on the frame fails the test instead of hanging it. *)
+let test_serve_survives_huge_length () =
+  with_tmp_dir (fun out_dir ->
+      let socket_path = Filename.concat out_dir "dv.sock" in
+      let srv = Server.Serve.create ~shards:1 ~socket_path ~out_dir () in
+      let server_domain =
+        Domain.spawn (fun () -> Server.Serve.serve ~max_conns:2 srv)
+      in
+      let connect () =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket_path);
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+        fd
+      in
+      let fd = connect () in
+      let oc = Unix.out_channel_of_descr fd in
+      P.write_frame oc (huge_length_request max_int);
+      (* the server closes the connection without a reply *)
+      let ic = Unix.in_channel_of_descr fd in
+      Alcotest.(check bool) "no reply" true (P.read_reply ic = None);
+      Unix.close fd;
+      let fd = connect () in
+      let replies =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let oc = Unix.out_channel_of_descr fd in
+            P.write_request oc
+              (P.Submit
+                 {
+                   q_op = P.Op_lint;
+                   q_workload = "bank";
+                   q_seed = 1;
+                   q_trace = "";
+                   q_deadline_ms = 0;
+                 });
+            P.write_request oc P.Finish;
+            let ic = Unix.in_channel_of_descr fd in
+            let rec collect acc =
+              match P.read_reply ic with
+              | None -> List.rev acc
+              | Some r -> collect (r :: acc)
+            in
+            collect [])
+      in
+      Domain.join server_domain;
+      Server.Serve.shutdown srv;
+      match replies with
+      | [ r ] ->
+        Alcotest.(check string) "own workload" "bank" r.P.p_workload;
+        Alcotest.(check int) "own job done" 0 r.P.p_outcome
+      | rs -> Alcotest.failf "%d replies, not 1" (List.length rs))
+
 let () =
   Alcotest.run "server"
     [
@@ -583,6 +676,7 @@ let () =
           quick "roundtrip" test_protocol_roundtrip;
           quick "malformed payloads" test_protocol_malformed;
           quick "op tag 4 refused" test_protocol_unknown_op;
+          quick "huge string length refused" test_protocol_huge_length;
           quick "truncated frame" test_frame_truncation;
           quick "frame claim costs the bytes sent" test_frame_claim_bounded;
           QCheck_alcotest.to_alcotest prop_frame_mutants;
@@ -602,5 +696,6 @@ let () =
         [
           quick "end to end" test_serve_end_to_end;
           quick "poisoned conn isolated" test_serve_poisoned_conn_isolated;
+          quick "survives a huge string length" test_serve_survives_huge_length;
         ] );
     ]

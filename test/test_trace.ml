@@ -82,12 +82,17 @@ let test_tape_read_opt () =
 
 (* --- varints ------------------------------------------------------------ *)
 
+(* Alone, a varint decodes on the checked path; with 10 bytes after it,
+   on the fast path. *)
 let varint_roundtrip v =
   let buf = Buffer.create 16 in
   T.put_varint buf v;
-  let got, pos = T.get_varint (Buffer.contents buf) 0 in
-  Alcotest.(check int) (Fmt.str "varint %d" v) v got;
-  Alcotest.(check int) "consumed all" (Buffer.length buf) pos
+  List.iter
+    (fun pad ->
+      let got, pos = T.get_varint (Buffer.contents buf ^ pad) 0 in
+      Alcotest.(check int) (Fmt.str "varint %d" v) v got;
+      Alcotest.(check int) "consumed all" (Buffer.length buf) pos)
+    [ ""; String.make 10 '\x00' ]
 
 let test_varint_edges () =
   List.iter varint_roundtrip
@@ -99,9 +104,13 @@ let test_varint_truncated () =
   T.put_varint buf max_int;
   let s = Buffer.contents buf in
   let truncated = String.sub s 0 (String.length s - 1) in
-  match T.get_varint truncated 0 with
+  (match T.get_varint truncated 0 with
   | exception T.Format_error _ -> ()
-  | _ -> Alcotest.fail "truncated varint accepted"
+  | _ -> Alcotest.fail "truncated varint accepted");
+  (* a negative position is the caller's bug, refused before any read *)
+  match T.get_varint (String.make 20 '\x01') (-1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative position accepted"
 
 (* --- whole-trace serialization ------------------------------------------ *)
 
@@ -241,8 +250,8 @@ let test_encoded_size () =
 
 (* feed a materialized trace through the streaming writer and check the
    file is byte-identical to the batch serialization *)
-let stream_out path (t : T.t) ~buf_words =
-  let w = T.Writer.create ~buf_words path in
+let stream_out ?buf_words path (t : T.t) =
+  let w = T.Writer.create ?buf_words path in
   let tp = T.Writer.tapes w in
   Array.iter (fun v -> T.Tape.push tp.(0) v) t.T.switches;
   Array.iter (fun v -> T.Tape.push tp.(1) v) t.T.clocks;
@@ -587,6 +596,203 @@ let prop_stream_roundtrip =
                (fun () ->
                  read_file path = T.to_bytes t && drain_all r = secs))))
 
+(* At the default buffer size every stream spills once it passes 64 KiB
+   of encoded bytes, which the property above (buf_words <= 64, tapes of
+   at most 3 * 16 * buf_words values) never reaches: here two tapes of
+   mostly 9-byte values spill several times each, and the file is still
+   [to_bytes]. *)
+let prop_writer_default_spills =
+  let int_gen =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ min_int; max_int; 0; -1 ]); (1, small_signed_int); (6, int) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let tape n = array_size (int_range (n / 2) n) int_gen in
+      tape 120_000 >>= fun big0 ->
+      tape 120_000 >>= fun big3 ->
+      array_repeat 3 (tape 5_000) >|= fun small ->
+      [| big0; small.(0); small.(1); big3; small.(2) |])
+  in
+  let print secs =
+    Fmt.str "lengths=%a" Fmt.(Dump.array int) (Array.map Array.length secs)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:4 ~name:"writer at default buf_words, spilling"
+       (QCheck.make ~print gen)
+       (fun secs ->
+         let t =
+           mk ~digest:"spills" ~switches:secs.(0) ~clocks:secs.(1)
+             ~inputs:secs.(2) ~natives:secs.(3) ~picks:secs.(4) ()
+         in
+         with_tmp (fun path ->
+             ignore (stream_out path t);
+             let file = read_file path in
+             String.length file > 2 * 3 * 16 * T.Writer.default_buf_words
+             && file = T.to_bytes t)))
+
+(* --- the fast decoder against the checked one -------------------------- *)
+
+(* The varint rules stated once more, independently of the codec: up to 9
+   groups of 7 bits, low group first, the last with its top bit clear and
+   nonzero unless it is the only one. [s] is a run of varints and nothing
+   else; [Error] names the first malformed one as the codec does, a
+   varint cut short by the end of [s] being truncated whatever its
+   length. *)
+let spec_decode s =
+  let n = String.length s in
+  let rec value pos i acc =
+    if pos + i >= n then Error "truncated varint"
+    else if i = 9 then Error "oversized varint"
+    else
+      let b = Char.code s.[pos + i] in
+      let acc = acc lor ((b land 0x7f) lsl (7 * i)) in
+      if b >= 0x80 then value pos (i + 1) acc
+      else if b = 0 && i > 0 then Error "non-canonical varint"
+      else Ok ((acc lsr 1) lxor -(acc land 1), pos + i + 1)
+  in
+  let rec all pos acc =
+    if pos = n then Ok (Array.of_list (List.rev acc))
+    else
+      match value pos 0 0 with
+      | Error e -> Error e
+      | Ok (v, pos) -> all pos (v :: acc)
+  in
+  all 0 []
+
+(* [s] value by value through [get_varint]; [Error] carries the
+   [Format_error] message. *)
+let get_all s =
+  let rec all pos acc =
+    if pos = String.length s then Ok (Array.of_list (List.rev acc))
+    else
+      match T.get_varint s pos with
+      | v, pos -> all pos (v :: acc)
+      | exception T.Format_error e -> Error e
+  in
+  all 0 []
+
+(* A trace whose switches section is [body] verbatim, its count the
+   number of varint terminators in [body]; the other sections empty. *)
+let trace_around body =
+  let empty = T.to_bytes (mk ~digest:"" ()) in
+  (* header, then four zero counts *)
+  let header = String.sub empty 0 (String.length empty - 4) in
+  let b = Buffer.create (String.length body + 16) in
+  Buffer.add_string b header;
+  T.put_varint b
+    (String.fold_left (fun n c -> if Char.code c < 0x80 then n + 1 else n) 0 body);
+  Buffer.add_string b body;
+  Buffer.add_string b "\x00\x00\x00";
+  Buffer.contents b
+
+(* Every section decodes alike through the reader, in memory at the
+   default chunk size and from a file at [chunk_words] 1-64, and value by
+   value through [get_varint]: the same values, or [Format_error] from
+   both, never another exception — and the values, or the error, the
+   independent [spec_decode] finds ([get_varint] raising its very
+   message; the reader may name the damage as a section's). A section is random values (63-bit extremes and
+   7-bit group boundaries among them), then one byte flipped, a 10-byte
+   varint or a non-canonical one spliced in, or the section cut at the
+   position and ended by up to 9 continuation bytes; the position is
+   anywhere, or among the last 10 bytes of the section or of the first
+   refill window ([9 * chunk_words] bytes), where the decoder must leave
+   its fast path. *)
+let prop_fast_decoder =
+  let value_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl [ min_int; max_int; 0; -1; min_int + 1; max_int - 1 ]);
+          ( 2,
+            int_range 1 8 >>= fun k ->
+            oneofl [ 1 lsl (7 * k); (1 lsl (7 * k)) - 1 ] >>= fun v ->
+            oneofl [ v; -v; (v / 2) - 1; -(v / 2) ] );
+          (3, small_signed_int);
+          (3, int);
+        ])
+  in
+  let encode vals =
+    let b = Buffer.create 64 in
+    Array.iter (T.put_varint b) vals;
+    Buffer.contents b
+  in
+  let gen =
+    QCheck.Gen.(
+      array_size (int_bound 120) value_gen >>= fun vals ->
+      int_range 1 64 >>= fun chunk_words ->
+      int_bound 4 >>= fun op ->
+      int_range 1 255 >>= fun byte ->
+      int_bound 9 >>= fun back ->
+      let body = encode vals in
+      let len = String.length body in
+      frequency
+        [
+          (2, int_bound len);
+          (1, return (len - 1 - back));
+          (1, return ((9 * chunk_words) - 1 - back));
+        ]
+      >|= fun pos -> (vals, chunk_words, op, byte, max 0 (min len pos)))
+  in
+  let mutated (vals, _, op, byte, pos) =
+    let body = encode vals in
+    let splice s = String.sub body 0 pos ^ s ^ String.sub body pos (String.length body - pos) in
+    match op with
+    | 0 -> body
+    | 1 -> if body = "" then body else Tutil.mutate body 0 pos byte
+    | 2 ->
+      (* nine continuation bytes and a last one: a 10th group *)
+      splice
+        (String.make 9 (Char.chr (0x80 lor (byte land 0x7f)))
+        ^ String.make 1 (Char.chr (byte land 0x7f)))
+    | 4 ->
+      (* cut short: the section ends after 1-9 continuation bytes *)
+      String.sub body 0 pos ^ String.make (1 + (byte mod 9)) '\x80'
+    | _ ->
+      (* a small value whose last group is followed by an empty one *)
+      let v = encode [| byte - 128 |] in
+      let n = String.length v in
+      splice
+        (String.sub v 0 (n - 1)
+        ^ String.make 1 (Char.chr (Char.code v.[n - 1] lor 0x80))
+        ^ "\x00")
+  in
+  let print ((vals, chunk_words, op, byte, pos) as case) =
+    Fmt.str "values=%a chunk_words=%d op=%d byte=%d pos=%d body=%S"
+      Fmt.(Dump.array int)
+      vals chunk_words op byte pos (mutated case)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400 ~name:"fast decoder = checked decoder"
+       (QCheck.make ~print gen)
+       (fun ((vals, chunk_words, op, _, _) as case) ->
+         let body = mutated case in
+         let file = trace_around body in
+         let in_memory =
+           match T.of_bytes file with
+           | t -> Some t.T.switches
+           | exception T.Format_error _ -> None
+         in
+         let from_file =
+           with_tmp (fun path ->
+               write_file path file;
+               match T.Reader.open_file ~chunk_words path with
+               | exception T.Format_error _ -> None
+               | r -> (
+                 Fun.protect
+                   ~finally:(fun () -> T.Reader.close r)
+                   (fun () ->
+                     match drain_all r with
+                     | secs -> Some secs.(0)
+                     | exception T.Format_error _ -> None)))
+         in
+         let spec = spec_decode body in
+         let values = Result.to_option spec in
+         get_all body = spec
+         && in_memory = values && from_file = values
+         && (op <> 0 || spec = Ok vals)))
+
 let () =
   Alcotest.run "trace"
     [
@@ -624,5 +830,7 @@ let () =
           quick "reader window edges" test_reader_window_edges;
           quick "writer scratch lifecycle" test_writer_scratch_lifecycle;
           prop_stream_roundtrip;
+          prop_writer_default_spills;
+          prop_fast_decoder;
         ] );
     ]
