@@ -27,7 +27,9 @@ smoke:
 # watches, continues, travels back and quits, which must exit 0. Last,
 # bad input must exit 2 from `dvrun run` and `dvrun debug` alike: a .djv
 # naming an unknown class, and (debug) a trace recorded for another
-# program or cut to 40 bytes.
+# program or cut to 40 bytes. So must bad command-line input: `record`
+# into a directory that does not exist, `submit` to a socket that does
+# not exist, and `batch --shards 0`.
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
@@ -47,18 +49,24 @@ batch-smoke:
 	  for cmd in "run $$dir/unknown.djv" \
 	    "debug $$dir/unknown.djv --batch continue" \
 	    "debug racy-counter -i _batch/bank.trace --batch continue" \
-	    "debug bank -i $$dir/cut.trace --batch continue"; do \
+	    "debug bank -i $$dir/cut.trace --batch continue" \
+	    "record bank -o $$dir/missing/bank.trace" \
+	    "submit --socket $$dir/missing.sock roundtrip bank" \
+	    "batch --shards 0"; do \
 	    dune exec bin/dvrun.exe -- $$cmd; rc=$$?; \
 	    if [ $$rc -ne 2 ]; then \
 	      echo "batch-smoke: dvrun $$cmd exited $$rc, not 2"; bad=1; fi; \
 	  done; \
 	  rm -rf $$dir; exit $$bad
 
-# Socket farm gate: start `dvrun serve` for four connections on a socket
-# in a temp dir and wait for the socket file. First send one malformed
-# request frame whose workload string claims 2^62-1 bytes, and wait for
-# the server to hang up: it must refuse that conversation as a protocol
-# error and keep serving. Submit three roundtrip jobs
+# Socket farm gate: start `dvrun serve` for five connections on a socket
+# in a temp dir and wait for the socket file. First send two malformed
+# request frames, each on its own connection, and wait for the server to
+# hang up on each: one whose workload string claims 2^62-1 bytes, and one
+# lint Submit whose workload name is 9 MiB (over the 4,096-byte bound;
+# the client then half-closes, as a Finish would). The server must refuse
+# each conversation as a protocol error and keep serving. Submit three
+# roundtrip jobs
 # with `dvrun submit`; record `bank` locally and submit a replay of it,
 # which must pass; then submit a replay of `racy-counter` against the bank
 # trace, which must fail (the trace is rejected as another program's, the
@@ -71,7 +79,7 @@ DVRUN = _build/default/bin/dvrun.exe
 serve-smoke:
 	dune build $(DVRUN)
 	@dir=$$(mktemp -d); sock=$$dir/dv.sock; \
-	  $(DVRUN) serve --shards 2 --max-conns 4 --socket $$sock \
+	  $(DVRUN) serve --shards 2 --max-conns 5 --socket $$sock \
 	    --out $$dir/out & pid=$$!; \
 	  n=0; while [ ! -S $$sock ]; do \
 	    n=$$((n + 1)); \
@@ -83,6 +91,11 @@ serve-smoke:
 	    p = b"\0\0\xfe" + b"\xff" * 7 + b"\x7f"; \
 	    s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); \
 	    s.sendall(struct.pack(">i", len(p)) + p); s.recv(1); s.close()' $$sock; \
+	  python3 -c 'import socket, struct, sys; \
+	    n = 9 << 20; p = b"\0\6\x80\x80\x80\x09" + b"x" * n + b"\2\0\0"; \
+	    s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); \
+	    s.sendall(struct.pack(">i", len(p)) + p); \
+	    s.shutdown(socket.SHUT_WR); s.recv(1); s.close()' $$sock; \
 	  $(DVRUN) submit --socket $$sock roundtrip bank racy-counter timed; \
 	  rc=$$?; \
 	  $(DVRUN) record bank -o $$dir/bank.trace >/dev/null && \

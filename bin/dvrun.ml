@@ -16,7 +16,11 @@
    which every subcommand taking a workload refuses with 2). A recording
    that ended fatal replays to 0 when the replay ends the same way. debug
    keeps the same contract for bad input; a --batch session whose replay
-   reached its end exits by the verdict, and any other session exits 0. *)
+   reached its end exits by the verdict, and any other session exits 0.
+   Other bad command-line input exits 2 with one line on stderr too: a
+   trace path record cannot write, a socket submit cannot connect to or a
+   name submit would send over 4,096 bytes, --shards below 1 for batch or
+   serve. *)
 
 open Cmdliner
 
@@ -145,9 +149,10 @@ let run_cmd =
 
 (* With --compiled, every method is force-compiled (charging the same
    virtual-clock cost a run's first visit would) and its canonical kinstr
-   stream prints next to the source bytecode — inline-cache sites marked
-   [ic], injected yield points marked [; yp] — followed by the register
-   regions the fast loop runs in its place. *)
+   stream prints next to the source bytecode — virtual call sites naming
+   the method their declaring class's vtable holds, injected yield points
+   marked [; yp] — followed by the register regions the fast loop runs in
+   its place. *)
 let disasm name compiled =
   let e = find_workload name in
   if not compiled then Fmt.pr "%a@." Bytecode.Disasm.pp_program e.program
@@ -168,8 +173,9 @@ let compiled_arg =
     value & flag
     & info [ "compiled" ]
         ~doc:
-          "show the canonical compiled kinstr stream and its register \
-           regions for each method")
+          "show each method's canonical compiled kinstr stream, virtual \
+           call sites naming the method they dispatch through, then its \
+           register regions")
 
 let disasm_cmd =
   let doc = "disassemble a workload" in
@@ -223,8 +229,14 @@ let record_cmd =
           (* streamed: the recorder never holds the whole trace in memory,
              and a failed run leaves no partial file *)
           let run, sizes =
-            Dejavu.record_to ~config ~natives:e.natives ~seed ~path:out
-              e.program
+            match
+              Dejavu.record_to ~config ~natives:e.natives ~seed ~path:out
+                e.program
+            with
+            | r -> r
+            | exception Sys_error msg ->
+              Fmt.epr "%s@." msg;
+              Stdlib.exit 2
           in
           Fmt.pr "--- output ---@.%s--- status: %s ---@." run.Dejavu.output
             (Vm.string_of_status run.status);
@@ -670,6 +682,13 @@ let shards_arg =
     value & opt int 4
     & info [ "shards" ] ~docv:"N" ~doc:"worker domains (one VM each)")
 
+(* The farm runs on at least one shard domain; fewer is bad input. *)
+let check_shards shards =
+  if shards < 1 then begin
+    Fmt.epr "--shards must be at least 1, not %d@." shards;
+    Stdlib.exit 2
+  end
+
 let out_dir_arg =
   Arg.(
     value & opt string "_batch"
@@ -698,6 +717,7 @@ let batch_cmd =
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
       const (fun shards seed no_regir out_dir deadline_s rounds cold ->
+          check_shards shards;
           let config = config_of_flags no_regir in
           let rep =
             Server.Batch.run_registry ~shards ~config ~seed ?deadline_s
@@ -724,6 +744,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const (fun shards socket_path out_dir max_conns ->
+          check_shards shards;
           let srv =
             Server.Serve.create ~shards ~socket_path ~out_dir ()
           in
@@ -774,6 +795,16 @@ let submit_cmd =
             if workloads <> [] then workloads
             else Workloads.Registry.names ()
           in
+          (* the server hangs up on a request it refuses, so refuse here *)
+          List.iter
+            (fun s ->
+              if String.length s > Server.Protocol.max_name then begin
+                Fmt.epr
+                  "submit: a name or trace path of %d bytes (at most %d)@."
+                  (String.length s) Server.Protocol.max_name;
+                Stdlib.exit 2
+              end)
+            (trace :: workloads);
           let reqs =
             List.map
               (fun w ->
@@ -787,7 +818,13 @@ let submit_cmd =
                   })
               workloads
           in
-          let replies = Server.Serve.client_submit ~socket_path reqs in
+          let replies =
+            match Server.Serve.client_submit ~socket_path reqs with
+            | rs -> rs
+            | exception Unix.Unix_error (err, "connect", _) ->
+              Fmt.epr "%s: %s@." socket_path (Unix.error_message err);
+              Stdlib.exit 2
+          in
           let failed = ref 0 in
           List.iter
             (fun (r : Server.Protocol.reply) ->

@@ -71,6 +71,20 @@ let get_int s off =
   let v, off = Trace.get_varint s off in
   (v, off)
 
+(* The longest workload name or trace path a request may carry. Replies
+   echo both (a failed job's status names them too), so this bound is what
+   keeps every reply frame under [max_frame]. *)
+let max_name = 4096
+
+let get_name what s off =
+  let v, off = get_string s off in
+  if String.length v > max_name then
+    raise
+      (Trace.Format_error
+         (Fmt.str "%s of %d bytes (at most %d)" what (String.length v)
+            max_name));
+  (v, off)
+
 let encode_request = function
   | Submit { q_op; q_workload; q_seed; q_trace; q_deadline_ms } ->
     let b = Buffer.create 64 in
@@ -91,9 +105,9 @@ let decode_request s =
   match tag with
   | 0 ->
     let opi, off = get_int s off in
-    let q_workload, off = get_string s off in
+    let q_workload, off = get_name "workload name" s off in
     let q_seed, off = get_int s off in
-    let q_trace, off = get_string s off in
+    let q_trace, off = get_name "trace path" s off in
     let q_deadline_ms, off = get_int s off in
     if off <> String.length s then
       raise (Trace.Format_error "trailing bytes in request frame");

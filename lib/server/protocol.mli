@@ -42,6 +42,13 @@ type reply = {
 
 val encode_request : request -> string
 
+(** The longest workload name or trace path a request may carry: 4,096
+    bytes. Replies echo both, so the bound keeps every reply frame within
+    the frame limit. *)
+val max_name : int
+
+(** Raises [Trace.Format_error] on a malformed payload, and on a workload
+    name or trace path over [max_name] bytes. *)
 val decode_request : string -> request
 
 val encode_reply : reply -> string

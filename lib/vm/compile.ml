@@ -157,20 +157,6 @@ let resolve_call (vm : Rt.t) cname mname =
     | Some slot -> `Virtual (cid, slot, m.rm_nargs)
     | None -> error "no vtable slot for %s.%s" cname mname
 
-(* A fresh monomorphic inline cache for one virtual call/spawn site.
-   [ic_cid = -1] marks it cold (no receiver class is negative); the method
-   field needs a placeholder, so it holds the static resolution through the
-   declaring class — validity is decided by the cid match alone. *)
-let fresh_ic (vm : Rt.t) cid slot : Rt.ic =
-  {
-    Rt.ic_cid = -1;
-    ic_meth = vm.methods.((Rt.the_class vm cid).rc_vtable.(slot));
-    ic_cids = [||];
-    ic_meths = [||];
-    ic_n = 0;
-    ic_mega = [||];
-  }
-
 (* Pass 3: 1:1 lowering to resolved instructions. *)
 let lower (vm : Rt.t) (owner : Rt.rclass) (ins : I.t) : Rt.cinstr =
   match ins with
@@ -232,8 +218,7 @@ let lower (vm : Rt.t) (owner : Rt.rclass) (ins : I.t) : Rt.cinstr =
   | I.Invoke (cname, mname) -> (
     match resolve_call vm cname mname with
     | `Static uid -> KInvokestatic vm.methods.(uid)
-    | `Virtual (cid, slot, nargs) ->
-      KInvokevirtual (cid, slot, nargs, fresh_ic vm cid slot))
+    | `Virtual (cid, slot, nargs) -> KInvokevirtual (cid, slot, nargs))
   | I.Ret -> KRet
   | I.Retv -> KRetv
   | I.Throw -> KThrow
@@ -246,8 +231,7 @@ let lower (vm : Rt.t) (owner : Rt.rclass) (ins : I.t) : Rt.cinstr =
   | I.Spawn (cname, mname) -> (
     match resolve_call vm cname mname with
     | `Static uid -> KSpawnstatic vm.methods.(uid)
-    | `Virtual (cid, slot, nargs) ->
-      KSpawnvirtual (cid, slot, nargs, fresh_ic vm cid slot))
+    | `Virtual (cid, slot, nargs) -> KSpawnvirtual (cid, slot, nargs))
   | I.Sleep -> KSleep
   | I.Join -> KJoin
   | I.Interrupt -> KInterrupt

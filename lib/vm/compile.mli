@@ -9,7 +9,8 @@
     Lowering pre-resolves everything the dispatch loop would otherwise
     re-derive per visit: static call and spawn operands carry the callee
     [Rt.rmethod] itself, string loads carry the owning [Rt.rclass], and
-    virtual call/spawn sites carry a monomorphic inline cache.
+    virtual call/spawn sites carry their vtable slot, which each visit
+    indexes in the receiver's vtable ([Rt.virtual_target]).
 
     After verification the register-IR lowering ([Regir.lower]) adds
     [Rt.compiled.k_regions], a sidecar of register regions indexed by

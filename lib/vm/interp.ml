@@ -309,66 +309,6 @@ let check_bounds vm arr idx =
   if idx < 0 || idx >= Layout.len_of vm arr then
     raise (Rt.Vm_exception "ArrayIndexOutOfBoundsException")
 
-(* --- inline caches ------------------------------------------------------ *)
-
-(* Call-site inline caches graduate mono -> poly(4) -> megamorphic. Every
-   state memoizes the same deterministic vtable walk, so transitions are
-   invisible to record/replay: the cells live outside the guest heap and
-   are never digested or snapshotted. The megamorphic table maps every
-   class id straight to its resolved target (classes whose vtables are too
-   short keep the placeholder; such receivers cannot occur at this site). *)
-let ic_fill_mega (vm : Rt.t) (ic : Rt.ic) vslot =
-  let n = Array.length vm.classes in
-  let table = Array.make n ic.Rt.ic_meth in
-  for cid = 0 to n - 1 do
-    let vt = vm.classes.(cid).rc_vtable in
-    if vslot < Array.length vt then table.(cid) <- vm.methods.(vt.(vslot))
-  done;
-  ic.Rt.ic_mega <- table;
-  ic.Rt.ic_n <- -1
-
-let ic_miss (vm : Rt.t) (ic : Rt.ic) vslot rcid =
-  let callee =
-    if ic.Rt.ic_n < 0 then ic.Rt.ic_mega.(rcid)
-    else begin
-      let hit = ref None in
-      for k = 0 to ic.Rt.ic_n - 1 do
-        if ic.Rt.ic_cids.(k) = rcid then hit := Some ic.Rt.ic_meths.(k)
-      done;
-      match !hit with
-      | Some m -> m
-      | None ->
-        let m = vm.methods.(vm.classes.(rcid).rc_vtable.(vslot)) in
-        (if ic.Rt.ic_cid < 0 then () (* cold: become monomorphic below *)
-         else if ic.Rt.ic_n = 0 then begin
-           (* mono -> poly: seed with the previous receiver plus this one *)
-           let cids = Array.make Rt.poly_limit (-1) in
-           let meths = Array.make Rt.poly_limit m in
-           cids.(0) <- ic.Rt.ic_cid;
-           meths.(0) <- ic.Rt.ic_meth;
-           cids.(1) <- rcid;
-           meths.(1) <- m;
-           ic.Rt.ic_cids <- cids;
-           ic.Rt.ic_meths <- meths;
-           ic.Rt.ic_n <- 2
-         end
-         else if ic.Rt.ic_n < Rt.poly_limit then begin
-           ic.Rt.ic_cids.(ic.Rt.ic_n) <- rcid;
-           ic.Rt.ic_meths.(ic.Rt.ic_n) <- m;
-           ic.Rt.ic_n <- ic.Rt.ic_n + 1
-         end
-         else ic_fill_mega vm ic vslot);
-        m
-    end
-  in
-  (* the mono fields double as a last-receiver fast path in every state *)
-  ic.Rt.ic_cid <- rcid;
-  ic.Rt.ic_meth <- callee;
-  callee
-
-let ic_lookup (vm : Rt.t) (ic : Rt.ic) vslot rcid =
-  if ic.Rt.ic_cid = rcid then ic.Rt.ic_meth else ic_miss vm ic vslot rcid
-
 (* Execute [ins], fetched from [pc] of thread [t]. Stat accounting and the
    per-instruction hooks/clock are the caller's job: [exec_batch] amortizes
    them over a run-until-yield segment. *)
@@ -507,11 +447,10 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
   | KInvokestatic callee ->
     if ensure_initialized vm callee.rm_cid then
       push_frame vm callee ~resume_pc:(pc + 1) ()
-  | KInvokevirtual (_, vslot, nargs, ic) ->
+  | KInvokevirtual (_, vslot, nargs) ->
     let receiver = peek vm t (nargs - 1) in
     check_null receiver;
-    let rcid = Layout.class_of vm receiver in
-    let callee = ic_lookup vm ic vslot rcid in
+    let callee = Rt.virtual_target vm (Layout.class_of vm receiver) vslot in
     push_frame vm callee ~resume_pc:(pc + 1) ()
   | KRet -> do_return vm ~result:None
   | KRetv ->
@@ -574,11 +513,10 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
       push vm t tid;
       t.t_pc <- pc + 1
     end
-  | KSpawnvirtual (_, vslot, nargs, ic) ->
+  | KSpawnvirtual (_, vslot, nargs) ->
     let receiver = peek vm t (nargs - 1) in
     check_null receiver;
-    let rcid = Layout.class_of vm receiver in
-    let callee = ic_lookup vm ic vslot rcid in
+    let callee = Rt.virtual_target vm (Layout.class_of vm receiver) vslot in
     let cc = Compile.compile vm callee in
     let stack_addr =
       Heap.alloc_stack_array vm ~len:(thread_stack_size vm callee cc)
@@ -969,13 +907,14 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         t.t_sp <- fbase + ss;
         if ensure_initialized vm callee.Rt.rm_cid then
           push_frame vm callee ~resume_pc:(pc + 1) ()
-      | Rt.RCallVirtual (vslot, nargs, ic, pc, ss) ->
+      | Rt.RCallVirtual (_, vslot, nargs, pc, ss) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + ss;
         let receiver = Array.unsafe_get heap (base + ss - nargs) in
         check_null receiver;
-        let rcid = Layout.class_of vm receiver in
-        let callee = ic_lookup vm ic vslot rcid in
+        let callee =
+          Rt.virtual_target vm (Layout.class_of vm receiver) vslot
+        in
         push_frame vm callee ~resume_pc:(pc + 1) ()
       | Rt.REnd (next_pc, ss) ->
         t.t_pc <- next_pc;

@@ -5,9 +5,8 @@
    wrapping from sync expansion, injected yield points, pre-resolved
    callees. The listing shows the canonical stream the stack tier runs,
    followed by the register regions the loop runs where they start;
-   virtual call/spawn sites are marked [ic] (each carries an inline
-   cache), and injected yield points are marked so safe-point placement
-   can be read off the listing. *)
+   injected yield points are marked so safe-point placement can be read
+   off the listing. *)
 
 let string_of_bin : Rt.bin -> string = function
   | Badd -> "add"
@@ -26,12 +25,10 @@ let cmp = Bytecode.Instr.string_of_cmp
 let ty = Bytecode.Instr.string_of_ty
 
 (* Resolve names through the runtime: class ids, vtable slots, and callee
-   uids all print as the entities they denote. *)
+   uids all print as the entities they denote; a virtual site names the
+   method its declaring class's vtable holds in the slot. *)
 let pp_cinstr (vm : Rt.t) ppf (ins : Rt.cinstr) =
   let cname cid = (Rt.the_class vm cid).Rt.rc_name in
-  let vmeth cid vslot =
-    vm.Rt.methods.((Rt.the_class vm cid).Rt.rc_vtable.(vslot))
-  in
   let qual (m : Rt.rmethod) = cname m.rm_cid ^ "." ^ m.rm_name in
   match ins with
   | KConst n -> Fmt.pf ppf "const %d" n
@@ -65,8 +62,10 @@ let pp_cinstr (vm : Rt.t) ppf (ins : Rt.cinstr) =
   | KCheckcast cid -> Fmt.pf ppf "checkcast %s" (cname cid)
   | KInstanceof cid -> Fmt.pf ppf "instanceof %s" (cname cid)
   | KInvokestatic m -> Fmt.pf ppf "invokestatic %s" (qual m)
-  | KInvokevirtual (cid, vslot, nargs, _) ->
-    Fmt.pf ppf "invokevirtual %s/%d [ic]" (qual (vmeth cid vslot)) nargs
+  | KInvokevirtual (cid, vslot, nargs) ->
+    Fmt.pf ppf "invokevirtual %s/%d"
+      (qual (Rt.virtual_target vm cid vslot))
+      nargs
   | KRet -> Fmt.string ppf "ret"
   | KRetv -> Fmt.string ppf "retv"
   | KThrow -> Fmt.string ppf "throw"
@@ -77,8 +76,10 @@ let pp_cinstr (vm : Rt.t) ppf (ins : Rt.cinstr) =
   | KNotify -> Fmt.string ppf "notify"
   | KNotifyall -> Fmt.string ppf "notifyall"
   | KSpawnstatic m -> Fmt.pf ppf "spawnstatic %s" (qual m)
-  | KSpawnvirtual (cid, vslot, nargs, _) ->
-    Fmt.pf ppf "spawnvirtual %s/%d [ic]" (qual (vmeth cid vslot)) nargs
+  | KSpawnvirtual (cid, vslot, nargs) ->
+    Fmt.pf ppf "spawnvirtual %s/%d"
+      (qual (Rt.virtual_target vm cid vslot))
+      nargs
   | KSleep -> Fmt.string ppf "sleep"
   | KJoin -> Fmt.string ppf "join"
   | KInterrupt -> Fmt.string ppf "interrupt"
@@ -91,26 +92,10 @@ let pp_cinstr (vm : Rt.t) ppf (ins : Rt.cinstr) =
   | KNop -> Fmt.string ppf "nop"
   | KYield -> Fmt.string ppf "yield"
 
-(* Inline-cache state, readable off the listing: cold (never executed),
-   mono <class>, poly(n){classes}, or mega. The cache is runtime state, so
-   the same method disassembles differently before and after a run. *)
-let string_of_ic (vm : Rt.t) (ic : Rt.ic) =
-  let cname cid = (Rt.the_class vm cid).Rt.rc_name in
-  if ic.Rt.ic_n < 0 then "mega"
-  else if ic.Rt.ic_cid < 0 then "cold"
-  else if ic.Rt.ic_n = 0 then "mono " ^ cname ic.Rt.ic_cid
-  else
-    Fmt.str "poly(%d){%s}" ic.Rt.ic_n
-      (String.concat ","
-         (List.init ic.Rt.ic_n (fun i -> cname ic.Rt.ic_cids.(i))))
-
 (* One register op. Slots print as [r<i>] (locals first, then operand
    stack); risky/terminal ops show their canonical fault pc as [@<pc>]. *)
 let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
   let cname cid = (Rt.the_class vm cid).Rt.rc_name in
-  let vmeth cid vslot =
-    vm.Rt.methods.((Rt.the_class vm cid).Rt.rc_vtable.(vslot))
-  in
   let qual (m : Rt.rmethod) = cname m.rm_cid ^ "." ^ m.rm_name in
   match op with
   | Rt.RTick n -> Fmt.pf ppf "tick %d" n
@@ -167,14 +152,10 @@ let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
   | Rt.RRetv (pc, vs) -> Fmt.pf ppf "retv r%d  @%d" vs pc
   | Rt.RCallStatic (callee, pc, ss) ->
     Fmt.pf ppf "call %s sp=r%d  @%d" (qual callee) ss pc
-  | Rt.RCallVirtual (vslot, nargs, ic, pc, ss) ->
-    let decl =
-      match ic.Rt.ic_cid with
-      | cid when cid >= 0 -> qual (vmeth cid vslot)
-      | _ -> Fmt.str "vslot %d" vslot
-    in
-    Fmt.pf ppf "callv %s/%d [ic %s] sp=r%d  @%d" decl nargs
-      (string_of_ic vm ic) ss pc
+  | Rt.RCallVirtual (cid, vslot, nargs, pc, ss) ->
+    Fmt.pf ppf "callv %s/%d sp=r%d  @%d"
+      (qual (Rt.virtual_target vm cid vslot))
+      nargs ss pc
   | Rt.REnd (next_pc, ss) -> Fmt.pf ppf "end -> %d sp=r%d" next_pc ss
 
 (* One compiled method: the canonical stream, pc by pc, with [; yp]
@@ -185,22 +166,17 @@ let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
 let pp_compiled (vm : Rt.t) ppf (m : Rt.rmethod) =
   let c = Rt.compiled m in
   let n = Array.length c.k_code in
-  let n_ic = ref 0 and n_yp = ref 0 in
-  Array.iter
-    (function
-      | Rt.KInvokevirtual _ | Rt.KSpawnvirtual _ -> incr n_ic
-      | Rt.KYield -> incr n_yp
-      | _ -> ())
-    c.k_code;
+  let n_yp = ref 0 in
+  Array.iter (function Rt.KYield -> incr n_yp | _ -> ()) c.k_code;
   let n_regions =
     Array.fold_left
       (fun acc r -> match r with Some _ -> acc + 1 | None -> acc)
       0 c.k_regions
   in
   Fmt.pf ppf
-    "@[<v 2>compiled %s.%s (uid %d): %d instrs, %d ic, %d yp, %d regions@,"
+    "@[<v 2>compiled %s.%s (uid %d): %d instrs, %d yp, %d regions@,"
     (Rt.the_class vm m.rm_cid).rc_name
-    m.rm_name m.uid n !n_ic !n_yp n_regions;
+    m.rm_name m.uid n !n_yp n_regions;
   Array.iteri
     (fun pc ins ->
       Fmt.pf ppf "%4d %4d  %a%s@," pc c.k_src_pc.(pc) (pp_cinstr vm) ins

@@ -406,10 +406,10 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
         decr depth
       | Rt.KInvokestatic callee ->
         flush (Some (Rt.RCallStatic (callee, p, spv 0)))
-      | Rt.KInvokevirtual (_, vslot, nargs, ic) ->
+      | Rt.KInvokevirtual (cid, vslot, nargs) ->
         let ss = spv 0 in
         if ss - nargs < 0 || ss - nargs >= nslots then raise Abort;
-        flush (Some (Rt.RCallVirtual (vslot, nargs, ic, p, ss)))
+        flush (Some (Rt.RCallVirtual (cid, vslot, nargs, p, ss)))
       | _ -> raise Abort)
     done;
     (* fall-through exit unless a terminal already stored pc/sp *)
@@ -467,8 +467,7 @@ let lower ~nlocals ~max_stack (code : Rt.cinstr array)
    cover only includable, barrier-free pcs, pay exactly one tick per
    covered instruction, carry canonical pcs and fault-time sp slots that
    agree with the reference maps, and agree with [k_code]
-   operand-for-operand — including physical equality of the shared
-   inline-cache cells. *)
+   operand-for-operand. *)
 let check (m : Rt.rmethod) =
   let c = Rt.compiled m in
   let code = c.Rt.k_code and regions = c.Rt.k_regions and maps = c.Rt.k_maps in
@@ -717,21 +716,17 @@ let check (m : Rt.rmethod) =
               (match code.(p) with
               | Rt.KInvokestatic callee' when callee' == callee -> ()
               | _ -> error "%s: RCallStatic at pc %d mismatches code" name p)
-            | Rt.RCallVirtual (vslot, nargs, ic, p, s) ->
+            | Rt.RCallVirtual (cid, vslot, nargs, p, s) ->
               want_final "a call";
               pc_in p;
               sp_slot s;
               slots [ s - nargs ];
               want_sp p s ~delta:0;
               (match code.(p) with
-              | Rt.KInvokevirtual (_, vslot', nargs', ic')
-                when vslot' = vslot && nargs' = nargs && ic' == ic ->
+              | Rt.KInvokevirtual (cid', vslot', nargs')
+                when cid' = cid && vslot' = vslot && nargs' = nargs ->
                 ()
-              | _ ->
-                error
-                  "%s: RCallVirtual at pc %d mismatches code (the inline \
-                   cache must be the same cell as the stack tier's)"
-                  name p)
+              | _ -> error "%s: RCallVirtual at pc %d mismatches code" name p)
             | Rt.REnd (xpc, s) ->
               want_final "a region end";
               if xpc <> fin + 1 then

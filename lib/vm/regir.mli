@@ -22,9 +22,8 @@ val lower :
 
 (** Static audit of a compiled method's region table ([Rt.compiled m])
     against its canonical code. Checks extents, tick totals, slot bounds,
-    fault-time sp slots against the reference maps, operand agreement
-    with [k_code], and physical sharing of inline-cache cells. Raises
-    [Error] on any violation, and [Invalid_argument] if [m] is not
-    compiled. The compiler never runs it; the test suite does, on every
-    method of the registry. *)
+    fault-time sp slots against the reference maps, and operand-by-operand
+    agreement with [k_code]. Raises [Error] on any violation, and
+    [Invalid_argument] if [m] is not compiled. The compiler never runs
+    it; the test suite does, on every method of the registry. *)
 val check : Rt.rmethod -> unit

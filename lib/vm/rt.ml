@@ -54,8 +54,7 @@ type cinstr =
   | KCheckcast of int (* class id *)
   | KInstanceof of int
   | KInvokestatic of rmethod (* pre-resolved callee *)
-  | KInvokevirtual of int * int * int * ic
-    (* declaring cid, vtable slot, nargs, per-site monomorphic cache *)
+  | KInvokevirtual of int * int * int (* declaring cid, vtable slot, nargs *)
   | KRet
   | KRetv
   | KThrow
@@ -66,7 +65,7 @@ type cinstr =
   | KNotify
   | KNotifyall
   | KSpawnstatic of rmethod (* pre-resolved thread body *)
-  | KSpawnvirtual of int * int * int * ic
+  | KSpawnvirtual of int * int * int
   | KSleep
   | KJoin
   | KInterrupt
@@ -78,25 +77,6 @@ type cinstr =
   | KHalt
   | KNop
   | KYield (* yield point, injected by the method compiler *)
-
-(* Inline cache: one mutable cell per virtual call/spawn site. [ic_cid] /
-   [ic_meth] hold the most-recent receiver class and resolved callee (the
-   monomorphic fast path); on a second receiver class the site transitions
-   to polymorphic and tracks up to [poly_limit] (class, callee) pairs in
-   [ic_cids] / [ic_meths]; past that it goes megamorphic with a cid-indexed
-   dispatch table in [ic_mega] ([ic_n = -1]). The cells live in OCaml-side
-   compiled code — outside the heap, the state digest, and snapshots — so
-   cache state is invisible to record/replay: warm or cold caches yield
-   bit-identical traces and digests, because every state only memoizes the
-   deterministic [rc_vtable] walk. *)
-and ic = {
-  mutable ic_cid : int; (* -1 while cold *)
-  mutable ic_meth : rmethod;
-  mutable ic_cids : int array; (* poly entries; [||] while monomorphic *)
-  mutable ic_meths : rmethod array;
-  mutable ic_n : int; (* valid poly entries; -1 once megamorphic *)
-  mutable ic_mega : rmethod array; (* cid-indexed; [||] until megamorphic *)
-}
 
 (* Reference map: which local slots / operand-stack slots hold references at
    a given pc. [map_stack] covers the prefix up to [map_depth]. *)
@@ -174,8 +154,8 @@ and rop =
   | RRet of int * int (* pc, exit sp slot *)
   | RRetv of int * int (* pc, result slot *)
   | RCallStatic of rmethod * int * int (* callee, pc, entry sp slot *)
-  | RCallVirtual of int * int * ic * int * int
-    (* vtable slot, nargs, cache, pc, entry sp slot *)
+  | RCallVirtual of int * int * int * int * int
+    (* declaring cid, vtable slot, nargs, pc, entry sp slot *)
   | REnd of int * int (* fall-through exit: next pc, exit sp slot *)
 
 and region = {
@@ -474,6 +454,13 @@ let class_id vm name =
 
 let the_method vm uid = vm.methods.(uid)
 
+(* The callee of a virtual call or spawn through vtable slot [vslot] on a
+   receiver of class [cid]: the one vtable walk. The verifier's check that
+   the receiver is a subclass of the call site's class keeps [vslot] in
+   range. *)
+let virtual_target vm cid vslot =
+  vm.methods.(vm.classes.(cid).rc_vtable.(vslot))
+
 (* O(1) subtype test via the class display. *)
 let is_subclass vm ~sub ~sup =
   let s = vm.classes.(sub) and p = vm.classes.(sup) in
@@ -510,10 +497,6 @@ let default_config =
     regir = true;
     env_cfg = Env.default_config;
   }
-
-(* Distinct receiver classes a call site tracks before megamorphic
-   fallback (the classic mono -> poly(4) -> table progression). *)
-let poly_limit = 4
 
 (* Small instruction tag used by observers to digest the event stream. *)
 let tag_of_cinstr = function

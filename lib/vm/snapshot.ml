@@ -15,8 +15,8 @@
 
    Compiled code is split by the checkpoint line. Methods compiled BEFORE
    the save stay compiled across a restore — keeping the code cache warm
-   (with its register regions and inline caches) is the point of a
-   checkpoint, and neither warm regions nor warm IC contents is VM-visible.
+   (with its register regions) is the point of a checkpoint, and warm
+   regions are not VM-visible.
    Methods compiled AFTER the save are rolled back to uncompiled: the
    compiler charges the virtual clock, so a live re-execution from the
    checkpoint must re-pay exactly the charges the first execution paid

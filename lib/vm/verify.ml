@@ -354,8 +354,8 @@ let verify (vm : Rt.t) (m : Rt.rmethod) (code : Rt.cinstr array)
       pop_args ("call " ^ callee.rm_name) args;
       Option.iter (fun ty -> pushv (of_ty vm ty)) ret;
       goto_next ()
-    | KInvokevirtual (cid, vslot, _, _) ->
-      let callee = vm.methods.((Rt.the_class vm cid).rc_vtable.(vslot)) in
+    | KInvokevirtual (cid, vslot, _) ->
+      let callee = Rt.virtual_target vm cid vslot in
       let args, ret = sig_of callee in
       (* args include the receiver; the receiver must additionally be a
          subtype of the class the call site names *)
@@ -396,8 +396,8 @@ let verify (vm : Rt.t) (m : Rt.rmethod) (code : Rt.cinstr array)
       pop_args ("spawn " ^ callee.rm_name) callee.rm_args;
       pushv VInt;
       goto_next ()
-    | KSpawnvirtual (cid, vslot, _, _) ->
-      let callee = vm.methods.((Rt.the_class vm cid).rc_vtable.(vslot)) in
+    | KSpawnvirtual (cid, vslot, _) ->
+      let callee = Rt.virtual_target vm cid vslot in
       let rev = Array.copy callee.rm_args in
       rev.(0) <- Bytecode.Instr.Tobj (Rt.the_class vm cid).rc_name;
       pop_args ("spawn " ^ callee.rm_name) rev;

@@ -205,10 +205,8 @@ let test_regir_vs_stack_traces () =
     (all ())
 
 (* One virtual call site in a loop over receivers cycling through [k]
-   classes: the site's inline cache transitions mono -> poly (k = 3) or
-   mono -> poly -> megamorphic (k = 6) mid-run, and the transitions must
-   be invisible to recording — the IC lives outside the heap, digest, and
-   trace. *)
+   classes: every visit indexes the receiver's vtable, and the register
+   tier's call must reach the same callee as the stack tier's. *)
 let poly_prog k iters =
   let shape n =
     A.method_ ~static:false ~args:[ I.Tobj "Shape" ] ~ret:I.Tint ~nlocals:1
@@ -245,54 +243,19 @@ let poly_prog k iters =
         i (I.Load 2); i I.Print; i I.Ret;
       ])
 
-(* The IC cell of main's one virtual call site (shared between the
-   canonical stream and the register-IR region that ends at the call). *)
-let main_ic (vm : Vm.t) =
-  let found = ref None in
-  Array.iter
-    (fun (m : Vm.Rt.rmethod) ->
-      if m.Vm.Rt.rm_name = "main" then
-        match m.Vm.Rt.rm_compiled with
-        | Some c ->
-          Array.iter
-            (fun ci ->
-              match ci with
-              | Vm.Rt.KInvokevirtual (_, _, _, ic) -> found := Some ic
-              | _ -> ())
-            c.Vm.Rt.k_code
-        | None -> ())
-    vm.Vm.Rt.methods;
-  match !found with
-  | Some ic -> ic
-  | None -> Alcotest.fail "no virtual call site in main"
-
-let test_poly_ic_transition () =
+let test_virtual_dispatch () =
   let iters = 600 in
-  (* k = 3: the site ends polymorphic (2..poly_limit entries) *)
-  let p3 = poly_prog 3 iters in
-  let vm3, st3 = run ~seed:1 p3 in
-  Alcotest.check status_testable "k=3 finished" Vm.Rt.Finished st3;
-  Alcotest.(check string)
-    "k=3 output"
-    (Fmt.str "%d\n" (iters / 3 * 3))
-    (Vm.output vm3);
-  let ic3 = main_ic vm3 in
-  Alcotest.(check bool)
-    "k=3 site is polymorphic" true
-    (ic3.Vm.Rt.ic_n >= 2 && ic3.Vm.Rt.ic_n <= Vm.Rt.poly_limit);
-  (* k = 6: past poly_limit, the site goes megamorphic *)
-  let p6 = poly_prog 6 iters in
-  let vm6, st6 = run ~seed:1 p6 in
-  Alcotest.check status_testable "k=6 finished" Vm.Rt.Finished st6;
-  Alcotest.(check string)
-    "k=6 output"
-    (Fmt.str "%d\n" (iters / 6 * 15))
-    (Vm.output vm6);
-  let ic6 = main_ic vm6 in
-  Alcotest.(check int) "k=6 site is megamorphic" (-1) ic6.Vm.Rt.ic_n;
-  (* the transitions happen mid-trace; recording must not see them *)
   List.iter
-    (fun (name, p) ->
+    (fun (k, expect) ->
+      let name = Fmt.str "k=%d" k in
+      let p = poly_prog k iters in
+      let vm, status = run ~seed:1 p in
+      Alcotest.check status_testable (name ^ " finished") Vm.Rt.Finished
+        status;
+      Alcotest.(check string)
+        (name ^ " output")
+        (Fmt.str "%d\n" (iters / k * expect))
+        (Vm.output vm);
       let rr, rt = Dejavu.record ~seed:1 p in
       let sr, st = Dejavu.record ~config:noregir ~seed:1 p in
       Alcotest.(check string)
@@ -303,8 +266,16 @@ let test_poly_ic_transition () =
         sr.Dejavu.obs_digest rr.Dejavu.obs_digest;
       Alcotest.(check int)
         (name ^ " state digest")
-        sr.Dejavu.state_digest rr.Dejavu.state_digest)
-    [ ("poly", p3); ("mega", p6) ]
+        sr.Dejavu.state_digest rr.Dejavu.state_digest;
+      List.iter
+        (fun (tier, recorded, trace) ->
+          let replayed, _ = Dejavu.replay p trace in
+          Alcotest.check verdict
+            (Fmt.str "%s %s replay verdict" name tier)
+            Dejavu.Ok
+            (Dejavu.judge ~expected:recorded replayed))
+        [ ("register", rr, rt); ("stack", sr, st) ])
+    [ (3, 3); (6, 15) ]
 
 (* A call ends its region, so the instruction after the call must open a
    region of its own; otherwise everything from the return pc to the next
@@ -530,6 +501,32 @@ let test_collect_cap_semantics () =
   Alcotest.(check int) "kept exactly the cap" cap
     (List.length (Vm.Observer.events col))
 
+(* The compiled listing of every method of every registry workload prints
+   without raising, and names each virtual call by the method its
+   declaring class's vtable holds, on the stack tier and the register
+   tier alike. *)
+let test_compiled_listings () =
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      let vm = Vm.create ~natives:e.natives e.program in
+      Array.iter
+        (fun (m : Vm.Rt.rmethod) -> ignore (Vm.Compile.compile vm m))
+        vm.Vm.Rt.methods;
+      let listing =
+        String.concat "\n"
+          (Array.to_list
+             (Array.map (Fmt.str "%a" (Vm.Kdisasm.pp_compiled vm))
+                vm.Vm.Rt.methods))
+      in
+      if e.name = "synced-counter" then
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool)
+              (Fmt.str "synced-counter lists %S" needle)
+              true (contains listing needle))
+          [ "invokevirtual Counter.bump/1"; "callv Counter.bump/1" ])
+    (all ())
+
 let () =
   Alcotest.run "dispatch"
     [
@@ -544,12 +541,16 @@ let () =
         [
           quick "register vs stack live" test_regir_vs_stack_live;
           quick "register vs stack traces" test_regir_vs_stack_traces;
-          quick "poly-IC transition mid-trace" test_poly_ic_transition;
+          quick "virtual dispatch on three and six classes"
+            test_virtual_dispatch;
           quick "return pc after a looping callee" test_return_pc_opens_region;
           quick "racy-counter region coverage" test_racy_counter_coverage;
           quick "interrupt at a monitor op mid-region"
             test_interrupt_at_monitor_op;
         ] );
+      ( "disasm",
+        [ quick "compiled listings of the registry" test_compiled_listings ]
+      );
       ( "observer",
         [
           quick "collect matches digest" test_collect_matches_digest;

@@ -720,128 +720,62 @@ let prop_lazy_clock_matches_eager =
       obs ();
       !ok)
 
-(* --- monomorphic inline caches are invisible -------------------------------- *)
+(* --- virtual calls: the one vtable walk --------------------------------- *)
 
-(* The catalogue workloads that compile virtual call/spawn sites. *)
-let ic_workloads = [ "synced-counter"; "producer-consumer"; "exceptions" ]
+(* A random single-inheritance tree: C0 declares m0..m3, and each later
+   class Cj extends an earlier one and overrides a random subset. *)
+let hierarchy_arb =
+  QCheck.make
+    ~print:(fun spec ->
+      let bit o = if o then "1" else "0" in
+      String.concat "; "
+        (List.map
+           (fun (r, os) ->
+             Fmt.str "%d:%s" r (String.concat "" (List.map bit os)))
+           spec))
+    QCheck.Gen.(list_size (int_range 0 7) (pair nat (list_repeat 4 bool)))
 
-let find_entry name =
-  match Workloads.Registry.find name with
-  | Some e -> e
-  | None -> Alcotest.failf "workload %s missing" name
-
-let seeded_config seed =
-  {
-    Vm.Rt.default_config with
-    Vm.Rt.env_cfg = { Vm.Rt.default_config.Vm.Rt.env_cfg with Vm.Env.seed };
-  }
-
-let force_compile vm =
-  Array.iter
-    (fun (m : Vm.Rt.rmethod) -> ignore (Vm.Compile.compile vm m))
-    vm.Vm.Rt.methods
-
-(* Copy warm inline-cache contents from [src]'s compiled methods into
-   [dst]'s (both link the same program, so uids and pcs line up; [dst]
-   must already be force-compiled). Returns the number of warm sites. *)
-let copy_warm_ics src dst =
-  let copied = ref 0 in
-  Array.iteri
-    (fun k (m : Vm.Rt.rmethod) ->
-      match m.Vm.Rt.rm_compiled with
-      | None -> ()
-      | Some c ->
-        let c' = Vm.Rt.compiled dst.Vm.Rt.methods.(k) in
-        Array.iteri
-          (fun pc ins ->
-            match (ins, c'.Vm.Rt.k_code.(pc)) with
-            | ( Vm.Rt.KInvokevirtual (_, _, _, ic),
-                Vm.Rt.KInvokevirtual (_, _, _, ic') )
-            | ( Vm.Rt.KSpawnvirtual (_, _, _, ic),
-                Vm.Rt.KSpawnvirtual (_, _, _, ic') ) ->
-              if ic.Vm.Rt.ic_cid >= 0 then begin
-                incr copied;
-                ic'.Vm.Rt.ic_cid <- ic.Vm.Rt.ic_cid;
-                ic'.Vm.Rt.ic_meth <-
-                  dst.Vm.Rt.methods.(ic.Vm.Rt.ic_meth.Vm.Rt.uid)
-              end
-            | _ -> ())
-          c.Vm.Rt.k_code)
-    src.Vm.Rt.methods;
-  !copied
-
-(* Record on a VM whose methods were all compiled up front (the compile
-   cost lands before boot instead of mid-run, so two such records share a
-   timeline), optionally warming its inline caches from a prior run. *)
-let record_precompiled ?warm_from (e : Workloads.Registry.entry) seed =
-  let vm = Vm.create ~config:(seeded_config seed) ~natives:e.natives e.program in
-  force_compile vm;
-  let warmed =
-    match warm_from with None -> 0 | Some src -> copy_warm_ics src vm
-  in
-  let session = Dejavu.Recorder.attach vm in
-  let obs = Vm.Observer.attach_digest vm in
-  ignore (Vm.run vm);
-  (vm, Dejavu.Recorder.finish session, obs, warmed)
-
-(* Cold vs warm inline caches: an IC is pure memoization of the vtable
-   walk, so a recording taken with every cache pre-warmed must be
-   byte-identical to one taken cold. *)
-let test_warm_ic_record_identical () =
-  List.iter
-    (fun name ->
-      let e = find_entry name in
-      let live, _ = Vm.execute ~natives:e.natives ~seed:1 e.program in
-      let vm_c, tr_c, obs_c, _ = record_precompiled e 1 in
-      let vm_w, tr_w, obs_w, warmed = record_precompiled ~warm_from:live e 1 in
-      Alcotest.(check bool) (name ^ " some ics warmed") true (warmed > 0);
-      Alcotest.(check string)
-        (name ^ " trace bytes")
-        (Dejavu.Trace.to_bytes tr_c)
-        (Dejavu.Trace.to_bytes tr_w);
-      Alcotest.(check int)
-        (name ^ " event digest")
-        (Vm.Observer.digest obs_c) (Vm.Observer.digest obs_w);
-      Alcotest.(check string) (name ^ " output") (Vm.output vm_c)
-        (Vm.output vm_w);
-      Alcotest.(check int) (name ^ " state digest") (Vm.digest vm_c)
-        (Vm.digest vm_w))
-    ic_workloads
-
-(* Replay is environment-independent, so a warm replay VM — methods
-   pre-compiled, caches pre-warmed — must consume a cold-recorded trace
-   exactly as a cold replay does. *)
-let test_warm_ic_replay_identical () =
-  List.iter
-    (fun name ->
-      let e = find_entry name in
-      let _, trace = Dejavu.record ~natives:e.natives ~seed:2 e.program in
-      let cold, left = Dejavu.replay ~natives:e.natives e.program trace in
-      Alcotest.(check (list string)) (name ^ " cold replay consumed") [] left;
-      let live, _ = Vm.execute ~natives:e.natives ~seed:2 e.program in
-      let vm = Vm.create ~natives:e.natives e.program in
-      force_compile vm;
-      let warmed = copy_warm_ics live vm in
-      Alcotest.(check bool) (name ^ " some ics warmed") true (warmed > 0);
-      let session = Dejavu.Replayer.attach vm trace in
-      let obs = Vm.Observer.attach_digest vm in
-      ignore (Vm.run vm);
-      Alcotest.(check (list string))
-        (name ^ " warm replay consumed")
-        []
-        (Dejavu.Replayer.check_complete session);
-      Alcotest.(check int)
-        (name ^ " event digest")
-        cold.Dejavu.obs_digest (Vm.Observer.digest obs);
-      Alcotest.(check int)
-        (name ^ " event count")
-        cold.Dejavu.obs_count (Vm.Observer.count obs);
-      Alcotest.(check string) (name ^ " output") cold.Dejavu.output
-        (Vm.output vm);
-      Alcotest.(check int)
-        (name ^ " state digest")
-        cold.Dejavu.state_digest (Vm.digest vm))
-    ic_workloads
+(* [Rt.virtual_target] on every (class, method) of the tree names the
+   method of the nearest class up the superclass chain that declares it. *)
+let prop_virtual_target_walks_up =
+  qtest ~count:200 "virtual_target = nearest declarer"
+    hierarchy_arb (fun spec ->
+      let cname j = Fmt.str "C%d" j and mname k = Fmt.str "m%d" k in
+      let parent j = fst (List.nth spec (j - 1)) mod j in
+      let declares j k = j = 0 || List.nth (snd (List.nth spec (j - 1))) k in
+      let meth j k =
+        A.method_ ~static:false ~args:[ I.Tobj (cname 0) ] ~ret:I.Tint
+          ~nlocals:1 (mname k)
+          [ i (I.Const ((10 * j) + k)); i I.Retv ]
+      in
+      let n = List.length spec + 1 in
+      let classes =
+        List.init n (fun j ->
+            let methods =
+              List.filter_map
+                (fun k -> if declares j k then Some (meth j k) else None)
+                [ 0; 1; 2; 3 ]
+            in
+            if j = 0 then D.cdecl (cname 0) methods
+            else D.cdecl ~super:(cname (parent j)) (cname j) methods)
+      in
+      let vm =
+        Vm.create (prog1 ~extra_classes:classes [ main_method [ i I.Ret ] ])
+      in
+      let rec decl j k = if declares j k then j else decl (parent j) k in
+      List.for_all
+        (fun j ->
+          let cid = Vm.Rt.class_id vm (cname j) in
+          List.for_all
+            (fun k ->
+              let vslot =
+                Hashtbl.find vm.Vm.Rt.classes.(cid).rc_vslot_of (mname k)
+              in
+              let m = Vm.Rt.virtual_target vm cid vslot in
+              m.rm_cid = Vm.Rt.class_id vm (cname (decl j k))
+              && m.rm_name = mname k)
+            [ 0; 1; 2; 3 ])
+        (List.init n Fun.id))
 
 let prop_fuzzed_emit_roundtrip =
   qtest ~count:200 "accepted random programs survive emit+parse" fuzz_arb
@@ -886,11 +820,7 @@ let () =
           prop_regir_transparent_mt; prop_fuzzed_regir_agrees;
         ] );
       ("clock", [ prop_lazy_clock_matches_eager ]);
-      ( "inline-caches",
-        [
-          quick "warm record = cold record" test_warm_ic_record_identical;
-          quick "warm replay = cold replay" test_warm_ic_replay_identical;
-        ] );
+      ("virtual-calls", [ prop_virtual_target_walks_up ]);
       ("gc", [ prop_gc_transparent ]);
       ( "fuzz",
         [

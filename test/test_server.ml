@@ -241,6 +241,33 @@ let test_protocol_huge_length () =
       | _ -> Alcotest.failf "reply with length %d decoded" n)
     [ max_int; max_int - 2 ]
 
+(* Workload names and trace paths are at most 4,096 bytes: one byte more
+   in either is malformed. *)
+let test_protocol_name_bound () =
+  let submit ~workload ~trace =
+    P.encode_request
+      (P.Submit
+         {
+           q_op = P.Op_replay;
+           q_workload = workload;
+           q_seed = 1;
+           q_trace = trace;
+           q_deadline_ms = 0;
+         })
+  in
+  List.iter
+    (fun (what, frame) ->
+      (match P.decode_request (frame 4096) with
+      | P.Submit _ -> ()
+      | P.Finish -> Alcotest.failf "%s of 4096 bytes decoded as Finish" what);
+      match P.decode_request (frame 4097) with
+      | exception T.Format_error _ -> ()
+      | _ -> Alcotest.failf "%s of 4097 bytes decoded" what)
+    [
+      ("workload", fun n -> submit ~workload:(String.make n 'w') ~trace:"");
+      ("trace", fun n -> submit ~workload:"bank" ~trace:(String.make n 't'));
+    ]
+
 (* The ops are tags 0-3: a Submit frame whose op tag is 4 is malformed,
    while the same frame with tag 3 decodes, so only the tag is at fault. *)
 let test_protocol_unknown_op () =
@@ -603,11 +630,22 @@ let test_serve_poisoned_conn_isolated () =
         Alcotest.(check int) "own job done" 0 r.P.p_outcome
       | _ -> Alcotest.fail "reply shape")
 
-(* A request frame whose workload claims [max_int] bytes ends its own
-   conversation with a protocol error; the server goes on to serve the
-   next connection. That client waits at most 60 s for its reply, so a
-   server that died on the frame fails the test instead of hanging it. *)
-let test_serve_survives_huge_length () =
+let lint_submit w =
+  P.Submit
+    {
+      q_op = P.Op_lint;
+      q_workload = w;
+      q_seed = 1;
+      q_trace = "";
+      q_deadline_ms = 0;
+    }
+
+(* A malformed request, written by [send_bad] on a fresh connection, ends
+   its own conversation with a protocol error and no reply; the server
+   goes on to serve the next connection. Each client waits at most 60 s
+   for a reply, so a server that died on the bad request fails the test
+   instead of hanging it. *)
+let serve_survives send_bad =
   with_tmp_dir (fun out_dir ->
       let socket_path = Filename.concat out_dir "dv.sock" in
       let srv = Server.Serve.create ~shards:1 ~socket_path ~out_dir () in
@@ -621,8 +659,7 @@ let test_serve_survives_huge_length () =
         fd
       in
       let fd = connect () in
-      let oc = Unix.out_channel_of_descr fd in
-      P.write_frame oc (huge_length_request max_int);
+      send_bad fd (Unix.out_channel_of_descr fd);
       (* the server closes the connection without a reply *)
       let ic = Unix.in_channel_of_descr fd in
       Alcotest.(check bool) "no reply" true (P.read_reply ic = None);
@@ -633,15 +670,7 @@ let test_serve_survives_huge_length () =
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
             let oc = Unix.out_channel_of_descr fd in
-            P.write_request oc
-              (P.Submit
-                 {
-                   q_op = P.Op_lint;
-                   q_workload = "bank";
-                   q_seed = 1;
-                   q_trace = "";
-                   q_deadline_ms = 0;
-                 });
+            P.write_request oc (lint_submit "bank");
             P.write_request oc P.Finish;
             let ic = Unix.in_channel_of_descr fd in
             let rec collect acc =
@@ -658,6 +687,19 @@ let test_serve_survives_huge_length () =
         Alcotest.(check string) "own workload" "bank" r.P.p_workload;
         Alcotest.(check int) "own job done" 0 r.P.p_outcome
       | rs -> Alcotest.failf "%d replies, not 1" (List.length rs))
+
+(* A frame whose workload string claims [max_int] bytes. *)
+let test_serve_survives_huge_length () =
+  serve_survives (fun _ oc -> P.write_frame oc (huge_length_request max_int))
+
+(* A 9 MiB workload name fits in one frame, but the reply to its failed
+   job would echo the name twice and overflow the frame limit; the server
+   refuses the request instead. The client half-closes so that a server
+   accepting the name would run the job and reply at once. *)
+let test_serve_survives_oversized_name () =
+  serve_survives (fun fd oc ->
+      P.write_request oc (lint_submit (String.make (9 * 1024 * 1024) 'x'));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND)
 
 let () =
   Alcotest.run "server"
@@ -677,6 +719,8 @@ let () =
           quick "malformed payloads" test_protocol_malformed;
           quick "op tag 4 refused" test_protocol_unknown_op;
           quick "huge string length refused" test_protocol_huge_length;
+          quick "oversized names and trace paths refused"
+            test_protocol_name_bound;
           quick "truncated frame" test_frame_truncation;
           quick "frame claim costs the bytes sent" test_frame_claim_bounded;
           QCheck_alcotest.to_alcotest prop_frame_mutants;
@@ -697,5 +741,7 @@ let () =
           quick "end to end" test_serve_end_to_end;
           quick "poisoned conn isolated" test_serve_poisoned_conn_isolated;
           quick "survives a huge string length" test_serve_survives_huge_length;
+          quick "survives an oversized workload name"
+            test_serve_survives_oversized_name;
         ] );
     ]
