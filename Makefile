@@ -28,8 +28,11 @@ smoke:
 # bad input must exit 2 from `dvrun run` and `dvrun debug` alike: a .djv
 # naming an unknown class, and (debug) a trace recorded for another
 # program or cut to 40 bytes. So must bad command-line input: `record`
-# into a directory that does not exist, `submit` to a socket that does
-# not exist, and `batch --shards 0`.
+# into a directory that does not exist or onto a FIFO (which must still be
+# a FIFO afterwards), `submit` to a socket that does not exist, `serve`
+# on a socket and `batch` into a directory under a regular file, and
+# `batch --shards 0` and `explore --shards 0`. Every path is in a temp
+# dir.
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
@@ -45,18 +48,25 @@ batch-smoke:
 	  printf 'class T {\n  method main() locals 1 {\n    new Nope\n    pop\n    ret\n  }\n}\n' \
 	    > $$dir/unknown.djv; \
 	  head -c 40 _batch/bank.trace > $$dir/cut.trace; \
+	  mkfifo $$dir/fifo; touch $$dir/file; \
 	  bad=0; \
 	  for cmd in "run $$dir/unknown.djv" \
 	    "debug $$dir/unknown.djv --batch continue" \
 	    "debug racy-counter -i _batch/bank.trace --batch continue" \
 	    "debug bank -i $$dir/cut.trace --batch continue" \
 	    "record bank -o $$dir/missing/bank.trace" \
+	    "record bank -o $$dir/fifo" \
 	    "submit --socket $$dir/missing.sock roundtrip bank" \
-	    "batch --shards 0"; do \
+	    "serve --socket $$dir/file/s.sock --out $$dir/out" \
+	    "batch --out $$dir/file/out" \
+	    "batch --shards 0" \
+	    "explore bank --shards 0"; do \
 	    dune exec bin/dvrun.exe -- $$cmd; rc=$$?; \
 	    if [ $$rc -ne 2 ]; then \
 	      echo "batch-smoke: dvrun $$cmd exited $$rc, not 2"; bad=1; fi; \
 	  done; \
+	  if [ ! -p $$dir/fifo ]; then \
+	    echo "batch-smoke: record replaced the FIFO"; bad=1; fi; \
 	  rm -rf $$dir; exit $$bad
 
 # Socket farm gate: start `dvrun serve` for five connections on a socket

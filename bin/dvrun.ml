@@ -18,9 +18,12 @@
    keeps the same contract for bad input; a --batch session whose replay
    reached its end exits by the verdict, and any other session exits 0.
    Other bad command-line input exits 2 with one line on stderr too: a
-   trace path record cannot write, a socket submit cannot connect to or a
-   name submit would send over 4,096 bytes, --shards below 1 for batch or
-   serve. *)
+   trace path record cannot write or that is not a regular file, a socket
+   serve cannot bind or submit cannot connect to, an --out directory batch
+   or serve cannot make, a name submit would send over 4,096 bytes,
+   --shards below 1 for batch, serve or explore. A server that hangs up on
+   submit exits it 2 as well; submit exits 1 when a job failed or got no
+   reply. *)
 
 open Cmdliner
 
@@ -311,10 +314,6 @@ let dump_cmd =
       const (fun inp ->
           let t = load_trace inp in
           Fmt.pr "program digest: %s@." t.Dejavu.Trace.program_digest;
-          Fmt.pr "race audit: %s@."
-            (match t.Dejavu.Trace.analysis_hash with
-            | "" -> "(unaudited)"
-            | h -> h);
           Fmt.pr "%a@." Dejavu.Trace.pp_sizes (Dejavu.Trace.sizes t);
           Fmt.pr "@.-- preemptive switches (yield-point deltas) --@.";
           Array.iteri
@@ -583,10 +582,19 @@ let lint_cmd =
       const lint $ name_opt_arg $ all_arg $ json_arg $ allow_arg
       $ allow_monitor_arg $ allow_deadlock_arg $ baseline_arg)
 
+(* The farm runs on at least one shard domain, and so does explore; fewer
+   is bad input. *)
+let check_shards shards =
+  if shards < 1 then begin
+    Fmt.epr "--shards must be at least 1, not %d@." shards;
+    Stdlib.exit 2
+  end
+
 (* --- explore: systematic schedule exploration --- *)
 
 let explore name seed pb db no_dpor max_schedules max_artifacts out shards
     expect_failure no_regir =
+  check_shards shards;
   let e = find_workload name in
   let config = config_of_flags no_regir in
   let out = if out = "" then None else Some out in
@@ -682,13 +690,6 @@ let shards_arg =
     value & opt int 4
     & info [ "shards" ] ~docv:"N" ~doc:"worker domains (one VM each)")
 
-(* The farm runs on at least one shard domain; fewer is bad input. *)
-let check_shards shards =
-  if shards < 1 then begin
-    Fmt.epr "--shards must be at least 1, not %d@." shards;
-    Stdlib.exit 2
-  end
-
 let out_dir_arg =
   Arg.(
     value & opt string "_batch"
@@ -720,8 +721,15 @@ let batch_cmd =
           check_shards shards;
           let config = config_of_flags no_regir in
           let rep =
-            Server.Batch.run_registry ~shards ~config ~seed ?deadline_s
-              ~warm:(not cold) ~rounds ~out_dir ()
+            match
+              Server.Batch.run_registry ~shards ~config ~seed ?deadline_s
+                ~warm:(not cold) ~rounds ~out_dir ()
+            with
+            | rep -> rep
+            | exception Sys_error msg ->
+              (* an --out directory that cannot be made *)
+              Fmt.epr "%s@." msg;
+              Stdlib.exit 2
           in
           Fmt.pr "%a@." Server.Batch.pp_report rep;
           if not rep.Server.Batch.ok then Stdlib.exit 1)
@@ -746,7 +754,14 @@ let serve_cmd =
       const (fun shards socket_path out_dir max_conns ->
           check_shards shards;
           let srv =
-            Server.Serve.create ~shards ~socket_path ~out_dir ()
+            match Server.Serve.create ~shards ~socket_path ~out_dir () with
+            | srv -> srv
+            | exception Sys_error msg ->
+              Fmt.epr "%s@." msg;
+              Stdlib.exit 2
+            | exception Unix.Unix_error (err, _, _) ->
+              Fmt.epr "%s: %s@." socket_path (Unix.error_message err);
+              Stdlib.exit 2
           in
           Fmt.pr "serving on %s (%d shards, traces -> %s)@." socket_path
             shards out_dir;
@@ -818,11 +833,17 @@ let submit_cmd =
                   })
               workloads
           in
+          (* a server that hangs up mid-conversation makes a write fail
+             with EPIPE; without this, SIGPIPE would kill the client *)
+          Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
           let replies =
             match Server.Serve.client_submit ~socket_path reqs with
             | rs -> rs
             | exception Unix.Unix_error (err, "connect", _) ->
               Fmt.epr "%s: %s@." socket_path (Unix.error_message err);
+              Stdlib.exit 2
+            | exception (Sys_error msg | Dejavu.Trace.Format_error msg) ->
+              Fmt.epr "%s: server hung up (%s)@." socket_path msg;
               Stdlib.exit 2
           in
           let failed = ref 0 in
@@ -845,7 +866,11 @@ let submit_cmd =
                 (if r.p_digest = "" then ""
                  else String.sub r.p_digest 0 (min 12 (String.length r.p_digest))))
             replies;
-          if !failed > 0 then Stdlib.exit 1)
+          let missing = List.length reqs - List.length replies in
+          if missing > 0 then
+            Fmt.epr "submit: %d of %d jobs got no reply@." missing
+              (List.length reqs);
+          if !failed > 0 || missing > 0 then Stdlib.exit 1)
       $ socket_arg $ op_arg $ workloads_arg $ seed_arg $ trace_arg
       $ deadline_ms_arg)
 

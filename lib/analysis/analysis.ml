@@ -1,8 +1,8 @@
 (* Public facade of the static analysis subsystem: a generic worklist
    dataflow engine, a call-graph/thread-structure builder, the
    interprocedural lockset pass, the thread-escape pass, and the race-audit
-   report consumed by `dvrun lint`, the recorder's trace stamp, and the
-   Observer's thread-local fast path. *)
+   report consumed by `dvrun lint`, the farm's lint jobs and the explorer's
+   conflict oracle. *)
 
 module Json = Json
 module Dataflow = Dataflow

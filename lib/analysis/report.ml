@@ -1,9 +1,8 @@
 (* Race-audit report: pair-based classification of every field and
    allocation site as thread-local / lock-consistent / racy, with method:pc
    provenance, plus the conflict-pair set, static deadlock findings, and
-   the monitor-depth issues. This is the output of `dvrun lint`, and its
-   summary hash is what the recorder stamps into the trace header (the
-   replayer refuses a trace recorded under a different audit).
+   the monitor-depth issues. This is the output of `dvrun lint`; its
+   summary hash is the lint job's digest.
 
    Classification: for a field key, consider all pairs of non-confined
    accesses with at least one write. A pair *conflicts* when its bases may
@@ -19,10 +18,9 @@
    The conflict-pair set — every (access site, field) in some conflicting
    pair — is deliberately *not* refuted by locks: lock-ordered accesses
    still contend for order, which makes them exactly the branch points a
-   DPOR-style explorer must enumerate (and the sites the dynamic Sharing
-   tracker may observe as spawn/join-unordered). Both the conflict set and
-   the deadlock findings fold into the summary hash, so traces are stamped
-   against them. *)
+   DPOR-style explorer must enumerate (and the sites the dynamic sharing
+   tracker of the tests may observe as spawn/join-unordered). Both the
+   conflict set and the deadlock findings fold into the summary hash. *)
 
 module Decl = Bytecode.Decl
 module Check = Bytecode.Check
@@ -306,9 +304,6 @@ let build ?(name = "program") (p : Decl.program) : t =
     mhp_ms;
     deadlock_ms;
   }
-
-(* Just the audit fingerprint, for the trace header. *)
-let summary_hash_of ?name (p : Decl.program) = (build ?name p).summary_hash
 
 let racy_keys t =
   List.filter_map

@@ -44,8 +44,7 @@ let attach_record (vm : Vm.Rt.t) =
   session
 
 let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t) =
-  Dejavu.Replayer.check_header vm ~program_digest:trace.program_digest
-    ~analysis_hash:trace.analysis_hash;
+  Dejavu.Replayer.check_header vm ~program_digest:trace.program_digest;
   let session = Dejavu.Session.for_replay vm (Dejavu.Trace.tapes trace) in
   Dejavu.Replayer.attach_io vm session;
   (* the icount value of the next switch, -1 past the last *)

@@ -122,8 +122,7 @@ let register_thread (b : t) replay_tid =
   b.n_mapped <- b.n_mapped + 1
 
 let attach_replay (vm : Vm.Rt.t) (trace : Dejavu.Trace.t) =
-  Dejavu.Replayer.check_header vm ~program_digest:trace.program_digest
-    ~analysis_hash:trace.analysis_hash;
+  Dejavu.Replayer.check_header vm ~program_digest:trace.program_digest;
   let session = Dejavu.Session.for_replay vm (Dejavu.Trace.tapes trace) in
   Dejavu.Replayer.attach_io vm session;
   let b = base session in

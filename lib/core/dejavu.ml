@@ -23,7 +23,6 @@ module Session = Session
 module Figure2 = Figure2
 module Recorder = Recorder
 module Replayer = Replayer
-module Audit = Audit
 module Symmetry = Symmetry
 
 exception Divergence = Session.Divergence

@@ -46,23 +46,17 @@ let attach vm = attach_tapes vm (Trace.new_tapes ())
 
 let attach_stream vm w = attach_tapes vm (Trace.Writer.tapes w)
 
-(* The header stamp: the program digest and the static race audit's
-   fingerprint (memoized per program, so repeated recordings of one
-   program pay for the analysis once). *)
-let stamp (s : Session.t) =
-  (Bytecode.Decl.digest s.vm.program, Audit.hash_for s.vm.program)
+(* The header stamp: the program digest. *)
+let stamp (s : Session.t) = Bytecode.Decl.digest s.vm.program
 
-let finish s =
-  let program_digest, analysis_hash = stamp s in
-  Session.to_trace ~analysis_hash s program_digest
+let finish s = Session.to_trace s (stamp s)
 
 (* Seal a streamed recording into its destination file (temp file + atomic
    rename inside the writer). On any error the writer is aborted, so a
    cancelled or crashed recording never leaves a partial trace behind. *)
 let finish_stream s w =
   match
-    let program_digest, analysis_hash = stamp s in
-    Trace.Writer.finish w ~program_digest ~analysis_hash
+    Trace.Writer.finish w ~program_digest:(stamp s)
   with
   | sizes -> sizes
   | exception e ->

@@ -21,8 +21,7 @@ val attach : Vm.Rt.t -> Session.t
     discard). *)
 val attach_stream : Vm.Rt.t -> Trace.Writer.t -> Session.t
 
-(** Produce the trace, stamped with the program digest and the race
-    audit's fingerprint. *)
+(** Produce the trace, stamped with the program digest. *)
 val finish : Session.t -> Trace.t
 
 (** Seal a streamed recording into its destination file (atomic rename),

@@ -61,23 +61,12 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
       Ring.put s.ring nat.nat_id;
       outcome)
 
-let check_header (vm : Vm.Rt.t) ~program_digest ~analysis_hash =
+let check_header (vm : Vm.Rt.t) ~program_digest =
   let own_digest = Bytecode.Decl.digest vm.program in
   if program_digest <> own_digest then
     Session.divergence
       "trace was recorded for a different program (digest %s, expected %s)"
-      program_digest own_digest;
-  (* same code, but a different race audit: the recording may have relied
-     on thread-local assumptions this side does not share — refuse. "" is
-     a trace recorded without an audit stamp, accepted as unchecked. *)
-  if analysis_hash <> "" then begin
-    let own_hash = Audit.hash_for vm.program in
-    if analysis_hash <> own_hash then
-      Session.divergence
-        "trace was recorded under a different race audit (hash %s, expected \
-         %s)"
-        analysis_hash own_hash
-  end
+      program_digest own_digest
 
 (* Re-drive recorded dispatch overrides. A trace with a picks section was
    recorded under a controlled scheduler whose [h_pick] steered dispatch
@@ -102,9 +91,8 @@ let attach_picks (vm : Vm.Rt.t) (s : Session.t) =
 (* The one attach: reject a foreign header, then install the hooks over
    the five tapes, a trace's arrays in memory or the reader's
    chunk-refilled views (O(chunk) replay-side trace memory). *)
-let attach_tapes (vm : Vm.Rt.t) ~program_digest ~analysis_hash tapes :
-    Session.t =
-  check_header vm ~program_digest ~analysis_hash;
+let attach_tapes (vm : Vm.Rt.t) ~program_digest tapes : Session.t =
+  check_header vm ~program_digest;
   let s = Session.for_replay vm tapes in
   attach_io vm s;
   attach_picks vm s;
@@ -114,13 +102,11 @@ let attach_tapes (vm : Vm.Rt.t) ~program_digest ~analysis_hash tapes :
   s
 
 let attach vm (trace : Trace.t) =
-  attach_tapes vm ~program_digest:trace.program_digest
-    ~analysis_hash:trace.analysis_hash (Trace.tapes trace)
+  attach_tapes vm ~program_digest:trace.program_digest (Trace.tapes trace)
 
 let attach_stream vm r =
   attach_tapes vm
     ~program_digest:(Trace.Reader.program_digest r)
-    ~analysis_hash:(Trace.Reader.analysis_hash r)
     (Trace.Reader.tapes r)
 
 let check_complete (s : Session.t) = Session.leftovers s

@@ -9,10 +9,8 @@ exception Divergence of string
 (** Install only the clock/input/native substitution. *)
 val attach_io : Vm.Rt.t -> Session.t -> unit
 
-(** Reject a header recorded for a different program or under a different
-    race audit. *)
-val check_header :
-  Vm.Rt.t -> program_digest:string -> analysis_hash:string -> unit
+(** Reject a header recorded for a different program. *)
+val check_header : Vm.Rt.t -> program_digest:string -> unit
 
 (** Full DejaVu replay attachment: digest check, {!attach_io}, and the
     Figure-2 replay yield-point hook, its [nyp] primed with the first

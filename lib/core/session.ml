@@ -80,10 +80,9 @@ let tapes s = [| s.switches; s.clocks; s.inputs; s.natives; s.picks |]
 
 let streaming (s : t) = Array.exists Trace.Tape.is_streaming (tapes s)
 
-let to_trace ?(analysis_hash = "") (s : t) program_digest : Trace.t =
+let to_trace (s : t) program_digest : Trace.t =
   {
     Trace.program_digest;
-    analysis_hash;
     switches = Trace.Tape.to_array s.switches;
     clocks = Trace.Tape.to_array s.clocks;
     inputs = Trace.Tape.to_array s.inputs;

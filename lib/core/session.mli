@@ -52,9 +52,9 @@ val for_replay : Vm.Rt.t -> Trace.Tape.t array -> t
     {!snapshot}/{!restore} (checkpoints cannot rewind flushed data). *)
 val streaming : t -> bool
 
-(** Freeze a (record) session's tapes into a trace, optionally stamped
-    with the static race-audit fingerprint (default [""] = unaudited). *)
-val to_trace : ?analysis_hash:string -> t -> string -> Trace.t
+(** Freeze a (record) session's tapes into a trace stamped with the given
+    program digest. *)
+val to_trace : t -> string -> Trace.t
 
 (** Session state that must roll back together with a VM snapshot
     (checkpoint-accelerated time travel). *)

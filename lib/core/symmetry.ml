@@ -31,7 +31,6 @@ let warmup_once () =
       Trace.save path
         {
           Trace.program_digest = "warmup";
-          analysis_hash = "";
           switches = [| 1; 2; 3 |];
           clocks = [| 0; 42 |];
           inputs = [| 7 |];

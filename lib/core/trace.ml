@@ -120,12 +120,6 @@ end
 
 type t = {
   program_digest : string;
-  analysis_hash : string;
-      (* fingerprint of the static race audit the program was recorded
-         under ("" = recorded without an audit); the replayer refuses a
-         trace stamped with a different audit, so a replay never silently
-         runs under different thread-local/racy assumptions than the
-         recording (e.g. the Observer's thread-local fast path) *)
   switches : int array;
   clocks : int array; (* flattened (reason, value) pairs *)
   inputs : int array;
@@ -198,7 +192,9 @@ type sizes = {
 
 (* --- serialization ---------------------------------------------------- *)
 
-(* DJVU2 added the analysis-hash header field after the program digest. *)
+(* The DJVU2 header: magic, the program digest, and a second string field
+   that is written empty and skipped on read (traces of older builds carry
+   a race-audit stamp there). *)
 let magic = "DJVU2\n"
 
 let zigzag v = (v lsl 1) lxor (v asr 62)
@@ -341,12 +337,11 @@ let new_tapes () = Array.map Tape.create section_names
 let tapes (t : t) = Array.map2 Tape.of_array section_names (sections t)
 
 (* The header, shared by [to_bytes] and [Writer.finish]. *)
-let put_header buf ~program_digest ~analysis_hash =
+let put_header buf ~program_digest =
   Buffer.add_string buf magic;
   put_varint buf (String.length program_digest);
   Buffer.add_string buf program_digest;
-  put_varint buf (String.length analysis_hash);
-  Buffer.add_string buf analysis_hash
+  put_varint buf 0
 
 (* The reference encoder: the whole trace in one string. [Writer] must
    write the same bytes; the two share only [put_header] and [put_varint],
@@ -354,8 +349,7 @@ let put_header buf ~program_digest ~analysis_hash =
    independent one. *)
 let to_bytes (t : t) : string =
   let buf = Buffer.create 4096 in
-  put_header buf ~program_digest:t.program_digest
-    ~analysis_hash:t.analysis_hash;
+  put_header buf ~program_digest:t.program_digest;
   Array.iteri
     (fun i arr ->
       if written i (Array.length arr) then begin
@@ -377,7 +371,7 @@ let encoded_size (t : t) : int =
         (varint_size (Array.length arr))
         arr
   in
-  String.length magic + field t.program_digest + field t.analysis_hash
+  String.length magic + field t.program_digest + field ""
   + Array.fold_left ( + ) 0 (Array.mapi section (sections t))
 
 (* Statistics from per-section element counts, in section order. *)
@@ -462,9 +456,18 @@ module Writer = struct
 
   let create ?(buf_words = default_buf_words) path =
     let buf_words = max 1 buf_words in
+    (* the rename at [finish] would replace a FIFO, device or directory *)
+    if Sys.file_exists path && not (Sys.is_regular_file path) then
+      raise (Sys_error (path ^ ": not a regular file"));
     (* opened first, so an unwritable destination fails here, leaving
-       nothing behind *)
-    let tmp = open_out_bin (path ^ ".tmp") in
+       nothing behind; the error names [path], not the scratch name *)
+    let tmp =
+      let tmp_path = path ^ ".tmp" in
+      try open_out_bin tmp_path
+      with Sys_error msg when String.starts_with ~prefix:tmp_path msg ->
+        let n = String.length tmp_path in
+        raise (Sys_error (path ^ String.sub msg n (String.length msg - n)))
+    in
     let streams =
       Array.map
         (fun _ -> { w_buf = Buffer.create 256; w_chunks = []; w_count = 0 })
@@ -524,7 +527,7 @@ module Writer = struct
         w.spill
     end
 
-  let finish w ~program_digest ~analysis_hash : sizes =
+  let finish w ~program_digest : sizes =
     if w.closed then invalid_arg "Trace.Writer.finish: finished writer";
     let total_bytes =
       try
@@ -540,7 +543,7 @@ module Writer = struct
           ~finally:(fun () -> Option.iter close_in_noerr spilled)
           (fun () ->
             let b = Buffer.create 64 in
-            put_header b ~program_digest ~analysis_hash;
+            put_header b ~program_digest;
             Buffer.output_buffer w.tmp b;
             Array.iteri
               (fun i s ->
@@ -598,7 +601,6 @@ module Reader = struct
   type t = {
     src : source;
     r_digest : string;
-    r_hash : string;
     r_tapes : Tape.t array;
     mutable r_closed : bool;
   }
@@ -681,7 +683,8 @@ module Reader = struct
         end
       in
       let r_digest = str_field "digest" in
-      let r_hash = str_field "analysis-hash" in
+      (* the second field: bounds-checked, then dropped *)
+      ignore (str_field "analysis-hash");
       (* skip [count] varints by counting terminator bytes (top bit clear);
          malformed interiors surface as Format_error at refill time *)
       let section () =
@@ -741,7 +744,7 @@ module Reader = struct
                 end))
           section_names
       in
-      { src; r_digest; r_hash; r_tapes; r_closed = false }
+      { src; r_digest; r_tapes; r_closed = false }
     with
     | r -> r
     | exception e ->
@@ -751,8 +754,6 @@ module Reader = struct
   let open_file ?chunk_words path = open_source ?chunk_words (file_source path)
 
   let program_digest r = r.r_digest
-
-  let analysis_hash r = r.r_hash
 
   let tapes r = r.r_tapes
 
@@ -778,7 +779,6 @@ let read_all src =
       in
       {
         program_digest = Reader.program_digest r;
-        analysis_hash = Reader.analysis_hash r;
         switches = a.(0);
         clocks = a.(1);
         inputs = a.(2);
@@ -799,7 +799,6 @@ let save path (t : t) =
       (fun tape sec -> Array.iter (Tape.push tape) sec)
       (Writer.tapes w) (sections t);
     Writer.finish w ~program_digest:t.program_digest
-      ~analysis_hash:t.analysis_hash
   with
   | _ -> ()
   | exception e ->

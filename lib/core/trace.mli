@@ -14,7 +14,9 @@
 
     Tapes are flat integer sequences; the file format is a zigzag-varint
     stream with a header carrying the program's structural digest so a
-    trace cannot be replayed against the wrong code.
+    trace cannot be replayed against the wrong code. The header's second
+    field, a race-audit stamp in traces of older builds, is written empty
+    and ignored on read: a trace depends only on the program and the VM.
 
     Codec contract: {!to_bytes} is the reference encoder, value by value
     through {!put_varint}; {!Writer} is the one file writer (also behind
@@ -86,11 +88,6 @@ end
 
 type t = {
   program_digest : string;
-  analysis_hash : string;
-      (** fingerprint of the static race audit ({!Audit.hash_for}) the
-          program was recorded under; [""] means recorded without an
-          audit. The replayer refuses a trace stamped with a different
-          audit. *)
   switches : int array;
   clocks : int array;  (** flattened (reason, value) pairs *)
   inputs : int array;
@@ -186,8 +183,10 @@ module Writer : sig
 
   (** [create ?buf_words path] opens a writer targeting [path] and creates
       [path ^ ".tmp"] at once, so an unwritable destination raises
-      [Sys_error] here, leaving nothing. Scratch files live next to [path]
-      (same filesystem, so the final rename is atomic). *)
+      [Sys_error] naming [path] here, leaving nothing; so does a [path]
+      that exists but is not a regular file, which the final rename would
+      replace. Scratch files live next to [path] (same filesystem, so the
+      final rename is atomic). *)
   val create : ?buf_words:int -> string -> t
 
   (** The five sink-wired tapes, in section order: switches, clocks,
@@ -201,7 +200,7 @@ module Writer : sig
   (** Flush tails, write the final file, atomic-rename it into place,
       remove the spill file if any; returns the trace statistics (tracked
       incrementally — the trace is never materialized). *)
-  val finish : t -> program_digest:string -> analysis_hash:string -> sizes
+  val finish : t -> program_digest:string -> sizes
 
   (** Discard a recording: close and remove all scratch state. Idempotent;
       never leaves a partial trace under the destination name. *)
@@ -223,8 +222,6 @@ module Reader : sig
   val open_file : ?chunk_words:int -> string -> t
 
   val program_digest : t -> string
-
-  val analysis_hash : t -> string
 
   (** The five refill-wired tapes, in section order: switches, clocks,
       inputs, natives, picks (served empty when the file predates the

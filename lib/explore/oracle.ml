@@ -51,14 +51,13 @@ let program_time_sensitive (p : Bytecode.Decl.program) =
         c.Bytecode.Decl.cd_methods)
     p.Bytecode.Decl.classes
 
-(* The audit report is the one trace headers are stamped with, memoized by
-   program digest (and shared by every farm shard) in [Dejavu.Audit]; the
-   oracle resolves its branch points once per exploration. *)
+(* One static audit per exploration: [Analysis.run] takes well under a
+   millisecond per registry program. *)
 let for_entry (e : Workloads.Registry.entry) : t =
   let sites = Hashtbl.create 16 in
   List.iter
     (fun (site, _field) -> Hashtbl.replace sites site ())
-    (Report.branch_points (Dejavu.Audit.report_for e.program));
+    (Report.branch_points (Analysis.run e.program));
   let vm =
     Vm.create
       ~config:{ Vm.Rt.default_config with Vm.Rt.regir = false }

@@ -20,7 +20,7 @@ let illegal_monitor () = raise (Rt.Vm_exception "IllegalMonitorStateException")
 
 (* Instrumentation: monitor ownership edges and cross-thread happens-before
    edges (join completion, interrupt delivery). No-ops unless a listener —
-   e.g. the Observer's sharing tracker — installed the hook. *)
+   e.g. the tests' sharing tracker — installed the hook. *)
 let lock_event (vm : Rt.t) acquired (m : Rt.monitor) tid =
   match vm.hooks.h_lock with Some f -> f vm acquired m.m_id tid | None -> ()
 

@@ -1,13 +1,12 @@
 (* Static race audit: exact classifications on hand-built programs, the
    generic backward dataflow engine, the monitor-depth sanity pass, the
    dynamic-vs-static containment property (every race the dynamic tracker
-   observes must be flagged racy statically), and the trace-header audit
-   stamp with the Observer's thread-local fast path. *)
+   observes must be flagged racy statically), and the dynamic tracker's
+   thread-local fast path ([Sharing], test/sharing.ml). *)
 
 open Tutil
 
 module Report = Analysis.Report
-module Sharing = Vm.Observer.Sharing
 
 let find_key (r : Report.t) key =
   List.find_opt (fun (f : Report.finding) -> f.Report.f_key = key) r.Report.findings
@@ -268,7 +267,7 @@ let run_tracked ?skip ?(seed = 1) ?natives p =
   (sh, st)
 
 let dynamic_subset_of_static ?(where = "") sh p =
-  let static_racy = Report.racy_keys (Dejavu.Audit.report_for p) in
+  let static_racy = Report.racy_keys (Analysis.run p) in
   List.for_all
     (fun k ->
       let ok = List.mem k static_racy in
@@ -294,7 +293,7 @@ let test_registry_fully_classified () =
      method:pc provenance on each recorded access *)
   List.iter
     (fun (e : Workloads.Registry.entry) ->
-      let r = Dejavu.Audit.report_for e.Workloads.Registry.program in
+      let r = Analysis.run e.Workloads.Registry.program in
       Alcotest.(check bool) (e.Workloads.Registry.name ^ " converged") true
         r.Report.converged;
       List.iter
@@ -327,7 +326,7 @@ let prop_dynamic_subset =
       | st -> QCheck.Test.fail_reportf "bad status %s" (Vm.string_of_status st));
       Sharing.valid sh && dynamic_subset_of_static sh p)
 
-(* --- trace stamp + thread-local fast path ------------------------------- *)
+(* --- thread-local fast path ---------------------------------------------- *)
 
 (* Main hammers a private instance field (proven thread-local — skippable)
    while two workers race on a static. *)
@@ -396,19 +395,23 @@ let skip_prog =
         [ worker; main ];
     ]
 
+(* The tracker's skip predicate: true exactly for the field keys the
+   static audit proved thread-local. *)
+let skip_for p =
+  let local = Report.thread_local_fields (Analysis.run p) in
+  fun key -> List.mem key local
+
 let test_skip_predicate () =
-  let skip = Dejavu.Audit.skip_for skip_prog in
+  let skip = skip_for skip_prog in
   Alcotest.(check bool) "C.x skippable" true (skip "C.x");
-  Alcotest.(check bool) "C.count not skippable" false (skip "C.count (static)");
-  Alcotest.(check bool) "audit hash nonempty" true
-    (Dejavu.Audit.hash_for skip_prog <> "")
+  Alcotest.(check bool) "C.count not skippable" false (skip "C.count (static)")
 
 let record_bytes ~with_sharing p =
   let vm = Vm.create ~config:big_config p in
   let session = Dejavu.Recorder.attach vm in
   let sh =
     if with_sharing then
-      Some (Sharing.attach ~skip:(Dejavu.Audit.skip_for p) vm)
+      Some (Sharing.attach ~skip:(skip_for p) vm)
     else None
   in
   ignore (Vm.run vm);
@@ -430,24 +433,6 @@ let test_fast_path_preserves_trace () =
       (Sharing.n_tracked sh > 0);
     Alcotest.(check bool) "dynamic race seen on the static" true
       (List.mem "C.count (static)" (Sharing.shared_keys sh))
-
-let test_trace_carries_audit_hash () =
-  let rt = Dejavu.verify_roundtrip ~config:big_config skip_prog in
-  Alcotest.check verdict "roundtrip ok" Dejavu.Ok rt.Dejavu.verdict;
-  Alcotest.(check string) "stamped hash"
-    (Dejavu.Audit.hash_for skip_prog)
-    rt.Dejavu.trace.Dejavu.Trace.analysis_hash
-
-let test_replay_rejects_other_audit () =
-  let t, _ = record_bytes ~with_sharing:false skip_prog in
-  let tampered = { t with Dejavu.Trace.analysis_hash = "0000000000000000" } in
-  let run, leftovers =
-    Dejavu.replay ~config:big_config skip_prog tampered
-  in
-  Alcotest.(check bool) "rejected" true
-    (match run.Dejavu.verdict with Dejavu.Rejected _ -> true | _ -> false);
-  Alcotest.(check bool) "names the audit" true
-    (List.exists (fun m -> contains m "different race audit") leftovers)
 
 (* --- sorted-set primitives ---------------------------------------------- *)
 
@@ -483,7 +468,7 @@ let registry_program name =
 let test_gc_churn_refined () =
   (* per-root allocation tags prove each worker's nodes disjoint: the PR-3
      imprecision entries (escape coarsening via Churn.survivor) retire *)
-  let r = Dejavu.Audit.report_for (registry_program "gc-churn") in
+  let r = Analysis.run (registry_program "gc-churn") in
   check_status r "Node.value" Report.Thread_local;
   check_status r "Node.next" Report.Thread_local;
   (match find_key r "Node.value" with
@@ -507,7 +492,7 @@ let test_gc_churn_refined () =
   | None -> Alcotest.fail "no Node site finding"
 
 let test_lock_cycle_flagged () =
-  let r = Dejavu.Audit.report_for (registry_program "lock-cycle") in
+  let r = Analysis.run (registry_program "lock-cycle") in
   Alcotest.(check (list string))
     "cycle key"
     [ "static Cycle.lockA -> static Cycle.lockB" ]
@@ -534,7 +519,7 @@ let test_lock_cycle_flagged () =
 let test_registry_no_false_deadlocks () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
-      let r = Dejavu.Audit.report_for e.Workloads.Registry.program in
+      let r = Analysis.run e.Workloads.Registry.program in
       let expected =
         if e.Workloads.Registry.name = "lock-cycle" then 1 else 0
       in
@@ -712,7 +697,7 @@ let test_registry_conflict_containment () =
       if Sharing.valid sh then begin
         let static =
           Report.conflict_fields
-            (Dejavu.Audit.report_for e.Workloads.Registry.program)
+            (Analysis.run e.Workloads.Registry.program)
         in
         List.iter
           (fun k ->
@@ -754,12 +739,10 @@ let () =
           quick "registry: fully classified" test_registry_fully_classified;
           QCheck_alcotest.to_alcotest prop_dynamic_subset;
         ] );
-      ( "stamp",
+      ( "thread-local",
         [
           quick "skip predicate" test_skip_predicate;
           quick "fast path preserves trace" test_fast_path_preserves_trace;
-          quick "trace carries audit hash" test_trace_carries_audit_hash;
-          quick "replay rejects other audit" test_replay_rejects_other_audit;
         ] );
       ( "sets",
         [

@@ -44,8 +44,7 @@ let read_file path =
 
 (* A small lock-cycle variant so the unpruned bounded tree stays small
    enough to enumerate exhaustively. Its program differs from the
-   registry's full-size lock-cycle, so it gets its own audit (the oracle's
-   source, memoized by program digest). *)
+   registry's full-size lock-cycle, so the oracle audits it on its own. *)
 let lock_cycle_small : Workloads.Registry.entry =
   {
     Workloads.Registry.name = "lock-cycle-small";
@@ -209,11 +208,10 @@ let test_runners_agree () =
 (* racy-counter's root schedule has ~32k decision slots and exposes ~16k
    children. Kept as (parent, slot, alternative) over the one shared
    parent vector they cost a few words each; as full prefix arrays they
-   would allocate about 2 GiB. The audit is built first: it is memoized,
-   and not the frontier's cost. *)
+   would allocate about 2 GiB. The count includes the oracle's one static
+   audit. *)
 let test_frontier_compact () =
   let e = find "racy-counter" in
-  ignore (Oracle.for_entry e);
   let before = Gc.allocated_bytes () in
   let rep = Driver.run ~pb:2 ~db:1 ~max_schedules:2 e in
   let mib = (Gc.allocated_bytes () -. before) /. 1048576. in

@@ -51,7 +51,6 @@ let trace_decoders_on ?(strict = false) v =
   let empty =
     {
       Dejavu.Trace.program_digest = "prop";
-      analysis_hash = "";
       switches = [||];
       clocks = [||];
       inputs = [||];
@@ -133,7 +132,6 @@ let prop_trace_roundtrip =
       let t =
         {
           Dejavu.Trace.program_digest = "prop";
-          analysis_hash = "prop-audit";
           switches = a;
           clocks = b;
           inputs = c;

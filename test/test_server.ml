@@ -701,6 +701,77 @@ let test_serve_survives_oversized_name () =
       P.write_request oc (lint_submit (String.make (9 * 1024 * 1024) 'x'));
       Unix.shutdown fd Unix.SHUTDOWN_SEND)
 
+(* [dvrun submit] against a server that hangs up, played by a listener
+   that serves one connection with [conv]. SIGPIPE is ignored here, as
+   dvrun submit ignores it, so a write to the closed socket fails with
+   EPIPE instead of killing the process. *)
+let with_listener conv f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_tmp_dir (fun dir ->
+      let socket_path = Filename.concat dir "dv.sock" in
+      let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close lfd)
+        (fun () ->
+          Unix.bind lfd (Unix.ADDR_UNIX socket_path);
+          Unix.listen lfd 1;
+          let listener =
+            Domain.spawn (fun () ->
+                let fd, _ = Unix.accept lfd in
+                Fun.protect
+                  ~finally:(fun () -> Unix.close fd)
+                  (fun () ->
+                    conv (Unix.in_channel_of_descr fd)
+                      (Unix.out_channel_of_descr fd)))
+          in
+          Fun.protect
+            ~finally:(fun () -> Domain.join listener)
+            (fun () -> f socket_path)))
+
+(* The listener reads one frame and closes while the client still has
+   about 1 MB to write, more than the socket buffers hold: the client's
+   blocked write fails, and [client_submit] raises Sys_error, which
+   dvrun submit reports in one line and exits 2. *)
+let test_submit_hang_up () =
+  with_listener
+    (fun ic _ -> ignore (P.read_request ic))
+    (fun socket_path ->
+      let reqs = List.init 256 (fun _ -> lint_submit (String.make 4000 'x')) in
+      match Server.Serve.client_submit ~socket_path reqs with
+      | rs -> Alcotest.failf "%d replies after a hang-up" (List.length rs)
+      | exception Sys_error _ -> ())
+
+(* The listener takes both Submits and Finish but replies once: the
+   client returns the one reply, and dvrun submit exits 1 on the job that
+   got none. *)
+let test_submit_short_replies () =
+  with_listener
+    (fun ic oc ->
+      let rec drain () =
+        match P.read_request ic with
+        | None | Some P.Finish -> ()
+        | Some _ -> drain ()
+      in
+      drain ();
+      P.write_reply oc
+        {
+          P.p_seq = 0;
+          p_op = P.Op_lint;
+          p_workload = "bank";
+          p_outcome = 0;
+          p_status = "ok";
+          p_digest = "";
+          p_attempts = 1;
+          p_latency_us = 0;
+          p_words = 0;
+        })
+    (fun socket_path ->
+      let replies =
+        Server.Serve.client_submit ~socket_path
+          [ lint_submit "bank"; lint_submit "primes" ]
+      in
+      Alcotest.(check int) "one reply of two" 1 (List.length replies))
+
 let () =
   Alcotest.run "server"
     [
@@ -743,5 +814,7 @@ let () =
           quick "survives a huge string length" test_serve_survives_huge_length;
           quick "survives an oversized workload name"
             test_serve_survives_oversized_name;
+          quick "submit survives a hang-up" test_submit_hang_up;
+          quick "submit returns short replies" test_submit_short_replies;
         ] );
     ]

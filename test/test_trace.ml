@@ -4,11 +4,10 @@ open Tutil
 
 module T = Dejavu.Trace
 
-let mk ?(digest = "d") ?(analysis_hash = "") ?(switches = [||])
-    ?(clocks = [||]) ?(inputs = [||]) ?(natives = [||]) ?(picks = [||]) () =
+let mk ?(digest = "d") ?(switches = [||]) ?(clocks = [||]) ?(inputs = [||])
+    ?(natives = [||]) ?(picks = [||]) () =
   {
     T.program_digest = digest;
-    analysis_hash;
     switches;
     clocks;
     inputs;
@@ -18,7 +17,6 @@ let mk ?(digest = "d") ?(analysis_hash = "") ?(switches = [||])
 
 let trace_eq a b =
   a.T.program_digest = b.T.program_digest
-  && a.T.analysis_hash = b.T.analysis_hash
   && a.T.switches = b.T.switches
   && a.T.clocks = b.T.clocks
   && a.T.inputs = b.T.inputs
@@ -226,8 +224,7 @@ let test_reason_tags () =
 (* --- streaming writer / reader ----------------------------------------- *)
 
 let sample_trace () =
-  mk ~digest:"prog" ~analysis_hash:"audit"
-    ~switches:[| 3; 0; 150; 4096; 1 |]
+  mk ~digest:"prog" ~switches:[| 3; 0; 150; 4096; 1 |]
     ~clocks:[| 0; 5; 1; 70000; 2; 123456789 |]
     ~inputs:[| 42; -17; 0 |]
     ~natives:[| 1; 0; 0; 2; 1; 99 |]
@@ -259,7 +256,6 @@ let stream_out ?buf_words path (t : T.t) =
   Array.iter (fun v -> T.Tape.push tp.(3) v) t.T.natives;
   Array.iter (fun v -> T.Tape.push tp.(4) v) t.T.picks;
   T.Writer.finish w ~program_digest:t.T.program_digest
-    ~analysis_hash:t.T.analysis_hash
 
 let read_file path =
   let ic = open_in_bin path in
@@ -308,8 +304,6 @@ let test_reader_roundtrip () =
         (fun () ->
           Alcotest.(check string)
             "digest" t.T.program_digest (T.Reader.program_digest r);
-          Alcotest.(check string)
-            "audit" t.T.analysis_hash (T.Reader.analysis_hash r);
           let tp = T.Reader.tapes r in
           let drain k =
             Array.init (T.Tape.remaining tp.(k)) (fun _ -> T.Tape.read tp.(k))
@@ -421,7 +415,7 @@ let edge_trace () =
     [| dense 15_000; dense 15_000; dense 15_000; dense 4_000; dense 2_000 |]
   in
   let build () =
-    mk ~digest:"edges" ~analysis_hash:"audit" ~switches:secs.(0)
+    mk ~digest:"edges" ~switches:secs.(0)
       ~clocks:secs.(1) ~inputs:secs.(2) ~natives:secs.(3) ~picks:secs.(4) ()
   in
   List.iteri
@@ -520,9 +514,7 @@ let test_writer_scratch_lifecycle () =
       let w = T.Writer.create path in
       push_all w t;
       Alcotest.(check (list string)) "only tmp" [ "t.trace.tmp" ] (listing dir);
-      ignore
-        (T.Writer.finish w ~program_digest:t.T.program_digest
-           ~analysis_hash:t.T.analysis_hash);
+      ignore (T.Writer.finish w ~program_digest:t.T.program_digest);
       Alcotest.(check (list string)) "only path" [ "t.trace" ] (listing dir);
       Sys.remove path;
       (* several times the cap (16 x buf_words bytes per stream; 64 KiB at
@@ -537,9 +529,7 @@ let test_writer_scratch_lifecycle () =
           push_all w big;
           Alcotest.(check (list string))
             "spilled" [ "t.trace.spill"; "t.trace.tmp" ] (listing dir);
-          ignore
-            (T.Writer.finish w ~program_digest:big.T.program_digest
-               ~analysis_hash:big.T.analysis_hash);
+          ignore (T.Writer.finish w ~program_digest:big.T.program_digest);
           Alcotest.(check (list string)) "only path" [ "t.trace" ] (listing dir);
           Alcotest.(check bool)
             "file = to_bytes" true
@@ -557,6 +547,72 @@ let test_writer_scratch_lifecycle () =
       | _ -> Alcotest.fail "create under a missing directory"
       | exception Sys_error _ -> ());
       Alcotest.(check (list string)) "create leaves nothing" [] (listing dir))
+
+(* A destination the writer cannot use fails at [create] with a
+   [Sys_error] naming it, not its scratch file, and leaves the directory
+   as it was: a missing parent directory, and a FIFO the final rename
+   would otherwise replace with a regular file. *)
+let test_writer_bad_destination () =
+  with_dir (fun dir ->
+      let refused what path =
+        match T.Writer.create path with
+        | w ->
+          T.Writer.abort w;
+          Alcotest.failf "%s accepted" what
+        | exception Sys_error msg ->
+          Alcotest.(check bool)
+            (Fmt.str "%s: %S names the path" what msg)
+            true
+            (String.starts_with ~prefix:(path ^ ": ") msg)
+      in
+      refused "missing directory"
+        (Filename.concat (Filename.concat dir "missing") "t.trace");
+      let fifo = Filename.concat dir "fifo" in
+      Unix.mkfifo fifo 0o600;
+      refused "fifo" fifo;
+      Alcotest.(check bool)
+        "still a fifo" true
+        ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO);
+      Alcotest.(check (list string)) "nothing added" [ "fifo" ] (listing dir))
+
+(* DJVU2's second header field held a race-audit stamp in older builds.
+   The reader bounds-checks it and drops it, so a stamped trace decodes to
+   the same tapes as the unstamped bytes the writers produce now. *)
+let test_reader_legacy_stamp () =
+  let t = sample_trace () in
+  let fresh = T.to_bytes t in
+  let prefix =
+    "DJVU2\n" ^ String.make 1 (Char.chr (2 * String.length t.T.program_digest))
+    ^ t.T.program_digest
+  in
+  let n = String.length prefix in
+  Alcotest.(check string) "fresh header" (prefix ^ "\x00") (String.sub fresh 0 (n + 1));
+  let body = String.sub fresh (n + 1) (String.length fresh - n - 1) in
+  let stamp = "070a75f7a05d6035" in
+  let stamped =
+    prefix ^ String.make 1 (Char.chr (2 * String.length stamp)) ^ stamp ^ body
+  in
+  Alcotest.(check bool) "of_bytes" true (trace_eq t (T.of_bytes stamped));
+  with_tmp (fun path ->
+      let oc = open_out_bin path in
+      output_string oc stamped;
+      close_out oc;
+      let r = T.Reader.open_file ~chunk_words:2 path in
+      Fun.protect
+        ~finally:(fun () -> T.Reader.close r)
+        (fun () ->
+          Alcotest.(check string) "digest" t.T.program_digest
+            (T.Reader.program_digest r);
+          Alcotest.(check bool) "tapes" true (drain_all r = sections t)));
+  (* a cut inside the stamp, or a stamp length past the end, is malformed *)
+  for cut = n + 1 to n + String.length stamp do
+    match T.of_bytes (String.sub stamped 0 cut) with
+    | _ -> Alcotest.failf "cut at %d decoded" cut
+    | exception T.Format_error _ -> ()
+  done;
+  match T.of_bytes (prefix ^ "\x7e" ^ stamp) with
+  | _ -> Alcotest.fail "overlong stamp decoded"
+  | exception T.Format_error _ -> ()
 
 (* Writer -> file -> Reader on random tapes up to 3x the spill cap, with
    random buffer and chunk sizes: the file is [to_bytes] and every tape
@@ -584,7 +640,7 @@ let prop_stream_roundtrip =
        (QCheck.make ~print gen)
        (fun (buf_words, chunk_words, secs) ->
          let t =
-           mk ~digest:"prop" ~analysis_hash:"audit" ~switches:secs.(0)
+           mk ~digest:"prop" ~switches:secs.(0)
              ~clocks:secs.(1) ~inputs:secs.(2) ~natives:secs.(3)
              ~picks:secs.(4) ()
          in
@@ -829,6 +885,8 @@ let () =
           quick "reader corrupt" test_reader_corrupt;
           quick "reader window edges" test_reader_window_edges;
           quick "writer scratch lifecycle" test_writer_scratch_lifecycle;
+          quick "writer bad destination" test_writer_bad_destination;
+          quick "reader legacy stamp" test_reader_legacy_stamp;
           prop_stream_roundtrip;
           prop_writer_default_spills;
           prop_fast_decoder;
