@@ -21,7 +21,10 @@ smoke:
 # writer left its scratch files (*.tmp, *.spill) behind. Then replay two of
 # the recorded files through the user-facing CLI, which exits by the
 # replay's verdict: 0 reproduced, 1 diverged or trace words left, 2 bad
-# input. Then record and replay examples/progs/oom.djv, whose run ends
+# input. Then record primes and replay it with -v: the record's stats
+# must show preemption requests (preempts= above 0) and the replay's must
+# show preempts=0, since the environment's timer never runs in replay.
+# Then record and replay examples/progs/oom.djv, whose run ends
 # fatal (out of memory): its replay reproduces that and must exit 0. Then
 # drive the replay debugger (`dvrun debug`) through a batch session that
 # watches, continues, travels back and quits, which must exit 0. Last,
@@ -30,9 +33,9 @@ smoke:
 # program or cut to 40 bytes. So must bad command-line input: `record`
 # into a directory that does not exist or onto a FIFO (which must still be
 # a FIFO afterwards), `submit` to a socket that does not exist, `serve`
-# on a socket and `batch` into a directory under a regular file, and
-# `batch --shards 0` and `explore --shards 0`. Every path is in a temp
-# dir.
+# on a socket and `batch` into a directory under a regular file, `serve`
+# and `batch` with a regular file as --out, and `batch --shards 0` and
+# `explore --shards 0`. Every path is in a temp dir.
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
@@ -40,6 +43,15 @@ batch-smoke:
 	    echo "$$left"; exit 1; fi
 	dune exec bin/dvrun.exe -- replay bank -i _batch/bank.trace
 	dune exec bin/dvrun.exe -- replay racy-counter -i _batch/racy-counter.trace
+	@rec=$$(dune exec bin/dvrun.exe -- record primes -v -o _batch/primes-v.trace \
+	    | grep -o 'preempts=[0-9]*'); \
+	  rep=$$(dune exec bin/dvrun.exe -- replay primes -v -i _batch/primes-v.trace \
+	    | grep -o 'preempts=[0-9]*'); \
+	  echo "batch-smoke: record $$rec, replay $$rep"; \
+	  case "$$rec" in preempts=0|"") \
+	    echo "batch-smoke: the recording raised no preemption requests"; exit 1;; esac; \
+	  if [ "$$rep" != preempts=0 ]; then \
+	    echo "batch-smoke: the replay ran the timer ($$rep)"; exit 1; fi
 	dune exec bin/dvrun.exe -- record examples/progs/oom.djv -o _batch/oom.trace
 	dune exec bin/dvrun.exe -- replay examples/progs/oom.djv -i _batch/oom.trace
 	dune exec bin/dvrun.exe -- debug racy-counter \
@@ -59,6 +71,8 @@ batch-smoke:
 	    "submit --socket $$dir/missing.sock roundtrip bank" \
 	    "serve --socket $$dir/file/s.sock --out $$dir/out" \
 	    "batch --out $$dir/file/out" \
+	    "serve --socket $$dir/s.sock --out $$dir/file" \
+	    "batch --out $$dir/file" \
 	    "batch --shards 0" \
 	    "explore bank --shards 0"; do \
 	    dune exec bin/dvrun.exe -- $$cmd; rc=$$?; \

@@ -20,10 +20,10 @@
    Other bad command-line input exits 2 with one line on stderr too: a
    trace path record cannot write or that is not a regular file, a socket
    serve cannot bind or submit cannot connect to, an --out directory batch
-   or serve cannot make, a name submit would send over 4,096 bytes,
-   --shards below 1 for batch, serve or explore. A server that hangs up on
-   submit exits it 2 as well; submit exits 1 when a job failed or got no
-   reply. *)
+   or serve cannot make or that is not a directory, a name submit would
+   send over 4,096 bytes, --shards below 1 for batch, serve or explore. A
+   server that hangs up on submit exits it 2 as well; submit exits 1 when
+   a job failed or got no reply. *)
 
 open Cmdliner
 
@@ -254,6 +254,14 @@ let replay_cmd =
      malformed or foreign trace or a bad .djv"
   in
   let in_arg = Arg.(required & opt (some string) None & trace_in) in
+  let verbose_arg =
+    Arg.(
+      value & flag
+      & info [ "v"; "verbose" ]
+          ~doc:
+            "print stats; preempts= reads 0, since the environment's timer \
+             never runs in replay: the trace supplies every switch")
+  in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
       const (fun name inp no_regir verbose ->
@@ -727,7 +735,7 @@ let batch_cmd =
             with
             | rep -> rep
             | exception Sys_error msg ->
-              (* an --out directory that cannot be made *)
+              (* an --out directory that cannot be made or is not one *)
               Fmt.epr "%s@." msg;
               Stdlib.exit 2
           in

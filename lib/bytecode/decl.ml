@@ -152,8 +152,12 @@ let digest_uncached (p : program) : string =
 (* Serializing every instruction per call is milliseconds on larger
    programs, and sessions stamp the digest on every record finish and
    replay attach. Programs are immutable decl values that callers reuse,
-   so a small physical-equality cache removes the rescan. Shards race on
-   the cache from different domains; a lost update just recomputes. *)
+   so a physical-equality cache removes the rescan. It holds
+   [digest_cache_cap] programs, room for a farm cycling the whole workload
+   catalogue; when full, the older half goes. Shards race on the cache
+   from different domains; a lost update just recomputes. *)
+let digest_cache_cap = 64
+
 let digest_cache : (program * string) list Atomic.t = Atomic.make []
 
 let digest (p : program) : string =
@@ -162,7 +166,11 @@ let digest (p : program) : string =
   | None ->
     let d = digest_uncached p in
     let cur = Atomic.get digest_cache in
-    let cur = if List.length cur >= 16 then List.filteri (fun i _ -> i < 8) cur else cur in
+    let cur =
+      if List.length cur >= digest_cache_cap then
+        List.filteri (fun i _ -> i < digest_cache_cap / 2) cur
+      else cur
+    in
     Atomic.set digest_cache ((p, d) :: cur);
     d
 

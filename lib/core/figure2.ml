@@ -16,7 +16,9 @@
        performThreadSwitch()                performThreadSwitch()
 
    The preemptive hardware bit (set by the timer interrupt) is honoured only
-   in record mode; replay switches purely on the logical clock. *)
+   in record mode; replay switches purely on the logical clock. In replay
+   the timer does not even run ([Replayer.attach_io] switches the
+   environment's per-instruction tick off), so the bit stays clear. *)
 
 let perform_switch (s : Session.t) =
   s.switch_bit <- false;

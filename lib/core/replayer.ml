@@ -1,16 +1,21 @@
 (* Replay mode: deterministic operations re-execute; non-deterministic
    operations are systematically replaced by the retrieval of their recorded
-   results. The environment's clock, input, and native code never run. Each
-   retrieval checks that the event kind the program is asking for matches
-   what the recording said comes next — any mismatch is a divergence, which
-   (given symmetric instrumentation) indicates the program or platform
-   changed between record and replay. *)
+   results. The environment's clock, timer, input, and native code never
+   run: [attach_io] switches off the per-instruction clock tick, so a
+   replayed instruction pays no jittered clock step and raises no
+   preemption request (every replay scheme takes its switches from the
+   trace). Each retrieval checks that the event kind the program is asking
+   for matches what the recording said comes next — any mismatch is a
+   divergence, which (given symmetric instrumentation) indicates the
+   program or platform changed between record and replay. *)
 
 exception Divergence = Session.Divergence
 
-(* Install the clock/input/native substitution only; yield-point
-   instrumentation is installed separately (see Recorder.attach_io). *)
+(* Stop the environment clock and install the clock/input/native
+   substitution; yield-point instrumentation is installed separately (see
+   Recorder.attach_io). [Vm.install_live_hooks] starts the clock again. *)
 let attach_io (vm : Vm.Rt.t) (s : Session.t) =
+  vm.env_ticks <- false;
   vm.hooks.h_clock <-
     (fun vm reason ->
       let expect = Trace.tag_of_reason reason in

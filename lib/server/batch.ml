@@ -115,7 +115,7 @@ let run_specs ?(shards = 4) ?config ?deadline_s ?slice ?(warm = true) specs :
    mid-digest). *)
 let run_registry ?shards ?config ?(seed = 1) ?deadline_s ?slice ?warm
     ?(rounds = 1) ~out_dir () : report =
-  if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+  Job.ensure_out_dir out_dir;
   let names = Workloads.Registry.names () in
   let specs =
     List.concat_map

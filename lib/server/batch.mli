@@ -43,7 +43,8 @@ val run_specs :
 
 (** Record every registry workload into [out_dir]/NAME.trace, [rounds]
     times over (default 1; later rounds write NAME-rK.trace and exercise
-    warm reuse). Creates [out_dir] if missing. *)
+    warm reuse). Creates [out_dir] if missing; raises [Sys_error] naming
+    it, before any job runs, when it exists and is not a directory. *)
 val run_registry :
   ?shards:int ->
   ?config:Vm.Rt.config ->

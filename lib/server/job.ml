@@ -61,6 +61,14 @@ let workload_of = function
    concurrently would race. Called once by batch/serve setup. *)
 let preload () = ignore (Lazy.force Workloads.Registry.all)
 
+(* Make the directory Record jobs write into, unless it exists. A path
+   that exists and is not a directory raises [Sys_error] naming it, before
+   any job runs: every record into it would fail. *)
+let ensure_out_dir dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": Not a directory"))
+
 let find workload =
   match Workloads.Registry.find workload with
   | Some e -> e

@@ -39,6 +39,11 @@ val workload_of : spec -> string
     a race. Call once from batch/serve setup. *)
 val preload : unit -> unit
 
+(** Make [dir], where Record jobs write, if it does not exist. Raises
+    [Sys_error] naming [dir] when it exists and is not a directory, or
+    cannot be made. *)
+val ensure_out_dir : string -> unit
+
 (** Run one job cold (fresh VM). [slice] is the cancellation-poll
     granularity in instructions (default 50_000); [config] is the base VM
     config (per-job seeds override its environment seed; default

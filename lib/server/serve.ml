@@ -77,7 +77,7 @@ let spec_of_submit t ~seq (s : Protocol.request) : Job.spec =
 
 let create ?(shards = 4) ?slice ~socket_path ~out_dir () : t =
   Job.preload ();
-  if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+  Job.ensure_out_dir out_dir;
   if Sys.file_exists socket_path then Sys.remove socket_path;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);

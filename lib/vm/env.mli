@@ -3,7 +3,9 @@
     cost spikes), a periodic timer interrupt with a varying interval, and
     an external input source. All of the machine's non-determinism lives
     here — different seeds produce different interleavings and clock
-    readings, which record/replay must reproduce. *)
+    readings, which record/replay must reproduce. A replaying VM never
+    ticks it ([Rt.t.env_ticks] off): the trace supplies every switch and
+    reading. *)
 
 type config = {
   seed : int;

@@ -573,23 +573,27 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
 (* Advance the environment clock for [n] executed instructions and latch
    any timer fire into the preemption bit: one stub call, the same draws
    and fire count as [n] single ticks. Inlined into the dispatch loop
-   (n = 1, once per stack-tier instruction) and into [tick_segment]. *)
+   (n = 1, once per stack-tier instruction) and into [tick_segment]. A
+   replaying VM ([env_ticks] off) does nothing here: its switches come
+   from the trace, so the timer has no reader. *)
 let[@inline] clock_batch (vm : Rt.t) n =
-  (* open-coded [Env.tick_batch] fast path: strictly inside the
-     precomputed horizon a tick is two counter bumps, and this duplicate
-     keeps it free of the cross-module call (semantically identical —
-     [tick_batch] runs the very same branch first) *)
-  let e = vm.env in
-  if e.Env.h_valid && e.Env.h_pending + n < e.Env.h_count then begin
-    e.Env.h_pending <- e.Env.h_pending + n;
-    e.Env.ticks <- e.Env.ticks + n
-  end
-  else
-    let fires = Env.tick_batch e n in
-    if fires > 0 then begin
-      vm.preempt_pending <- true;
-      vm.stats.n_preempt_req <- vm.stats.n_preempt_req + fires
+  if vm.env_ticks then begin
+    (* open-coded [Env.tick_batch] fast path: strictly inside the
+       precomputed horizon a tick is two counter bumps, and this duplicate
+       keeps it free of the cross-module call (semantically identical —
+       [tick_batch] runs the very same branch first) *)
+    let e = vm.env in
+    if e.Env.h_valid && e.Env.h_pending + n < e.Env.h_count then begin
+      e.Env.h_pending <- e.Env.h_pending + n;
+      e.Env.ticks <- e.Env.ticks + n
     end
+    else
+      let fires = Env.tick_batch e n in
+      if fires > 0 then begin
+        vm.preempt_pending <- true;
+        vm.stats.n_preempt_req <- vm.stats.n_preempt_req + fires
+      end
+  end
 
 (* --- the register tier -------------------------------------------------- *)
 

@@ -41,8 +41,8 @@ let build (p : Bytecode.Decl.program) : image =
   (match Bytecode.Check.check p with
   | [] -> ()
   | issues ->
-    error "program rejected:@\n%a"
-      (Fmt.list ~sep:Fmt.cut Bytecode.Check.pp_issue)
+    error "program rejected: %a"
+      (Fmt.list ~sep:(Fmt.any "; ") Bytecode.Check.pp_issue)
       issues);
   let classes = ref [] in
   let n_classes = ref 0 in

@@ -437,6 +437,12 @@ and t = {
   mutable live_threads : int;
   mutable status : status;
   mutable preempt_pending : bool; (* the "preemptive hardware bit" *)
+  mutable env_ticks : bool;
+      (* each executed instruction ticks the environment clock and its
+         timer. Replay switches it off ([Replayer.attach_io]): the replay
+         hooks never read the timer, so [Env.ticks], [timer_fires] and
+         [n_preempt_req] stay 0 there. [Vm.install_live_hooks] switches it
+         back on. Not snapshotted: a mode, like the hooks. *)
   (* output *)
   output : Buffer.t;
   hooks : hooks;

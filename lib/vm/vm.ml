@@ -74,7 +74,9 @@ let live_hooks () : Rt.hooks =
    an immutable field holding a record of mutable closures, and sessions
    (recorder, replayer, baselines, observers) mutate those fields in place.
    Snapshots deliberately do not cover hooks, so a VM being reset for reuse
-   must have them reinstalled explicitly. *)
+   must have them reinstalled explicitly. The environment clock goes back
+   on too: a replay switched it off, and the next job on a warm VM may
+   record. *)
 let install_live_hooks (vm : Rt.t) =
   let h = live_hooks () in
   let hk = vm.Rt.hooks in
@@ -89,7 +91,8 @@ let install_live_hooks (vm : Rt.t) =
   hk.h_pick <- None;
   hk.h_spawn <- None;
   hk.h_lock <- None;
-  hk.h_hb <- None
+  hk.h_hb <- None;
+  vm.Rt.env_ticks <- true
 
 let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
     (program : Bytecode.Decl.program) : t =
@@ -165,6 +168,7 @@ let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
       live_threads = 0;
       status = Rt.Running_;
       preempt_pending = false;
+      env_ticks = true;
       output = Buffer.create 256;
       hooks = live_hooks ();
       stats = Rt.fresh_stats ();

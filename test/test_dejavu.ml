@@ -332,6 +332,53 @@ let test_trace_file_roundtrip () =
   let r2, _ = Dejavu.replay ~natives:e.natives e.program loaded in
   Alcotest.(check int) "same replay" r1.Dejavu.state_digest r2.Dejavu.state_digest
 
+(* --- the environment in replay ------------------------------------------ *)
+
+(* A replaying VM takes every switch, clock reading, input and native
+   result from the trace, so its environment never runs: no clock tick,
+   no timer fire, no preemption request. Registry-wide at seed 1, for the
+   file replay and for both baseline schemes' roundtrips; programs whose
+   recording did raise preemption requests must be among them. *)
+let test_environment_idle_in_replay () =
+  let idle ctx (r : Dejavu.run) =
+    if r.Dejavu.verdict <> Dejavu.Ok then
+      Alcotest.failf "%s: %s" ctx (Dejavu.string_of_verdict r.Dejavu.verdict);
+    let env = r.Dejavu.vm.Vm.Rt.env in
+    Alcotest.(check int) (ctx ^ ": clock ticks") 0 env.Vm.Env.ticks;
+    Alcotest.(check int) (ctx ^ ": timer fires") 0 env.Vm.Env.timer_fires;
+    Alcotest.(check int)
+      (ctx ^ ": preemption requests")
+      0 (Vm.stats r.Dejavu.vm).Vm.Rt.n_preempt_req
+  in
+  let preempted = ref 0 in
+  let path = Filename.temp_file "dv" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun (e : Workloads.Registry.entry) ->
+          let recorded, _ =
+            Dejavu.record_to ~natives:e.natives ~seed:1 ~path e.program
+          in
+          if (Vm.stats recorded.Dejavu.vm).Vm.Rt.n_preempt_req > 0 then
+            incr preempted;
+          let replayed, _ =
+            Dejavu.replay_from ~natives:e.natives ~path e.program
+          in
+          idle (e.name ^ " replay_from") replayed;
+          let rt = Baselines.Icount.roundtrip ~natives:e.natives e.program in
+          check_rt (e.name ^ " icount") rt;
+          idle (e.name ^ " icount") rt.Dejavu.replayed;
+          let rt =
+            Baselines.Switch_map.roundtrip ~natives:e.natives e.program
+          in
+          check_rt (e.name ^ " switch-map") rt;
+          idle (e.name ^ " switch-map") rt.Dejavu.replayed)
+        (Lazy.force Workloads.Registry.all));
+  Alcotest.(check bool)
+    (Fmt.str "recordings with preemption requests (%d)" !preempted)
+    true (!preempted >= 10)
+
 let () =
   Alcotest.run "dejavu"
     [
@@ -365,6 +412,7 @@ let () =
       ( "verdict",
         [
           quick "fatal recording replays ok" test_fatal_recording_replays_ok;
+          quick "environment idle in replay" test_environment_idle_in_replay;
         ] );
       ( "symmetry",
         [

@@ -69,6 +69,24 @@ let test_override_signature_mismatch () =
   | exception Vm.Link.Error _ -> ()
   | _ -> Alcotest.fail "bad override accepted"
 
+(* A rejected program's message is one line, every issue in it: the CLI
+   reports bad input in one stderr line. *)
+let test_rejection_is_one_line () =
+  let prog =
+    Bytecode.Parser.parse_string
+      "class T {\n  method main() locals 1 {\n    new Nope\n    pop\n\
+      \    new Gone\n    pop\n    ret\n  }\n}\n"
+  in
+  match vm_of prog with
+  | exception Vm.Link.Error msg ->
+    Alcotest.(check bool)
+      ("no newline: " ^ msg)
+      false
+      (String.contains msg '\n');
+    Alcotest.(check bool) ("both classes named: " ^ msg) true
+      (contains msg "Nope" && contains msg "Gone")
+  | _ -> Alcotest.fail "unknown classes accepted"
+
 let test_subtype_display () =
   let extra =
     [ D.cdecl "P" []; D.cdecl ~super:"P" "Q" []; D.cdecl ~super:"Q" "R" [];
@@ -191,6 +209,7 @@ let () =
           quick "field flattening" test_field_flattening;
           quick "vtable override" test_vtable_override;
           quick "bad override rejected" test_override_signature_mismatch;
+          quick "rejection is one line" test_rejection_is_one_line;
           quick "subtype display / lca" test_subtype_display;
           quick "statics allotment" test_statics_allotment;
           quick "string pool" test_string_pool;

@@ -498,6 +498,28 @@ let test_batch_shard_invariance () =
           Alcotest.(check int) "row count" (List.length r1.Server.Batch.rows)
             (List.length r4.Server.Batch.rows)))
 
+(* An --out path that exists but is not a directory is refused before any
+   job runs or any socket is bound: [Sys_error] naming the path, rather
+   than one failed record per workload. *)
+let test_out_not_a_directory () =
+  with_tmp_dir (fun dir ->
+      let file = Filename.concat dir "file" in
+      close_out (open_out file);
+      let refused what f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted a regular file as --out" what
+        | exception Sys_error msg ->
+          Alcotest.(check string) (what ^ " names the path")
+            (file ^ ": Not a directory") msg
+      in
+      refused "batch" (fun () ->
+          ignore (Server.Batch.run_registry ~shards:1 ~out_dir:file ()));
+      let socket_path = Filename.concat dir "dv.sock" in
+      refused "serve" (fun () ->
+          ignore (Server.Serve.create ~shards:1 ~socket_path ~out_dir:file ()));
+      Alcotest.(check bool) "serve bound no socket" false
+        (Sys.file_exists socket_path))
+
 (* --- jobs read the one replay verdict ------------------------------------ *)
 
 (* A recording that ends fatal is reproduced, not failed: under a tiny
@@ -806,6 +828,7 @@ let () =
         [
           quick "shard-count invariance" test_batch_shard_invariance;
           quick "jobs share the verdict" test_jobs_share_the_verdict;
+          quick "--out not a directory" test_out_not_a_directory;
         ] );
       ( "serve",
         [

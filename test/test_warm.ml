@@ -274,6 +274,42 @@ let test_warm_after_cancelled_job () =
            (read_file (Filename.concat dir "cold.trace"))
            (read_file (Filename.concat dir "after.trace"))))
 
+(* A replay switches its VM's environment clock off; the reset before the
+   next job must switch it back on. For every catalogued workload, a warm
+   Replay job and then a warm Record job on the same pool slot: the Record
+   must write the cold Record's bytes. *)
+let test_warm_record_after_replay () =
+  with_tmp_dir (fun dir ->
+      let r = Server.Job.runner ~shards:1 () in
+      let path f = Filename.concat dir f in
+      List.iter
+        (fun (e : Workloads.Registry.entry) ->
+          let record run out =
+            run noctx
+              (Server.Job.Record
+                 { workload = e.name; seed = 1; out = path out })
+          in
+          let cold = record (Server.Job.run ?slice:None) "cold.trace" in
+          ignore
+            (r.Server.Job.run noctx
+               (Server.Job.Replay
+                  { workload = e.name; trace = path "cold.trace" }));
+          let warm = record r.Server.Job.run "warm.trace" in
+          let ctx = e.name ^ ": " in
+          Alcotest.(check string)
+            (ctx ^ "digest after a replay")
+            cold.Server.Job.o_digest warm.Server.Job.o_digest;
+          Alcotest.(check bool)
+            (ctx ^ "bytes after a replay")
+            true
+            (String.equal (read_file (path "cold.trace"))
+               (read_file (path "warm.trace"))))
+        (all ());
+      Alcotest.(check int)
+        "every record reused its replay's VM"
+        (List.length (all ()))
+        (r.Server.Job.warm_stats ()).Server.Warm.w_hits)
+
 (* --- placement policy ---------------------------------------------------- *)
 
 let place_testable =
@@ -403,6 +439,7 @@ let () =
         [
           quick "registry-wide warm = cold" test_warm_cold_identity_registry;
           quick "after a cancelled job" test_warm_after_cancelled_job;
+          quick "record after a replay" test_warm_record_after_replay;
         ] );
       ("placement", [ quick "policy" test_placement_policy ]);
       ( "dispatcher",

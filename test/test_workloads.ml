@@ -88,6 +88,23 @@ let test_catalogue_distinct_names () =
     (List.length (List.sort_uniq compare names));
   Alcotest.(check bool) "catalogue is rich" true (List.length names >= 20)
 
+(* Every record and replay takes its program's digest, and a farm cycles
+   the whole catalogue: after one pass, a second pass over every workload
+   must hit the cache (the physically same string), not recompute. *)
+let test_catalogue_digests_cached () =
+  let digests =
+    List.map
+      (fun (e : Workloads.Registry.entry) -> Bytecode.Decl.digest e.program)
+      (all ())
+  in
+  List.iter2
+    (fun (e : Workloads.Registry.entry) d ->
+      Alcotest.(check bool)
+        (e.name ^ " digest cached")
+        true
+        (Bytecode.Decl.digest e.program == d))
+    (all ()) digests
+
 let () =
   Alcotest.run "workloads"
     [
@@ -97,6 +114,7 @@ let () =
           quick "all pass static checks" test_catalogue_checks_clean;
           quick "all pass the verifier" test_catalogue_verifies;
           quick "distinct names" test_catalogue_distinct_names;
+          quick "digests cached" test_catalogue_digests_cached;
         ] );
       ( "webserver",
         [
