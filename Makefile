@@ -27,15 +27,8 @@ smoke:
 # Then record and replay examples/progs/oom.djv, whose run ends
 # fatal (out of memory): its replay reproduces that and must exit 0. Then
 # drive the replay debugger (`dvrun debug`) through a batch session that
-# watches, continues, travels back and quits, which must exit 0. Last,
-# bad input must exit 2 from `dvrun run` and `dvrun debug` alike: a .djv
-# naming an unknown class, and (debug) a trace recorded for another
-# program or cut to 40 bytes. So must bad command-line input: `record`
-# into a directory that does not exist or onto a FIFO (which must still be
-# a FIFO afterwards), `submit` to a socket that does not exist, `serve`
-# on a socket and `batch` into a directory under a regular file, `serve`
-# and `batch` with a regular file as --out, and `batch --shards 0` and
-# `explore --shards 0`. Every path is in a temp dir.
+# watches, continues, travels back and quits, which must exit 0. (How
+# dvrun exits on bad input is test_cli's table, run by `dune runtest`.)
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
@@ -56,32 +49,6 @@ batch-smoke:
 	dune exec bin/dvrun.exe -- replay examples/progs/oom.djv -i _batch/oom.trace
 	dune exec bin/dvrun.exe -- debug racy-counter \
 	  --batch "watch Racy.count; continue; goto 10; continue; quit"
-	@dir=$$(mktemp -d); \
-	  printf 'class T {\n  method main() locals 1 {\n    new Nope\n    pop\n    ret\n  }\n}\n' \
-	    > $$dir/unknown.djv; \
-	  head -c 40 _batch/bank.trace > $$dir/cut.trace; \
-	  mkfifo $$dir/fifo; touch $$dir/file; \
-	  bad=0; \
-	  for cmd in "run $$dir/unknown.djv" \
-	    "debug $$dir/unknown.djv --batch continue" \
-	    "debug racy-counter -i _batch/bank.trace --batch continue" \
-	    "debug bank -i $$dir/cut.trace --batch continue" \
-	    "record bank -o $$dir/missing/bank.trace" \
-	    "record bank -o $$dir/fifo" \
-	    "submit --socket $$dir/missing.sock roundtrip bank" \
-	    "serve --socket $$dir/file/s.sock --out $$dir/out" \
-	    "batch --out $$dir/file/out" \
-	    "serve --socket $$dir/s.sock --out $$dir/file" \
-	    "batch --out $$dir/file" \
-	    "batch --shards 0" \
-	    "explore bank --shards 0"; do \
-	    dune exec bin/dvrun.exe -- $$cmd; rc=$$?; \
-	    if [ $$rc -ne 2 ]; then \
-	      echo "batch-smoke: dvrun $$cmd exited $$rc, not 2"; bad=1; fi; \
-	  done; \
-	  if [ ! -p $$dir/fifo ]; then \
-	    echo "batch-smoke: record replaced the FIFO"; bad=1; fi; \
-	  rm -rf $$dir; exit $$bad
 
 # Socket farm gate: start `dvrun serve` for five connections on a socket
 # in a temp dir and wait for the socket file. First send two malformed

@@ -9,23 +9,32 @@
      dvrun disasm NAME                  disassemble the workload's bytecode
      dvrun debug NAME [-i T] [--batch CMDS]  replay debugger ("help")
 
-   Exit contract of replay and verify, by the replay's verdict: 0 the
-   replay reproduced the recording; 1 it did not (it diverged, or left
-   trace words unconsumed); 2 bad input (a malformed trace or one recorded
-   for another program, or a .djv that does not parse, link or verify,
-   which every subcommand taking a workload refuses with 2). A recording
-   that ended fatal replays to 0 when the replay ends the same way. debug
-   keeps the same contract for bad input; a --batch session whose replay
-   reached its end exits by the verdict, and any other session exits 0.
-   Other bad command-line input exits 2 with one line on stderr too: a
-   trace path record cannot write or that is not a regular file, a socket
-   serve cannot bind or submit cannot connect to, an --out directory batch
-   or serve cannot make or that is not a directory, a name submit would
-   send over 4,096 bytes, --shards below 1 for batch, serve or explore. A
-   server that hangs up on submit exits it 2 as well; submit exits 1 when
-   a job failed or got no reply. *)
+   Exit contract, for every subcommand:
+     0    done; a replay (replay, verify, debug --batch) reproduced the
+          recording, a fatal end included when the replay ends the same way
+     1    an outcome judged a failure: a replay that diverged or left trace
+          words unconsumed, a run that ended fatal, unallowed lint findings,
+          a batch or submit job that failed or got no reply, explore
+          --expect-failure without a reproduced fault
+     2    bad input, one line on stderr: a malformed or foreign trace (a
+          rejected replay prints its verdict on stdout instead), an unknown
+          workload or a .djv that does not parse, link, verify or compile,
+          a path that is missing or of the wrong kind, a socket that cannot
+          be bound or reached or whose path is too long, a name submit
+          would send over 4,096 bytes, --shards or --rounds below 1, lint
+          with no workload, a server that hangs up on submit
+     124  a command line cmdliner cannot parse (its usage message)
+     125  an internal error, one line "dvrun: internal error: ..."
+   The verdict and outcome exits are each subcommand's; 2 and 125 are
+   decided in one place, the handler at the bottom of this file. *)
 
 open Cmdliner
+
+(* Bad input that raises no library exception of its own; the handler
+   prints the message as one line and exits 2. *)
+exception Refused of string
+
+let refuse fmt = Fmt.kstr (fun msg -> raise (Refused msg)) fmt
 
 (* A workload is either a catalogue entry or a path to a .djv assembly file
    (see lib/bytecode/parser.ml for the language). A .djv is checked whole
@@ -33,10 +42,7 @@ open Cmdliner
    and compile, so a bad program is refused as input (exit 2) rather than
    ending a run fatal. *)
 let find_workload name =
-  if Filename.check_suffix name ".djv" then begin
-    let refuse fmt =
-      Fmt.kstr (fun msg -> Fmt.epr "%s@." msg; Stdlib.exit 2) fmt
-    in
+  if Filename.check_suffix name ".djv" then
     match
       let program = Bytecode.Parser.parse_file name in
       let vm = Vm.create program in
@@ -55,15 +61,12 @@ let find_workload name =
     | exception Vm.Link.Error msg -> refuse "%s: link: %s" name msg
     | exception Vm.Verify.Error msg -> refuse "%s: verify: %s" name msg
     | exception Vm.Compile.Error msg -> refuse "%s: compile: %s" name msg
-    | exception Sys_error msg -> refuse "%s" msg
-  end
   else
     match Workloads.Registry.find name with
     | Some e -> e
     | None ->
-      Fmt.epr "unknown workload %S; try a .djv file or: %s@." name
-        (String.concat ", " (Workloads.Registry.names ()));
-      Stdlib.exit 2
+      refuse "unknown workload %S; try a .djv file or: %s" name
+        (String.concat ", " (Workloads.Registry.names ()))
 
 (* The exit contract above. *)
 let exit_by_verdict v =
@@ -75,14 +78,15 @@ let exit_by_verdict v =
 
 (* Malformed trace files are user error, not an internal failure. *)
 let load_trace path =
-  match Dejavu.Trace.load path with
-  | t -> t
-  | exception Dejavu.Trace.Format_error msg ->
-    Fmt.epr "%s: malformed trace (%s)@." path msg;
-    Stdlib.exit 2
-  | exception Sys_error msg ->
-    Fmt.epr "%s@." msg;
-    Stdlib.exit 2
+  try Dejavu.Trace.load path
+  with Dejavu.Trace.Format_error msg ->
+    refuse "%s: malformed trace (%s)" path msg
+
+(* Socket calls report "" where the path belongs; name it. *)
+let on_socket path f =
+  try f ()
+  with Unix.Unix_error (err, _, _) ->
+    refuse "%s: %s" path (Unix.error_message err)
 
 let pp_stats ppf (s : Vm.Rt.stats) =
   Fmt.pf ppf
@@ -230,16 +234,11 @@ let record_cmd =
           let e = find_workload name in
           let config = config_of_flags no_regir in
           (* streamed: the recorder never holds the whole trace in memory,
-             and a failed run leaves no partial file *)
+             and a failed run leaves no partial file; unobserved, since no
+             event digest is printed *)
           let run, sizes =
-            match
-              Dejavu.record_to ~config ~natives:e.natives ~seed ~path:out
-                e.program
-            with
-            | r -> r
-            | exception Sys_error msg ->
-              Fmt.epr "%s@." msg;
-              Stdlib.exit 2
+            Dejavu.record_to ~config ~natives:e.natives ~seed ~observe:false
+              ~path:out e.program
           in
           Fmt.pr "--- output ---@.%s--- status: %s ---@." run.Dejavu.output
             (Vm.string_of_status run.status);
@@ -267,15 +266,11 @@ let replay_cmd =
       const (fun name inp no_regir verbose ->
           let e = find_workload name in
           let config = config_of_flags no_regir in
-          (* streamed: O(chunk) trace memory during replay *)
+          (* streamed: O(chunk) trace memory during replay; the verdict
+             is the replay guard's, so no event digest is taken *)
           let run, _ =
-            match
-              Dejavu.replay_from ~config ~natives:e.natives ~path:inp e.program
-            with
-            | r -> r
-            | exception Sys_error msg ->
-              Fmt.epr "%s@." msg;
-              Stdlib.exit 2
+            Dejavu.replay_from ~config ~natives:e.natives ~observe:false
+              ~path:inp e.program
           in
           Fmt.pr "--- output ---@.%s--- status: %s ---@." run.Dejavu.output
             (Vm.string_of_status run.status);
@@ -456,11 +451,11 @@ let glob_match pat s =
   in
   go 0 0
 
+(* A FIFO is refused before the open would block on it. *)
 let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg ->
-    Fmt.epr "%s@." msg;
-    Stdlib.exit 2
+  if not (Sys.is_regular_file path) then
+    refuse "%s: not a regular file" path;
+  In_channel.with_open_bin path In_channel.input_all
 
 (* Allow-entries for one workload from the committed baseline:
    { "workloads": [ { "name", "summary_hash", "allow": [ { "key", "why" } ],
@@ -481,18 +476,14 @@ let lint name_opt all json allows allow_monitors allow_deadlocks baseline_path
     else
       match name_opt with
       | Some n -> [ find_workload n ]
-      | None ->
-        Fmt.epr "lint: give a WORKLOAD (or .djv file) or --all@.";
-        Stdlib.exit 2
+      | None -> refuse "lint: give a WORKLOAD (or .djv file) or --all"
   in
   let baseline =
     Option.map
       (fun p ->
-        match Analysis.Json.parse (read_file p) with
-        | j -> j
-        | exception Analysis.Json.Parse_error msg ->
-          Fmt.epr "%s: malformed baseline (%s)@." p msg;
-          Stdlib.exit 2)
+        try Analysis.Json.parse (read_file p)
+        with Analysis.Json.Parse_error msg ->
+          refuse "%s: malformed baseline (%s)" p msg)
       baseline_path
   in
   let results =
@@ -590,19 +581,16 @@ let lint_cmd =
       const lint $ name_opt_arg $ all_arg $ json_arg $ allow_arg
       $ allow_monitor_arg $ allow_deadlock_arg $ baseline_arg)
 
-(* The farm runs on at least one shard domain, and so does explore; fewer
-   is bad input. *)
-let check_shards shards =
-  if shards < 1 then begin
-    Fmt.epr "--shards must be at least 1, not %d@." shards;
-    Stdlib.exit 2
-  end
+(* The farm runs on at least one shard domain, and so does explore, and
+   batch records at least one round; fewer is bad input. *)
+let at_least_one flag n =
+  if n < 1 then refuse "--%s must be at least 1, not %d" flag n
 
 (* --- explore: systematic schedule exploration --- *)
 
 let explore name seed pb db no_dpor max_schedules max_artifacts out shards
     expect_failure no_regir =
-  check_shards shards;
+  at_least_one "shards" shards;
   let e = find_workload name in
   let config = config_of_flags no_regir in
   let out = if out = "" then None else Some out in
@@ -726,18 +714,12 @@ let batch_cmd =
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
       const (fun shards seed no_regir out_dir deadline_s rounds cold ->
-          check_shards shards;
+          at_least_one "shards" shards;
+          at_least_one "rounds" rounds;
           let config = config_of_flags no_regir in
           let rep =
-            match
-              Server.Batch.run_registry ~shards ~config ~seed ?deadline_s
-                ~warm:(not cold) ~rounds ~out_dir ()
-            with
-            | rep -> rep
-            | exception Sys_error msg ->
-              (* an --out directory that cannot be made or is not one *)
-              Fmt.epr "%s@." msg;
-              Stdlib.exit 2
+            Server.Batch.run_registry ~shards ~config ~seed ?deadline_s
+              ~warm:(not cold) ~rounds ~out_dir ()
           in
           Fmt.pr "%a@." Server.Batch.pp_report rep;
           if not rep.Server.Batch.ok then Stdlib.exit 1)
@@ -760,16 +742,10 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const (fun shards socket_path out_dir max_conns ->
-          check_shards shards;
+          at_least_one "shards" shards;
           let srv =
-            match Server.Serve.create ~shards ~socket_path ~out_dir () with
-            | srv -> srv
-            | exception Sys_error msg ->
-              Fmt.epr "%s@." msg;
-              Stdlib.exit 2
-            | exception Unix.Unix_error (err, _, _) ->
-              Fmt.epr "%s: %s@." socket_path (Unix.error_message err);
-              Stdlib.exit 2
+            on_socket socket_path (fun () ->
+                Server.Serve.create ~shards ~socket_path ~out_dir ())
           in
           Fmt.pr "serving on %s (%d shards, traces -> %s)@." socket_path
             shards out_dir;
@@ -821,12 +797,9 @@ let submit_cmd =
           (* the server hangs up on a request it refuses, so refuse here *)
           List.iter
             (fun s ->
-              if String.length s > Server.Protocol.max_name then begin
-                Fmt.epr
-                  "submit: a name or trace path of %d bytes (at most %d)@."
-                  (String.length s) Server.Protocol.max_name;
-                Stdlib.exit 2
-              end)
+              if String.length s > Server.Protocol.max_name then
+                refuse "submit: a name or trace path of %d bytes (at most %d)"
+                  (String.length s) Server.Protocol.max_name)
             (trace :: workloads);
           let reqs =
             List.map
@@ -845,14 +818,8 @@ let submit_cmd =
              with EPIPE; without this, SIGPIPE would kill the client *)
           Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
           let replies =
-            match Server.Serve.client_submit ~socket_path reqs with
-            | rs -> rs
-            | exception Unix.Unix_error (err, "connect", _) ->
-              Fmt.epr "%s: %s@." socket_path (Unix.error_message err);
-              Stdlib.exit 2
-            | exception (Sys_error msg | Dejavu.Trace.Format_error msg) ->
-              Fmt.epr "%s: server hung up (%s)@." socket_path msg;
-              Stdlib.exit 2
+            on_socket socket_path (fun () ->
+                Server.Serve.client_submit ~socket_path reqs)
           in
           let failed = ref 0 in
           List.iter
@@ -891,4 +858,23 @@ let main_cmd =
       batch_cmd; serve_cmd; submit_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* The one exit handler: bad input that reached no verdict or outcome
+   exit is one stderr line and 2; any other exception is a bug, one line
+   and 125. *)
+let () =
+  let refused msg =
+    Fmt.epr "dvrun: %s@." msg;
+    2
+  in
+  exit
+    (match Cmd.eval ~catch:false main_cmd with
+    | code -> code
+    | exception (Refused msg | Sys_error msg) -> refused msg
+    | exception Dejavu.Trace.Format_error msg ->
+      refused (Fmt.str "malformed input (%s)" msg)
+    | exception Unix.Unix_error (err, fn, arg) ->
+      refused
+        (Fmt.str "%s: %s" (if arg = "" then fn else arg) (Unix.error_message err))
+    | exception e ->
+      Fmt.epr "dvrun: internal error: %s@." (Printexc.to_string e);
+      125)

@@ -367,6 +367,9 @@ let parse_string (src : string) : Decl.program =
   parse_program st
 
 let parse_file path : Decl.program =
+  (* refused before the open, which would block on a FIFO *)
+  if not (Sys.is_regular_file path) then
+    raise (Sys_error (path ^ ": not a regular file"));
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let src = really_input_string ic n in

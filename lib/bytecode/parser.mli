@@ -20,4 +20,6 @@ exception Error of string * int
 
 val parse_string : string -> Decl.program
 
+(** Raises [Sys_error] naming the path when it is missing or not a
+    regular file. *)
 val parse_file : string -> Decl.program

@@ -609,7 +609,10 @@ module Reader = struct
 
   let window_bytes = 65536
 
+  (* Refused before the open, which would block on a FIFO. *)
   let file_source path =
+    if not (Sys.is_regular_file path) then
+      raise (Sys_error (path ^ ": not a regular file"));
     let ic = open_in_bin path in
     let release () = close_in_noerr ic in
     match in_channel_length ic with

@@ -219,6 +219,8 @@ module Reader : sig
 
   val default_chunk_words : int
 
+  (** Raises [Sys_error] naming the path when it is missing or not a
+      regular file (a FIFO is refused before the open would block). *)
   val open_file : ?chunk_words:int -> string -> t
 
   val program_digest : t -> string

@@ -36,14 +36,13 @@ let row_of_result (r : (Job.spec, Job.output) Dispatcher.result) : row =
     | Job.Roundtrip _ -> "roundtrip"
     | Job.Lint _ -> "lint"
   in
-  let outcome, status, digest, words =
+  let outcome, status, digest =
     match r.r_outcome with
-    | Dispatcher.Done o -> ("done", o.Job.o_status, o.Job.o_digest, o.Job.o_words)
-    | Dispatcher.Failed msg -> ("failed: " ^ msg, "", "", 0)
-    | Dispatcher.Timed_out -> ("timeout", "", "", 0)
-    | Dispatcher.Cancelled_ -> ("cancelled", "", "", 0)
+    | Dispatcher.Done o -> ("done", o.Job.o_status, o.Job.o_digest)
+    | Dispatcher.Failed msg -> ("failed: " ^ msg, "", "")
+    | Dispatcher.Timed_out -> ("timeout", "", "")
+    | Dispatcher.Cancelled_ -> ("cancelled", "", "")
   in
-  ignore words;
   {
     b_name = Job.workload_of r.r_payload;
     b_op = op;

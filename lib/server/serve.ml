@@ -78,7 +78,12 @@ let spec_of_submit t ~seq (s : Protocol.request) : Job.spec =
 let create ?(shards = 4) ?slice ~socket_path ~out_dir () : t =
   Job.preload ();
   Job.ensure_out_dir out_dir;
-  if Sys.file_exists socket_path then Sys.remove socket_path;
+  (* a stale socket is replaced; any other file there is not ours *)
+  if Sys.file_exists socket_path then begin
+    if (Unix.lstat socket_path).st_kind <> Unix.S_SOCK then
+      raise (Sys_error (socket_path ^ ": exists and is not a socket"));
+    Sys.remove socket_path
+  end;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 8;
@@ -107,8 +112,13 @@ let create ?(shards = 4) ?slice ~socket_path ~out_dir () : t =
    client disconnect mid-reply would otherwise leave orphaned results in
    the dispatcher's reorder buffer, and the next connection's reply loop
    would pull them as its own, desynchronizing every later conversation.
-   The [finally] below discards whatever the reply loop never reached. *)
+   The [finally] below discards whatever the reply loop never reached.
+   Any exception ends only this conversation: a protocol error or any
+   other is logged, a client that went away is not. *)
 let handle_conn t fd =
+  let log fmt =
+    Fmt.kstr (fun msg -> try Fmt.epr "serve: %s@." msg with _ -> ()) fmt
+  in
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let submitted = ref 0 in
@@ -150,9 +160,9 @@ let handle_conn t fd =
           | Some r -> Protocol.write_reply oc (reply_of_result r)
         done
       with
-      | Trace.Format_error msg ->
-        (try Fmt.epr "serve: protocol error: %s@." msg with _ -> ())
-      | Sys_error _ | Unix.Unix_error _ -> ())
+      | Trace.Format_error msg -> log "protocol error: %s" msg
+      | Sys_error _ | Unix.Unix_error _ -> ()
+      | e -> log "connection dropped: %s" (Printexc.to_string e))
 
 (* Accept loop; [max_conns] bounds how many connections to serve (tests),
    [None] serves forever. *)

@@ -6,9 +6,10 @@
 
 type t
 
-(** Bind the socket (replacing a stale file), spawn the shard pool, create
-    [out_dir] if missing ([Sys_error] naming it, before the bind, when it
-    exists and is not a directory). Recorded traces land in
+(** Bind the socket (replacing a stale socket; [Sys_error] naming the path
+    when it holds any other file), spawn the shard pool, create [out_dir]
+    if missing ([Sys_error] naming it, before the bind, when it exists and
+    is not a directory). Recorded traces land in
     [out_dir]/WORKLOAD-SEQ.trace (server-assigned, collision-free). *)
 val create :
   ?shards:int -> ?slice:int -> socket_path:string -> out_dir:string -> unit -> t

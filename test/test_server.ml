@@ -339,36 +339,40 @@ let test_frame_claim_bounded () =
    payload byte by the varint of a value within 255 of [max_int] and is
    framed anew, so when the byte was a string's length the string claims
    far more bytes than the frame holds. *)
-let prop_frame_mutants =
-  let frame payload =
-    through_pipe (fun oc -> P.write_frame oc payload) In_channel.input_all
-  in
-  let payloads =
-    [
-      (P.encode_request sample_submit, fun s -> ignore (P.decode_request s));
-      (P.encode_request P.Finish, fun s -> ignore (P.decode_request s));
-      (P.encode_reply sample_reply, fun s -> ignore (P.decode_reply s));
-    ]
-  in
-  let huge payload pos byte =
+let mutant_payloads =
+  [
+    (P.encode_request sample_submit, fun s -> ignore (P.decode_request s));
+    (P.encode_request P.Finish, fun s -> ignore (P.decode_request s));
+    (P.encode_reply sample_reply, fun s -> ignore (P.decode_reply s));
+  ]
+
+let mutant_arb =
+  QCheck.(quad (int_bound 2) (int_bound 4) (int_bound 1000) (int_bound 255))
+
+let frame payload =
+  through_pipe (fun oc -> P.write_frame oc payload) In_channel.input_all
+
+let frame_mutant (which, op, pos, byte) =
+  let payload, _ = List.nth mutant_payloads which in
+  if op = 3 then
+    let frame = frame payload in
+    String.sub frame 0 (pos mod String.length frame)
+  else if op = 4 then begin
     let pos = pos mod String.length payload in
     let b = Buffer.create 16 in
     T.put_varint b (max_int - byte);
     frame
       (String.sub payload 0 pos ^ Buffer.contents b
       ^ String.sub payload (pos + 1) (String.length payload - pos - 1))
-  in
+  end
+  else Tutil.mutate (frame payload) op pos byte
+
+let prop_frame_mutants =
   QCheck.Test.make ~name:"protocol: frame mutants decode or raise Format_error"
-    ~count:3000
-    QCheck.(quad (int_bound 2) (int_bound 4) (int_bound 1000) (int_bound 255))
-    (fun (which, op, pos, byte) ->
-      let payload, decode = List.nth payloads which in
-      let frame = frame payload in
-      let bytes =
-        if op = 3 then String.sub frame 0 (pos mod String.length frame)
-        else if op = 4 then huge payload pos byte
-        else Tutil.mutate frame op pos byte
-      in
+    ~count:3000 mutant_arb
+    (fun ((which, op, _, _) as m) ->
+      let _, decode = List.nth mutant_payloads which in
+      let bytes = frame_mutant m in
       match
         through_pipe
           (fun oc -> output_string oc bytes)
@@ -723,6 +727,63 @@ let test_serve_survives_oversized_name () =
       P.write_request oc (lint_submit (String.make (9 * 1024 * 1024) 'x'));
       Unix.shutdown fd Unix.SHUTDOWN_SEND)
 
+(* The frame mutants above, each on its own connection to a live server:
+   whatever one makes the server do (run its job, refuse the frame as a
+   protocol error, or raise anything else), it ends only its own
+   conversation, so a roundtrip submitted on a fresh connection afterwards
+   is answered. Reads time out after 60 s, so a server that died fails
+   the test instead of hanging it. *)
+let test_serve_survives_frame_mutants () =
+  let mutants =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 28 |]) ~n:60
+      mutant_arb.QCheck.gen
+  in
+  with_tmp_dir (fun out_dir ->
+      let socket_path = Filename.concat out_dir "dv.sock" in
+      let srv = Server.Serve.create ~shards:1 ~socket_path ~out_dir () in
+      let server_domain =
+        Domain.spawn (fun () ->
+            Server.Serve.serve ~max_conns:(List.length mutants + 1) srv)
+      in
+      let converse bytes =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX socket_path);
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+            (* a server that hung up early makes the write fail *)
+            (try
+               let oc = Unix.out_channel_of_descr fd in
+               output_string oc bytes;
+               flush oc;
+               Unix.shutdown fd Unix.SHUTDOWN_SEND
+             with Sys_error _ | Unix.Unix_error _ -> ());
+            In_channel.input_all (Unix.in_channel_of_descr fd))
+      in
+      List.iter (fun m -> ignore (converse (frame_mutant m))) mutants;
+      let roundtrip =
+        P.Submit
+          {
+            q_op = P.Op_roundtrip;
+            q_workload = "bank";
+            q_seed = 1;
+            q_trace = "";
+            q_deadline_ms = 0;
+          }
+      in
+      let answer = converse (frame (P.encode_request roundtrip)) in
+      Domain.join server_domain;
+      Server.Serve.shutdown srv;
+      let rec replies ic =
+        match P.read_reply ic with None -> [] | Some r -> r :: replies ic
+      in
+      match through_pipe (fun oc -> output_string oc answer) replies with
+      | [ r ] ->
+        Alcotest.(check string) "own workload" "bank" r.P.p_workload;
+        Alcotest.(check int) "roundtrip done" 0 r.P.p_outcome
+      | rs -> Alcotest.failf "%d replies, not 1" (List.length rs))
+
 (* [dvrun submit] against a server that hangs up, played by a listener
    that serves one connection with [conv]. SIGPIPE is ignored here, as
    dvrun submit ignores it, so a write to the closed socket fails with
@@ -837,6 +898,7 @@ let () =
           quick "survives a huge string length" test_serve_survives_huge_length;
           quick "survives an oversized workload name"
             test_serve_survives_oversized_name;
+          quick "survives frame mutants" test_serve_survives_frame_mutants;
           quick "submit survives a hang-up" test_submit_hang_up;
           quick "submit returns short replies" test_submit_short_replies;
         ] );
