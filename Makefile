@@ -17,8 +17,12 @@ smoke:
 
 # Replay farm gate: record the whole registry across 4 shard domains and
 # fail unless every job completes (the aggregate digest is checked against
-# a sequential run by test_server's shard-count invariance), or if any
-# writer left its scratch files (*.tmp, *.spill) behind. Then replay two of
+# a sequential run by test_server's shard-count invariance). Then record
+# it 3 rounds over on one shard into _batch/warm: rounds 2 and 3 run on
+# reset VMs whose methods get their compiled code back from the VM's code
+# cache, and each program's NAME-r2.trace and NAME-r3.trace must be
+# byte-identical to its round-1 NAME.trace, for all 23 programs. Fail if
+# any writer left its scratch files (*.tmp, *.spill) behind. Then replay two of
 # the recorded files through the user-facing CLI, which exits by the
 # replay's verdict: 0 reproduced, 1 diverged or trace words left, 2 bad
 # input. Then record primes and replay it with -v: the record's stats
@@ -31,6 +35,18 @@ smoke:
 # dvrun exits on bad input is test_cli's table, run by `dune runtest`.)
 batch-smoke:
 	dune exec bin/dvrun.exe -- batch --shards 4 --out _batch
+	dune exec bin/dvrun.exe -- batch --shards 1 --rounds 3 --out _batch/warm
+	@n=0; for t in _batch/warm/*-r2.trace; do \
+	  base=$${t%-r2.trace}; \
+	  for r in r2 r3; do \
+	    if ! cmp $$base.trace $$base-$$r.trace; then \
+	      echo "batch-smoke: $$base-$$r.trace differs from $$base.trace"; \
+	      exit 1; fi; done; \
+	  n=$$((n + 1)); done; \
+	  echo "batch-smoke: warm rounds 2 and 3 byte-identical for $$n programs"; \
+	  if [ $$n -ne 23 ]; then \
+	    echo "batch-smoke: expected 23 programs in _batch/warm, found $$n"; \
+	    exit 1; fi
 	@left=$$(find _batch -name '*.spill' -o -name '*.tmp'); \
 	  if [ -n "$$left" ]; then echo "batch-smoke: scratch files left:"; \
 	    echo "$$left"; exit 1; fi

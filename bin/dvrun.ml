@@ -21,8 +21,10 @@
           workload or a .djv that does not parse, link, verify or compile,
           a path that is missing or of the wrong kind, a socket that cannot
           be bound or reached or whose path is too long, a name submit
-          would send over 4,096 bytes, --shards or --rounds below 1, lint
-          with no workload, a server that hangs up on submit
+          would send over 4,096 bytes, --shards or --rounds below 1, a
+          batch --deadline that is not a positive finite number of
+          seconds, a submit --deadline-ms below 0, lint with no workload,
+          a server that hangs up on submit
      124  a command line cmdliner cannot parse (its usage message)
      125  an internal error, one line "dvrun: internal error: ..."
    The verdict and outcome exits are each subcommand's; 2 and 125 are
@@ -586,6 +588,12 @@ let lint_cmd =
 let at_least_one flag n =
   if n < 1 then refuse "--%s must be at least 1, not %d" flag n
 
+(* A job deadline is a positive, finite span: NaN would run every job
+   without one, and one at or below 0 would time every job out. *)
+let positive_deadline d =
+  if not (Float.is_finite d && d > 0.) then
+    refuse "--deadline must be a positive number of seconds, not %g" d
+
 (* --- explore: systematic schedule exploration --- *)
 
 let explore name seed pb db no_dpor max_schedules max_artifacts out shards
@@ -593,6 +601,9 @@ let explore name seed pb db no_dpor max_schedules max_artifacts out shards
   at_least_one "shards" shards;
   let e = find_workload name in
   let config = config_of_flags no_regir in
+  (* a bad --out is refused now, not when the search emits its first
+     failing schedule *)
+  if out <> "" then Server.Job.ensure_out_dir out;
   let out = if out = "" then None else Some out in
   let dpor = not no_dpor in
   let runner =
@@ -716,6 +727,7 @@ let batch_cmd =
       const (fun shards seed no_regir out_dir deadline_s rounds cold ->
           at_least_one "shards" shards;
           at_least_one "rounds" rounds;
+          Option.iter positive_deadline deadline_s;
           let config = config_of_flags no_regir in
           let rep =
             Server.Batch.run_registry ~shards ~config ~seed ?deadline_s
@@ -790,6 +802,9 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
       const (fun socket_path op workloads seed trace deadline_ms ->
+          if deadline_ms < 0 then
+            refuse "--deadline-ms must be at least 0 (0 = none), not %d"
+              deadline_ms;
           let workloads =
             if workloads <> [] then workloads
             else Workloads.Registry.names ()

@@ -10,8 +10,11 @@
 
    The parity contract (tested, not assumed): a reset VM is
    state-identical to a cold boot under the job's seed. Snapshot.restore
-   rolls back methods compiled since the save, so warm jobs re-pay the
-   compile-time clock charges a cold boot pays; hooks are reinstalled live
+   un-installs methods compiled since the save, so warm jobs re-pay the
+   compile-time clock charges a cold boot pays; the bodies come back from
+   each method's code cache, so a warm job does not compile them again
+   (compiling would yield the same body: it depends only on the
+   method and the VM's linked image). Hooks are reinstalled live
    (sessions mutate them, snapshots don't cover them); Env.reseed re-points
    both PRNG streams. Traces and digests are therefore byte-identical —
    the whole point, since a replay service that perturbed results by

@@ -1,7 +1,8 @@
 (** Per-shard warm-VM pool: one booted VM per workload, reset to a
     baseline snapshot between jobs instead of re-created. A reset VM is
     state-identical to a cold boot under the job's seed (compiled-method
-    rollback re-pays compile clock charges; hooks reinstalled live; PRNG
+    rollback re-pays compile clock charges, re-installing cached bodies
+    rather than recompiling; hooks reinstalled live; PRNG
     streams reseeded), so traces and digests are byte-identical to fresh
     boots — tested registry-wide.
 

@@ -251,51 +251,60 @@ let resolve_catch vm = function
   | None -> -1
   | Some cname -> Rt.class_id vm cname
 
-(* Compile a method: returns the compiled body and charges the clock. *)
+(* Passes 1-4 plus the register-IR lowering: a method's executable body. *)
+let build (vm : Rt.t) (m : Rt.rmethod) : Rt.compiled =
+  let owner = vm.classes.(m.rm_cid) in
+  let src, origin_a = expand_sync m.rm_decl in
+  let src, origin_b = inject_yieldpoints src in
+  let origin = Array.map (fun p -> origin_a.(p)) origin_b in
+  let code = Array.map (lower vm owner) src.m_code in
+  let handlers =
+    Array.of_list
+      (List.map
+         (fun (h : D.handler) ->
+           {
+             Rt.k_from = h.h_from;
+             k_upto = h.h_upto;
+             k_target = h.h_target;
+             k_catch = resolve_catch vm h.h_class;
+           })
+         src.m_handlers)
+  in
+  let { Verify.maps; max_stack } = Verify.verify vm m code handlers in
+  (* register-IR lowering runs on the verified canonical stream;
+     the region table is a sidecar indexed by entry pc, so with regir
+     off every pc simply stays on the stack tier *)
+  let regions =
+    if vm.cfg.regir then begin
+      try Regir.lower ~nlocals:m.rm_nlocals ~max_stack code handlers maps
+      with Regir.Error msg -> error "regir: %s" msg
+    end
+    else Array.make (Array.length code) None
+  in
+  {
+    Rt.k_code = code;
+    k_regions = regions;
+    k_handlers = handlers;
+    k_maps = maps;
+    k_max_stack = max_stack;
+    k_src_pc = origin;
+    k_lines = Array.of_list src.m_lines;
+  }
+
+(* Compile a method: returns the compiled body and charges the clock. A
+   body is a pure function of the method and this VM's linked image, so
+   after a snapshot rollback the method gets back the body it had
+   ([rm_cache]) without being rebuilt; the clock charge and the counter,
+   the compiler's only VM-visible effects, are paid again as a cold
+   compile pays them. *)
 let compile (vm : Rt.t) (m : Rt.rmethod) : Rt.compiled =
   match m.rm_compiled with
   | Some c -> c
   | None ->
-    let owner = vm.classes.(m.rm_cid) in
-    let src, origin_a = expand_sync m.rm_decl in
-    let src, origin_b = inject_yieldpoints src in
-    let origin = Array.map (fun p -> origin_a.(p)) origin_b in
-    let code = Array.map (lower vm owner) src.m_code in
-    let handlers =
-      Array.of_list
-        (List.map
-           (fun (h : D.handler) ->
-             {
-               Rt.k_from = h.h_from;
-               k_upto = h.h_upto;
-               k_target = h.h_target;
-               k_catch = resolve_catch vm h.h_class;
-             })
-           src.m_handlers)
-    in
-    let { Verify.maps; max_stack } = Verify.verify vm m code handlers in
-    (* register-IR lowering runs on the verified canonical stream;
-       the region table is a sidecar indexed by entry pc, so with regir
-       off every pc simply stays on the stack tier *)
-    let regions =
-      if vm.cfg.regir then begin
-        try Regir.lower ~nlocals:m.rm_nlocals ~max_stack code handlers maps
-        with Regir.Error msg -> error "regir: %s" msg
-      end
-      else Array.make (Array.length code) None
-    in
-    let compiled =
-      {
-        Rt.k_code = code;
-        k_regions = regions;
-        k_handlers = handlers;
-        k_maps = maps;
-        k_max_stack = max_stack;
-        k_src_pc = origin;
-        k_lines = Array.of_list src.m_lines;
-      }
-    in
+    let compiled = match m.rm_cache with Some c -> c | None -> build vm m in
     m.rm_compiled <- Some compiled;
+    m.rm_cache <- m.rm_compiled;
     vm.stats.n_compiled_methods <- vm.stats.n_compiled_methods + 1;
-    Env.charge vm.env (Array.length code * vm.env.cfg.compile_cost);
+    Env.charge vm.env
+      (Array.length compiled.k_code * vm.env.cfg.compile_cost);
     compiled

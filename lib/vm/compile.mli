@@ -17,9 +17,18 @@
     entry pc; the canonical [k_code] stays the one stack-tier stream that
     every loop, observer and the debugger execute. With [cfg.regir =
     false] the table is all [None]. See DESIGN.md sections 7 and 10 for
-    the parity contract. *)
+    the parity contract.
+
+    Each method keeps the last body this VM compiled for it
+    ([Rt.rmethod.rm_cache]). A snapshot restore un-installs the methods
+    compiled after the save; compiling one of them again re-installs the
+    cached body and pays the same clock charge and compile count as the
+    first compile, without redoing any pass. The cache is per VM: a body
+    points at its VM's own method and class records. *)
 
 exception Error of string
 
-(** Compile (once; cached on the method record) and return the body. *)
+(** Install the method's body (built once per VM; cached on the method
+    record), charge the clock for it, and return it. Returns the installed
+    body, with no charge, if there is one. *)
 val compile : Rt.t -> Rt.rmethod -> Rt.compiled

@@ -65,6 +65,7 @@ let build (p : Bytecode.Decl.program) : image =
         rm_ret = decl.m_ret;
         rm_decl = decl;
         rm_compiled = None;
+        rm_cache = None;
       }
     in
     methods := m :: !methods;

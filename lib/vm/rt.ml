@@ -174,9 +174,10 @@ and compiled = {
   k_code : cinstr array; (* canonical stream: verifier, observers, debugger *)
   k_regions : region option array;
       (* register-IR tier, indexed by entry pc ([None] mid-region or when
-         the tier is disabled). Lives inside [compiled] so snapshot
-         rollback of [rm_compiled] un-compiles the register tier with the
-         method, re-paying the compile clock charge on re-execution. *)
+         the tier is disabled). Lives inside [compiled], so snapshot
+         rollback of [rm_compiled] un-installs the register tier with the
+         method; re-execution re-installs both from [rm_cache] and re-pays
+         the compile clock charge. *)
   k_handlers : rhandler array;
   k_maps : refmap array; (* one per compiled pc *)
   k_max_stack : int;
@@ -195,6 +196,10 @@ and rmethod = {
   rm_ret : Bytecode.Instr.ty option;
   rm_decl : Bytecode.Decl.mdecl;
   mutable rm_compiled : compiled option; (* lazily compiled on first call *)
+  mutable rm_cache : compiled option;
+      (* the last body this VM compiled for the method; snapshot restore
+         resets [rm_compiled] but leaves this, so a re-execution installs
+         it again instead of recompiling *)
 }
 
 and rclass = {

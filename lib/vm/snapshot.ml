@@ -14,13 +14,16 @@
    cold boot with a blit of the 4-word creation heap prefix.
 
    Compiled code is split by the checkpoint line. Methods compiled BEFORE
-   the save stay compiled across a restore — keeping the code cache warm
-   (with its register regions) is the point of a checkpoint, and warm
-   regions are not VM-visible.
-   Methods compiled AFTER the save are rolled back to uncompiled: the
-   compiler charges the virtual clock, so a live re-execution from the
-   checkpoint must re-pay exactly the charges the first execution paid
-   after that point, or the timelines diverge.
+   the save stay installed across a restore — keeping compiled code (with
+   its register regions) is the point of a checkpoint, and it is not
+   VM-visible.
+   Methods compiled AFTER the save are un-installed ([rm_compiled] back to
+   [None]): the compiler charges the virtual clock, so a live re-execution
+   from the checkpoint must re-pay exactly the charges the first execution
+   paid after that point, or the timelines diverge. Their bodies stay in
+   each method's code cache ([rm_cache], which a restore leaves alone), so
+   the re-execution re-installs them and pays the charge without
+   compiling again.
    Class initialization state IS rolled back: it has heap side effects. *)
 
 type thread_snap = {
@@ -251,10 +254,11 @@ let restore (vm : Rt.t) (c : t) =
   vm.env.input_count <- c.c_env.s_input_count;
   vm.env.ticks <- c.c_env.s_ticks;
   vm.env.timer_fires <- c.c_env.s_timer_fires;
-  (* methods compiled after the save point revert to uncompiled so the
-     re-execution re-pays their compile-time clock charges on schedule;
-     nothing compiled at save time can be un-compiled here, so no restored
-     thread frame loses the body it is executing *)
+  (* methods compiled after the save point are un-installed so the
+     re-execution re-pays their compile-time clock charges on schedule
+     (re-installing the body from [rm_cache], not recompiling it); nothing
+     compiled at save time is un-installed here, so no restored thread
+     frame loses the body it is executing *)
   Array.iteri
     (fun k (m : Rt.rmethod) ->
       if not c.c_compiled.(k) then m.rm_compiled <- None)

@@ -6,10 +6,11 @@
     paper discusses in section 5 (Igor, Recap, PPD, Boothe) — and the
     reset mechanism behind the farm's warm shards (see [Vm.reset]).
 
-    Lazily compiled method bodies are deliberately not rolled back:
-    compilation has no VM-visible effect beyond charging the (recorded)
-    clock. Class-initialization state is rolled back: it has heap side
-    effects. *)
+    Methods compiled after the save are un-installed, so a re-execution
+    re-pays their compile clock charges, the compiler's one VM-visible
+    effect; their bodies stay in each method's code cache, so it does not
+    compile them again. Class-initialization state is rolled back: it has
+    heap side effects. *)
 
 type t
 

@@ -188,8 +188,9 @@ let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
    monitors, threads, scheduler queues, environment counters, and stats all
    revert to creation values; stale heap words beyond [hp] are invisible
    (the bump allocator zero-fills every allocation and the state digest
-   stops at [hp]); methods compiled meanwhile roll back to uncompiled so a
-   reused VM re-pays the same compile-time clock charges a cold boot pays. *)
+   stops at [hp]); methods compiled meanwhile are un-installed so a reused
+   VM re-pays the same compile-time clock charges a cold boot pays (from
+   the methods' code caches: the bodies are not compiled again). *)
 let reset ?seed (vm : t) (baseline : Snapshot.t) =
   Snapshot.restore vm baseline;
   install_live_hooks vm;

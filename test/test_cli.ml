@@ -284,10 +284,15 @@ let () =
           row "explore bank --max-schedules 5" (Exits (0, "schedules"));
           row "explore bank --shards 0" (Refused "--shards");
           row "explore nope" (Refused "\"nope\"");
-          row "explore atomicity --out $d/file" (Refused "$d/file");
+          (* refused before the search: the line names the --out path
+             itself, not the first failing schedule's trace inside it *)
+          row "explore atomicity --out $d/file"
+            (Refused "$d/file: Not a directory");
           row "explore atomicity --out $d/file/x" (Refused "$d/file/x");
           row "explore atomicity --shards 3 --out $d/file"
-            (Refused "$d/file");
+            (Refused "$d/file: Not a directory");
+          row "explore atomicity --max-schedules 100000 --out $d/file"
+            (Refused "$d/file: Not a directory");
           row "explore bank --pb x" (Usage "--pb");
         ] );
       ( "batch",
@@ -296,6 +301,10 @@ let () =
           row "batch --rounds=-1" (Refused "--rounds");
           row "batch --out $d/file" (Refused "$d/file");
           row "batch --out $d/file/out" (Refused "$d/file/out");
+          row "batch --deadline nan" (Refused "nan");
+          row "batch --deadline inf" (Refused "inf");
+          row "batch --deadline 0" (Refused "--deadline");
+          row "batch --deadline=-1" (Refused "-1");
           row "batch --shards x" (Usage "--shards");
         ] );
       ( "serve",
@@ -318,6 +327,8 @@ let () =
           row "submit --socket $long lint bank" (Refused "$long");
           row "submit --socket $d/missing.sock lint $big"
             (Refused "5000 bytes");
+          row "submit --deadline-ms=-1 roundtrip bank"
+            (Refused "--deadline-ms");
           row "submit bogus" (Usage "bogus");
         ] );
     ]

@@ -100,11 +100,11 @@ let region_count (vm : Vm.t) =
       | None -> n)
     0 vm.Vm.Rt.methods
 
-(* Snapshot rollback un-compiles the register tier with the method:
+(* Snapshot rollback un-installs the register tier with the method:
    [k_regions] lives inside [compiled], so restoring [rm_compiled] drops
-   the regions and the reset VM re-lowers (re-paying the compile clock
-   charge) on the next run — which must reproduce the first run exactly,
-   register coverage included. *)
+   the regions, and the reset VM re-installs them from the method's code
+   cache (re-paying the compile clock charge) on the next run — which must
+   reproduce the first run exactly, register coverage included. *)
 let test_reset_rolls_back_register_tier () =
   let e = find "primes" in
   let vm = Vm.create ~config:(seeded 1) ~natives:e.natives e.program in
@@ -131,6 +131,53 @@ let test_reset_rolls_back_register_tier () =
   Alcotest.(check int) "re-run instructions" n1 (Vm.stats vm).Vm.Rt.n_instr;
   Alcotest.(check int) "re-run register coverage" ri1
     (Vm.stats vm).Vm.Rt.n_regir_instr
+
+(* The code cache is hit, and hitting it is invisible: for every
+   catalogued workload, run, reset and run again under the same seed.
+   Each method compiled in the first run must get back the physically same
+   body (no recompile), and the second run must end where a cold boot's
+   run ends: compile count, virtual clock (the cached path re-pays each
+   compile charge), state digest, status and output. *)
+let test_reset_reuses_compiled_code () =
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      let vm = Vm.create ~config:(seeded 1) ~natives:e.natives e.program in
+      let baseline = Vm.Snapshot.save vm in
+      ignore (Vm.run vm);
+      let first =
+        Array.map (fun (m : Vm.Rt.rmethod) -> m.rm_compiled) vm.methods
+      in
+      Vm.reset ~seed:1 vm baseline;
+      ignore (Vm.run vm);
+      let cold = Vm.create ~config:(seeded 1) ~natives:e.natives e.program in
+      ignore (Vm.run cold);
+      let ctx = e.name ^ ": " in
+      Array.iteri
+        (fun k body ->
+          match (body, vm.Vm.Rt.methods.(k).rm_compiled) with
+          | None, _ -> ()
+          | Some b, Some b' ->
+            Alcotest.(check bool)
+              (ctx ^ vm.methods.(k).rm_name ^ " body reused")
+              true (b == b')
+          | Some _, None ->
+            Alcotest.fail (ctx ^ vm.methods.(k).rm_name ^ " not re-installed"))
+        first;
+      Alcotest.(check int)
+        (ctx ^ "compiled methods")
+        (Vm.stats cold).Vm.Rt.n_compiled_methods
+        (Vm.stats vm).Vm.Rt.n_compiled_methods;
+      Alcotest.(check int)
+        (ctx ^ "clock")
+        (Vm.Env.read_clock cold.Vm.Rt.env)
+        (Vm.Env.read_clock vm.Vm.Rt.env);
+      Alcotest.(check int) (ctx ^ "digest") (Vm.digest cold) (Vm.digest vm);
+      Alcotest.(check string)
+        (ctx ^ "status")
+        (Vm.string_of_status (Vm.status cold))
+        (Vm.string_of_status (Vm.status vm));
+      Alcotest.(check string) (ctx ^ "output") (Vm.output cold) (Vm.output vm))
+    (all ())
 
 (* The same contract through the pool: back-to-back acquires of a
    workload reuse one VM across tier-up (second acquire is a baseline
@@ -433,6 +480,7 @@ let () =
           quick "reset rolls back the register tier"
             test_reset_rolls_back_register_tier;
           quick "warm reuse across tier-up" test_warm_reuse_across_tierup;
+          quick "reset reuses compiled code" test_reset_reuses_compiled_code;
         ] );
       ("pool", [ quick "counters and LRU" test_pool_counters_and_lru ]);
       ( "identity",
