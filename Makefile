@@ -1,6 +1,6 @@
 # Convenience targets; everything below is plain dune.
 
-.PHONY: all build test smoke batch-smoke serve-smoke regir-smoke bench-smoke explore-smoke perfbench-smoke bench lint clean
+.PHONY: all build test smoke mutants batch-smoke serve-smoke regir-smoke bench-smoke explore-smoke perfbench-smoke bench lint clean
 
 all: build
 
@@ -14,6 +14,28 @@ test:
 # check (tier identity, warm = cold, shard-count invariance, golden traces).
 smoke:
 	dune build && dune runtest
+
+# Mutant catalogue: each test/mutants/*.patch breaks one guarantee on
+# purpose, and its first line names the check that must kill it. Each
+# patch is applied to a fresh copy of the tree (the files git tracks or
+# does not ignore) in a directory under $$TMPDIR. Fails if a patch no
+# longer applies, if the mutant does not build (a mutant must be killed
+# by a test, not by the compiler), or if `dune runtest` still passes. A
+# mutant can make a random property test loop, so the suite gets 5
+# minutes; running out counts as killed.
+mutants:
+	@for p in test/mutants/*.patch; do \
+	  dir=$$(mktemp -d "$${TMPDIR:-/tmp}/mutant.XXXXXX"); \
+	  git ls-files -z -co --exclude-standard | tar --null -T - -cf - \
+	    | tar -x -C $$dir; \
+	  if ! patch -s -p1 -F0 -N -d $$dir -i $(CURDIR)/$$p; then \
+	    echo "mutants: $$p no longer applies"; rm -rf $$dir; exit 1; fi; \
+	  if ! (cd $$dir && dune build 2>&1 >/dev/null); then \
+	    echo "mutants: $$p does not build"; rm -rf $$dir; exit 1; fi; \
+	  if (cd $$dir && timeout 300 dune runtest >$$dir/runtest.log 2>&1); then \
+	    echo "mutants: $$p survived dune runtest"; rm -rf $$dir; exit 1; fi; \
+	  echo "mutants: $$p killed ($$(grep -c '^> \[FAIL\]' $$dir/runtest.log) failing cases)"; \
+	  rm -rf $$dir; done
 
 # Replay farm gate: record the whole registry across 4 shard domains and
 # fail unless every job completes (the aggregate digest is checked against

@@ -1,12 +1,13 @@
 (* The warm-VM pool behind a shard: one booted VM per workload, reset
    between jobs instead of re-created. Cold boot is the farm's per-job tax
-   — Link.build walks the whole program, and the 8 MB heap array is
-   allocated and zeroed from scratch — and none of it depends on the job,
-   only on the (program, config) pair. So the first job for a workload on
-   a shard boots a VM, captures a baseline Vm.Snapshot immediately (before
-   anything runs or draws), and every later job restores that baseline and
-   reseeds the environment in place: a blit of the 4-word creation heap
-   prefix plus a few field writes, in place of link + allocate + zero.
+   — Link.build walks the whole program, and Vm.create allocates the VM's
+   tables and a fresh heap array (min(heap_words, 16384) words, grown on
+   demand) — and none of it depends on the job, only on the (program,
+   config) pair. So the first job for a workload on a shard boots a VM,
+   captures a baseline Vm.Snapshot immediately (before anything runs or
+   draws), and every later job restores that baseline and reseeds the
+   environment in place: a blit of the 4-word creation heap prefix plus a
+   few field writes, in place of link + allocate.
 
    The parity contract (tested, not assumed): a reset VM is
    state-identical to a cold boot under the job's seed. Snapshot.restore
@@ -23,9 +24,11 @@
    A pool belongs to exactly one shard domain — acquire is called only by
    its owner, so there is no lock. The [stats] snapshot is read by the
    submitting domain after the shard domains are joined, which is the
-   synchronization point. Capacity is bounded (default 32 resident VMs
-   ≈ 256 MB of heap arrays, enough for the whole 23-workload registry on
-   one shard); eviction is least-recently-used, whole-VM. *)
+   synchronization point. Capacity is bounded (default 32 resident VMs,
+   enough for the whole 23-workload registry on one shard). A resident VM
+   keeps the heap its workload grew: 128 KiB at boot, at most two
+   heap_words semispaces (8 MiB each by default) after a collection.
+   Eviction is least-recently-used, whole-VM. *)
 
 type slot = {
   vm : Vm.t;

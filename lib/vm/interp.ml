@@ -611,10 +611,8 @@ let tick_segment (vm : Rt.t) (t : Rt.thread) (ops : Rt.rop array) i n =
       else
         match ops.(i - 1) with
         | Rt.RDivRem (_, pc, _) | RGetfield (_, pc, _) | RPutfield (_, pc, _)
-        | RGetstatic (_, _, pc, _) | RPutstatic (_, _, pc, _)
-        | RNewobj (_, pc, _) | RNewarray (_, pc, _) | RAload (pc, _)
-        | RAstore (pc, _) | RArraylength (pc, _) | RCheckcast (_, pc, _)
-        | RPrints (pc, _) -> pc + 1
+        | RGetstatic (_, _, pc, _) | RPutstatic (_, _, pc, _) | RAload (pc, _)
+        | RAstore (pc, _) | RInstr (pc, _) -> pc + 1
         | RYield (npc, _) | RMonEnter (npc, _) | RMonExit (npc, _) -> npc
         | _ -> fatal "region tick not after a segment end"
     in
@@ -626,15 +624,17 @@ let tick_segment (vm : Rt.t) (t : Rt.thread) (ops : Rt.rop array) i n =
   | None -> ());
   clock_batch vm n
 
-(* Execute one lowered region on thread [t], then *chain*: when the region
-   ends in a same-frame control transfer (branch, goto, fall-through) whose
-   target opens another region that still fits in the remaining fuel, keep
-   executing there without a round trip through the outer dispatch loop.
-   Chains terminate because every region pays at least two ticks into
-   [executed] before its terminal runs, so the fuel guard in [chain] is
-   strictly decreasing. Regions that end in a call or return never chain —
-   those change the method, and [regions] indexes the current method only.
-   The caller has checked that the first region fits the remaining fuel.
+(* Execute one lowered region of the current method ([code] is its
+   canonical stream, [regions] its region table) on thread [t], then
+   *chain*: when the region ends in a same-frame control transfer (branch,
+   goto, fall-through) whose target opens another region that still fits
+   in the remaining fuel, keep executing there without a round trip
+   through the outer dispatch loop. Chains terminate because every region
+   pays at least two ticks into [executed] before its terminal runs, so
+   the fuel guard in [chain] is strictly decreasing. Regions that end in a
+   call or return never chain — those change the method, and [regions]
+   indexes the current method only. The caller has checked that the first
+   region fits the remaining fuel.
    [RTick n] also serves an attached observer ([tick_segment]): it reports
    the segment's [n] canonical pcs before the tick and the segment's
    effects — the stack tier's exact events. Unobserved, that costs one
@@ -656,6 +656,18 @@ let tick_segment (vm : Rt.t) (t : Rt.thread) (ops : Rt.rop array) i n =
    the same accounting as the stack tier's failed attempt — and the next
    outer iteration re-enters through clinit frames.
 
+   [RInstr (pc, sp)] hands one canonical instruction to the stack tier:
+   it stores pc and sp (the lowering materialized every slot before it)
+   and calls [dispatch] on [code.(pc)] — the one executor of str, neg,
+   swap, instanceof, new, newarray, arraylength, checkcast, prints, calls
+   and returns. The region continues only if the instruction fell through
+   ([t_pc] = pc + 1) on the same thread while the VM is still [Running_],
+   and then re-reads the heap/base caches, since the instruction may have
+   allocated. Anything else — a fault, a class-init bail, a call or a
+   return — leaves the thread where dispatch left it. A return can land
+   on pc + 1 of its caller by coincidence, but a call or return is always
+   the region's last op ([Regir.check]), so nothing runs after it.
+
    [RYield] runs the yield-point hook in-region. Its canonical pc/sp are
    stored first (the preceding flush materialized every slot), so a hook
    that switches threads leaves this thread exactly where the stack tier
@@ -666,7 +678,7 @@ let tick_segment (vm : Rt.t) (t : Rt.thread) (ops : Rt.rop array) i n =
    the instrumentation's eager stack growth), so the heap/base caches are
    recomputed unconditionally. *)
 let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
-    (regions : Rt.region option array) ~fuel executed =
+    (code : Rt.cinstr array) (regions : Rt.region option array) ~fuel executed =
   let rec run_region (r : Rt.region) =
     let ops = r.Rt.r_ops in
     let nops = Array.length ops in
@@ -674,9 +686,10 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
        push/pop until a terminal ends it) *)
     let fbase = t.t_fp + Rt.frame_header_words in
     (* Tail-recursive so the heap array and absolute slot base stay in
-       registers — no refs or closures on this path (no flambda). The two
-       allocating ops re-enter with fresh [heap]/[base] parameters; heap
-       hooks never allocate in the guest heap, so they keep the cache. *)
+       registers — no refs or closures on this path (no flambda). The ops
+       that may allocate or move the stack ([RInstr], yield, monitor ops)
+       re-enter with fresh [heap]/[base] parameters; heap hooks never
+       allocate in the guest heap, so they keep the cache. *)
     let rec go i (heap : int array) base =
     if i < nops then
       match Array.unsafe_get ops i with
@@ -689,9 +702,6 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         go (i + 1) heap base
       | Rt.RMove (d, s) ->
         Array.unsafe_set heap (base + d) (Array.unsafe_get heap (base + s));
-        go (i + 1) heap base
-      | Rt.RStr (d, owner, idx) ->
-        Array.unsafe_set heap (base + d) owner.Rt.rc_strings.(idx);
         go (i + 1) heap base
       | Rt.RBin (op, d, a, b) ->
         Array.unsafe_set heap (base + d)
@@ -706,23 +716,6 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
       | Rt.RBinCL (op, d, c, b) ->
         Array.unsafe_set heap (base + d)
           (binop op c (Array.unsafe_get heap (base + b)));
-        go (i + 1) heap base
-      | Rt.RNeg (d, s) ->
-        Array.unsafe_set heap (base + d) (-Array.unsafe_get heap (base + s));
-        go (i + 1) heap base
-      | Rt.RSwapMem (a, b) ->
-        let x = Array.unsafe_get heap (base + a) in
-        Array.unsafe_set heap (base + a) (Array.unsafe_get heap (base + b));
-        Array.unsafe_set heap (base + b) x;
-        go (i + 1) heap base
-      | Rt.RInstanceof (d, cid, s) ->
-        let obj = Array.unsafe_get heap (base + s) in
-        Array.unsafe_set heap (base + d)
-          (if
-             obj <> 0
-             && Rt.is_subclass vm ~sub:(Layout.class_of vm obj) ~sup:cid
-           then 1
-           else 0);
         go (i + 1) heap base
       | Rt.RPrint s ->
         Buffer.add_string vm.output
@@ -774,26 +767,6 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
           vm.globals.(g) <- v;
           go (i + 1) heap base
         end
-      | Rt.RNewobj (cid, pc, d) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + d;
-        if ensure_initialized vm cid then begin
-          let addr = Heap.alloc_object vm cid in
-          let heap = vm.heap in
-          let base = t.t_stack + Layout.header_words + fbase in
-          Array.unsafe_set heap (base + d) addr;
-          go (i + 1) heap base
-        end
-      | Rt.RNewarray (elem_ref, pc, ls) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + ls;
-        let len = Array.unsafe_get heap (base + ls) in
-        if len < 0 then raise (Rt.Vm_exception "NegativeArraySizeException");
-        let addr = Heap.alloc_array vm ~elem_ref ~len in
-        let heap = vm.heap in
-        let base = t.t_stack + Layout.header_words + fbase in
-        Array.unsafe_set heap (base + ls) addr;
-        go (i + 1) heap base
       | Rt.RAload (pc, a) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + a;
@@ -818,29 +791,6 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         | Some f -> f vm arr (Layout.header_words + idx)
         | None -> ());
         Layout.set vm arr idx v;
-        go (i + 1) heap base
-      | Rt.RArraylength (pc, a) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + a;
-        let arr = Array.unsafe_get heap (base + a) in
-        check_null arr;
-        Array.unsafe_set heap (base + a) (Layout.len_of vm arr);
-        go (i + 1) heap base
-      | Rt.RCheckcast (cid, pc, o) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + o + 1;
-        let obj = Array.unsafe_get heap (base + o) in
-        if
-          obj <> 0
-          && not (Rt.is_subclass vm ~sub:(Layout.class_of vm obj) ~sup:cid)
-        then raise (Rt.Vm_exception "ClassCastException");
-        go (i + 1) heap base
-      | Rt.RPrints (pc, s) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + s;
-        let v = Array.unsafe_get heap (base + s) in
-        check_null v;
-        Buffer.add_string vm.output (Layout.string_value vm v);
         go (i + 1) heap base
       | Rt.RYield (npc, ss) ->
         vm.stats.n_yield <- vm.stats.n_yield + 1;
@@ -897,29 +847,14 @@ let exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         t.t_sp <- fbase + ss;
         t.t_pc <- target;
         chain target
-      | Rt.RRet (pc, ss) ->
+      | Rt.RInstr (pc, ss) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + ss;
-        do_return vm ~result:None
-      | Rt.RRetv (pc, vs) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + vs;
-        let v = Array.unsafe_get heap (base + vs) in
-        do_return vm ~result:(Some v)
-      | Rt.RCallStatic (callee, pc, ss) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + ss;
-        if ensure_initialized vm callee.Rt.rm_cid then
-          push_frame vm callee ~resume_pc:(pc + 1) ()
-      | Rt.RCallVirtual (_, vslot, nargs, pc, ss) ->
-        t.t_pc <- pc;
-        t.t_sp <- fbase + ss;
-        let receiver = Array.unsafe_get heap (base + ss - nargs) in
-        check_null receiver;
-        let callee =
-          Rt.virtual_target vm (Layout.class_of vm receiver) vslot
-        in
-        push_frame vm callee ~resume_pc:(pc + 1) ()
+        dispatch vm t pc (Array.unsafe_get code pc);
+        (match vm.status with
+        | Rt.Running_ when t.t_pc = pc + 1 && vm.current = t.tid ->
+          go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
+        | _ -> ())
       | Rt.REnd (next_pc, ss) ->
         t.t_pc <- next_pc;
         t.t_sp <- fbase + ss;
@@ -981,7 +916,7 @@ let exec_batch (vm : Rt.t) ~fuel =
         (match Array.unsafe_get regions pc with
         | Some r when fuel - !executed >= r.Rt.r_n ->
           let before = !executed in
-          exec_region vm t r regions ~fuel executed;
+          exec_region vm t r code regions ~fuel executed;
           vm.stats.n_regir_instr <-
             vm.stats.n_regir_instr + (!executed - before)
         | _ ->

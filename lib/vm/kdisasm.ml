@@ -92,27 +92,22 @@ let pp_cinstr (vm : Rt.t) ppf (ins : Rt.cinstr) =
   | KNop -> Fmt.string ppf "nop"
   | KYield -> Fmt.string ppf "yield"
 
-(* One register op. Slots print as [r<i>] (locals first, then operand
-   stack); risky/terminal ops show their canonical fault pc as [@<pc>]. *)
-let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
+(* One register op of a method whose canonical stream is [code]. Slots
+   print as [r<i>] (locals first, then operand stack); risky ops show
+   their canonical fault pc as [@<pc>]. An [RInstr] prints as the
+   canonical instruction it runs. *)
+let pp_rop (vm : Rt.t) (code : Rt.cinstr array) ppf (op : Rt.rop) =
   let cname cid = (Rt.the_class vm cid).Rt.rc_name in
-  let qual (m : Rt.rmethod) = cname m.rm_cid ^ "." ^ m.rm_name in
   match op with
   | Rt.RTick n -> Fmt.pf ppf "tick %d" n
   | Rt.RConst (d, v) -> Fmt.pf ppf "r%d := %d" d v
   | Rt.RMove (d, s) -> Fmt.pf ppf "r%d := r%d" d s
-  | Rt.RStr (d, owner, idx) ->
-    Fmt.pf ppf "r%d := str %s[%d]" d owner.Rt.rc_name idx
   | Rt.RBin (op, d, a, b) ->
     Fmt.pf ppf "r%d := %s r%d r%d" d (string_of_bin op) a b
   | Rt.RBinC (op, d, a, c) ->
     Fmt.pf ppf "r%d := %s r%d #%d" d (string_of_bin op) a c
   | Rt.RBinCL (op, d, c, b) ->
     Fmt.pf ppf "r%d := %s #%d r%d" d (string_of_bin op) c b
-  | Rt.RNeg (d, s) -> Fmt.pf ppf "r%d := neg r%d" d s
-  | Rt.RSwapMem (a, b) -> Fmt.pf ppf "swap r%d r%d" a b
-  | Rt.RInstanceof (d, cid, s) ->
-    Fmt.pf ppf "r%d := instanceof %s r%d" d (cname cid) s
   | Rt.RPrint s -> Fmt.pf ppf "print r%d" s
   | Rt.RDivRem (op, pc, d) ->
     Fmt.pf ppf "r%d := %s r%d r%d  @%d" d (string_of_bin op) d (d + 1) pc
@@ -124,20 +119,9 @@ let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
     Fmt.pf ppf "r%d := getstatic %s g%d  @%d" d (cname cid) g pc
   | Rt.RPutstatic (cid, g, pc, vs) ->
     Fmt.pf ppf "putstatic %s g%d := r%d  @%d" (cname cid) g vs pc
-  | Rt.RNewobj (cid, pc, d) ->
-    Fmt.pf ppf "r%d := new %s  @%d" d (cname cid) pc
-  | Rt.RNewarray (elem_ref, pc, ls) ->
-    Fmt.pf ppf "r%d := newarray%s len=r%d  @%d" ls
-      (if elem_ref then " ref" else "")
-      ls pc
   | Rt.RAload (pc, a) -> Fmt.pf ppf "r%d := aload r%d[r%d]  @%d" a a (a + 1) pc
   | Rt.RAstore (pc, a) ->
     Fmt.pf ppf "astore r%d[r%d] := r%d  @%d" a (a + 1) (a + 2) pc
-  | Rt.RArraylength (pc, a) ->
-    Fmt.pf ppf "r%d := arraylength r%d  @%d" a a pc
-  | Rt.RCheckcast (cid, pc, o) ->
-    Fmt.pf ppf "checkcast %s r%d  @%d" (cname cid) o pc
-  | Rt.RPrints (pc, s) -> Fmt.pf ppf "prints r%d  @%d" s pc
   | Rt.RYield (npc, ss) -> Fmt.pf ppf "yield -> %d sp=r%d" npc ss
   | Rt.RMonEnter (npc, os) ->
     Fmt.pf ppf "monenter r%d -> %d  @%d" os npc (npc - 1)
@@ -148,14 +132,8 @@ let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
   | Rt.RIfz (c, target, fall, a) ->
     Fmt.pf ppf "ifz r%d %s -> %d else %d" a (cmp c) target fall
   | Rt.RGoto (target, ss) -> Fmt.pf ppf "goto %d sp=r%d" target ss
-  | Rt.RRet (pc, ss) -> Fmt.pf ppf "ret sp=r%d  @%d" ss pc
-  | Rt.RRetv (pc, vs) -> Fmt.pf ppf "retv r%d  @%d" vs pc
-  | Rt.RCallStatic (callee, pc, ss) ->
-    Fmt.pf ppf "call %s sp=r%d  @%d" (qual callee) ss pc
-  | Rt.RCallVirtual (cid, vslot, nargs, pc, ss) ->
-    Fmt.pf ppf "callv %s/%d sp=r%d  @%d"
-      (qual (Rt.virtual_target vm cid vslot))
-      nargs ss pc
+  | Rt.RInstr (pc, ss) ->
+    Fmt.pf ppf "%a sp=r%d  @%d" (pp_cinstr vm) code.(pc) ss pc
   | Rt.REnd (next_pc, ss) -> Fmt.pf ppf "end -> %d sp=r%d" next_pc ss
 
 (* One compiled method: the canonical stream, pc by pc, with [; yp]
@@ -196,7 +174,9 @@ let pp_compiled (vm : Rt.t) ppf (m : Rt.rmethod) =
       | Some (r : Rt.region) ->
         Fmt.pf ppf "@[<v 2>region @%d (%d instrs, %d ops):@," pc r.Rt.r_n
           (Array.length r.Rt.r_ops);
-        Array.iter (fun op -> Fmt.pf ppf "%a@," (pp_rop vm) op) r.Rt.r_ops;
+        Array.iter
+          (fun op -> Fmt.pf ppf "%a@," (pp_rop vm c.k_code) op)
+          r.Rt.r_ops;
         Fmt.pf ppf "@]@,")
     c.k_regions;
   Fmt.pf ppf "@]"

@@ -10,9 +10,11 @@ val string_of_bin : Rt.bin -> string
     the runtime. *)
 val pp_cinstr : Rt.t -> Format.formatter -> Rt.cinstr -> unit
 
-(** Print one register op: destination/source slots as [r<i>], canonical
-    fault pcs as [@<pc>], call sites with the method they name. *)
-val pp_rop : Rt.t -> Format.formatter -> Rt.rop -> unit
+(** Print one register op of a method whose canonical stream is the given
+    array: destination/source slots as [r<i>], canonical fault pcs as
+    [@<pc>]. An [RInstr] prints as the canonical instruction it runs, so a
+    virtual call names the method the vtable resolves to. *)
+val pp_rop : Rt.t -> Rt.cinstr array -> Format.formatter -> Rt.rop -> unit
 
 (** Print a method's canonical compiled stream, one line per pc, with a
     source-pc column and yield-point markers, followed by the

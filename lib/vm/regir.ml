@@ -30,6 +30,17 @@
      exception unwinding, GC stack scans, and hooks see exactly the frame
      the stack tier would have shown them.
 
+   Only instructions that are frequent and cheap get a dedicated op —
+   constants, moves, binops, field/static/array access, yields, monitor
+   ops, print, branches — because there the stack tier's push/pop and
+   call overhead would show. The rest (str, neg, swap, instanceof, new,
+   newarray, arraylength, checkcast, prints, calls, returns) are rare in
+   the measured mix or do far more work than a dispatch costs, so each
+   lowers to an [RInstr] that ends its segment and runs the instruction
+   through [Interp.dispatch]: one executor per instruction (DESIGN.md
+   section 10 has the numbers). A call or return is always its region's
+   last op.
+
    Copy propagation tracks, per slot, whether its current value is a known
    constant or a copy of another slot; pure operands read through it (and
    fold) while risky/terminal operands always read their canonical stack
@@ -47,13 +58,15 @@ type klass = Pure | Risky | Terminal | Excluded
    halts) is excluded and dispatched canonically. *)
 let classify (ins : Rt.cinstr) : klass =
   match ins with
-  | KConst _ | KStr _ | KNull | KLoad _ | KStore _ | KDup | KPop | KSwap
-  | KNeg | KInstanceof _ | KPrint | KNop ->
-    Pure
+  | KConst _ | KNull | KLoad _ | KStore _ | KDup | KPop | KPrint | KNop -> Pure
   | KBin (Bdiv | Brem) -> Risky
   | KBin _ -> Pure
-  | KGetfield _ | KPutfield _ | KGetstatic _ | KPutstatic _ | KNew _
-  | KNewarray _ | KAload | KAstore | KArraylength | KCheckcast _ | KPrints ->
+  | KGetfield _ | KPutfield _ | KGetstatic _ | KPutstatic _ | KAload
+  | KAstore ->
+    Risky
+  (* Run through [RInstr]: the stack tier's own dispatch, at a segment end *)
+  | KStr _ | KNeg | KSwap | KInstanceof _ | KNew _ | KNewarray _
+  | KArraylength | KCheckcast _ | KPrints ->
     Risky
   (* Monitor ops are segment-final like yields: [Sched] may park the
      thread (contended enter) or raise (exit without ownership), and both
@@ -72,6 +85,17 @@ let classify (ins : Rt.cinstr) : klass =
   | KGoto _ | KRet | KRetv | KInvokestatic _ | KInvokevirtual _ ->
     Terminal
   | _ -> Excluded
+
+(* The instructions a region runs through [RInstr]: rare in the measured
+   mix, or (calls, returns, allocation) doing far more work than a trip
+   through dispatch costs. *)
+let delegated (ins : Rt.cinstr) =
+  match ins with
+  | KStr _ | KNeg | KSwap | KInstanceof _ | KNew _ | KNewarray _
+  | KArraylength | KCheckcast _ | KPrints | KRet | KRetv | KInvokestatic _
+  | KInvokevirtual _ ->
+    true
+  | _ -> false
 
 (* Region barriers: branch targets and exception-handler boundaries. *)
 let barriers (code : Rt.cinstr array) (handlers : Rt.rhandler array) =
@@ -209,6 +233,17 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
         if s < 0 || s > nslots then raise Abort;
         s
       in
+      (* end the segment at an [RInstr]: dispatch pops [pops] slots and
+         pushes [pushes], whose values only the run knows *)
+      let instr ~pops ~pushes =
+        ignore (sl pops);
+        flush (Some (Rt.RInstr (p, spv 0)));
+        depth := !depth - pops;
+        for _ = 1 to pushes do
+          clobber (sl 0);
+          incr depth
+        done
+      in
       (match code.(p) with
       (* --- pure ------------------------------------------------------ *)
       | Rt.KConst n ->
@@ -216,9 +251,6 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
         incr depth
       | Rt.KNull ->
         emit_write (sl 0) (Const 0) ~op:(Rt.RConst (sl 0, 0)) ~srcs:[];
-        incr depth
-      | Rt.KStr (owner, idx) ->
-        emit_self (sl 0) (Rt.RStr (sl 0, owner, idx)) ~srcs:[];
         incr depth
       | Rt.KLoad i ->
         if i < 0 || i >= nslots then raise Abort;
@@ -240,48 +272,6 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
         | Slot s -> emit_write dst (Slot s) ~op:(Rt.RMove (dst, s)) ~srcs:[ s ]);
         incr depth
       | Rt.KPop -> decr depth
-      | Rt.KSwap ->
-        (* new top-1 := old top, new top := old top-1. The two writes of
-           one canonical instruction execute back to back, so order them
-           read-before-overwrite; a true memory exchange falls back to the
-           RSwapMem primitive. *)
-        let lo = sl 2 and hi = sl 1 in
-        let r_lo = resolve hi (* value for [lo] *)
-        and r_hi = resolve lo in
-        let noop_lo = match r_lo with Slot s -> s = lo | _ -> r_lo = avail.(lo)
-        and noop_hi =
-          match r_hi with Slot s -> s = hi | _ -> r_hi = avail.(hi)
-        in
-        if noop_lo && noop_hi then ()
-        else if
-          (match r_lo with Slot s -> s = hi | _ -> false)
-          && (match r_hi with Slot s -> s = lo | _ -> false)
-        then begin
-          kill lo;
-          kill hi;
-          recs :=
-            { w_op = Rt.RSwapMem (lo, hi); w_dsts = [ lo; hi ];
-              w_srcs = [ lo; hi ] }
-            :: !recs;
-          avail.(lo) <- Slot lo;
-          avail.(hi) <- Slot hi
-        end
-        else begin
-          let one dst rhs =
-            match rhs with
-            | Const c -> emit_write dst (Const c) ~op:(Rt.RConst (dst, c)) ~srcs:[]
-            | Slot s -> emit_write dst (Slot s) ~op:(Rt.RMove (dst, s)) ~srcs:[ s ]
-          in
-          (* if [hi]'s new value reads [lo], write it first *)
-          if match r_hi with Slot s -> s = lo | _ -> false then begin
-            one hi r_hi;
-            one lo r_lo
-          end
-          else begin
-            one lo r_lo;
-            one hi r_hi
-          end
-        end
       | Rt.KBin ((Rt.Bdiv | Rt.Brem) as op) ->
         (* risky: division can fault *)
         ignore (sl 1);
@@ -301,19 +291,6 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
         | Slot sa, Slot sb ->
           emit_self dst (Rt.RBin (op, dst, sa, sb)) ~srcs:[ sa; sb ]);
         decr depth
-      | Rt.KNeg ->
-        let dst = sl 1 in
-        (match resolve dst with
-        | Const c ->
-          emit_write dst (Const (-c)) ~op:(Rt.RConst (dst, -c)) ~srcs:[]
-        | Slot s -> emit_self dst (Rt.RNeg (dst, s)) ~srcs:[ s ])
-      | Rt.KInstanceof cid ->
-        let dst = sl 1 in
-        (match resolve dst with
-        | Const 0 -> emit_write dst (Const 0) ~op:(Rt.RConst (dst, 0)) ~srcs:[]
-        | Slot s when s <> dst ->
-          emit_self dst (Rt.RInstanceof (dst, cid, s)) ~srcs:[ s ]
-        | _ -> emit_self dst (Rt.RInstanceof (dst, cid, dst)) ~srcs:[ dst ])
       | Rt.KPrint ->
         emit_effect (Rt.RPrint (sl 1)) ~srcs:[ sl 1 ];
         decr depth
@@ -335,15 +312,6 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
       | Rt.KPutstatic (cid, g, _) ->
         flush (Some (Rt.RPutstatic (cid, g, p, sl 1)));
         decr depth
-      | Rt.KNew cid ->
-        let dst = sl 0 in
-        flush (Some (Rt.RNewobj (cid, p, dst)));
-        clobber dst;
-        incr depth
-      | Rt.KNewarray ty ->
-        let dst = sl 1 in
-        flush (Some (Rt.RNewarray (Bytecode.Instr.is_ref_ty ty, p, dst)));
-        clobber dst
       | Rt.KAload ->
         ignore (sl 1);
         let dst = sl 2 in
@@ -354,14 +322,6 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
         ignore (sl 1);
         flush (Some (Rt.RAstore (p, sl 3)));
         depth := !depth - 3
-      | Rt.KArraylength ->
-        let dst = sl 1 in
-        flush (Some (Rt.RArraylength (p, dst)));
-        clobber dst
-      | Rt.KCheckcast cid -> flush (Some (Rt.RCheckcast (cid, p, sl 1)))
-      | Rt.KPrints ->
-        flush (Some (Rt.RPrints (p, sl 1)));
-        decr depth
       | Rt.KYield ->
         (* full barrier: the hook may switch threads, and a canonical
            resume at p + 1 must find every slot materialized. [avail]
@@ -400,16 +360,16 @@ let lower_region ~nlocals ~nslots (code : Rt.cinstr array)
         flush (Some (Rt.RIf (Bytecode.Instr.Ne, tgt, p + 1, sl 2)));
         depth := !depth - 2
       | Rt.KGoto tgt -> flush (Some (Rt.RGoto (tgt, spv 0)))
-      | Rt.KRet -> flush (Some (Rt.RRet (p, spv 0)))
-      | Rt.KRetv ->
-        flush (Some (Rt.RRetv (p, sl 1)));
-        decr depth
-      | Rt.KInvokestatic callee ->
-        flush (Some (Rt.RCallStatic (callee, p, spv 0)))
-      | Rt.KInvokevirtual (cid, vslot, nargs) ->
-        let ss = spv 0 in
-        if ss - nargs < 0 || ss - nargs >= nslots then raise Abort;
-        flush (Some (Rt.RCallVirtual (cid, vslot, nargs, p, ss)))
+      (* --- through the stack tier's dispatch -------------------------- *)
+      | Rt.KStr _ | Rt.KNew _ -> instr ~pops:0 ~pushes:1
+      | Rt.KNeg | Rt.KInstanceof _ | Rt.KNewarray _ | Rt.KArraylength
+      | Rt.KCheckcast _ ->
+        instr ~pops:1 ~pushes:1
+      | Rt.KSwap -> instr ~pops:2 ~pushes:2
+      | Rt.KPrints -> instr ~pops:1 ~pushes:0
+      (* a call or return changes the frame: always the region's last op *)
+      | Rt.KRet | Rt.KRetv | Rt.KInvokestatic _ | Rt.KInvokevirtual _ ->
+        flush (Some (Rt.RInstr (p, spv 0)))
       | _ -> raise Abort)
     done;
     (* fall-through exit unless a terminal already stored pc/sp *)
@@ -467,7 +427,10 @@ let lower ~nlocals ~max_stack (code : Rt.cinstr array)
    cover only includable, barrier-free pcs, pay exactly one tick per
    covered instruction, carry canonical pcs and fault-time sp slots that
    agree with the reference maps, and agree with [k_code]
-   operand-for-operand. *)
+   operand-for-operand. An [RInstr] must name an instruction without a
+   dedicated op, and one that runs a call or return must be its region's
+   last op: [Interp.exec_region] relies on that instead of testing that
+   the frame is still the region's. *)
 let check (m : Rt.rmethod) =
   let c = Rt.compiled m in
   let code = c.Rt.k_code and regions = c.Rt.k_regions and maps = c.Rt.k_maps in
@@ -546,13 +509,10 @@ let check (m : Rt.rmethod) =
               if k <= 0 then error "%s: non-positive tick in region at %d" name entry;
               ticks := !ticks + k
             | Rt.RConst (d, _) -> slots [ d ]
-            | Rt.RMove (d, s) | Rt.RNeg (d, s) -> slots [ d; s ]
-            | Rt.RStr (d, _, _) -> slots [ d ]
+            | Rt.RMove (d, s) -> slots [ d; s ]
             | Rt.RBin (_, d, a, b) -> slots [ d; a; b ]
             | Rt.RBinC (_, d, a, _) -> slots [ d; a ]
             | Rt.RBinCL (_, d, _, b) -> slots [ d; b ]
-            | Rt.RSwapMem (a, b) -> slots [ a; b ]
-            | Rt.RInstanceof (d, _, s) -> slots [ d; s ]
             | Rt.RPrint s -> slots [ s ]
             | Rt.RDivRem (op, p, d) ->
               pc_in p;
@@ -589,20 +549,6 @@ let check (m : Rt.rmethod) =
               (match code.(p) with
               | Rt.KPutstatic (cid', g', _) when cid' = cid && g' = g -> ()
               | _ -> error "%s: RPutstatic at pc %d mismatches code" name p)
-            | Rt.RNewobj (cid, p, d) ->
-              pc_in p;
-              slots [ d ];
-              want_sp p d ~delta:0;
-              (match code.(p) with
-              | Rt.KNew cid' when cid' = cid -> ()
-              | _ -> error "%s: RNewobj at pc %d mismatches code" name p)
-            | Rt.RNewarray (is_ref, p, d) ->
-              pc_in p;
-              slots [ d ];
-              want_sp p d ~delta:(-1);
-              (match code.(p) with
-              | Rt.KNewarray ty when Bytecode.Instr.is_ref_ty ty = is_ref -> ()
-              | _ -> error "%s: RNewarray at pc %d mismatches code" name p)
             | Rt.RAload (p, a) ->
               pc_in p;
               slots [ a; a + 1 ];
@@ -617,27 +563,6 @@ let check (m : Rt.rmethod) =
               (match code.(p) with
               | Rt.KAstore -> ()
               | _ -> error "%s: RAstore at pc %d mismatches code" name p)
-            | Rt.RArraylength (p, a) ->
-              pc_in p;
-              slots [ a ];
-              want_sp p a ~delta:(-1);
-              (match code.(p) with
-              | Rt.KArraylength -> ()
-              | _ -> error "%s: RArraylength at pc %d mismatches code" name p)
-            | Rt.RCheckcast (cid, p, o) ->
-              pc_in p;
-              slots [ o ];
-              want_sp p o ~delta:(-1);
-              (match code.(p) with
-              | Rt.KCheckcast cid' when cid' = cid -> ()
-              | _ -> error "%s: RCheckcast at pc %d mismatches code" name p)
-            | Rt.RPrints (p, s) ->
-              pc_in p;
-              slots [ s ];
-              want_sp p s ~delta:(-1);
-              (match code.(p) with
-              | Rt.KPrints -> ()
-              | _ -> error "%s: RPrints at pc %d mismatches code" name p)
             | Rt.RYield (npc, s) ->
               let p = npc - 1 in
               pc_in p;
@@ -692,41 +617,14 @@ let check (m : Rt.rmethod) =
               (match code.(fin) with
               | Rt.KGoto tgt' when tgt' = tgt -> ()
               | _ -> error "%s: RGoto mismatches code at pc %d" name fin)
-            | Rt.RRet (p, s) ->
-              want_final "a return";
+            | Rt.RInstr (p, s) ->
               pc_in p;
               sp_slot s;
               want_sp p s ~delta:0;
-              (match code.(p) with
-              | Rt.KRet -> ()
-              | _ -> error "%s: RRet at pc %d mismatches code" name p)
-            | Rt.RRetv (p, v) ->
-              want_final "a return";
-              pc_in p;
-              slots [ v ];
-              want_sp p v ~delta:(-1);
-              (match code.(p) with
-              | Rt.KRetv -> ()
-              | _ -> error "%s: RRetv at pc %d mismatches code" name p)
-            | Rt.RCallStatic (callee, p, s) ->
-              want_final "a call";
-              pc_in p;
-              sp_slot s;
-              want_sp p s ~delta:0;
-              (match code.(p) with
-              | Rt.KInvokestatic callee' when callee' == callee -> ()
-              | _ -> error "%s: RCallStatic at pc %d mismatches code" name p)
-            | Rt.RCallVirtual (cid, vslot, nargs, p, s) ->
-              want_final "a call";
-              pc_in p;
-              sp_slot s;
-              slots [ s - nargs ];
-              want_sp p s ~delta:0;
-              (match code.(p) with
-              | Rt.KInvokevirtual (cid', vslot', nargs')
-                when cid' = cid && vslot' = vslot && nargs' = nargs ->
-                ()
-              | _ -> error "%s: RCallVirtual at pc %d mismatches code" name p)
+              if not (delegated code.(p)) then
+                error "%s: RInstr at pc %d runs an instruction with its own op"
+                  name p;
+              if classify code.(p) = Terminal then want_final "a call or return"
             | Rt.REnd (xpc, s) ->
               want_final "a region end";
               if xpc <> fin + 1 then
@@ -742,9 +640,8 @@ let check (m : Rt.rmethod) =
           error "%s: region at %d pays %d ticks for %d instructions" name
             entry !ticks r.Rt.r_n;
         match r.Rt.r_ops.(nops - 1) with
-        | Rt.RIf _ | Rt.RIfz _ | Rt.RGoto _ | Rt.RRet _ | Rt.RRetv _
-        | Rt.RCallStatic _ | Rt.RCallVirtual _ | Rt.REnd _ ->
-          ()
+        | Rt.RIf _ | Rt.RIfz _ | Rt.RGoto _ | Rt.REnd _ -> ()
+        | Rt.RInstr (p, _) when classify code.(p) = Terminal -> ()
         | _ ->
           error "%s: region at %d does not end in a terminal or REnd" name
             entry)

@@ -23,7 +23,10 @@ val lower :
 (** Static audit of a compiled method's region table ([Rt.compiled m])
     against its canonical code. Checks extents, tick totals, slot bounds,
     fault-time sp slots against the reference maps, and operand-by-operand
-    agreement with [k_code]. Raises [Error] on any violation, and
+    agreement with [k_code], including that an [RInstr] names an
+    instruction without a dedicated op and, for a call or return, is its
+    region's last op. Raises [Error] on any violation, and
     [Invalid_argument] if [m] is not compiled. The compiler never runs
-    it; the test suite does, on every method of the registry. *)
+    it; the test suite does, on every method of the registry, and on
+    corrupted tables it must reject. *)
 val check : Rt.rmethod -> unit

@@ -103,19 +103,22 @@ and refmap = { map_locals : bool array; map_stack : bool array; map_depth : int 
    terminal operation. Pure ops read through the lowering's copy
    propagation; risky and terminal ops read their canonical stack slots,
    which the all-slots-live barrier before them guarantees are
-   materialized. *)
+   materialized.
+
+   Only instructions that are frequent in the measured mix and cheap on
+   their own have a dedicated op here: constants, moves, binops, field,
+   static and array access, yields, monitor ops, print and branches. Every
+   other includable instruction is an [RInstr]: a segment final that runs
+   the stack tier's own [Interp.dispatch] on the canonical instruction, so
+   the instruction has exactly one executor (DESIGN.md section 10). *)
 and rop =
   | RTick of int (* batched logical-clock ticks for the next segment *)
   (* pure segment body: cannot fault, allocate, or run hooks *)
   | RConst of int * int (* dst, value *)
   | RMove of int * int (* dst, src *)
-  | RStr of int * rclass * int (* dst, owning class, interned index *)
   | RBin of bin * int * int * int (* op, dst, src a, src b; never div/rem *)
   | RBinC of bin * int * int * int (* op, dst, src a, constant b *)
   | RBinCL of bin * int * int * int (* op, dst, constant a, src b *)
-  | RNeg of int * int (* dst, src *)
-  | RSwapMem of int * int (* exchange two materialized slots *)
-  | RInstanceof of int * int * int (* dst, class id, src *)
   | RPrint of int (* src *)
   (* risky segment finals: [pc] is the canonical pc, [fsp]-style operands
      are slot indices (abs sp = fp + header + slot), stored before the
@@ -125,13 +128,8 @@ and rop =
   | RPutfield of int * int * int (* field slot, pc, obj slot (v at obj+1) *)
   | RGetstatic of int * int * int * int (* cid, globals index, pc, dst slot *)
   | RPutstatic of int * int * int * int (* cid, globals index, pc, v slot *)
-  | RNewobj of int * int * int (* cid, pc, dst slot *)
-  | RNewarray of bool * int * int (* elem_ref, pc, len/dst slot *)
   | RAload of int * int (* pc, arr/dst slot (idx at arr+1) *)
   | RAstore of int * int (* pc, arr slot (idx at arr+1, v at arr+2) *)
-  | RArraylength of int * int (* pc, arr/dst slot *)
-  | RCheckcast of int * int * int (* cid, pc, obj slot (sp stays above) *)
-  | RPrints of int * int (* pc, string slot *)
   | RYield of int * int
     (* yield point: next pc, sp slot. Segment-final like a risky op — its
        tick is paid by the preceding [RTick], so the preemption bit the
@@ -147,15 +145,18 @@ and rop =
     (* monitorexit: next pc, obj slot. Releasing never parks the current
        thread (a handoff only readies the next owner), so the region
        always continues. *)
+  | RInstr of int * int
+    (* canonical pc, sp slot before the instruction: run [k_code.(pc)]
+       through the stack tier's dispatch on the materialized frame. The
+       region goes on only if the instruction fell through ([t_pc] = pc +
+       1) on the same thread while the VM is still running; a call or
+       return is always a region's last op. Covers str, neg, swap,
+       instanceof, new, newarray, arraylength, checkcast, prints, ret,
+       retv and both invokes. *)
   (* terminals: exit the region, storing the canonical pc/sp *)
   | RIf of cmp * int * int * int (* cmp, target, fall pc, a slot (b at a+1) *)
   | RIfz of cmp * int * int * int (* cmp, target, fall pc, a slot *)
   | RGoto of int * int (* target, exit sp slot *)
-  | RRet of int * int (* pc, exit sp slot *)
-  | RRetv of int * int (* pc, result slot *)
-  | RCallStatic of rmethod * int * int (* callee, pc, entry sp slot *)
-  | RCallVirtual of int * int * int * int * int
-    (* declaring cid, vtable slot, nargs, pc, entry sp slot *)
   | REnd of int * int (* fall-through exit: next pc, exit sp slot *)
 
 and region = {

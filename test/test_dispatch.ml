@@ -362,6 +362,54 @@ let test_racy_counter_coverage () =
     Alcotest.failf "racy-counter region coverage %.3f < 0.9 (%d/%d)" frac
       s.Vm.Rt.n_regir_instr s.n_instr
 
+(* Register-tier coverage of every registry program at seed 1, as
+   (name, n_regir_instr, n_regir_mon). A change to the lowering that moves
+   pcs off the register tier, or monitor ops out of regions, keeps every
+   parity check green (the stack tier runs them identically) and shows
+   only here. Regenerate on purpose, never to make a failure go away. *)
+let coverage_table =
+  [
+    ("fig1ab", 37491, 0);
+    ("fig1cd", 6438, 2);
+    ("racy-counter", 271649, 0);
+    ("synced-counter", 43943, 3981);
+    ("producer-consumer", 12314, 600);
+    ("philosophers", 22195, 146);
+    ("philosophers-deadlock", 10033, 64);
+    ("bank", 8285, 532);
+    ("primes", 236267, 0);
+    ("parsum", 112067, 0);
+    ("gc-churn", 361355, 120);
+    ("exceptions", 1399, 80);
+    ("native", 603, 0);
+    ("deep", 30010, 0);
+    ("overflow", 81851, 0);
+    ("timed", 408, 18);
+    ("barrier", 4845, 64);
+    ("rwlock", 12263, 239);
+    ("mergesort", 216443, 0);
+    ("ring", 1321, 82);
+    ("webserver", 7564, 369);
+    ("lock-cycle", 31976, 4);
+    ("atomicity", 74, 0);
+  ]
+
+let test_pinned_coverage () =
+  Alcotest.(check (list string))
+    "the table covers the registry"
+    (List.map (fun (e : Workloads.Registry.entry) -> e.name) (all ()))
+    (List.map (fun (n, _, _) -> n) coverage_table);
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      let _, instr, mon = List.find (fun (n, _, _) -> n = e.name) coverage_table in
+      let vm, _ = run ~natives:e.natives ~seed:1 e.program in
+      let s = Vm.stats vm in
+      Alcotest.(check (pair int int))
+        (e.name ^ " n_regir_instr, n_regir_mon")
+        (instr, mon)
+        (s.Vm.Rt.n_regir_instr, s.n_regir_mon))
+    (all ())
+
 (* Interrupts arriving mid-region at a monitor op: a tiny timer quantum
    lands preemption requests on monitorenter/monitorexit constantly, so
    the region fast path's continue-only-while-running guard is exercised
@@ -503,8 +551,9 @@ let test_collect_cap_semantics () =
 
 (* The compiled listing of every method of every registry workload prints
    without raising, and names each virtual call by the method its
-   declaring class's vtable holds, on the stack tier and the register
-   tier alike. *)
+   declaring class's vtable holds, on the stack tier (a pc line) and the
+   register tier alike (the region's [RInstr] line, which prints the
+   canonical instruction with its sp slot and pc). *)
 let test_compiled_listings () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
@@ -524,7 +573,10 @@ let test_compiled_listings () =
             Alcotest.(check bool)
               (Fmt.str "synced-counter lists %S" needle)
               true (contains listing needle))
-          [ "invokevirtual Counter.bump/1"; "callv Counter.bump/1" ])
+          [
+            "  invokevirtual Counter.bump/1\n";
+            "invokevirtual Counter.bump/1 sp=r3  @6";
+          ])
     (all ())
 
 let () =
@@ -545,6 +597,7 @@ let () =
             test_virtual_dispatch;
           quick "return pc after a looping callee" test_return_pc_opens_region;
           quick "racy-counter region coverage" test_racy_counter_coverage;
+          quick "pinned coverage of the registry" test_pinned_coverage;
           quick "interrupt at a monitor op mid-region"
             test_interrupt_at_monitor_op;
         ] );

@@ -51,6 +51,87 @@ let test_catalogue_verifies () =
         vm.Vm.Rt.methods)
     (all ())
 
+(* The region audit rejects a corrupted table. Compile synced-counter,
+   rewrite the first region [corrupt] applies to, and require
+   [Regir.check] on that method to fail with a message naming [rule]. The
+   untouched method passes first, so the failure is the corruption's. *)
+let expect_rejected ~rule corrupt () =
+  let e =
+    match Workloads.Registry.find "synced-counter" with
+    | Some e -> e
+    | None -> Alcotest.fail "synced-counter workload missing"
+  in
+  let vm = Vm.create ~natives:e.natives e.program in
+  let hit =
+    Array.to_list vm.Vm.Rt.methods
+    |> List.find_map (fun (m : Vm.Rt.rmethod) ->
+           let c = Vm.Compile.compile vm m in
+           Vm.Regir.check m;
+           let regions = c.Vm.Rt.k_regions in
+           Array.to_list (Array.mapi (fun pc r -> (pc, r)) regions)
+           |> List.find_map (fun (pc, r) ->
+                  match r with
+                  | None -> None
+                  | Some r ->
+                    Option.map
+                      (fun r' -> (m, regions, pc, r'))
+                      (corrupt c.Vm.Rt.k_code r)))
+  in
+  match hit with
+  | None -> Alcotest.failf "no region to corrupt for %S" rule
+  | Some (m, regions, pc, r') -> (
+    regions.(pc) <- Some r';
+    match Vm.Regir.check m with
+    | () -> Alcotest.failf "audit accepted a region at %d breaking %S" pc rule
+    | exception Vm.Regir.Error msg ->
+      if not (contains msg rule) then
+        Alcotest.failf "audit rejected for another reason: %s" msg)
+
+(* Replace op [i] of [r] with [f op] for the first op it maps to [Some]. *)
+let rewrite_op f (r : Vm.Rt.region) =
+  let ops = r.Vm.Rt.r_ops in
+  let rec go i =
+    if i >= Array.length ops then None
+    else
+      match f ops.(i) with
+      | Some op ->
+        let ops = Array.copy ops in
+        ops.(i) <- op;
+        Some { r with Vm.Rt.r_ops = ops }
+      | None -> go (i + 1)
+  in
+  go 0
+
+let is_call code p =
+  match code.(p) with
+  | Vm.Rt.KInvokestatic _ | Vm.Rt.KInvokevirtual _ -> true
+  | _ -> false
+
+let wrong_sp _code =
+  rewrite_op (function
+    | Vm.Rt.RInstr (p, s) -> Some (Vm.Rt.RInstr (p, s + 1))
+    | _ -> None)
+
+(* the call's own op, then an [REnd] behind it *)
+let call_not_last code (r : Vm.Rt.region) =
+  let ops = r.Vm.Rt.r_ops in
+  match ops.(Array.length ops - 1) with
+  | Vm.Rt.RInstr (p, s) when is_call code p ->
+    Some { r with Vm.Rt.r_ops = Array.append ops [| Vm.Rt.REnd (p + 1, s) |] }
+  | _ -> None
+
+(* the branch's pc and its canonical sp slot before it *)
+let instr_on_branch _code =
+  rewrite_op (function
+    | Vm.Rt.RIf (_, _, fall, a) -> Some (Vm.Rt.RInstr (fall - 1, a + 2))
+    | Vm.Rt.RIfz (_, _, fall, a) -> Some (Vm.Rt.RInstr (fall - 1, a + 1))
+    | _ -> None)
+
+let one_tick_short _code =
+  rewrite_op (function
+    | Vm.Rt.RTick k when k >= 2 -> Some (Vm.Rt.RTick (k - 1))
+    | _ -> None)
+
 let test_webserver_conservation () =
   List.iter
     (fun seed ->
@@ -115,6 +196,19 @@ let () =
           quick "all pass the verifier" test_catalogue_verifies;
           quick "distinct names" test_catalogue_distinct_names;
           quick "digests cached" test_catalogue_digests_cached;
+        ] );
+      ( "region audit",
+        [
+          quick "rejects an RInstr with the wrong sp slot"
+            (expect_rejected ~rule:"carries sp slot" wrong_sp);
+          quick "rejects a call RInstr before the last op"
+            (expect_rejected ~rule:"a call or return before the last op"
+               call_not_last);
+          quick "rejects an RInstr on a branch"
+            (expect_rejected ~rule:"runs an instruction with its own op"
+               instr_on_branch);
+          quick "rejects ticks one short of r_n"
+            (expect_rejected ~rule:"ticks for" one_tick_short);
         ] );
       ( "webserver",
         [
