@@ -22,7 +22,10 @@ smoke:
 # longer applies, if the mutant does not build (a mutant must be killed
 # by a test, not by the compiler), or if `dune runtest` still passes. A
 # mutant can make a random property test loop, so the suite gets 5
-# minutes; running out counts as killed.
+# minutes; running out counts as killed. Each killed mutant is followed by
+# one "killed by:" line per failing case: its group, number and name, as
+# alcotest lists it (every [FAIL] line, not only the ">"-marked first one
+# of each suite).
 mutants:
 	@for p in test/mutants/*.patch; do \
 	  dir=$$(mktemp -d "$${TMPDIR:-/tmp}/mutant.XXXXXX"); \
@@ -34,7 +37,9 @@ mutants:
 	    echo "mutants: $$p does not build"; rm -rf $$dir; exit 1; fi; \
 	  if (cd $$dir && timeout 300 dune runtest >$$dir/runtest.log 2>&1); then \
 	    echo "mutants: $$p survived dune runtest"; rm -rf $$dir; exit 1; fi; \
-	  echo "mutants: $$p killed ($$(grep -c '^> \[FAIL\]' $$dir/runtest.log) failing cases)"; \
+	  echo "mutants: $$p killed ($$(grep -cE '^[> ] \[FAIL\]' $$dir/runtest.log) failing cases)"; \
+	  grep -E '^[> ] \[FAIL\]' $$dir/runtest.log \
+	    | sed -E 's/^[> ] \[FAIL\] +/  killed by: /; s/ +/ /g; s/\.$$//'; \
 	  rm -rf $$dir; done
 
 # Replay farm gate: record the whole registry across 4 shard domains and

@@ -326,30 +326,35 @@ let dump_cmd =
               Fmt.pr "%6d" d;
               if (k + 1) mod 10 = 0 then Fmt.pr "@.")
             t.Dejavu.Trace.switches;
+          (* each kind decoded in the layout of the section holding it *)
+          let tapes = Dejavu.Trace.tapes t in
+          let listing what f =
+            try f ()
+            with Dejavu.Trace.End_of_tape _ | Dejavu.Trace.Format_error _ ->
+              Fmt.pr "(malformed %s tape)@." what
+          in
           Fmt.pr "@.@.-- wall-clock reads --@.";
-          let n = Array.length t.Dejavu.Trace.clocks / 2 in
-          for k = 0 to n - 1 do
-            Fmt.pr "%-6s %d@."
-              (Dejavu.Trace.reason_name t.Dejavu.Trace.clocks.(2 * k))
-              t.Dejavu.Trace.clocks.((2 * k) + 1)
-          done;
+          listing "clock" (fun () ->
+              let layout, tape = Dejavu.Trace.clock_source tapes in
+              let prev = ref 0 in
+              while Dejavu.Tape.remaining tape > 0 do
+                let tag, v = Dejavu.Trace.read_clock layout tape ~prev:!prev in
+                prev := v;
+                Fmt.pr "%-6s %d@." (Dejavu.Trace.reason_name tag) v
+              done);
           Fmt.pr "@.-- inputs --@.";
           Array.iter (fun v -> Fmt.pr "%d " v) t.Dejavu.Trace.inputs;
           Fmt.pr "@.@.-- native outcomes --@.";
-          let tape =
-            Dejavu.Tape.of_array "natives" t.Dejavu.Trace.natives
-          in
-          (try
-             while Dejavu.Tape.remaining tape > 0 do
-               let id, o = Dejavu.Trace.read_native_outcome tape in
-               Fmt.pr "native %d -> %s, %d callback(s)@." id
-                 (match o.Vm.Rt.no_result with
-                 | Some v -> string_of_int v
-                 | None -> "void")
-                 (List.length o.Vm.Rt.no_callbacks)
-             done
-           with Dejavu.Trace.End_of_tape _ | Dejavu.Trace.Format_error _ ->
-             Fmt.pr "(malformed native tape)@.");
+          listing "native" (fun () ->
+              let layout, tape = Dejavu.Trace.native_source tapes in
+              while Dejavu.Tape.remaining tape > 0 do
+                let id, o = Dejavu.Trace.read_native layout tape in
+                Fmt.pr "native %d -> %s, %d callback(s)@." id
+                  (match o.Vm.Rt.no_result with
+                  | Some v -> string_of_int v
+                  | None -> "void")
+                  (List.length o.Vm.Rt.no_callbacks)
+              done);
           (* explorer traces steer the scheduler: one tid per dispatch *)
           if t.Dejavu.Trace.picks <> [||] then begin
             Fmt.pr "@.-- dispatch picks --@.";

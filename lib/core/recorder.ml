@@ -7,7 +7,9 @@
 
 (* Install the clock/input/native capture only (every replay scheme needs
    this part — the paper's footnote 7); the yield-point instrumentation is
-   installed separately so baseline schemes can substitute their own. *)
+   installed separately so baseline schemes can substitute their own. Clock
+   reads and native outcomes go to the compact sections, each clock entry
+   coded against the session's previous clock value. *)
 let attach_io (vm : Vm.Rt.t) (s : Session.t) =
   vm.hooks.h_clock <-
     (fun vm reason ->
@@ -16,8 +18,10 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
         | Vm.Rt.Cidle earliest -> Vm.Env.idle_until vm.env earliest
         | Vm.Rt.Capp | Vm.Rt.Csched -> Vm.Env.read_clock vm.env
       in
-      Trace.Tape.push s.clocks (Trace.tag_of_reason reason);
-      Trace.Tape.push s.clocks v;
+      Trace.push_clock s.clocks ~prev:s.clock_prev
+        (Trace.tag_of_reason reason)
+        v;
+      s.clock_prev <- v;
       Ring.put s.ring v;
       v);
   vm.hooks.h_input <-
@@ -29,7 +33,7 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
   vm.hooks.h_native <-
     (fun vm nat args ->
       let outcome = nat.nat_fn vm args in
-      Trace.push_native_outcome s.natives nat.nat_id outcome;
+      Trace.push_native s.natives nat.nat_id outcome;
       Ring.put s.ring nat.nat_id;
       outcome)
 

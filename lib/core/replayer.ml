@@ -13,14 +13,16 @@ exception Divergence = Session.Divergence
 
 (* Stop the environment clock and install the clock/input/native
    substitution; yield-point instrumentation is installed separately (see
-   Recorder.attach_io). [Vm.install_live_hooks] starts the clock again. *)
+   Recorder.attach_io). [Vm.install_live_hooks] starts the clock again.
+   Clock reads and native outcomes are decoded in the layout of the
+   section the session found them in, legacy or compact. *)
 let attach_io (vm : Vm.Rt.t) (s : Session.t) =
   vm.env_ticks <- false;
   vm.hooks.h_clock <-
     (fun vm reason ->
       let expect = Trace.tag_of_reason reason in
-      let tag =
-        try Trace.Tape.read s.clocks
+      let tag, v =
+        try Trace.read_clock s.clock_layout s.clocks ~prev:s.clock_prev
         with Trace.End_of_tape _ ->
           Session.divergence_at vm "clock read (%s) beyond the recorded trace"
             (Trace.reason_name expect)
@@ -29,7 +31,7 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
         Session.divergence_at vm
           "clock read reason mismatch: recorded %s, got %s"
           (Trace.reason_name tag) (Trace.reason_name expect);
-      let v = Trace.Tape.read s.clocks in
+      s.clock_prev <- v;
       Ring.put s.ring v;
       v);
   vm.hooks.h_input <-
@@ -44,7 +46,7 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
   vm.hooks.h_native <-
     (fun vm nat _args ->
       let nat_id, outcome =
-        try Trace.read_native_outcome s.natives
+        try Trace.read_native s.native_layout s.natives
         with Trace.End_of_tape _ ->
           Session.divergence_at vm "native call %s beyond the recorded trace"
             nat.nat_name
@@ -94,7 +96,7 @@ let attach_picks (vm : Vm.Rt.t) (s : Session.t) =
               "dispatch override beyond the recorded schedule")
 
 (* The one attach: reject a foreign header, then install the hooks over
-   the five tapes, a trace's arrays in memory or the reader's
+   the seven tapes, a trace's arrays in memory or the reader's
    chunk-refilled views (O(chunk) replay-side trace memory). *)
 let attach_tapes (vm : Vm.Rt.t) ~program_digest tapes : Session.t =
   check_header vm ~program_digest;

@@ -32,11 +32,15 @@ type t = {
   vm : Vm.Rt.t;
   mode : mode;
   ring : Ring.t;
+  sections : Trace.Tape.t array; (* all seven tapes, in section order *)
   switches : Trace.Tape.t; (* the schedule: Figure-2 deltas, or a baseline
                               scheme's own encoding *)
-  clocks : Trace.Tape.t;
+  clocks : Trace.Tape.t; (* the section clock reads go to or come from *)
+  clock_layout : Trace.layout;
+  mutable clock_prev : int; (* the last clock value: the compact delta base *)
   inputs : Trace.Tape.t;
-  natives : Trace.Tape.t;
+  natives : Trace.Tape.t; (* the section native outcomes go to or come from *)
+  native_layout : Trace.layout;
   picks : Trace.Tape.t; (* dispatch overrides; empty unless a controlled
                            scheduler drove the recording *)
   mutable nyp : int; (* yield points since the last thread switch *)
@@ -47,12 +51,21 @@ type t = {
 }
 
 (* The one record constructor and the one replay constructor. Each takes
-   the five tapes in section order (switches, clocks, inputs, natives,
-   picks): fresh growable ones or a trace's arrays in memory, the writer's
-   sink-wired buffers or the reader's chunk-refilled views on file.
+   the seven tapes in section order: fresh growable ones or a trace's
+   arrays in memory, the writer's sink-wired buffers or the reader's
+   chunk-refilled views on file. A recording writes clock reads and native
+   outcomes in the compact sections; a replay reads each kind from the
+   section that holds it, and a trace with one kind in both is malformed.
    Everything downstream — Figure 2, the I/O hooks, leftover accounting —
    is tape-agnostic. *)
 let create vm mode (tapes : Trace.Tape.t array) =
+  let (clock_layout, clocks), (native_layout, natives) =
+    match mode with
+    | Record ->
+      (* sections 5 and 6: the compact clock and native sections *)
+      ((Trace.Compact, tapes.(5)), (Trace.Compact, tapes.(6)))
+    | Replay -> (Trace.clock_source tapes, Trace.native_source tapes)
+  in
   (* symmetric initialization: same allocation, same warm-up, both modes *)
   Symmetry.warmup_io ();
   let ring = Ring.create vm () in
@@ -60,10 +73,14 @@ let create vm mode (tapes : Trace.Tape.t array) =
     vm;
     mode;
     ring;
+    sections = tapes;
     switches = tapes.(0);
-    clocks = tapes.(1);
+    clocks;
+    clock_layout;
+    clock_prev = 0;
     inputs = tapes.(2);
-    natives = tapes.(3);
+    natives;
+    native_layout;
     picks = tapes.(4);
     nyp = 0;
     liveclock = true;
@@ -76,28 +93,20 @@ let for_record vm tapes = create vm Record tapes
 
 let for_replay vm tapes = create vm Replay tapes
 
-let tapes s = [| s.switches; s.clocks; s.inputs; s.natives; s.picks |]
-
-let streaming (s : t) = Array.exists Trace.Tape.is_streaming (tapes s)
+let streaming (s : t) = Array.exists Trace.Tape.is_streaming s.sections
 
 let to_trace (s : t) program_digest : Trace.t =
-  {
-    Trace.program_digest;
-    switches = Trace.Tape.to_array s.switches;
-    clocks = Trace.Tape.to_array s.clocks;
-    inputs = Trace.Tape.to_array s.inputs;
-    natives = Trace.Tape.to_array s.natives;
-    picks = Trace.Tape.to_array s.picks;
-  }
+  Trace.of_sections program_digest (Array.map Trace.Tape.to_array s.sections)
 
 (* --- session checkpoints (for checkpoint-accelerated time travel) ------ *)
 
 (* The instrumentation state that must roll back together with a VM
-   snapshot: tape cursors (replay) / tape lengths (record), the Figure-2
-   logical clock, and the ring position. *)
+   snapshot: tape cursors (replay) / tape lengths (record), the clock delta
+   base, the Figure-2 logical clock, and the ring position. *)
 type snap = {
   sn_rd : int array; (* per-tape read cursors *)
   sn_len : int array; (* per-tape lengths (record mode appends) *)
+  sn_clock_prev : int;
   sn_nyp : int;
   sn_liveclock : bool;
   sn_switch_bit : bool;
@@ -117,8 +126,9 @@ let check_not_streaming what s =
 let snapshot (s : t) : snap =
   check_not_streaming "Session.snapshot" s;
   {
-    sn_rd = Array.map (fun (t : Trace.Tape.t) -> t.rd) (tapes s);
-    sn_len = Array.map (fun (t : Trace.Tape.t) -> t.len) (tapes s);
+    sn_rd = Array.map (fun (t : Trace.Tape.t) -> t.rd) s.sections;
+    sn_len = Array.map (fun (t : Trace.Tape.t) -> t.len) s.sections;
+    sn_clock_prev = s.clock_prev;
     sn_nyp = s.nyp;
     sn_liveclock = s.liveclock;
     sn_switch_bit = s.switch_bit;
@@ -134,7 +144,8 @@ let restore (s : t) (c : snap) =
     (fun i (t : Trace.Tape.t) ->
       t.rd <- c.sn_rd.(i);
       t.len <- c.sn_len.(i))
-    (tapes s);
+    s.sections;
+  s.clock_prev <- c.sn_clock_prev;
   s.nyp <- c.sn_nyp;
   s.liveclock <- c.sn_liveclock;
   s.switch_bit <- c.sn_switch_bit;
@@ -151,4 +162,4 @@ let leftovers (s : t) : string list =
       let r = Trace.Tape.remaining tape in
       if r > 0 then Some (Fmt.str "%d unconsumed %s words" r tape.Trace.Tape.name)
       else None)
-    (Array.to_list (tapes s))
+    (Array.to_list s.sections)

@@ -20,12 +20,21 @@ type t = {
   vm : Vm.Rt.t;
   mode : mode;
   ring : Ring.t;
+  sections : Trace.Tape.t array;  (** all seven tapes, in section order *)
   switches : Trace.Tape.t;
       (** the schedule: Figure-2 deltas, or a baseline scheme's own
           encoding *)
   clocks : Trace.Tape.t;
+      (** the section clock reads go to (record: the compact one) or come
+          from (replay: the one holding them) *)
+  clock_layout : Trace.layout;
+  mutable clock_prev : int;
+      (** the last clock value, the compact entries' delta base: rolled
+          back by {!restore} with the tape cursors *)
   inputs : Trace.Tape.t;
   natives : Trace.Tape.t;
+      (** the section native outcomes go to or come from, as [clocks] *)
+  native_layout : Trace.layout;
   picks : Trace.Tape.t;
       (** dispatch overrides; empty unless a controlled scheduler drove the
           recording *)
@@ -36,16 +45,19 @@ type t = {
   mutable switches_done : int;
 }
 
-(** The record-mode session over five tapes in section order (switches,
-    clocks, inputs, natives, picks): {!Trace.new_tapes} for an in-memory
-    recording, [Trace.Writer.tapes] to stream into a file. Symmetric
-    initialization (warm-up I/O, ring allocation). *)
+(** The record-mode session over seven tapes in section order:
+    {!Trace.new_tapes} for an in-memory recording, [Trace.Writer.tapes] to
+    stream into a file. Clock reads and native outcomes go to the compact
+    sections. Symmetric initialization (warm-up I/O, ring allocation). *)
 val for_record : Vm.Rt.t -> Trace.Tape.t array -> t
 
-(** The replay-mode session over five tapes in section order:
+(** The replay-mode session over seven tapes in section order:
     {!Trace.tapes} of a trace in memory, [Trace.Reader.tapes] to stream
-    from a file. Same initialization as {!for_record}; the scheme that
-    reads the switches tape primes its own clock from it. *)
+    from a file. Each kind is read from the section that holds it
+    ({!Trace.clock_source}); raises [Trace.Format_error] when a kind has
+    data in both its legacy and its compact section. Same initialization
+    as {!for_record}; the scheme that reads the switches tape primes its
+    own clock from it. *)
 val for_replay : Vm.Rt.t -> Trace.Tape.t array -> t
 
 (** True when any tape is sink- or refill-wired; such sessions refuse

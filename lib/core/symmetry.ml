@@ -32,10 +32,12 @@ let warmup_once () =
         {
           Trace.program_digest = "warmup";
           switches = [| 1; 2; 3 |];
-          clocks = [| 0; 42 |];
+          legacy_clocks = [||];
           inputs = [| 7 |];
-          natives = [||];
+          legacy_natives = [||];
           picks = [||];
+          clocks = [| 42 lsl 2 |];
+          natives = [||];
         };
       let rt = Trace.load path in
       assert (rt.Trace.program_digest = "warmup"))

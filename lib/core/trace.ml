@@ -2,16 +2,37 @@
 
    Following the paper (footnote 7: wall-clock logging "need be done
    independently of thread switch information in all replay schemes"), a
-   trace holds one tape per non-deterministic event kind:
-     - switches: yield-point deltas (nyp) between preemptive thread switches
-     - clocks:   (reason, value) pairs for every wall-clock read
-     - inputs:   external input values
-     - natives:  native-call outcomes: result and callback parameters
-     - picks:    dispatch-override decisions (one tid per h_pick
-                 consultation), recorded only by controlled schedulers; the
-                 section is optional on disk — absent when empty, so traces
-                 from ordinary recordings are byte-identical to DJVU2 files
-                 written before the section existed
+   trace holds one tape per non-deterministic event kind, one section each
+   on disk, in this order:
+     0 switches:        yield-point deltas (nyp) between preemptive thread
+                        switches
+     1 legacy clocks:   (reason, value) pairs, one per wall-clock read
+     2 inputs:          external input values
+     3 legacy natives:  native-call outcomes, four words or more each
+     4 picks:           dispatch-override decisions (one tid per h_pick
+                        consultation), recorded only by controlled
+                        schedulers
+     5 clocks:          compact clock entries (below)
+     6 natives:         compact native entries (below)
+   Sections 0-3 are always written. Sections 4-6 are optional: a trailing
+   run of empty ones is left out, so a trace with no picks, clock read or
+   native call is byte-identical to a DJVU2 file written before those
+   sections existed. New recordings write clock reads and native outcomes
+   in the compact sections 5 and 6 and leave sections 1 and 3 empty;
+   traces of older builds hold them in sections 1 and 3 and still replay.
+   Replay decodes each kind in the layout of the section that holds its
+   data ([clock_source], [native_source]); data in both is malformed.
+
+   Compact clock entry: one word [(d lsl 2) lor tag], [d] the value minus
+   the session's previous clock value (0 before the first read), [tag] the
+   reason (0-2). Tag 3 escapes a delta outside +-2^59, which a guest sleep
+   or 63-bit wraparound can produce: the next two words hold the tag and
+   the absolute value. Compact native entry: a header word [(nat_id lsl 2)
+   lor has_result lor (has_callbacks lsl 1)], the result word if there is
+   one, and, only if there are callbacks, their count and the callbacks
+   [(uid; nargs; args...)*] as in the legacy record. [push_clock]/
+   [read_clock] and [push_native]/[read_native] are the one encoder and
+   decoder of each kind.
 
    Tapes are flat integer sequences; the file format is a zigzag-varint
    stream with a header carrying a structural digest of the program so a
@@ -121,10 +142,12 @@ end
 type t = {
   program_digest : string;
   switches : int array;
-  clocks : int array; (* flattened (reason, value) pairs *)
+  legacy_clocks : int array; (* section 1: (reason, value) pairs *)
   inputs : int array;
-  natives : int array; (* flattened native records *)
+  legacy_natives : int array; (* section 3: legacy native records *)
   picks : int array; (* dispatch overrides; [||] for ordinary recordings *)
+  clocks : int array; (* section 5: compact clock entries *)
+  natives : int array; (* section 6: compact native entries *)
 }
 
 (* Clock-read reason tags. *)
@@ -139,44 +162,108 @@ let reason_name = function
   | 2 -> "idle"
   | _ -> "?"
 
-(* Native outcome encoding, onto a tape:
-   [native_id; has_result; result?; n_callbacks; (uid; nargs; args...)* ] *)
-let push_native_outcome tape nat_id (o : Vm.Rt.native_outcome) =
-  Tape.push tape nat_id;
-  (match o.no_result with
-  | Some v ->
-    Tape.push tape 1;
-    Tape.push tape v
-  | None -> Tape.push tape 0);
-  Tape.push tape (List.length o.no_callbacks);
-  List.iter
-    (fun (uid, args) ->
-      Tape.push tape uid;
-      Tape.push tape (Array.length args);
-      Array.iter (Tape.push tape) args)
-    o.no_callbacks
+type layout = Legacy | Compact
 
-let read_native_outcome tape : int * Vm.Rt.native_outcome =
-  let nat_id = Tape.read tape in
-  let no_result =
+(* --- clock entries ----------------------------------------------------- *)
+
+let escape_tag = 3
+
+(* The largest delta magnitude a one-word entry carries: [d lsl 2] must
+   not overflow 63 bits. *)
+let max_delta = 1 lsl 59
+
+let push_clock tape ~prev tag v =
+  let d = v - prev in
+  if d >= -max_delta && d <= max_delta then Tape.push tape ((d lsl 2) lor tag)
+  else begin
+    Tape.push tape escape_tag;
+    Tape.push tape tag;
+    Tape.push tape v
+  end
+
+let read_clock layout tape ~prev =
+  match layout with
+  | Legacy ->
+    let tag = Tape.read tape in
+    (tag, Tape.read tape)
+  | Compact ->
+    let w = Tape.read tape in
+    let tag = w land 3 in
+    if tag <> escape_tag then (tag, prev + (w asr 2))
+    else begin
+      if w <> escape_tag then
+        raise (Format_error (Fmt.str "bad clock escape word %d" w));
+      match Tape.read tape with
+      | tag when tag >= 0 && tag < escape_tag -> (tag, Tape.read tape)
+      | tag -> raise (Format_error (Fmt.str "bad escaped clock tag %d" tag))
+    end
+
+(* Clock reads among [len] words of a compact section, of which the first
+   [owed] finish an escape begun before them: returns the reads begun and
+   the words the last escape still owes. The writer counts a section a
+   flushed chunk at a time, so an escape may straddle two chunks. *)
+let count_clock_entries ~owed data len =
+  let reads = ref 0 and owed = ref owed in
+  for k = 0 to len - 1 do
+    if !owed > 0 then decr owed
+    else begin
+      incr reads;
+      if data.(k) land 3 = escape_tag then owed := 2
+    end
+  done;
+  (!reads, !owed)
+
+(* --- native entries ---------------------------------------------------- *)
+
+let push_native tape nat_id (o : Vm.Rt.native_outcome) =
+  let has_result = if Option.is_some o.no_result then 1 else 0 in
+  let has_callbacks = if o.no_callbacks <> [] then 2 else 0 in
+  Tape.push tape ((nat_id lsl 2) lor has_result lor has_callbacks);
+  Option.iter (Tape.push tape) o.no_result;
+  if has_callbacks <> 0 then begin
+    Tape.push tape (List.length o.no_callbacks);
+    List.iter
+      (fun (uid, args) ->
+        Tape.push tape uid;
+        Tape.push tape (Array.length args);
+        Array.iter (Tape.push tape) args)
+      o.no_callbacks
+  end
+
+(* Legacy record: [native_id; has_result; result?; n_callbacks; (uid;
+   nargs; args...)*]. *)
+let read_native layout tape : int * Vm.Rt.native_outcome =
+  let count what ~min =
     match Tape.read tape with
-    | 1 -> Some (Tape.read tape)
-    | 0 -> None
-    | k -> raise (Format_error (Fmt.str "bad has_result %d" k))
-  in
-  let count what =
-    match Tape.read tape with
-    | n when n < 0 -> raise (Format_error (Fmt.str "negative %s %d" what n))
+    | n when n < min ->
+      let how = if n < 0 then "negative" else "bad" in
+      raise (Format_error (Fmt.str "%s %s %d" how what n))
     | n -> n
   in
-  let ncb = count "callback count" in
-  let no_callbacks =
-    List.init ncb (fun _ ->
+  let callbacks n =
+    List.init n (fun _ ->
         let uid = Tape.read tape in
-        let n = count "callback arity" in
+        let n = count "callback arity" ~min:0 in
         (uid, Array.init n (fun _ -> Tape.read tape)))
   in
-  (nat_id, { Vm.Rt.no_result; no_callbacks })
+  match layout with
+  | Legacy ->
+    let nat_id = Tape.read tape in
+    let no_result =
+      match Tape.read tape with
+      | 1 -> Some (Tape.read tape)
+      | 0 -> None
+      | k -> raise (Format_error (Fmt.str "bad has_result %d" k))
+    in
+    let no_callbacks = callbacks (count "callback count" ~min:0) in
+    (nat_id, { Vm.Rt.no_result; no_callbacks })
+  | Compact ->
+    let h = Tape.read tape in
+    let no_result = if h land 1 <> 0 then Some (Tape.read tape) else None in
+    let no_callbacks =
+      if h land 2 <> 0 then callbacks (count "callback count" ~min:1) else []
+    in
+    (h asr 2, { Vm.Rt.no_result; no_callbacks })
 
 (* --- statistics ------------------------------------------------------- *)
 
@@ -320,21 +407,76 @@ let varint_size v =
   let rec go z n = if z lsr 7 = 0 then n else go (z lsr 7) (n + 1) in
   go z 1
 
-(* The five sections, in file order. The first four are mandatory; the
-   trailing picks section is written only when non-empty, so every trace
-   without dispatch overrides keeps the original 4-section layout
-   bit-for-bit. *)
-let section_names = [| "switches"; "clocks"; "inputs"; "natives"; "picks" |]
+(* The seven sections, in file order. The first four are always written;
+   a trailing run of empty ones among the other three is left out, so every
+   trace without dispatch overrides, clock reads or native calls keeps the
+   original 4-section layout bit-for-bit. *)
+let section_names =
+  [|
+    "switches"; "legacy-clocks"; "inputs"; "legacy-natives"; "picks";
+    "clocks"; "natives";
+  |]
 
 let mandatory_sections = 4
 
-let written i count = i < mandatory_sections || count > 0
+(* Where each layout keeps clock reads and native outcomes. *)
+let legacy_clock_section = 1
 
-let sections (t : t) = [| t.switches; t.clocks; t.inputs; t.natives; t.picks |]
+let legacy_native_section = 3
+
+let clock_section = 5
+
+let native_section = 6
+
+(* Sections written for these per-section element counts: the mandatory
+   four, and every optional one up to the last non-empty one. *)
+let n_written counts =
+  let n = ref mandatory_sections in
+  Array.iteri (fun i c -> if c > 0 then n := max !n (i + 1)) counts;
+  !n
+
+let sections (t : t) =
+  [|
+    t.switches; t.legacy_clocks; t.inputs; t.legacy_natives; t.picks;
+    t.clocks; t.natives;
+  |]
+
+let of_sections program_digest a =
+  {
+    program_digest;
+    switches = a.(0);
+    legacy_clocks = a.(1);
+    inputs = a.(2);
+    legacy_natives = a.(3);
+    picks = a.(4);
+    clocks = a.(5);
+    natives = a.(6);
+  }
 
 let new_tapes () = Array.map Tape.create section_names
 
 let tapes (t : t) = Array.map2 Tape.of_array section_names (sections t)
+
+(* The layout a kind's data is in and the tape that holds it, from the
+   seven tapes in section order: the compact section unless only the
+   legacy one holds data. *)
+let source what tapes ~legacy ~compact =
+  let l = tapes.(legacy) and c = tapes.(compact) in
+  match (Tape.remaining l > 0, Tape.remaining c > 0) with
+  | true, true ->
+    raise
+      (Format_error
+         (Fmt.str "%s in both the legacy and the compact section" what))
+  | true, false -> (Legacy, l)
+  | false, _ -> (Compact, c)
+
+let clock_source tapes =
+  source "clock reads" tapes ~legacy:legacy_clock_section
+    ~compact:clock_section
+
+let native_source tapes =
+  source "native outcomes" tapes ~legacy:legacy_native_section
+    ~compact:native_section
 
 (* The header, shared by [to_bytes] and [Writer.finish]. *)
 let put_header buf ~program_digest =
@@ -350,21 +492,21 @@ let put_header buf ~program_digest =
 let to_bytes (t : t) : string =
   let buf = Buffer.create 4096 in
   put_header buf ~program_digest:t.program_digest;
-  Array.iteri
-    (fun i arr ->
-      if written i (Array.length arr) then begin
-        put_varint buf (Array.length arr);
-        Array.iter (put_varint buf) arr
-      end)
-    (sections t);
+  let secs = sections t in
+  for i = 0 to n_written (Array.map Array.length secs) - 1 do
+    put_varint buf (Array.length secs.(i));
+    Array.iter (put_varint buf) secs.(i)
+  done;
   Buffer.contents buf
 
 (* Byte size of the serialized form, computed arithmetically — no buffer is
    materialized, so statistics on a large trace cost no allocation spike. *)
 let encoded_size (t : t) : int =
   let field s = varint_size (String.length s) + String.length s in
+  let secs = sections t in
+  let n = n_written (Array.map Array.length secs) in
   let section i arr =
-    if not (written i (Array.length arr)) then 0
+    if i >= n then 0
     else
       Array.fold_left
         (fun acc v -> acc + varint_size v)
@@ -372,15 +514,17 @@ let encoded_size (t : t) : int =
         arr
   in
   String.length magic + field t.program_digest + field ""
-  + Array.fold_left ( + ) 0 (Array.mapi section (sections t))
+  + Array.fold_left ( + ) 0 (Array.mapi section secs)
 
-(* Statistics from per-section element counts, in section order. *)
-let sizes_of_counts counts ~total_bytes =
+(* Statistics from per-section element counts, in section order, and the
+   clock reads the compact clock section holds (which its word count does
+   not tell, escapes taking three words). *)
+let sizes_of_counts counts ~compact_clock_reads ~total_bytes =
   {
     n_switches = counts.(0);
-    n_clock_reads = counts.(1) / 2;
+    n_clock_reads = (counts.(1) / 2) + compact_clock_reads;
     n_inputs = counts.(2);
-    n_native_words = counts.(3);
+    n_native_words = counts.(3) + counts.(6);
     n_picks = counts.(4);
     total_words = Array.fold_left ( + ) 0 counts;
     total_bytes;
@@ -389,6 +533,8 @@ let sizes_of_counts counts ~total_bytes =
 let sizes (t : t) : sizes =
   sizes_of_counts
     (Array.map Array.length (sections t))
+    ~compact_clock_reads:
+      (fst (count_clock_entries ~owed:0 t.clocks (Array.length t.clocks)))
     ~total_bytes:(encoded_size t)
 
 let pp_sizes ppf s =
@@ -429,6 +575,8 @@ module Writer = struct
     mutable scratch : Bytes.t; (* one flushed chunk, encoded *)
     mutable w_tapes : Tape.t array;
     mutable peak_words : int; (* high-water mark of buffered words *)
+    mutable clock_reads : int; (* compact clock entries begun *)
+    mutable clock_owed : int; (* words the last clock escape still owes *)
     mutable closed : bool;
   }
 
@@ -483,6 +631,8 @@ module Writer = struct
         scratch = Bytes.empty;
         w_tapes = [||];
         peak_words = 0;
+        clock_reads = 0;
+        clock_owed = 0;
         closed = false;
       }
     in
@@ -502,6 +652,13 @@ module Writer = struct
               let n = encode_chunk w.scratch 0 data len in
               Buffer.add_subbytes s.w_buf w.scratch 0 n;
               s.w_count <- s.w_count + len;
+              if i = clock_section then begin
+                let reads, owed =
+                  count_clock_entries ~owed:w.clock_owed data len
+                in
+                w.clock_reads <- w.clock_reads + reads;
+                w.clock_owed <- owed
+              end;
               if Buffer.length s.w_buf >= w.cap then spill w s))
         section_names
     in
@@ -545,9 +702,10 @@ module Writer = struct
             let b = Buffer.create 64 in
             put_header b ~program_digest;
             Buffer.output_buffer w.tmp b;
+            let n = n_written (Array.map (fun s -> s.w_count) w.streams) in
             Array.iteri
               (fun i s ->
-                if written i s.w_count then begin
+                if i < n then begin
                   Buffer.clear b;
                   put_varint b s.w_count;
                   Buffer.output_buffer w.tmp b;
@@ -572,7 +730,9 @@ module Writer = struct
     in
     if Option.is_some w.spill then remove (spill_path w);
     w.closed <- true;
-    sizes_of_counts (Array.map (fun s -> s.w_count) w.streams) ~total_bytes
+    sizes_of_counts
+      (Array.map (fun s -> s.w_count) w.streams)
+      ~compact_clock_reads:w.clock_reads ~total_bytes
 end
 
 (* --- streaming reader -------------------------------------------------- *)
@@ -710,8 +870,8 @@ module Reader = struct
       in
       let sections =
         Array.init (Array.length section_names) (fun i ->
-            (* the trailing picks section is optional: absent entirely in
-               traces from ordinary recordings *)
+            (* the sections past the mandatory four are optional: a
+               trailing run of empty ones is absent *)
             if i < mandatory_sections || at () < src_len then section ()
             else (0, { offset = at (); stop = at (); left = 0 }))
       in
@@ -775,19 +935,10 @@ let read_all src =
   Fun.protect
     ~finally:(fun () -> Reader.close r)
     (fun () ->
-      let a =
-        Array.map
-          (fun tp -> Array.init (Tape.remaining tp) (fun _ -> Tape.read tp))
-          (Reader.tapes r)
-      in
-      {
-        program_digest = Reader.program_digest r;
-        switches = a.(0);
-        clocks = a.(1);
-        inputs = a.(2);
-        natives = a.(3);
-        picks = a.(4);
-      })
+      of_sections (Reader.program_digest r)
+        (Array.map
+           (fun tp -> Array.init (Tape.remaining tp) (fun _ -> Tape.read tp))
+           (Reader.tapes r)))
 
 let of_bytes s = read_all (Reader.string_source s)
 

@@ -2,15 +2,36 @@
 
     Following the paper (footnote 7: wall-clock logging "need be done
     independently of thread switch information in all replay schemes"), a
-    trace holds one tape per non-deterministic event kind:
+    trace holds one tape per non-deterministic event kind, one section
+    each on disk, in this order:
 
-    - switches: yield-point deltas ([nyp]) between preemptive thread
+    + switches: yield-point deltas ([nyp]) between preemptive thread
       switches (Figure 2);
-    - clocks: (reason, value) pairs for every wall-clock read;
-    - inputs: external input values;
-    - natives: native-call outcomes (result and callback parameters);
-    - picks: dispatch-override decisions, recorded only under a controlled
-      scheduler (an optional trailing section, absent when empty).
+    + legacy clocks: (reason, value) pairs, one per wall-clock read;
+    + inputs: external input values;
+    + legacy natives: native-call outcomes, four words or more each;
+    + picks: dispatch-override decisions, recorded only under a
+      controlled scheduler;
+    + clocks: compact clock entries;
+    + natives: compact native entries.
+
+    The first four sections are always written; a trailing run of empty
+    ones among the last three is left out, so a trace with no picks, clock
+    read or native call keeps the original 4-section DJVU2 layout byte for
+    byte. New recordings write clock reads and native outcomes in the
+    compact sections only ({!push_clock}, {!push_native}) and leave the
+    legacy ones empty; traces of older builds hold them in the legacy
+    sections and still replay. Replay decodes each kind in the layout of
+    the section that holds its data ({!clock_source}, {!native_source}).
+
+    A compact clock entry is one word [(d lsl 2) lor tag]: [d] is the value
+    minus the previous clock value of the same session (0 before the first
+    read) and [tag] the reason, 0-2. Tag 3 is an escape, written when [d]
+    falls outside +-2^59: the next two words hold the tag and the absolute
+    value. A compact native entry is a header word [(nat_id lsl 2) lor
+    has_result lor (has_callbacks lsl 1)], the result word if there is a
+    result, and, only if there are callbacks, their count and the callbacks
+    [(uid; nargs; args...)*].
 
     Tapes are flat integer sequences; the file format is a zigzag-varint
     stream with a header carrying the program's structural digest so a
@@ -89,14 +110,19 @@ end
 type t = {
   program_digest : string;
   switches : int array;
-  clocks : int array;  (** flattened (reason, value) pairs *)
+  legacy_clocks : int array;
+      (** section 1: flattened (reason, value) pairs, as builds before the
+          compact sections wrote them; empty in new recordings *)
   inputs : int array;
-  natives : int array;  (** flattened native outcome records *)
+  legacy_natives : int array;
+      (** section 3: flattened legacy native records [id; has_result;
+          result?; n_callbacks; (uid; nargs; args...)*]; empty in new
+          recordings *)
   picks : int array;
       (** dispatch-override decisions — one tid per [h_pick] consultation —
-          recorded only under a controlled scheduler. The on-disk section
-          is optional: absent when empty, so ordinary recordings keep the
-          original 4-section DJVU2 layout byte-for-byte. *)
+          recorded only under a controlled scheduler; empty otherwise *)
+  clocks : int array;  (** section 5: compact clock entries *)
+  natives : int array;  (** section 6: compact native entries *)
 }
 
 (** Encode a clock-read reason (0 app, 1 scheduler, 2 idle advance). *)
@@ -104,20 +130,45 @@ val tag_of_reason : Vm.Rt.clock_reason -> int
 
 val reason_name : int -> string
 
-(** Append a native outcome record:
-    [id; has_result; result?; n_callbacks; (uid; nargs; args...)*]. *)
-val push_native_outcome : Tape.t -> int -> Vm.Rt.native_outcome -> unit
+(** How a section codes clock reads or native outcomes. *)
+type layout = Legacy | Compact
 
-(** Read one native outcome record back. Raises {!Format_error} on a bad
-    [has_result] flag or a negative callback count or arity, and
-    {!End_of_tape} when the record runs past the tape. *)
-val read_native_outcome : Tape.t -> int * Vm.Rt.native_outcome
+(** [push_clock tape ~prev tag v] appends the compact entry of a clock read
+    of reason [tag] returning [v], [prev] being the session's previous
+    clock value (0 before the first read). The one clock encoder. *)
+val push_clock : Tape.t -> prev:int -> int -> int -> unit
+
+(** [read_clock layout tape ~prev] reads one clock read back as [(tag,
+    value)]; [prev] is only used by the compact layout. The one clock
+    decoder. Raises {!Format_error} on a malformed escape and
+    {!End_of_tape} when the entry runs past the tape. *)
+val read_clock : layout -> Tape.t -> prev:int -> int * int
+
+(** Append the compact entry of a native outcome. The one native
+    encoder. *)
+val push_native : Tape.t -> int -> Vm.Rt.native_outcome -> unit
+
+(** Read one native outcome back as [(nat_id, outcome)]. The one native
+    decoder. Raises {!Format_error} on a bad legacy [has_result] flag, a
+    negative callback arity, or a callback count below 0 (legacy) or 1
+    (compact, where the count is present only if there are callbacks), and
+    {!End_of_tape} when the entry runs past the tape. *)
+val read_native : layout -> Tape.t -> int * Vm.Rt.native_outcome
+
+(** [clock_source tapes] is the layout of the clock reads in [tapes], the
+    seven tapes in section order, and the tape that holds them: the
+    compact section unless only the legacy one holds data. Raises
+    {!Format_error} when both do. *)
+val clock_source : Tape.t array -> layout * Tape.t
+
+(** {!clock_source} for native outcomes. *)
+val native_source : Tape.t array -> layout * Tape.t
 
 type sizes = {
   n_switches : int;
-  n_clock_reads : int;
+  n_clock_reads : int;  (** clock reads, in either layout *)
   n_inputs : int;
-  n_native_words : int;
+  n_native_words : int;  (** words of native outcomes, in either layout *)
   n_picks : int;
   total_words : int;
   total_bytes : int;  (** size of the serialized form *)
@@ -138,12 +189,15 @@ val get_varint : string -> int -> int * int
 (** Encoded byte size of one value, without producing the bytes. *)
 val varint_size : int -> int
 
-(** Five fresh growable tapes, in section order: an in-memory recording. *)
+(** Seven fresh growable tapes, in section order: an in-memory recording. *)
 val new_tapes : unit -> Tape.t array
 
 (** The trace's sections as readable tapes, in section order: an
     in-memory replay. *)
 val tapes : t -> Tape.t array
+
+(** The trace of a digest and seven section arrays in section order. *)
+val of_sections : string -> int array array -> t
 
 (** The reference encoder. {!Writer} writes the same bytes. *)
 val to_bytes : t -> string
@@ -189,9 +243,9 @@ module Writer : sig
       final rename is atomic). *)
   val create : ?buf_words:int -> string -> t
 
-  (** The five sink-wired tapes, in section order: switches, clocks,
-      inputs, natives, picks. The picks section is stitched into the file
-      only when non-empty, mirroring {!to_bytes}. *)
+  (** The seven sink-wired tapes, in section order. A trailing run of
+      empty optional sections is left out of the file, mirroring
+      {!to_bytes}. *)
   val tapes : t -> Tape.t array
 
   (** High-water mark of words buffered in memory across all tapes. *)
@@ -225,9 +279,8 @@ module Reader : sig
 
   val program_digest : t -> string
 
-  (** The five refill-wired tapes, in section order: switches, clocks,
-      inputs, natives, picks (served empty when the file predates the
-      optional picks section). *)
+  (** The seven refill-wired tapes, in section order (an optional section
+      the file leaves out is served empty). *)
   val tapes : t -> Tape.t array
 
   val close : t -> unit

@@ -76,6 +76,41 @@ let test_time_travel_deterministic () =
   Alcotest.(check int) "same digest at step 5000" digest_a
     (Debugger.Session.state_digest d)
 
+(* Travelling back over clock reads restores the compact clock entries'
+   delta base with the tape cursor: every clock value read after the
+   landing point, and so the run's end, is the recording's. Once from the
+   step-0 checkpoint, once from a later one. *)
+let test_time_travel_over_clock_reads () =
+  let e = entry "timed" in
+  let recorded, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
+  List.iter
+    (fun checkpoint_interval ->
+      let ctx = Fmt.str "checkpoints every %d" checkpoint_interval in
+      let d =
+        Result.get_ok
+          (Debugger.Session.start ~natives:e.natives ~checkpoint_interval
+             e.program trace)
+      in
+      ignore (Debugger.Session.step d 300);
+      let digest_at_200 =
+        ignore (Debugger.Session.goto_step d 200);
+        Debugger.Session.state_digest d
+      in
+      ignore (Debugger.Session.step d 150);
+      ignore (Debugger.Session.goto_step d 200);
+      Alcotest.(check int) (ctx ^ ": same state at step 200") digest_at_200
+        (Debugger.Session.state_digest d);
+      (match Debugger.Session.continue_ d with
+      | Debugger.Session.Ended Dejavu.Ok -> ()
+      | r ->
+        Alcotest.failf "%s: %s" ctx (Debugger.Protocol.string_of_stop d r));
+      Alcotest.(check string) (ctx ^ ": output") recorded.Dejavu.output
+        (Debugger.Session.output d);
+      Alcotest.(check int)
+        (ctx ^ ": final digest") recorded.Dejavu.state_digest
+        (Debugger.Session.state_digest d))
+    [ 0; 100 ]
+
 let test_goto_forward () =
   let d = fresh_session () in
   ignore (Debugger.Session.step d 100);
@@ -328,10 +363,23 @@ let test_same_verdict_as_replay () =
         "incomplete" );
       ( "bad native flag",
         entry "native",
+        (let legacy = Layouts.legacy native in
+         bytes
+           {
+             legacy with
+             legacy_natives =
+               Array.mapi (fun i w -> if i = 1 then 5 else w) legacy.legacy_natives;
+           }),
+        "rejected" );
+      ( "empty callback list",
+        entry "native",
         bytes
           {
             native with
-            natives = Array.mapi (fun i w -> if i = 1 then 5 else w) native.natives;
+            natives =
+              Array.append
+                [| (native.natives.(0) land lnot 3) lor 2; 0 |]
+                native.natives;
           },
         "rejected" );
     ]
@@ -352,6 +400,7 @@ let () =
           quick "replay unperturbed by debugging" test_replay_equals_undebugged;
           quick "time travel deterministic" test_time_travel_deterministic;
           quick "goto forward" test_goto_forward;
+          quick "time travel over clock reads" test_time_travel_over_clock_reads;
           quick "replay errors end with the verdict" test_replay_errors_verdict;
           quick "same verdict as dvrun replay" test_same_verdict_as_replay;
         ] );

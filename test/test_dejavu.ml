@@ -132,22 +132,42 @@ let test_switch_deltas_match_yieldpoints () =
 
 (* --- divergence detection ------------------------------------------------ *)
 
+(* Each tamper test runs on a recording in both trace layouts: as
+   recorded (compact clock and native sections) and converted to the
+   legacy sections older builds wrote (test/layouts.ml). *)
+let in_both_layouts trace f =
+  List.iter (fun (layout, t) -> f layout t) (Layouts.both trace)
+
 let test_wrong_program_rejected () =
-  let e1 = entry "fig1ab" and e2 = entry "fig1cd" in
+  let e1 = entry "fig1cd" and e2 = entry "fig1ab" in
   let _, trace = Dejavu.record ~natives:e1.natives ~seed:1 e1.program in
+  in_both_layouts trace @@ fun layout trace ->
   let r, _ = Dejavu.replay ~natives:e2.natives e2.program trace in
   match r.Dejavu.verdict with
   | Dejavu.Rejected msg ->
-    Alcotest.(check bool) "names the program" true
+    Alcotest.(check bool) (layout ^ ": names the program") true
       (contains msg "different program")
-  | v -> Alcotest.failf "accepted wrong program: %a" Dejavu.pp_verdict v
+  | v ->
+    Alcotest.failf "%s: accepted wrong program: %a" layout Dejavu.pp_verdict v
 
+(* The first clock read's value moved by 13: in the legacy layout its
+   value word, in the compact one its delta (which moves every later
+   value too). *)
 let test_tampered_clock_detected () =
   let e = entry "fig1cd" in
   let rec_run, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-  let clocks = Array.copy trace.Dejavu.Trace.clocks in
-  if Array.length clocks >= 2 then clocks.(1) <- clocks.(1) + 13;
-  let tampered = { trace with Dejavu.Trace.clocks } in
+  in_both_layouts trace @@ fun layout trace ->
+  let tampered =
+    match Layouts.clock_layout trace with
+    | Dejavu.Trace.Legacy ->
+      let legacy_clocks = Array.copy trace.legacy_clocks in
+      legacy_clocks.(1) <- legacy_clocks.(1) + 13;
+      { trace with legacy_clocks }
+    | Dejavu.Trace.Compact ->
+      let clocks = Array.copy trace.clocks in
+      clocks.(0) <- clocks.(0) + (13 lsl 2);
+      { trace with clocks }
+  in
   let rep, leftovers = Dejavu.replay ~natives:e.natives e.program tampered in
   let detected =
     (match rep.Dejavu.status with Vm.Rt.Fatal _ -> true | _ -> false)
@@ -155,11 +175,15 @@ let test_tampered_clock_detected () =
     || rep.Dejavu.output <> rec_run.Dejavu.output
     || rep.Dejavu.state_digest <> rec_run.Dejavu.state_digest
   in
-  Alcotest.(check bool) "tampering visible" true detected
+  Alcotest.(check bool) (layout ^ ": tampering visible") true detected
 
 let test_truncated_switch_tape () =
   (* removing a switch from the middle of the tape shifts every later
-     switch: the replayed event sequence cannot match the recording *)
+     switch: the replayed event sequence cannot match the recording. The
+     switches section is the same in both layouts, and the one program
+     whose recording has both switches and clock or native data, fig1cd,
+     replays the same event sequence with its first or middle switch
+     dropped, so this test keeps to racy-counter. *)
   let e = entry "racy-counter" in
   let rec_run, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
   let sw = trace.Dejavu.Trace.switches in
@@ -182,8 +206,10 @@ let test_truncated_switch_tape () =
 let test_native_callback_rejected () =
   let e = entry "native" in
   let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
+  in_both_layouts trace @@ fun layout trace ->
   List.iter
     (fun (what, f, needle) ->
+      let what = layout ^ ": " ^ what in
       let r, _ =
         Dejavu.replay ~natives:e.natives e.program (tamper_first_callback f trace)
       in
@@ -197,6 +223,60 @@ let test_native_callback_rejected () =
       ( "wrong arity",
         (fun (uid, args) -> (uid, Array.append args [| 7 |])),
         "arguments" );
+    ]
+
+(* [dvrun trace-dump] decodes each kind through the shared decoders in the
+   layout that holds it: the clock, input and native listings of a
+   recording are the same in both layouts. *)
+let test_trace_dump_both_layouts () =
+  let dvrun =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/dvrun.exe"
+  in
+  let listing t =
+    let path = Filename.temp_file "dvdump" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Dejavu.Trace.save path t;
+        let ic = Unix.open_process_args_in dvrun [| dvrun; "trace-dump"; path |] in
+        let out = In_channel.input_all ic in
+        (match Unix.close_process_in ic with
+        | Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "trace-dump failed");
+        let mark = "-- wall-clock reads --" in
+        let rec find i =
+          if String.sub out i (String.length mark) = mark then i else find (i + 1)
+        in
+        let i = find 0 in
+        String.sub out i (String.length out - i))
+  in
+  List.iter
+    (fun name ->
+      let e = entry name in
+      let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
+      let compact = listing trace and legacy = listing (Layouts.legacy trace) in
+      Alcotest.(check bool) (name ^ ": compact form") true (trace <> Layouts.legacy trace);
+      Alcotest.(check string) (name ^ ": same listings") compact legacy)
+    [ "fig1cd"; "native"; "timed" ]
+
+(* A kind with data in both its legacy and its compact section is
+   malformed: which of the two would replay cannot be told. *)
+let test_both_layouts_rejected () =
+  List.iter
+    (fun (name, edit) ->
+      let e = entry name in
+      let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
+      let r, _ = Dejavu.replay ~natives:e.natives e.program (edit trace) in
+      match r.Dejavu.verdict with
+      | Dejavu.Rejected msg ->
+        Alcotest.(check bool) (name ^ ": " ^ msg) true (contains msg "both")
+      | v -> Alcotest.failf "%s: %a" name Dejavu.pp_verdict v)
+    [
+      ( "timed",
+        fun t -> { t with legacy_clocks = (Layouts.legacy t).legacy_clocks } );
+      ( "native",
+        fun t -> { t with legacy_natives = (Layouts.legacy t).legacy_natives }
+      );
     ]
 
 (* --- one verdict for a recording that ends fatal ------------------------- *)
@@ -407,6 +487,8 @@ let () =
           quick "tampered clock detected" test_tampered_clock_detected;
           quick "truncated switches detected" test_truncated_switch_tape;
           quick "native callback rejected" test_native_callback_rejected;
+          quick "one kind in both layouts rejected" test_both_layouts_rejected;
+          quick "trace-dump lists both layouts alike" test_trace_dump_both_layouts;
           quick "judge names the field" test_judge_names_field;
         ] );
       ( "verdict",

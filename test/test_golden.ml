@@ -23,7 +23,16 @@
    empty, so each row splices its program's stamp ([stamps]) back in
    place of the empty field and must reproduce the pinned MD5 exactly:
    the header lost only the stamp, and no section byte moved. The spliced
-   seed-1 trace, as an older build wrote it, must still replay [Ok]. *)
+   seed-1 trace, as an older build wrote it, must still replay [Ok].
+
+   New recordings write clock reads and native outcomes in the compact
+   sections. The nine rows whose programs read the clock or call a native
+   (fig1cd, native, timed) were pinned in the legacy layout: their
+   recording goes through the converter of test/layouts.ml back to that
+   layout before the stamp is spliced, and must still hit the pinned MD5
+   and replay [Ok]. The [compact] table pins the bytes as recorded for
+   those rows; every other row's recording has no compact section, so its
+   bytes are the legacy bytes. *)
 
 (* (program, seed, MD5 of the trace bytes, state digest, n_instr) *)
 let golden =
@@ -99,6 +108,22 @@ let golden =
     ("atomicity", 3, "be79199eee6ec353d87dee3215fc9fb5", 2392117920251058574, 84);
   ]
 
+(* (program, seed, MD5 of the trace bytes as recorded, in the compact
+   layout), for the rows whose recording has clock reads or native
+   outcomes. *)
+let compact =
+  [
+    ("fig1cd", 1, "54c257426b867b81e89f3459f888cd85");
+    ("fig1cd", 2, "f37e63f9b2f2fa96b270e781e8544459");
+    ("fig1cd", 3, "3eb2ba251ed770c66063508feb8d8374");
+    ("native", 1, "5617eb7843184eeab46183ae2a7a95fb");
+    ("native", 2, "2e33426e072448d2ecc54d9790959ee0");
+    ("native", 3, "5e89b9190c201a048263f8c91eadb01c");
+    ("timed", 1, "9f8be1499a7e9c564a5fb8422f363464");
+    ("timed", 2, "5da5f182c98a8d79a9154b59e825c790");
+    ("timed", 3, "942e49fb83522d1e9db33f3cf27f3aff");
+  ]
+
 (* Each program's race-audit stamp, as the header of a trace recorded
    before the stamp was dropped carried it (read with [dvrun trace-dump]
    from traces recorded at seed 1). It depends on the program alone. *)
@@ -167,9 +192,27 @@ let check_row (name, seed, md5, digest, n_instr) () =
   let run, trace = Dejavu.record ~natives:e.natives ~seed e.program in
   let ctx = Fmt.str "%s/%d" name seed in
   let bytes = Dejavu.Trace.to_bytes trace in
+  let compact_md5 =
+    List.find_map
+      (fun (n, s, m) -> if n = name && s = seed then Some m else None)
+      compact
+  in
+  let legacy =
+    match compact_md5 with
+    | Some compact_md5 ->
+      Alcotest.(check string)
+        (ctx ^ " compact trace md5") compact_md5
+        (Digest.to_hex (Digest.string bytes));
+      Dejavu.Trace.to_bytes (Layouts.legacy trace)
+    | None ->
+      Alcotest.(check bool)
+        (ctx ^ " no compact section") true
+        (Layouts.legacy trace = trace);
+      bytes
+  in
   let stamped =
     splice ~ctx ~digest:trace.Dejavu.Trace.program_digest
-      ~stamp:(List.assoc name stamps) bytes
+      ~stamp:(List.assoc name stamps) legacy
   in
   Alcotest.(check string)
     (ctx ^ " stamped trace md5") md5
@@ -186,15 +229,15 @@ let check_row (name, seed, md5, digest, n_instr) () =
       Alcotest.(check bool)
         (ctx ^ " trace file = to_bytes") true
         (read_file path = bytes);
-      let replayed, _ = Dejavu.replay_from ~natives:e.natives ~path e.program in
-      Alcotest.check Tutil.verdict (ctx ^ " file replay") Dejavu.Ok
-        (Dejavu.judge ~expected:recorded replayed);
-      if seed = 1 then begin
-        write_file path stamped;
+      let replay what file =
+        write_file path file;
         let replayed, _ = Dejavu.replay_from ~natives:e.natives ~path e.program in
-        Alcotest.check Tutil.verdict (ctx ^ " stamped file replay") Dejavu.Ok
+        Alcotest.check Tutil.verdict (ctx ^ " " ^ what) Dejavu.Ok
           (Dejavu.judge ~expected:recorded replayed)
-      end)
+      in
+      replay "file replay" bytes;
+      if legacy <> bytes then replay "legacy file replay" legacy;
+      if seed = 1 then replay "stamped file replay" stamped)
 
 (* The table must cover the whole registry, so a new program cannot slip
    in unpinned. *)
@@ -209,7 +252,14 @@ let test_covers_registry () =
   Alcotest.(check (list string)) "pinned programs" registry pinned;
   Alcotest.(check (list string))
     "stamped programs" registry
-    (List.sort compare (List.map fst stamps))
+    (List.sort compare (List.map fst stamps));
+  List.iter
+    (fun (name, seed, _) ->
+      Alcotest.(check bool)
+        (Fmt.str "compact row %s/%d pinned" name seed)
+        true
+        (List.exists (fun (n, s, _, _, _) -> n = name && s = seed) golden))
+    compact
 
 let () =
   Alcotest.run "golden"

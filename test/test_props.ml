@@ -52,14 +52,16 @@ let trace_decoders_on ?(strict = false) v =
     {
       Dejavu.Trace.program_digest = "prop";
       switches = [||];
-      clocks = [||];
+      legacy_clocks = [||];
       inputs = [||];
-      natives = [||];
+      legacy_natives = [||];
       picks = [||];
+      clocks = [||];
+      natives = [||];
     }
   in
   let header = Dejavu.Trace.to_bytes empty in
-  (* natives count 0 -> 1 (zigzag 2), then [v] *)
+  (* legacy natives count 0 -> 1 (zigzag 2), then [v] *)
   let s = String.sub header 0 (String.length header - 1) ^ "\x02" ^ v in
   let path = Filename.temp_file "dvprop" ".trace" in
   Fun.protect
@@ -127,23 +129,11 @@ let arr_gen = QCheck.(array_of_size (Gen.int_bound 200) int)
 
 let prop_trace_roundtrip =
   qtest ~count:200 "trace bytes roundtrip"
-    QCheck.(quad arr_gen arr_gen arr_gen arr_gen)
-    (fun (a, b, c, d) ->
-      let t =
-        {
-          Dejavu.Trace.program_digest = "prop";
-          switches = a;
-          clocks = b;
-          inputs = c;
-          natives = d;
-          picks = [||];
-        }
-      in
+    QCheck.(array_of_size (Gen.return 7) arr_gen)
+    (fun secs ->
+      let t = Dejavu.Trace.of_sections "prop" secs in
       let t' = Dejavu.Trace.of_bytes (Dejavu.Trace.to_bytes t) in
-      t'.Dejavu.Trace.switches = a
-      && t'.Dejavu.Trace.clocks = b
-      && t'.Dejavu.Trace.inputs = c
-      && t'.Dejavu.Trace.natives = d)
+      t' = t)
 
 (* --- interpreter vs reference evaluator ----------------------------------- *)
 

@@ -4,24 +4,29 @@ open Tutil
 
 module T = Dejavu.Trace
 
-let mk ?(digest = "d") ?(switches = [||]) ?(clocks = [||]) ?(inputs = [||])
-    ?(natives = [||]) ?(picks = [||]) () =
+let mk ?(digest = "d") ?(switches = [||]) ?(legacy_clocks = [||])
+    ?(inputs = [||]) ?(legacy_natives = [||]) ?(picks = [||]) ?(clocks = [||])
+    ?(natives = [||]) () =
   {
     T.program_digest = digest;
     switches;
-    clocks;
+    legacy_clocks;
     inputs;
-    natives;
+    legacy_natives;
     picks;
+    clocks;
+    natives;
   }
 
+(* the seven sections, in file order *)
+let sections (t : T.t) =
+  [|
+    t.T.switches; t.T.legacy_clocks; t.T.inputs; t.T.legacy_natives;
+    t.T.picks; t.T.clocks; t.T.natives;
+  |]
+
 let trace_eq a b =
-  a.T.program_digest = b.T.program_digest
-  && a.T.switches = b.T.switches
-  && a.T.clocks = b.T.clocks
-  && a.T.inputs = b.T.inputs
-  && a.T.natives = b.T.natives
-  && a.T.picks = b.T.picks
+  a.T.program_digest = b.T.program_digest && sections a = sections b
 
 let with_tmp f =
   let path = Filename.temp_file "dvtest" ".trace" in
@@ -120,9 +125,11 @@ let test_roundtrip_full () =
   let t =
     mk ~digest:(String.make 32 'a')
       ~switches:[| 1; 2; 3; 1000000 |]
-      ~clocks:[| 0; 5; 1; 700; 2; 800 |]
+      ~legacy_clocks:[| 0; 5; 1; 700; 2; 800 |]
       ~inputs:[| -5; 0; max_int |]
-      ~natives:[| 1; 1; 42; 0 |]
+      ~legacy_natives:[| 1; 1; 42; 0 |]
+      ~clocks:[| 20; 2801; 3; 2; max_int |]
+      ~natives:[| 5; 42 |]
       ()
   in
   Alcotest.(check bool) "rt" true (trace_eq t (T.of_bytes (T.to_bytes t)))
@@ -174,45 +181,92 @@ let test_save_load () =
 
 (* --- native outcome encoding --------------------------------------------- *)
 
+(* Each layout's decoder reads back what its encoder wrote: the library's
+   compact one, and the legacy one of the test converter. *)
 let test_native_outcome_codec () =
-  let tape = T.Tape.create "n" in
   let o1 = { Vm.Rt.no_result = Some 42; no_callbacks = [ (3, [| 1; 2 |]); (5, [||]) ] } in
   let o2 = { Vm.Rt.no_result = None; no_callbacks = [] } in
-  T.push_native_outcome tape 7 o1;
-  T.push_native_outcome tape 9 o2;
-  let id1, got1 = T.read_native_outcome tape in
-  let id2, got2 = T.read_native_outcome tape in
-  Alcotest.(check int) "id1" 7 id1;
-  Alcotest.(check int) "id2" 9 id2;
-  Alcotest.(check bool) "o1" true (got1 = o1);
-  Alcotest.(check bool) "o2" true (got2 = o2);
-  Alcotest.(check int) "consumed" 0 (T.Tape.remaining tape)
+  List.iter
+    (fun (layout, push, words) ->
+      let tape = T.Tape.create "n" in
+      push tape 7 o1;
+      push tape 9 o2;
+      Alcotest.(check int) "words" words (T.Tape.length tape);
+      let id1, got1 = T.read_native layout tape in
+      let id2, got2 = T.read_native layout tape in
+      Alcotest.(check int) "id1" 7 id1;
+      Alcotest.(check int) "id2" 9 id2;
+      Alcotest.(check bool) "o1" true (got1 = o1);
+      Alcotest.(check bool) "o2" true (got2 = o2);
+      Alcotest.(check int) "consumed" 0 (T.Tape.remaining tape))
+    [
+      (T.Compact, T.push_native, 10); (T.Legacy, Layouts.push_legacy_native, 13);
+    ]
 
 (* Counts decoded from a tape are checked before they size anything: a
-   negative callback count or arity is malformed input. *)
+   negative callback count or arity is malformed input, and so is a
+   compact entry that flags callbacks and then counts none. *)
 let test_native_outcome_negative_counts () =
   List.iter
-    (fun (what, words) ->
-      match T.read_native_outcome (T.Tape.of_array "n" words) with
+    (fun (what, layout, words) ->
+      match T.read_native layout (T.Tape.of_array "n" words) with
       | exception T.Format_error _ -> ()
-      | _ -> Alcotest.failf "accepted a negative %s" what)
+      | _ -> Alcotest.failf "accepted a bad %s" what)
     [
-      ("callback count", [| 4; 1; 2; -1 |]);
-      ("callback count", [| 4; 0; min_int |]);
-      ("callback arity", [| 4; 1; 2; 1; 3; -2 |]);
+      ("callback count", T.Legacy, [| 4; 1; 2; -1 |]);
+      ("callback count", T.Legacy, [| 4; 0; min_int |]);
+      ("callback arity", T.Legacy, [| 4; 1; 2; 1; 3; -2 |]);
+      ("callback count", T.Compact, [| 18; -1 |]);
+      ("callback count", T.Compact, [| 18; 0 |]);
+      ("callback arity", T.Compact, [| 19; 2; 1; 3; -2 |]);
+    ]
+
+(* A legacy clock read's tag is the replayer's to check; a compact escape
+   must carry a tag of 0-2 and no delta. *)
+let test_clock_escape_malformed () =
+  List.iter
+    (fun words ->
+      match T.read_clock T.Compact (T.Tape.of_array "c" words) ~prev:0 with
+      | exception T.Format_error _ -> ()
+      | _ -> Alcotest.failf "accepted %a" Fmt.(Dump.array int) words)
+    [ [| 3; 3; 5 |]; [| 3; -1; 5 |]; [| 7; 0; 5 |] ]
+
+(* One word per read while the delta fits in +-2^59, three beyond; a
+   wrap from max_int to min_int is a delta of 1. *)
+let test_clock_entry_words () =
+  List.iter
+    (fun (what, prev, v, words) ->
+      let tape = T.Tape.create "c" in
+      T.push_clock tape ~prev 2 v;
+      Alcotest.(check int) (what ^ ": words") words (T.Tape.length tape);
+      Alcotest.(check (pair int int))
+        (what ^ ": read back") (2, v)
+        (T.read_clock T.Compact tape ~prev))
+    [
+      ("small", 100, 107, 1);
+      ("+2^59", 0, 1 lsl 59, 1);
+      ("-2^59", 0, -(1 lsl 59), 1);
+      ("+2^59+1", 0, (1 lsl 59) + 1, 3);
+      ("-2^59-1", 0, -(1 lsl 59) - 1, 3);
+      ("max to min", max_int, min_int, 1);
+      ("min to max", min_int, max_int, 1);
+      ("0 to max", 0, max_int, 3);
+      ("max to 0", max_int, 0, 3);
     ]
 
 let test_sizes () =
   let t =
-    mk ~switches:[| 1; 2 |] ~clocks:[| 0; 1; 1; 2 |] ~inputs:[| 3 |]
-      ~natives:[| 1; 0; 0 |] ()
+    mk ~switches:[| 1; 2 |] ~legacy_clocks:[| 0; 1; 1; 2 |] ~inputs:[| 3 |]
+      ~legacy_natives:[| 1; 0; 0 |] ~clocks:[| 4; 3; 1; 99; 8 |]
+      ~natives:[| 4 |] ()
   in
   let s = T.sizes t in
   Alcotest.(check int) "switches" 2 s.T.n_switches;
-  Alcotest.(check int) "clock reads" 2 s.T.n_clock_reads;
+  (* 2 legacy pairs; 3 compact entries, one an escape of 3 words *)
+  Alcotest.(check int) "clock reads" 5 s.T.n_clock_reads;
   Alcotest.(check int) "inputs" 1 s.T.n_inputs;
-  Alcotest.(check int) "native words" 3 s.T.n_native_words;
-  Alcotest.(check int) "total" 10 s.T.total_words;
+  Alcotest.(check int) "native words" 4 s.T.n_native_words;
+  Alcotest.(check int) "total" 16 s.T.total_words;
   Alcotest.(check bool) "bytes positive" true (s.T.total_bytes > 0)
 
 let test_reason_tags () =
@@ -225,9 +279,11 @@ let test_reason_tags () =
 
 let sample_trace () =
   mk ~digest:"prog" ~switches:[| 3; 0; 150; 4096; 1 |]
-    ~clocks:[| 0; 5; 1; 70000; 2; 123456789 |]
+    ~legacy_clocks:[| 0; 5; 1; 70000; 2; 123456789 |]
     ~inputs:[| 42; -17; 0 |]
-    ~natives:[| 1; 0; 0; 2; 1; 99 |]
+    ~legacy_natives:[| 1; 0; 0; 2; 1; 99 |]
+    ~clocks:[| 20; 279997; 3; 2; 123456789 |]
+    ~natives:[| 4; 9; 99 |]
     ()
 
 (* satellite: sizes must not re-serialize — encoded_size is arithmetic and
@@ -247,14 +303,13 @@ let test_encoded_size () =
 
 (* feed a materialized trace through the streaming writer and check the
    file is byte-identical to the batch serialization *)
+let push_all w (t : T.t) =
+  let tp = T.Writer.tapes w in
+  Array.iteri (fun i sec -> Array.iter (T.Tape.push tp.(i)) sec) (sections t)
+
 let stream_out ?buf_words path (t : T.t) =
   let w = T.Writer.create ?buf_words path in
-  let tp = T.Writer.tapes w in
-  Array.iter (fun v -> T.Tape.push tp.(0) v) t.T.switches;
-  Array.iter (fun v -> T.Tape.push tp.(1) v) t.T.clocks;
-  Array.iter (fun v -> T.Tape.push tp.(2) v) t.T.inputs;
-  Array.iter (fun v -> T.Tape.push tp.(3) v) t.T.natives;
-  Array.iter (fun v -> T.Tape.push tp.(4) v) t.T.picks;
+  push_all w t;
   T.Writer.finish w ~program_digest:t.T.program_digest
 
 let read_file path =
@@ -284,7 +339,7 @@ let test_writer_bounded_buffer () =
       let w = T.Writer.create ~buf_words:2 path in
       let tp = T.Writer.tapes w in
       Array.iter (fun v -> T.Tape.push tp.(0) v) t.T.switches;
-      Array.iter (fun v -> T.Tape.push tp.(3) v) t.T.natives;
+      Array.iter (fun v -> T.Tape.push tp.(3) v) t.T.legacy_natives;
       let peak = T.Writer.peak_buffered_words w in
       Alcotest.(check bool)
         (Fmt.str "peak %d bounded by 4 x cap" peak)
@@ -304,14 +359,12 @@ let test_reader_roundtrip () =
         (fun () ->
           Alcotest.(check string)
             "digest" t.T.program_digest (T.Reader.program_digest r);
-          let tp = T.Reader.tapes r in
-          let drain k =
-            Array.init (T.Tape.remaining tp.(k)) (fun _ -> T.Tape.read tp.(k))
-          in
-          Alcotest.(check bool) "switches" true (drain 0 = t.T.switches);
-          Alcotest.(check bool) "clocks" true (drain 1 = t.T.clocks);
-          Alcotest.(check bool) "inputs" true (drain 2 = t.T.inputs);
-          Alcotest.(check bool) "natives" true (drain 3 = t.T.natives)))
+          Array.iteri
+            (fun k tp ->
+              Alcotest.(check (array int))
+                tp.T.Tape.name (sections t).(k)
+                (Array.init (T.Tape.remaining tp) (fun _ -> T.Tape.read tp)))
+            (T.Reader.tapes r)))
 
 (* a loadable file, then truncated at every prefix length: the reader must
    raise Format_error (or report end-of-tape mid-read), never crash *)
@@ -327,23 +380,27 @@ let test_reader_truncation () =
         close_out oc;
         match T.Reader.open_file ~chunk_words:2 path with
         | exception T.Format_error _ -> ()
-        | r ->
-          (* header + counts parsed: reading past the cut must fail
-             cleanly, not crash *)
-          Fun.protect
-            ~finally:(fun () -> T.Reader.close r)
-            (fun () ->
-              match
-                Array.iter
+        | r -> (
+          (* header and counts parsed: reading past the cut must fail
+             cleanly, not crash, unless the cut falls at the end of an
+             optional section, which leaves the well-formed trace whose
+             later sections are empty *)
+          let full = sections t in
+          let kept k = Array.mapi (fun i s -> if i < k then s else [||]) full in
+          match
+            Fun.protect
+              ~finally:(fun () -> T.Reader.close r)
+              (fun () ->
+                Array.map
                   (fun tp ->
-                    while T.Tape.remaining tp > 0 do
-                      ignore (T.Tape.read tp)
-                    done)
-                  (T.Reader.tapes r)
-              with
-              | () -> Alcotest.fail (Fmt.str "cut %d read fully" cut)
-              | exception T.Format_error _ -> ()
-              | exception T.End_of_tape _ -> ())
+                    Array.init (T.Tape.remaining tp) (fun _ -> T.Tape.read tp))
+                  (T.Reader.tapes r))
+          with
+          | secs ->
+            if not (List.exists (fun k -> secs = kept k) [ 4; 5; 6 ]) then
+              Alcotest.failf "cut %d read fully" cut
+          | exception T.Format_error _ -> ()
+          | exception T.End_of_tape _ -> ())
       done)
 
 let test_reader_corrupt () =
@@ -383,9 +440,6 @@ let drain_all r =
     (fun tp -> Array.init (T.Tape.remaining tp) (fun _ -> T.Tape.read tp))
     (T.Reader.tapes r)
 
-let sections (t : T.t) =
-  [| t.T.switches; t.T.clocks; t.T.inputs; t.T.natives; t.T.picks |]
-
 (* [n] values cycling through 9-, 1-, 9-, 4- and 2-byte varints, bracketed
    by 9-byte ones so every section boundary sits between two of them *)
 let dense n =
@@ -405,19 +459,19 @@ let window = 65536
 
 let edges = [ window; 2 * window; 3 * window ]
 
-(* ~255 KB: switches, clocks and inputs each hold one window edge, natives
-   and picks come after the last, so a cut at any edge loses a mandatory
-   section. The section holding an edge is padded with 1-byte values after
-   its first until the byte before the edge is a continuation byte, i.e. a
+(* ~265 KB: sections 0, 1 and 2 each hold one window edge, the other four
+   come after the last, so a cut at any edge loses a mandatory section.
+   The section holding an edge is padded with 1-byte values after its
+   first until the byte before the edge is a continuation byte, i.e. a
    multi-byte varint straddles the edge. *)
 let edge_trace () =
   let secs =
-    [| dense 15_000; dense 15_000; dense 15_000; dense 4_000; dense 2_000 |]
+    [|
+      dense 15_000; dense 15_000; dense 15_000; dense 4_000; dense 2_000;
+      dense 1_000; dense 1_000;
+    |]
   in
-  let build () =
-    mk ~digest:"edges" ~switches:secs.(0)
-      ~clocks:secs.(1) ~inputs:secs.(2) ~natives:secs.(3) ~picks:secs.(4) ()
-  in
+  let build () = T.of_sections "edges" (Array.copy secs) in
   List.iteri
     (fun i e ->
       while Char.code (T.to_bytes (build ())).[e - 1] land 0x80 = 0 do
@@ -501,10 +555,6 @@ let with_dir f =
     (fun () -> f dir)
 
 let listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
-
-let push_all w (t : T.t) =
-  let tp = T.Writer.tapes w in
-  Array.iteri (fun i sec -> Array.iter (T.Tape.push tp.(i)) sec) (sections t)
 
 let test_writer_scratch_lifecycle () =
   with_dir (fun dir ->
@@ -628,7 +678,7 @@ let prop_stream_roundtrip =
       int_range 1 64 >>= fun buf_words ->
       int_range 1 64 >>= fun chunk_words ->
       let tape = array_size (int_bound (3 * 16 * buf_words)) int_gen in
-      array_repeat 5 tape >|= fun secs -> (buf_words, chunk_words, secs))
+      array_repeat 7 tape >|= fun secs -> (buf_words, chunk_words, secs))
   in
   let print (b, c, secs) =
     Fmt.str "buf_words=%d chunk_words=%d lengths=%a" b c
@@ -639,11 +689,7 @@ let prop_stream_roundtrip =
     (QCheck.Test.make ~count:150 ~name:"writer -> file -> reader"
        (QCheck.make ~print gen)
        (fun (buf_words, chunk_words, secs) ->
-         let t =
-           mk ~digest:"prop" ~switches:secs.(0)
-             ~clocks:secs.(1) ~inputs:secs.(2) ~natives:secs.(3)
-             ~picks:secs.(4) ()
-         in
+         let t = T.of_sections "prop" secs in
          with_tmp (fun path ->
              ignore (stream_out path t ~buf_words);
              let r = T.Reader.open_file ~chunk_words path in
@@ -849,6 +895,140 @@ let prop_fast_decoder =
          && in_memory = values && from_file = values
          && (op <> 0 || spec = Ok vals)))
 
+(* --- compact clock and native sections ------------------------------- *)
+
+(* Clock values as a session reads them: mostly small forward steps, with
+   jumps to arbitrary values and deltas at and just past +-2^59, so the
+   escape and 63-bit wraparound come up in most sequences. *)
+let clock_reads_gen =
+  let open QCheck.Gen in
+  let edge = 1 lsl 59 in
+  let move =
+    frequency
+      [
+        (6, map (fun d prev -> prev + d) (int_bound 100_000));
+        ( 2,
+          map
+            (fun v _ -> v)
+            (oneof [ int; oneofl [ min_int; max_int; 0; edge; -edge - 1 ] ])
+        );
+        ( 2,
+          map
+            (fun d prev -> prev + d)
+            (oneofl [ edge; edge + 1; -edge; -edge - 1; max_int; min_int ]) );
+      ]
+  in
+  list_size (int_bound 40) (pair (int_bound 2) move) >|= fun moves ->
+  let prev = ref 0 in
+  List.map
+    (fun (tag, f) ->
+      prev := f !prev;
+      (tag, !prev))
+    moves
+
+let native_outcomes_gen =
+  let open QCheck.Gen in
+  let small_arr = array_size (int_bound 3) int in
+  let outcome =
+    map2
+      (fun no_result no_callbacks -> { Vm.Rt.no_result; no_callbacks })
+      (opt int)
+      (list_size (int_bound 3) (pair (int_bound 10_000) small_arr))
+  in
+  list_size (int_bound 20) (pair (int_bound (1 lsl 20)) outcome)
+
+let print_reads = Fmt.(str "%a" Dump.(list (pair int int)))
+
+let print_outcomes outs =
+  Fmt.str "%a"
+    Fmt.(
+      Dump.list
+        (Dump.pair int (fun ppf (o : Vm.Rt.native_outcome) ->
+             Fmt.pf ppf "%a/%d callbacks" Dump.(option int) o.no_result
+               (List.length o.no_callbacks))))
+    outs
+
+(* Clock reads with reasons 0-2 roundtrip through the one encoder and the
+   one decoder, every value exact: escapes and wraparound included. *)
+let prop_clock_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"compact clock entries roundtrip"
+       (QCheck.make ~print:print_reads clock_reads_gen)
+       (fun reads ->
+         let t = Layouts.with_clock_reads T.Compact reads (mk ()) in
+         Layouts.clock_reads t = reads
+         && Layouts.clock_reads (Layouts.legacy t) = reads
+         && (T.sizes t).T.n_clock_reads = List.length reads))
+
+(* Native outcomes, with and without a result and with 0-3 callbacks,
+   roundtrip in both layouts. *)
+let prop_native_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"native entries roundtrip, both layouts"
+       (QCheck.make ~print:print_outcomes native_outcomes_gen)
+       (fun outs ->
+         List.for_all
+           (fun layout ->
+             Layouts.native_outcomes
+               (Layouts.with_native_outcomes layout outs (mk ()))
+             = outs)
+           [ T.Compact; T.Legacy ]))
+
+(* The streaming writer at 1 and 3 buffered words per tape flushes inside
+   escapes and native entries, and must still write [to_bytes]'s bytes and
+   count the reads [sizes] counts. *)
+let prop_compact_writer =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"compact sections through the writer"
+       (QCheck.make
+          ~print:(fun (r, o) -> print_reads r ^ " " ^ print_outcomes o)
+          (QCheck.Gen.pair clock_reads_gen native_outcomes_gen))
+       (fun (reads, outs) ->
+         let t =
+           mk ~switches:[| 1; 2 |] ()
+           |> Layouts.with_clock_reads T.Compact reads
+           |> Layouts.with_native_outcomes T.Compact outs
+         in
+         List.for_all
+           (fun buf_words ->
+             with_tmp (fun path ->
+                 let sizes = stream_out path t ~buf_words in
+                 read_file path = T.to_bytes t && sizes = T.sizes t))
+           [ 1; 3 ]))
+
+(* Without clock reads or native outcomes a trace keeps the four-section
+   layout; with them it carries all seven, the legacy two empty; and one
+   kind in both its layouts cannot be replayed. *)
+let test_compact_layout () =
+  let plain = mk ~switches:[| 1; 2 |] () in
+  let four = "DJVU2\n\002d\000\004\002\004\000\000\000" in
+  let timed = Layouts.with_clock_reads T.Compact [ (0, 5); (1, 9) ] plain in
+  let native =
+    Layouts.with_native_outcomes T.Compact
+      [ (1, { Vm.Rt.no_result = None; no_callbacks = [] }) ]
+      plain
+  in
+  let both_kinds =
+    Layouts.with_native_outcomes T.Compact (Layouts.native_outcomes native)
+      timed
+  in
+  List.iter
+    (fun (what, t, expect) ->
+      Alcotest.(check string)
+        what (String.escaped expect)
+        (String.escaped (T.to_bytes t)))
+    [
+      ("no clock, no native: four sections", plain, four);
+      ("clocks: six sections", timed, four ^ "\000\004(\"");
+      ("natives: seven sections", native, four ^ "\000\000\002\b");
+      ("both: seven sections", both_kinds, four ^ "\000\004(\"\002\b");
+    ];
+  let both = { timed with legacy_clocks = [| 0; 5 |] } in
+  match T.clock_source (T.tapes both) with
+  | _ -> Alcotest.fail "clock reads in both layouts accepted"
+  | exception T.Format_error msg ->
+    Alcotest.(check bool) msg true (contains msg "both")
+
 let () =
   Alcotest.run "trace"
     [
@@ -890,5 +1070,14 @@ let () =
           prop_stream_roundtrip;
           prop_writer_default_spills;
           prop_fast_decoder;
+        ] );
+      ( "compact",
+        [
+          quick "clock entry words" test_clock_entry_words;
+          quick "clock escape malformed" test_clock_escape_malformed;
+          quick "layout" test_compact_layout;
+          prop_clock_roundtrip;
+          prop_native_roundtrip;
+          prop_compact_writer;
         ] );
     ]

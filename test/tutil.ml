@@ -14,25 +14,22 @@ let quick name f = Alcotest.test_case name `Quick f
 let verdict = Alcotest.testable Dejavu.pp_verdict ( = )
 
 (* [trace] with its first native callback rewritten by [f] (uid and
-   arguments). The native tape is decoded and re-encoded, so nothing else
-   changes. *)
+   arguments). The native outcomes are decoded and re-encoded in their own
+   layout, so nothing else changes. *)
 let tamper_first_callback f (trace : Dejavu.Trace.t) =
-  let src = Dejavu.Tape.of_array "natives" trace.natives in
-  let dst = Dejavu.Tape.create "natives" in
   let pending = ref true in
-  while Dejavu.Tape.remaining src > 0 do
-    let id, o = Dejavu.Trace.read_native_outcome src in
-    let o =
-      match o.no_callbacks with
-      | cb :: rest when !pending ->
-        pending := false;
-        { o with no_callbacks = f cb :: rest }
-      | _ -> o
-    in
-    Dejavu.Trace.push_native_outcome dst id o
-  done;
+  let outcomes =
+    List.map
+      (fun (id, (o : Vm.Rt.native_outcome)) ->
+        match o.no_callbacks with
+        | cb :: rest when !pending ->
+          pending := false;
+          (id, { o with no_callbacks = f cb :: rest })
+        | _ -> (id, o))
+      (Layouts.native_outcomes trace)
+  in
   if !pending then Alcotest.fail "trace has no native callback";
-  { trace with natives = Dejavu.Tape.to_array dst }
+  Layouts.with_native_outcomes (Layouts.native_layout trace) outcomes trace
 
 (* A one-class program named "T". *)
 let prog1 ?(statics = []) ?(fields = []) ?(extra_classes = []) methods :
